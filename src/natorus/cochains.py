@@ -170,6 +170,20 @@ class Cochain3(CochainTable):
     def zero(cls, group: FiniteAbelianGroup) -> "Cochain3":
         return cls(group, np.zeros((group.order,) * 3, dtype=np.int64), 1)
 
+    @cached_property
+    def coboundary_witness(self) -> tuple | None:
+        """First (w,x,y,z) index tuple where delta phi != 0, or None.
+
+        The table is read-only, so the O(n^4) sweep runs once per cochain and
+        every cocycle check on it reads this cached answer.
+        """
+        for w in range(self.group.order):
+            chunk = _coboundary3_slice(self, w)
+            if chunk.any():
+                x, y, z = np.argwhere(chunk)[0]
+                return (w, int(x), int(y), int(z))
+        return None
+
     def is_alternating(self) -> bool:
         """True when the value dies on any repeated argument."""
         n = self.group.order
@@ -229,6 +243,9 @@ class Tricharacter(Cochain3):
         m = group.exponent if modulus is None else int(modulus)
         if m < 1:
             raise CochainError(f"modulus must be positive, got {m}")
+        # Only the residues mod m matter; reducing first keeps every product
+        # below inside int64.
+        tensor = tensor % m
         facs = np.array(group.factors, dtype=np.int64)
         for axis, view in enumerate(
             (tensor * facs[:, None, None], tensor * facs[None, :, None], tensor * facs[None, None, :])
@@ -260,6 +277,9 @@ def bicharacter_from_matrix(
     if matrix.shape != (k, k):
         raise TensorShapeError(f"matrix shape {matrix.shape} does not match group rank {k}")
     m = group.exponent if modulus is None else int(modulus)
+    if m < 1:
+        raise CochainError(f"modulus must be positive, got {m}")
+    matrix = matrix % m  # residues only, so the products below stay inside int64
     facs = np.array(group.factors, dtype=np.int64)
     if ((matrix * facs[:, None]) % m).any() or ((matrix * facs[None, :]) % m).any():
         raise TensorShapeError(
@@ -283,30 +303,20 @@ def coboundary2(sigma: Cochain2) -> Cochain3:
     return Cochain3._from_table(sigma.group, 3, out, d)
 
 
+def _coboundary3_slice(phi: Cochain3, w: int) -> np.ndarray:
+    """(delta phi)(w, x, y, z) mod den over all (x, y, z), for one index w."""
+    add = phi.group.add_table
+    t = phi.table
+    return (t - t[add[w], :, :] + t[w][add, :] - t[w][:, add] + t[w][:, :, None]) % phi.den
+
+
 def coboundary3(phi: Cochain3) -> CochainTable:
     """(delta phi)(w,x,y,z) with the alternating-sum convention; arity-4 table."""
     n = phi.group.order
-    add = phi.group.add_table
-    t = phi.table
-    d = phi.den
     out = np.empty((n, n, n, n), dtype=np.int64)
     for w in range(n):
-        out[w] = (t - t[add[w], :, :] + t[w][add, :] - t[w][:, add] + t[w][:, :, None]) % d
-    return CochainTable._from_table(phi.group, 4, out, d)
-
-
-def _coboundary3_witness(phi: Cochain3):
-    """First (w,x,y,z) index tuple where delta phi != 0, or None; chunked over w."""
-    n = phi.group.order
-    add = phi.group.add_table
-    t = phi.table
-    d = phi.den
-    for w in range(n):
-        chunk = (t - t[add[w], :, :] + t[w][add, :] - t[w][:, add] + t[w][:, :, None]) % d
-        if chunk.any():
-            x, y, z = np.argwhere(chunk)[0]
-            return (w, int(x), int(y), int(z))
-    return None
+        out[w] = _coboundary3_slice(phi, w)
+    return CochainTable._from_table(phi.group, 4, out, phi.den)
 
 
 def is_cocycle2(sigma: Cochain2) -> bool:
@@ -314,15 +324,24 @@ def is_cocycle2(sigma: Cochain2) -> bool:
 
 
 def is_cocycle3(phi: Cochain3) -> bool:
-    return _coboundary3_witness(phi) is None
+    return phi.coboundary_witness is None
 
 
 def cocycle3_witness(phi: Cochain3):
     """None when phi is a cocycle, else the first failing (w,x,y,z) as elements."""
-    w = _coboundary3_witness(phi)
+    w = phi.coboundary_witness
     if w is None:
         return None
     return tuple(phi.group.element(i) for i in w)
+
+
+def require_cocycle3(phi: Cochain3) -> None:
+    """Raise NotACocycleError with the failing quadruple unless delta phi = 0."""
+    if phi.coboundary_witness is not None:
+        witness = tuple(phi.group.element(i) for i in phi.coboundary_witness)
+        raise NotACocycleError(
+            f"phi is not a 3-cocycle, delta phi != 0 at {witness}", witness=witness
+        )
 
 
 # ----------------------------------------------------- multiplier from phi
@@ -337,11 +356,7 @@ class PhiMultiplier:
     """
 
     def __init__(self, phi: Cochain3):
-        witness = cocycle3_witness(phi)
-        if witness is not None:
-            raise NotACocycleError(
-                f"phi is not a 3-cocycle, delta phi != 0 at {witness}", witness=witness
-            )
+        require_cocycle3(phi)
         self.phi = phi
         self.group = phi.group
 

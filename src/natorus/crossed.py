@@ -20,6 +20,7 @@ crossed product by the dual action is B tensor twisted compacts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .cochains import Cochain2, Cochain3, coboundary2
 from .errors import IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
-from .kernels import TwistedKernel, kernel_product
+from .kernels import TwistedKernel, kernel_product_blocks
 
 
 class TwistData:
@@ -334,6 +335,25 @@ class StrictifiedElement:
         return f"StrictifiedElement(group={self.twist.group.factors}, dim={self.twist.dim})"
 
 
+def _strictified_values(
+    tw: TwistData, weight: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The strictified product on value arrays of shape (..., n, n, d, d).
+
+    weight is exp(2 pi i (psi + phi)) indexed [t, r, x]. Leading axes of a
+    and b broadcast against each other, so one call multiplies a batch.
+    """
+    add = tw.group.add_table
+    beta_c = np.conj(tw.beta)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for t in range(tw.group.order):
+        a_shift = a[..., t, add, :, :]  # [r, x] -> a(t, r + x)
+        moved = np.einsum("ab,...rxbc,dc->...rxad", tw.beta[t], b, beta_c[t])
+        term = np.einsum("rx,...rxab,...rxbc,rcd->...rxad", weight[t], a_shift, moved, tw.u[t])
+        out[..., add[t], :, :, :] += term
+    return out
+
+
 def strictified_product(
     a: StrictifiedElement, b: StrictifiedElement, psi: Cochain3
 ) -> StrictifiedElement:
@@ -343,19 +363,21 @@ def strictified_product(
     """
     a._check(b)
     tw = a.twist
-    g = tw.group
-    if psi.group != g:
+    if psi.group != tw.group:
         raise IncompatibleGroupsError("psi lives on a different group")
-    n = g.order
-    add = g.add_table
-    weight = (psi + tw.phi).complex_table  # [t, r, x], r = s - t
-    out = np.zeros_like(a.values)
-    for t in range(n):
-        a_shift = a.values[t][add]  # [r, x] -> a(t, r + x)
-        moved = np.einsum("ab,rxbc,dc->rxad", tw.beta[t], b.values, np.conj(tw.beta[t]))
-        term = np.einsum("rx,rxab,rxbc,rcd->rxad", weight[t], a_shift, moved, tw.u[t])
-        out[add[t]] += term
-    return StrictifiedElement(tw, out)
+    weight = (psi + tw.phi).complex_table
+    return StrictifiedElement(tw, _strictified_values(tw, weight, a.values, b.values))
+
+
+def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.ndarray:
+    """The duality transform on value arrays of shape (..., n, n, d, d)."""
+    n = tw.group.order
+    sub = tw.group.sub_table
+    zi = np.arange(n)
+    gathered = a[..., sub, zi, :, :]  # [w, z] -> a(w - z, z)
+    if include_multiplier:
+        gathered = np.einsum("...wzab,wzbc->...wzac", gathered, tw.u[sub, zi])
+    return np.einsum("wba,...wzbc,wcd->...wzad", np.conj(tw.beta), gathered, tw.beta)
 
 
 def takai_transform(
@@ -370,13 +392,7 @@ def takai_transform(
     g = tw.group
     if psi.group != g:
         raise IncompatibleGroupsError("psi lives on a different group")
-    n = g.order
-    sub = g.sub_table
-    zi = np.arange(n)
-    gathered = a.values[sub, zi[None, :]]  # [w, z] -> a(w - z, z)
-    if include_multiplier:
-        gathered = np.einsum("wzab,wzbc->wzac", gathered, tw.u[sub, zi[None, :]])
-    data = np.einsum("wba,wzbc,wcd->wzad", np.conj(tw.beta), gathered, tw.beta)
+    data = _takai_values(tw, a.values, include_multiplier)
     return TwistedKernel(g, psi, data if tw.dim > 1 else data[:, :, 0, 0])
 
 
@@ -444,47 +460,49 @@ def verify_duality(
     """Check transform(a * b) = transform(a) * transform(b) (psi-twisted kernels).
 
     Exhaustive over basis pairs when |G|^2 dim(B)^2 <= 64, else seeded random
-    pairs. include_multiplier=False propagates to the transform and should
-    make the check fail loudly.
+    pairs. Both sides are bilinear, so the exhaustive mode compares the two
+    structure tensors: the basis is stacked along a batch axis, each basis
+    element is transformed once, and every pair's product comes out of the
+    same few batched contractions. The witness is the first pair in (a, b) order with
+    the largest error. Random pairs run one at a time. The weight
+    exp(2 pi i (psi + phi)) is built once per call. include_multiplier=False
+    propagates to the transform and should make the check fail loudly.
     """
     g = tw.group
+    if psi.group != g:
+        raise IncompatibleGroupsError("psi lives on a different group")
     n, d = g.order, tw.dim
+    weight = (psi + tw.phi).complex_table
+    kernel_weight = psi.complex_table
 
-    def run_pair(a, b):
-        lhs = takai_transform(strictified_product(a, b, psi), psi, include_multiplier)
-        ra = takai_transform(a, psi, include_multiplier)
-        rb = takai_transform(b, psi, include_multiplier)
-        rhs = kernel_product(ra, rb)
-        return float(np.max(np.abs(lhs.data - rhs.data)))
+    def pair_errors(a, b, ta, tb):
+        """max |transform(a * b) - transform(a) * transform(b)| per (a, b)."""
+        lhs = _takai_values(tw, _strictified_values(tw, weight, a, b), include_multiplier)
+        rhs = kernel_product_blocks(kernel_weight, ta, tb)
+        return np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
 
     max_error = 0.0
     witness = None
     if n * n * d * d <= 64:
         mode = "exhaustive"
-        count = 0
-        basis = []
-        for t in range(n):
-            for x in range(n):
-                for i in range(d):
-                    for j in range(d):
-                        val = np.zeros((d, d), dtype=complex)
-                        val[i, j] = 1.0
-                        basis.append(((t, x, i, j), StrictifiedElement.delta(tw, t, x, val)))
-        for key_a, ea in basis:
-            for key_b, eb in basis:
-                err = run_pair(ea, eb)
-                count += 1
-                if err > max_error:
-                    max_error = err
-                    witness = (key_a, key_b)
-        trials = count
+        basis = np.eye(n * n * d * d, dtype=complex).reshape(-1, n, n, d, d)
+        images = _takai_values(tw, basis, include_multiplier)
+        errors = pair_errors(basis[:, None], basis[None, :], images[:, None], images[None, :])
+        trials = errors.size
+        max_error = float(errors.max())
+        if max_error > 0.0:
+            keys = list(itertools.product(range(n), range(n), range(d), range(d)))
+            ka, kb = np.unravel_index(int(errors.argmax()), errors.shape)
+            witness = (keys[ka], keys[kb])
     else:
         mode = "random"
         rng = np.random.default_rng(seed)
         for k in range(trials):
-            a = StrictifiedElement.random(tw, rng)
-            b = StrictifiedElement.random(tw, rng)
-            err = run_pair(a, b)
+            a = StrictifiedElement.random(tw, rng).values
+            b = StrictifiedElement.random(tw, rng).values
+            ta = _takai_values(tw, a, include_multiplier)
+            tb = _takai_values(tw, b, include_multiplier)
+            err = float(pair_errors(a, b, ta, tb))
             if err > max_error:
                 max_error = err
                 witness = ("trial", k)

@@ -131,8 +131,17 @@ def kernel_product(k1: TwistedKernel, k2: TwistedKernel) -> TwistedKernel:
     if k1.block_dim == 1:
         out = np.einsum("xyz,xy,yz->xz", w, k1.data, k2.data)
     else:
-        out = np.einsum("xyz,xyab,yzbc->xzac", w, k1.data, k2.data)
+        out = kernel_product_blocks(w, k1.data, k2.data)
     return TwistedKernel(k1.group, k1.phi, out)
+
+
+def kernel_product_blocks(w: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """The twisted product on block data of shape (..., n, n, d, d).
+
+    w is exp(2 pi i phi) indexed [x, y, z]; leading axes of k1 and k2
+    broadcast against each other, so one call multiplies a whole batch.
+    """
+    return np.einsum("xyz,...xyab,...yzbc->...xzac", w, k1, k2)
 
 
 def gamma_action(xi, kernel: TwistedKernel) -> TwistedKernel:

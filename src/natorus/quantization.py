@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cochains import Cochain3, PhiMultiplier
+from .cochains import Cochain3, require_cocycle3
 from .errors import GradingError, IncompatibleGroupsError
 from .groups import FiniteAbelianGroup
 from .phases import Phase
@@ -425,9 +425,7 @@ class GradedElement:
 
     def as_operator(self) -> np.ndarray:
         """The total as a matrix on H1 (x) l2(Ghat) (x) C^m."""
-        d = self.action.dim
-        nm = self.blocks.shape[-1]
-        return self.total().transpose(0, 2, 1, 3).reshape(d * nm, d * nm)
+        return _as_operators(self.total())
 
     def underlying_matrix(self, tol: float = 1e-10) -> np.ndarray:
         """Recover the algebra element when every operator leg is scalar."""
@@ -490,30 +488,44 @@ def _rho_permutation(group: FiniteAbelianGroup, chi_index: int, multiplicity: in
     return (base[:, None] * multiplicity + np.arange(multiplicity)[None, :]).ravel()
 
 
+def _as_operators(blocks: np.ndarray) -> np.ndarray:
+    """(..., d, d, nm, nm) blocks as (..., d nm, d nm) matrices, row index (i, p)."""
+    *lead, d, _, nm, _ = blocks.shape
+    return np.swapaxes(blocks, -3, -2).reshape(*lead, d * nm, d * nm)
+
+
 def deformed_product(a: GradedElement, b: GradedElement, phi: Cochain3) -> GradedElement:
-    """(a * b)_chi = sum_{chi1+chi2=chi} a_chi1 xi_chi1[b_chi2] u(chi1, chi2)."""
+    """(a * b)_chi = sum_{chi1+chi2=chi} a_chi1 xi_chi1[b_chi2] u(chi1, chi2).
+
+    phi must be a 3-cocycle; the O(n^4) check runs once per cochain and is
+    cached on it, so repeated products with one phi do not repeat it. Each
+    degree pair is one (d nm) x (d nm) matrix product, batched over chi2.
+    """
     a._check(b)
     g = a.action.group
     if phi.group.factors != g.factors:
         raise IncompatibleGroupsError("phi must live on the dual group (same factors)")
-    PhiMultiplier(phi)  # rejects non-cocycle phi before any arithmetic
+    require_cocycle3(phi)  # rejects non-cocycle phi before any arithmetic
     n, d = g.order, a.action.dim
     m = a.multiplicity
     nm = n * m
     add = g.add_table
-    out = np.zeros((n, d, d, nm, nm), dtype=complex)
+    out = np.zeros((n, d * nm, d * nm), dtype=complex)
     wtable = phi.complex_table  # u(chi1, chi2) diagonal = wtable[:, i1, i2]
     nonzero_a = [i for i in range(n) if a.blocks[i].any()]
-    nonzero_b = [i for i in range(n) if b.blocks[i].any()]
+    nonzero_b = np.array([i for i in range(n) if b.blocks[i].any()], dtype=np.int64)
+    b_ops = _as_operators(b.blocks[nonzero_b])
+    legs = np.arange(d)[:, None] * nm
     for i1 in nonzero_a:
-        perm = _rho_permutation(g, i1, m)
-        ab = a.blocks[i1]
-        for i2 in nonzero_b:
-            bb = b.blocks[i2][:, :, perm][:, :, :, perm]
-            u = np.repeat(wtable[:, i1, i2], m)
-            bb = bb * u[None, None, None, :]
-            out[add[i1, i2]] += np.einsum("ikpr,kjrq->ijpq", ab, bb)
-    return GradedElement(a.action, m, out)
+        # xi_chi1 gathers the operator leg at sigma within every algebra block;
+        # u(chi1, chi2) scales the columns at point alpha of l2(Ghat) by
+        # exp(2 pi i phi(alpha, chi1, chi2)).
+        perm = (legs + _rho_permutation(g, i1, m)[None, :]).ravel()
+        u = np.tile(np.repeat(wtable[:, i1, nonzero_b], m, axis=0), (d, 1)).T
+        moved = b_ops[:, perm[:, None], perm[None, :]] * u[:, None, :]
+        out[add[i1, nonzero_b]] += _as_operators(a.blocks[i1]) @ moved
+    blocks = out.reshape(n, d, nm, d, nm).transpose(0, 1, 3, 2, 4)
+    return GradedElement(a.action, m, blocks)
 
 
 def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
@@ -535,7 +547,7 @@ def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
         rho[np.arange(n), g.add_table[:, i]] = 1.0
         r = np.kron(rho, eye_m)
         blk = np.einsum("ijpr,rq->ijpq", a.blocks[i], r)
-        out += blk.transpose(0, 2, 1, 3).reshape(d * nm, d * nm)
+        out += _as_operators(blk)
     return out
 
 
@@ -570,7 +582,7 @@ def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
         rho[np.arange(n), g.add_table[:, i1]] = 1.0
         r = np.kron(rho, eye_m)
         left = np.einsum("ijpr,rq->ijpq", a.blocks[i1], r)
-        left = left.transpose(0, 2, 1, 3).reshape(dim, dim)
+        left = _as_operators(left)
         for i2 in range(n):
             u = np.tile(np.repeat(wtable[:, i1, i2], m), d)
             out += left @ (u[:, None] * projs_full[i2])
@@ -632,19 +644,21 @@ def associator_table(
         h = action.random_homogeneous(chi, rng)
         if np.abs(h).max() > 1e-12:
             homog[chi] = GradedElement.homogeneous(action, chi, h, multiplicity)
-    entries = []
-    max_error = 0.0
-    for xi, a in homog.items():
-        for eta, b in homog.items():
-            ab = deformed_product(a, b, phi)
-            for zeta, c in homog.items():
-                bc = deformed_product(b, c, phi)
+    found = {}
+    for eta, b in homog.items():
+        ab = {xi: deformed_product(a, b, phi) for xi, a in homog.items()}
+        for zeta, c in homog.items():
+            bc = deformed_product(b, c, phi)
+            for xi, a in homog.items():
                 lhs = deformed_product(a, bc, phi)
-                rhs = deformed_product(ab, c, phi)
+                rhs = deformed_product(ab[xi], c, phi)
                 expected = phi.value(xi, eta, zeta)
                 scaled = rhs * expected.to_complex()
                 denom = max(rhs.norm(), 1e-30)
                 dev = float((lhs - scaled).norm() / denom)
-                entries.append(AssociatorEntry((xi.coords, eta.coords, zeta.coords), expected, dev))
-                max_error = max(max_error, dev)
+                found[xi, eta, zeta] = AssociatorEntry(
+                    (xi.coords, eta.coords, zeta.coords), expected, dev
+                )
+    entries = [found[xi, eta, zeta] for xi in homog for eta in homog for zeta in homog]
+    max_error = max((e.deviation for e in entries), default=0.0)
     return AssociatorReport(max_error, tol, max_error <= tol, entries)

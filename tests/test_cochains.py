@@ -13,7 +13,9 @@ from natorus import (
     IncompatibleGroupsError,
     Phase,
     TensorShapeError,
+    Tricharacter,
     ZERO_PHASE,
+    bicharacter_from_matrix,
     check_multiplier_relation,
     coboundary2,
     coboundary3,
@@ -136,6 +138,40 @@ def test_ill_defined_tensor_rejected():
     # 2 * 1 != 0 mod 4, so the formula is not constant on residue classes.
     with pytest.raises(TensorShapeError):
         tricharacter_from_tensor(g, tensor, modulus=4)
+
+
+# 1 + 3 * 3**38 is 1 mod 3, but 3 times it no longer fits in int64.
+HUGE_ONE_MOD_3 = 1 + 3 * 3**38
+
+
+def test_tricharacter_reduces_entries_before_the_factor_check():
+    g = make_group([3, 3, 3])
+    huge = np.zeros((3, 3, 3), dtype=np.int64)
+    huge[0, 1, 2] = HUGE_ONE_MOD_3
+    small = np.zeros((3, 3, 3), dtype=np.int64)
+    small[0, 1, 2] = 1
+    assert Tricharacter(g, huge, 3) == Tricharacter(g, small, 3)
+
+
+def test_bicharacter_reduces_entries_before_the_factor_check():
+    g = make_group([3, 3])
+    huge = np.array([[0, HUGE_ONE_MOD_3], [0, 0]], dtype=np.int64)
+    small = np.array([[0, 1], [0, 0]], dtype=np.int64)
+    assert bicharacter_from_matrix(g, huge, 3) == bicharacter_from_matrix(g, small, 3)
+
+
+def test_cocycle_witness_is_cached_and_agrees_with_coboundary3():
+    phi = octonion_associator_tricharacter()
+    table = phi.table.copy()
+    table[1, 2, 3] = (table[1, 2, 3] + 1) % phi.den
+    bad = Cochain3(phi.group, table, phi.den)
+    first = (is_cocycle3(bad), cocycle3_witness(bad))
+    assert "coboundary_witness" in vars(bad)
+    assert (is_cocycle3(bad), cocycle3_witness(bad)) == first
+    # The cached witness is the first nonzero entry of the full coboundary table.
+    expected = tuple(int(i) for i in np.argwhere(coboundary3(bad).table)[0])
+    assert tuple(x.index for x in first[1]) == expected
+    assert is_cocycle3(phi) and is_cocycle3(phi) and cocycle3_witness(phi) is None
 
 
 def test_non_alternating_tensor_detected():

@@ -1,5 +1,7 @@
 """Twisted crossed products, strictification, and the duality transform."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ from natorus import (
     dual_action,
     evaluation_side_product,
     fourier_side_product,
+    kernel_product,
     lbs_involution,
     lbs_product,
     make_group,
+    octonion_associator_tricharacter,
     octonion_group,
     octonion_sigma,
     strictified_product,
@@ -169,6 +173,69 @@ def test_duality_fails_without_multiplier(tw_m2):
     )
     assert not report.passed
     assert report.max_error > 1e-3
+
+
+def per_pair_duality(tw, psi, trials, seed, include_multiplier):
+    """verify_duality restated one pair at a time through the public products.
+
+    Returns (mode, trials, max_error, witness) with the witness taken at the
+    first pair that reaches the largest error.
+    """
+    n, d = tw.group.order, tw.dim
+
+    def transform(a):
+        return takai_transform(a, psi, include_multiplier)
+
+    if n * n * d * d <= 64:
+        mode, basis = "exhaustive", []
+        for t, x, i, j in itertools.product(range(n), range(n), range(d), range(d)):
+            val = np.zeros((d, d), dtype=complex)
+            val[i, j] = 1.0
+            basis.append(((t, x, i, j), StrictifiedElement.delta(tw, t, x, val)))
+        pairs = [((ka, kb), a, b) for ka, a in basis for kb, b in basis]
+    else:
+        mode, pairs = "random", []
+        rng = np.random.default_rng(seed)
+        for k in range(trials):
+            a = StrictifiedElement.random(tw, rng)
+            pairs.append((("trial", k), a, StrictifiedElement.random(tw, rng)))
+    max_error, witness = 0.0, None
+    for key, a, b in pairs:
+        lhs = transform(strictified_product(a, b, psi))
+        err = float(np.max(np.abs(lhs.data - kernel_product(transform(a), transform(b)).data)))
+        if err > max_error:
+            max_error, witness = err, key
+    return mode, len(pairs), max_error, witness
+
+
+def octonion_fiber():
+    tw = TwistData.scalar_from_sigma(octonion_group(), octonion_sigma())
+    return tw, -tw.phi
+
+
+def m2_with_octonion_psi():
+    tw = pauli_m2_twist()
+    return tw, octonion_associator_tricharacter(tw.group)
+
+
+@pytest.mark.parametrize("include_multiplier", [True, False])
+@pytest.mark.parametrize(
+    "setup, mode", [(octonion_fiber, "exhaustive"), (m2_with_octonion_psi, "random")]
+)
+def test_batched_duality_matches_per_pair_loop(setup, mode, include_multiplier):
+    tw, psi = setup()
+    report = verify_duality(tw, psi, trials=8, seed=4, include_multiplier=include_multiplier)
+    ref_mode, ref_trials, ref_error, ref_witness = per_pair_duality(
+        tw, psi, 8, 4, include_multiplier
+    )
+    assert report.passed == (ref_error < report.tol) == include_multiplier
+    assert report.mode == ref_mode == mode
+    assert report.trials == ref_trials
+    assert abs(report.max_error - ref_error) <= 1e-13
+    if include_multiplier:
+        assert report.witness is None
+    elif mode == "exhaustive":
+        assert report.witness == ref_witness
 
 
 def test_double_dual_identity_and_composition(rng):

@@ -8,12 +8,16 @@ from natorus import (
     GAction,
     GradedElement,
     GradingError,
+    NotACocycleError,
+    Tricharacter,
     associator_table,
+    cocycle3_witness,
     deformed_norm,
     deformed_product,
     full_matrix_algebra,
     functions_algebra,
     grading_check,
+    is_cocycle3,
     isotypic_projection,
     make_group,
     octonion_associator_tricharacter,
@@ -158,6 +162,48 @@ def test_deformed_product_is_bilinear(trans4, rng):
     lhs = deformed_product(a + 2.0 * b, c, phi)
     rhs = deformed_product(a, c, phi) + 2.0 * deformed_product(b, c, phi)
     assert lhs.isclose(rhs, tol=1e-10)
+
+
+def deformed_product_reference(a, b, phi):
+    """The degreewise formula, one degree pair and one einsum at a time."""
+    g = a.action.group
+    m = a.multiplicity
+    out = np.zeros_like(a.blocks)
+    for i1 in range(g.order):
+        perm = (g.add_table[:, i1][:, None] * m + np.arange(m)).ravel()
+        for i2 in range(g.order):
+            u = np.repeat(phi.complex_table[:, i1, i2], m)
+            moved = b.blocks[i2][:, :, perm][:, :, :, perm] * u
+            out[g.add_table[i1, i2]] += np.einsum("ikpr,kjrq->ijpq", a.blocks[i1], moved)
+    return out
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2])
+def test_deformed_product_matches_reference(conj4, multiplicity, rng):
+    phi = Tricharacter(conj4.group.dual, [[[1]]], 4)
+    n, d = conj4.group.order, conj4.dim
+    nm = n * multiplicity
+    shape = (n, d, d, nm, nm)
+    a, b = (
+        GradedElement(conj4, multiplicity, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for _ in range(2)
+    )
+    a.blocks[1] = 0.0  # an empty degree on the left
+    expected = deformed_product_reference(a, b, phi)
+    assert np.allclose(deformed_product(a, b, phi).blocks, expected, atol=1e-12)
+
+
+def test_deformed_product_rejects_non_cocycle_on_every_call(trans4, rng):
+    g = trans4.group.dual
+    bad = Cochain3.from_entries(g, [((g.elements[1], g.elements[1], g.elements[1]), "1/2")])
+    assert not is_cocycle3(bad)
+    witness = cocycle3_witness(bad)
+    a = GradedElement.from_matrix(trans4, trans4.algebra.random_element(rng))
+    for _ in range(2):  # the second call reads the cached witness
+        with pytest.raises(NotACocycleError) as caught:
+            deformed_product(a, a, bad)
+        assert caught.value.witness == witness
+    assert not is_cocycle3(bad) and cocycle3_witness(bad) == witness
 
 
 def test_associator_table_zero_phi_is_flat(trans4):
