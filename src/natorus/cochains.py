@@ -29,6 +29,32 @@ from .groups import FiniteAbelianGroup, GroupElement, subgroup_elements
 from .phases import Phase
 
 
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def common_denominator(den_a: int, den_b: int) -> int:
+    """lcm(den_a, den_b), refused above 2^62: below it, numerators and sums of
+    two of them fit in int64."""
+    d = lcm(den_a, den_b)
+    if d > 2**62:
+        raise CochainError(
+            f"common denominator {d} of {den_a} and {den_b} exceeds 2^62; "
+            "sums of its numerators would not fit in int64"
+        )
+    return d
+
+
+def exp_phases(table: np.ndarray, den: int) -> np.ndarray:
+    """exp(2 pi i table / den) for an integer array.
+
+    Quarter-turn denominators give exact +-1 and +-i entries, so sign
+    tables like the octonion structure constants carry no roundoff.
+    """
+    if den in (1, 2, 4):
+        return _QUARTER_TURNS.take(table if den == 4 else table * (4 // den), mode="wrap")
+    return np.exp(2j * np.pi * table / den)
+
+
 class CochainTable:
     """A normalized k-cochain as an integer table over a common denominator."""
 
@@ -67,16 +93,8 @@ class CochainTable:
 
     @cached_property
     def complex_table(self) -> np.ndarray:
-        """exp(2 pi i table / den), the numerical weight tensor.
-
-        Quarter-turn denominators give exact +-1 and +-i entries, so sign
-        tables like the octonion structure constants carry no roundoff.
-        """
-        if self.den in (1, 2, 4):
-            quarters = np.array([1.0, 1.0j, -1.0, -1.0j])
-            w = quarters[(self.table * (4 // self.den)) % 4]
-        else:
-            w = np.exp(2j * np.pi * self.table / self.den)
+        """exp(2 pi i table / den), the numerical weight tensor (see exp_phases)."""
+        w = exp_phases(self.table, self.den)
         w.setflags(write=False)
         return w
 
@@ -89,7 +107,7 @@ class CochainTable:
         if not isinstance(other, CochainTable) or other.arity != self.arity:
             raise CochainError("can only combine cochains of equal arity")
         self.group._require_same(other.group)
-        d = lcm(self.den, other.den)
+        d = common_denominator(self.den, other.den)
         return self.table * (d // self.den), other.table * (d // other.den), d
 
     def __add__(self, other: "CochainTable") -> "CochainTable":

@@ -16,16 +16,31 @@ additional 3-cocycle weight psi. The transform
 carries the strictified product to the psi-twisted kernel product of block
 kernels, which is the duality statement this module exists to check: the
 crossed product by the dual action is B tensor twisted compacts.
+
+The check computes the left side in the transform's own coordinates:
+substituting t = w - y in the strictified product gives
+
+    (a * b)~(w, z) = sum_y L(w, y) b(y - z, z) R(w, y, z),
+    L(w, y) = V_w^* a(w - y, y) V_{w-y},
+    R(w, y, z) = exp(2 pi i (psi + phi)(w - y, y - z, z))
+                 V_{w-y}^* u(w - y, y - z) u(w - z, z) V_w,
+
+with V_t the conjugator implementing beta_t. R depends only on the twist
+and psi, so verify_duality builds it once per call and each pair then costs
+two gathers and one contraction. strictified_product and takai_transform
+compute by the definitions and are the independent route the tests compare
+against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
-from .cochains import Cochain2, Cochain3, coboundary2
+from .cochains import Cochain2, Cochain3, coboundary2, common_denominator, exp_phases
 from .errors import IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel, kernel_product_blocks
@@ -335,25 +350,6 @@ class StrictifiedElement:
         return f"StrictifiedElement(group={self.twist.group.factors}, dim={self.twist.dim})"
 
 
-def _strictified_values(
-    tw: TwistData, weight: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """The strictified product on value arrays of shape (..., n, n, d, d).
-
-    weight is exp(2 pi i (psi + phi)) indexed [t, r, x]. Leading axes of a
-    and b broadcast against each other, so one call multiplies a batch.
-    """
-    add = tw.group.add_table
-    beta_c = np.conj(tw.beta)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for t in range(tw.group.order):
-        a_shift = a[..., t, add, :, :]  # [r, x] -> a(t, r + x)
-        moved = np.einsum("ab,...rxbc,dc->...rxad", tw.beta[t], b, beta_c[t])
-        term = np.einsum("rx,...rxab,...rxbc,rcd->...rxad", weight[t], a_shift, moved, tw.u[t])
-        out[..., add[t], :, :, :] += term
-    return out
-
-
 def strictified_product(
     a: StrictifiedElement, b: StrictifiedElement, psi: Cochain3
 ) -> StrictifiedElement:
@@ -366,7 +362,14 @@ def strictified_product(
     if psi.group != tw.group:
         raise IncompatibleGroupsError("psi lives on a different group")
     weight = (psi + tw.phi).complex_table
-    return StrictifiedElement(tw, _strictified_values(tw, weight, a.values, b.values))
+    add = tw.group.add_table
+    out = np.zeros_like(a.values)
+    for t in range(tw.group.order):
+        # index [r, x] with r = s - t
+        moved = np.einsum("ab,rxbc,dc->rxad", tw.beta[t], b.values, np.conj(tw.beta[t]))
+        term = np.einsum("rx,rxab,rxbc,rcd->rxad", weight[t], a.values[t][add], moved, tw.u[t])
+        out[add[t]] += term
+    return StrictifiedElement(tw, out)
 
 
 def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.ndarray:
@@ -378,6 +381,47 @@ def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.
     if include_multiplier:
         gathered = np.einsum("...wzab,wzbc->...wzac", gathered, tw.u[sub, zi])
     return np.einsum("wba,...wzbc,wcd->...wzad", np.conj(tw.beta), gathered, tw.beta)
+
+
+def _transformed_product(tw: TwistData, psi: Cochain3, include_multiplier: bool):
+    """The map (a, b) -> transform(a * b) on value arrays, by the formula in the
+    module docstring; include_multiplier=False drops u(w - z, z) from R.
+
+    R is built here, one w-slice at a time from the exact integer tables of
+    psi and phi, so no n^3 table of psi + phi is formed and quarter turns
+    stay exact. Leading axes of a and b, of shape (..., n, n, d, d),
+    broadcast against each other.
+    """
+    g = tw.group
+    n, d = g.order, tw.dim
+    sub = g.sub_table
+    zi = np.arange(n)
+    phi = tw.phi
+    den = common_denominator(psi.den, phi.den)
+    scale_psi, scale_phi = den // psi.den, den // phi.den
+    beta_h = np.conj(tw.beta).transpose(0, 2, 1)
+    weight = np.empty((n, n, n, d, d), dtype=complex)
+    flat = sub * n + zi  # (y - z, z) over [y, z], as a flat index into an n x n table
+    for w in range(n):
+        t = sub[w]  # w - y over y
+        if include_multiplier:
+            right = tw.u[t, zi] @ tw.beta[w]  # u(w - z, z) V_w over z
+        else:
+            right = np.broadcast_to(tw.beta[w], (n, d, d))
+        core = np.einsum("yab,yzbc,zcd->yzad", beta_h[t], tw.u[t[:, None], sub], right)
+        cells = (t * n * n)[:, None] + flat  # (w - y, y - z, z) over [y, z]
+        exponent = (psi.table.take(cells) * scale_psi + phi.table.take(cells) * scale_phi) % den
+        # lowest terms, so that quarter turns take the exact roots
+        common = gcd(den, int(np.gcd.reduce(exponent.ravel())))
+        phase = exp_phases(exponent // common, den // common)
+        np.multiply(phase[:, :, None, None], core, out=weight[w])
+    beta_sub = tw.beta[sub]  # V_{w-y} over [w, y]
+
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        left = np.einsum("wab,...wybc,wycd->...wyad", beta_h, a[..., sub, zi, :, :], beta_sub)
+        return np.einsum("...wyab,...yzbc,wyzcd->...wzad", left, b[..., sub, zi, :, :], weight)
+
+    return product
 
 
 def takai_transform(
@@ -460,24 +504,33 @@ def verify_duality(
     """Check transform(a * b) = transform(a) * transform(b) (psi-twisted kernels).
 
     Exhaustive over basis pairs when |G|^2 dim(B)^2 <= 64, else seeded random
-    pairs. Both sides are bilinear, so the exhaustive mode compares the two
-    structure tensors: the basis is stacked along a batch axis, each basis
-    element is transformed once, and every pair's product comes out of the
-    same few batched contractions. The witness is the first pair in (a, b) order with
-    the largest error. Random pairs run one at a time. The weight
-    exp(2 pi i (psi + phi)) is built once per call. include_multiplier=False
-    propagates to the transform and should make the check fail loudly.
+    pairs. The left side is computed in the transform's coordinates,
+
+        transform(a * b)(w, z) = sum_y L(w, y) b(y - z, z) R(w, y, z),
+
+    with L(w, y) = V_w^* a(w - y, y) V_{w-y} and the weight
+    R(w, y, z) = exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^* u(w - y, y - z)
+    u(w - z, z) V_w (see _transformed_product). R, an n^3 d^2 array, and the
+    kernel weight exp(2 pi i psi) are built once per call; each pair then
+    costs two gathers and one contraction per side, and the two sides stay
+    separate products of the same pair. Both sides are bilinear, so the
+    exhaustive mode compares the two structure tensors: the basis is stacked
+    along a batch axis, each basis element is transformed once, and every
+    pair comes out of the same contractions. The witness is the first pair in
+    (a, b) order with the largest error. Random pairs run one at a time.
+    include_multiplier=False drops u(w - z, z) from both the transform and R
+    and should make the check fail loudly.
     """
     g = tw.group
     if psi.group != g:
         raise IncompatibleGroupsError("psi lives on a different group")
     n, d = g.order, tw.dim
-    weight = (psi + tw.phi).complex_table
+    transformed_product = _transformed_product(tw, psi, include_multiplier)
     kernel_weight = psi.complex_table
 
     def pair_errors(a, b, ta, tb):
         """max |transform(a * b) - transform(a) * transform(b)| per (a, b)."""
-        lhs = _takai_values(tw, _strictified_values(tw, weight, a, b), include_multiplier)
+        lhs = transformed_product(a, b)
         rhs = kernel_product_blocks(kernel_weight, ta, tb)
         return np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
 

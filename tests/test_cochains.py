@@ -83,6 +83,28 @@ def test_arithmetic_coerces_denominators():
     assert a - a == Cochain2.zero(g)
 
 
+def one_entry(den, numerator):
+    """A 2-cochain on Z/2 with numerator/den at ((1,), (1,)) and zero elsewhere."""
+    return Cochain2(make_group([2]), [[0, 0], [0, numerator]], den)
+
+
+def test_sum_past_int64_is_refused():
+    # lcm(p, q) = pq > 2^62 and the scaled numerators sum past 2^63, which
+    # used to wrap around silently to 81604378570 / pq.
+    p, q = 2**31 - 1, 2**31 + 11
+    with pytest.raises(CochainError, match="exceeds 2\\^62"):
+        one_entry(p, p - 1) + one_entry(q, q - 1)
+    # At the bound the sum is still exact.
+    total = one_entry(2**62, 2**62 - 1) + one_entry(2**61, 2**61 - 1)
+    assert total.value((1,), (1,)) == Phase(2**62 - 3, 2**62)
+
+
+def test_scale_factor_past_int64_is_refused():
+    # The scale factor itself leaves int64; this used to raise OverflowError.
+    with pytest.raises(CochainError, match="exceeds 2\\^62"):
+        one_entry(2**62 + 1, 1) - one_entry(2**61 - 1, 1)
+
+
 @pytest.mark.parametrize("factors", [[4], [2, 2]])
 def test_coboundary2_matches_reference(factors, rng):
     g = make_group(factors)

@@ -175,6 +175,25 @@ def test_duality_fails_without_multiplier(tw_m2):
     assert report.max_error > 1e-3
 
 
+@pytest.mark.parametrize("control", ["non_alternating_psi", "without_multiplier"])
+def test_duality_controls_fail_on_the_scalar_z4_twist(control):
+    # d = 1 with quarter-turn phases: the passing regimes report exactly 0,
+    # so these show that the scalar path still fails loudly.
+    tw = z4_scalar_twist()
+    if control == "non_alternating_psi":
+        tensor = np.zeros((3, 3, 3), dtype=np.int64)
+        tensor[0, 1, 2] = 1
+        report = verify_duality(tw, tricharacter_from_tensor(tw.group, tensor, 4), 8, seed=3)
+    else:
+        report = verify_duality(
+            tw, Cochain3.zero(tw.group), 8, seed=3, include_multiplier=False
+        )
+    assert not report.passed
+    assert report.mode == "random" and report.trials == 8
+    assert report.max_error > 1e-3
+    assert report.witness[0] == "trial"
+
+
 def per_pair_duality(tw, psi, trials, seed, include_multiplier):
     """verify_duality restated one pair at a time through the public products.
 
