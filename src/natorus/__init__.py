@@ -30,9 +30,7 @@ from .cochains import (
     is_cocycle2,
     is_cocycle3,
     is_trivial_on,
-    multiplier_from_phi,
     restrict,
-    tricharacter_from_tensor,
     trivializing_cochain,
 )
 from .crossed import (
@@ -66,7 +64,6 @@ from .errors import (
 from .groups import (
     FiniteAbelianGroup,
     GroupElement,
-    enumerate_group,
     fourier,
     inverse_fourier,
     make_group,
@@ -96,7 +93,6 @@ from .quantization import (
     full_matrix_algebra,
     functions_algebra,
     grading_check,
-    isotypic_projection,
     phi_zero_intertwiner,
     represent,
 )

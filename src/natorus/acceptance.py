@@ -23,7 +23,6 @@ from .cochains import (
     cocycle3_witness,
     is_cocycle3,
     is_trivial_on,
-    tricharacter_from_tensor,
 )
 from .crossed import TwistData, evaluation_side_product, fourier_side_product, verify_duality
 from .groups import make_group

@@ -76,11 +76,6 @@ class NAPBundle:
             raise BundleConstructionError(f"no fiber over {label!r}")
         return self.fibers[label]
 
-    def structure_constants(self, label):
-        """(phase table, target index table) of the fiber product over a point."""
-        alg = self.fiber(label)
-        return alg.sigma.complex_table.copy(), self.group.add_table.copy()
-
     # sections are {label: coefficient vector}; the function algebra on the
     # base acts by pointwise scalars
     def section(self, coeffs: dict) -> dict:

@@ -5,16 +5,13 @@ multiplication tables). Exit codes: 0 success / all checks passed, 1 a check
 ran and failed (the report carries a witness), 2 configuration problem
 (unknown subcommand, malformed JSON, schema violation), each with its own
 message. Reports are deterministic for a fixed config and seed except for
-the timestamp field. The NATORUS_THREADS environment variable caps worker
-parallelism; the bundled computations are single-threaded vectorized numpy,
-so any positive cap is honored as-is and echoed in the report.
+the timestamp field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -31,19 +28,6 @@ from .crossed import verify_duality
 from .twisted_algebra import TwistedGroupAlgebra, octonion_algebra
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("NATORUS_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"NATORUS_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"NATORUS_THREADS must be a positive integer, got {value}")
-    return value
-
-
 def _c2j(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -56,7 +40,6 @@ def _matrix_json(m: np.ndarray) -> list:
 def _emit(payload: dict, fmt: str = "json") -> None:
     payload = dict(payload)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    payload["threads"] = _threads()
     if fmt == "text":
         for key, value in sorted(payload.items()):
             print(f"{key}: {value}")
@@ -420,7 +403,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _threads()
         cfg = configs.load_config(
             args.config,
             seed=args.seed,

@@ -122,22 +122,25 @@ class CochainTable:
         return type(self)._from_table(self.group, self.arity, (-self.table) % self.den, self.den)
 
     def __eq__(self, other) -> bool:
+        """Equal values. Over one denominator the tables decide; otherwise the
+        lowest-terms forms do, so no common denominator (which may pass int64)
+        is formed."""
         if not isinstance(other, CochainTable):
             return NotImplemented
         if self.arity != other.arity or self.group.factors != other.group.factors:
             return False
-        a, b, _ = self._coerced(other)
-        return bool((a == b).all())
+        if self.den == other.den:
+            return bool((self.table == other.table).all())
+        a, den_a = _lowest_terms(self.table, self.den)
+        b, den_b = _lowest_terms(other.table, other.den)
+        return den_a == den_b and bool((a == b).all())
 
     __hash__ = None  # unhashable; tables are compared by content
 
     @classmethod
     def _from_table(cls, group, arity, table, den):
-        # Reduce the common denominator when possible to keep tables tidy.
-        g = gcd(int(np.gcd.reduce(table.ravel() % den)) if table.any() else den, den)
-        if g > 1:
-            table = table // g
-            den = den // g
+        """A cochain in lowest terms from a table already reduced mod den."""
+        table, den = _lowest_terms(table, den)
         if arity == 3 and issubclass(cls, Cochain3):
             return Cochain3(group, table, den)
         if arity == 2 and issubclass(cls, Cochain2):
@@ -149,6 +152,12 @@ class CochainTable:
             f"{type(self).__name__}(group={self.group.factors}, den={self.den}, "
             f"nonzero={int(np.count_nonzero(self.table))})"
         )
+
+
+def _lowest_terms(table: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """(table, den) divided by the gcd of den and every entry; entries in [0, den)."""
+    g = gcd(int(np.gcd.reduce(table, axis=None)), den)
+    return (table // g, den // g) if g > 1 else (table, den)
 
 
 class Cochain2(CochainTable):
@@ -280,12 +289,6 @@ class Tricharacter(Cochain3):
         self.modulus = m
 
 
-def tricharacter_from_tensor(
-    group: FiniteAbelianGroup, tensor, modulus: int | None = None
-) -> Tricharacter:
-    return Tricharacter(group, tensor, modulus)
-
-
 def bicharacter_from_matrix(
     group: FiniteAbelianGroup, matrix, modulus: int | None = None
 ) -> Cochain2:
@@ -392,10 +395,6 @@ class PhiMultiplier:
 
     def __call__(self, beta, gamma) -> np.ndarray:
         return np.diag(self.diagonal(beta, gamma))
-
-
-def multiplier_from_phi(phi: Cochain3) -> PhiMultiplier:
-    return PhiMultiplier(phi)
 
 
 def check_multiplier_relation(phi: Cochain3):

@@ -36,9 +36,9 @@ from .bundles import NAPBundle, build_nap_bundle
 from .cochains import (
     Cochain2,
     Cochain3,
+    Tricharacter,
     bicharacter_from_matrix,
     coboundary2,
-    tricharacter_from_tensor,
 )
 from .crossed import TwistData
 from .errors import ConfigError, NatorusError
@@ -190,7 +190,7 @@ def parse_cochain3(group: FiniteAbelianGroup, obj) -> Cochain3:
             tensor = _int_tensor(
                 _require(obj, "tensor", "tricharacter"), (group.rank,) * 3, "tricharacter"
             )
-            return tricharacter_from_tensor(group, tensor, obj.get("modulus"))
+            return Tricharacter(group, tensor, obj.get("modulus"))
         if kind == "table":
             pairs = _parse_entries(_require(obj, "entries", "3-cochain"), 3, "3-cochain")
             return Cochain3.from_entries(group, pairs)

@@ -41,6 +41,7 @@ from math import gcd
 import numpy as np
 
 from .cochains import Cochain2, Cochain3, coboundary2, common_denominator, exp_phases
+from .elements import ArrayElement
 from .errors import IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel, kernel_product_blocks
@@ -179,20 +180,49 @@ class TwistData:
 # ------------------------------------------------------------ crossed elements
 
 
-class CrossedElement:
-    """A B-valued function on G, an element of the twisted crossed product."""
+class _TwistElement(ArrayElement):
+    """A B-valued function on `_legs` copies of G over one twist datum."""
 
     __slots__ = ("twist", "values")
+    _field = "values"
+    _legs: int
 
     def __init__(self, twist: TwistData, values):
-        n, d = twist.group.order, twist.dim
+        shape = self._shape(twist)
         values = np.asarray(values, dtype=complex)
-        if values.shape == (n,) and d == 1:
-            values = values[:, None, None]
-        if values.shape != (n, d, d):
-            raise TwistDataError(f"values must have shape {(n, d, d)}, got {values.shape}")
+        if values.shape == shape[:-2] and twist.dim == 1:
+            values = values[..., None, None]
+        if values.shape != shape:
+            raise TwistDataError(f"values must have shape {shape}, got {values.shape}")
         self.twist = twist
         self.values = values
+
+    @classmethod
+    def _shape(cls, twist: TwistData) -> tuple:
+        return (twist.group.order,) * cls._legs + (twist.dim, twist.dim)
+
+    @classmethod
+    def random(cls, twist: TwistData, rng: np.random.Generator):
+        shape = cls._shape(twist)
+        return cls(twist, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def _same_space(self, other: "_TwistElement") -> bool:
+        return self.twist is other.twist or (
+            self.twist.group == other.twist.group and self.twist.dim == other.twist.dim
+        )
+
+    def _sibling(self, values: np.ndarray):
+        return type(self)(self.twist, values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(group={self.twist.group.factors}, dim={self.twist.dim})"
+
+
+class CrossedElement(_TwistElement):
+    """A B-valued function on G, an element of the twisted crossed product."""
+
+    __slots__ = ()
+    _legs = 1
 
     @classmethod
     def delta(cls, twist: TwistData, at, value=None) -> "CrossedElement":
@@ -205,46 +235,10 @@ class CrossedElement:
     def unit(cls, twist: TwistData) -> "CrossedElement":
         return cls.delta(twist, twist.group.identity)
 
-    @classmethod
-    def random(cls, twist: TwistData, rng: np.random.Generator) -> "CrossedElement":
-        n, d = twist.group.order, twist.dim
-        return cls(twist, rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
-
-    def _check(self, other: "CrossedElement") -> None:
-        if self.twist is not other.twist and (
-            self.twist.group != other.twist.group or self.twist.dim != other.twist.dim
-        ):
-            raise IncompatibleGroupsError("elements live over different twist data")
-
-    def __add__(self, other):
-        self._check(other)
-        return CrossedElement(self.twist, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return CrossedElement(self.twist, self.values - other.values)
-
     def __mul__(self, other):
         if isinstance(other, CrossedElement):
             return lbs_product(self, other)
-        if isinstance(other, (int, float, complex)):
-            return CrossedElement(self.twist, self.values * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return CrossedElement(self.twist, self.values * other)
-        return NotImplemented
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values.ravel()))
-
-    def isclose(self, other: "CrossedElement", tol: float = 1e-9) -> bool:
-        self._check(other)
-        return bool(np.allclose(self.values, other.values, atol=tol, rtol=0.0))
-
-    def __repr__(self) -> str:
-        return f"CrossedElement(group={self.twist.group.factors}, dim={self.twist.dim})"
+        return super().__mul__(other)
 
 
 def lbs_product(a: CrossedElement, b: CrossedElement) -> CrossedElement:
@@ -284,20 +278,11 @@ def dual_action(xi, a: CrossedElement) -> CrossedElement:
 # --------------------------------------------------------- strictified algebra
 
 
-class StrictifiedElement:
+class StrictifiedElement(_TwistElement):
     """A B-valued function on G x G; the second slot is the function leg."""
 
-    __slots__ = ("twist", "values")
-
-    def __init__(self, twist: TwistData, values):
-        n, d = twist.group.order, twist.dim
-        values = np.asarray(values, dtype=complex)
-        if values.shape == (n, n) and d == 1:
-            values = values[:, :, None, None]
-        if values.shape != (n, n, d, d):
-            raise TwistDataError(f"values must have shape {(n, n, d, d)}, got {values.shape}")
-        self.twist = twist
-        self.values = values
+    __slots__ = ()
+    _legs = 2
 
     @classmethod
     def delta(cls, twist: TwistData, at, x, value=None) -> "StrictifiedElement":
@@ -307,47 +292,10 @@ class StrictifiedElement:
         vals[g.element(at).index, g.element(x).index] = np.eye(d) if value is None else value
         return cls(twist, vals)
 
-    @classmethod
-    def random(cls, twist: TwistData, rng: np.random.Generator) -> "StrictifiedElement":
-        n, d = twist.group.order, twist.dim
-        shape = (n, n, d, d)
-        return cls(twist, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    def _check(self, other: "StrictifiedElement") -> None:
-        if self.twist is not other.twist and (
-            self.twist.group != other.twist.group or self.twist.dim != other.twist.dim
-        ):
-            raise IncompatibleGroupsError("elements live over different twist data")
-
-    def __add__(self, other):
-        self._check(other)
-        return StrictifiedElement(self.twist, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return StrictifiedElement(self.twist, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return StrictifiedElement(self.twist, self.values * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def multiply_function(self, f) -> "StrictifiedElement":
         """The C0(G) action: pointwise multiplication in the second slot."""
         f = np.asarray(f, dtype=complex)
-        return StrictifiedElement(self.twist, self.values * f[None, :, None, None])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values.ravel()))
-
-    def isclose(self, other: "StrictifiedElement", tol: float = 1e-9) -> bool:
-        self._check(other)
-        return bool(np.allclose(self.values, other.values, atol=tol, rtol=0.0))
-
-    def __repr__(self) -> str:
-        return f"StrictifiedElement(group={self.twist.group.factors}, dim={self.twist.dim})"
+        return self._sibling(self.values * f[None, :, None, None])
 
 
 def strictified_product(
@@ -436,8 +384,7 @@ def takai_transform(
     g = tw.group
     if psi.group != g:
         raise IncompatibleGroupsError("psi lives on a different group")
-    data = _takai_values(tw, a.values, include_multiplier)
-    return TwistedKernel(g, psi, data if tw.dim > 1 else data[:, :, 0, 0])
+    return TwistedKernel(g, psi, _takai_values(tw, a.values, include_multiplier))
 
 
 def takai_inverse(kernel: TwistedKernel, tw: TwistData) -> StrictifiedElement:
@@ -445,11 +392,10 @@ def takai_inverse(kernel: TwistedKernel, tw: TwistData) -> StrictifiedElement:
     g = tw.group
     if kernel.group != g:
         raise IncompatibleGroupsError("kernel lives on a different group")
-    n, d = g.order, tw.dim
-    data = kernel.data if kernel.block_dim > 1 else kernel.data[:, :, None, None]
+    n = g.order
     add = g.add_table
     xi = np.arange(n)
-    gathered = data[add, xi[None, :]]  # [t, x] -> a~(t + x, x)
+    gathered = kernel.data[add, xi[None, :]]  # [t, x] -> a~(t + x, x)
     moved = np.einsum("txab,txbc,txdc->txad", tw.beta[add], gathered, np.conj(tw.beta[add]))
     uinv = np.conj(tw.u.transpose(0, 1, 3, 2))
     out = np.einsum("txab,txbc->txac", moved, uinv)

@@ -185,11 +185,6 @@ def make_group(factors: Sequence[int]) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(factors)
 
 
-def enumerate_group(group: FiniteAbelianGroup) -> tuple[GroupElement, ...]:
-    """All elements in the contractual lexicographic order, identity first."""
-    return group.elements
-
-
 def pairing(chi: GroupElement, g: GroupElement) -> Phase:
     """<chi, g> = sum_i chi_i g_i / n_i as an exact Phase.
 

@@ -2,8 +2,8 @@
 
 For a 3-cocycle phi the twisted product of kernels is
     (K1 * K2)(x, z) = sum_y exp(2 pi i phi(x, y, z)) K1(x, y) K2(y, z),
-which is nonassociative for nonzero phi. Kernels may be scalar (shape (n, n))
-or B-valued with B a matrix block (shape (n, n, d, d)).
+which is nonassociative for nonzero phi. Kernels are B-valued with B a matrix
+block, stored with shape (n, n, d, d); scalar kernels have d = 1.
 
 The translation twist
     gamma_xi[K](eta, zeta) = exp(-2 pi i phi(xi, eta, zeta)) K(eta - xi, zeta - xi)
@@ -19,15 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from .cochains import Cochain3
+from .elements import ArrayElement
 from .errors import CochainError, IncompatibleGroupsError, NotACocycleError
 from .groups import FiniteAbelianGroup
 from .phases import Phase
 
 
-class TwistedKernel:
-    """A kernel on G x G multiplied with a phi-twisted convolution."""
+class TwistedKernel(ArrayElement):
+    """A kernel on G x G multiplied with a phi-twisted convolution.
 
-    __slots__ = ("group", "phi", "data", "block_dim")
+    Data has shape (n, n, d, d); scalar (n, n) data is stored with d = 1.
+    """
+
+    __slots__ = ("group", "phi", "data")
+    _field = "data"
 
     def __init__(self, group: FiniteAbelianGroup, phi: Cochain3, data):
         if phi.group != group:
@@ -35,39 +40,33 @@ class TwistedKernel:
         data = np.asarray(data, dtype=complex)
         n = group.order
         if data.shape == (n, n):
-            block = 1
-        elif data.ndim == 4 and data.shape[:2] == (n, n) and data.shape[2] == data.shape[3]:
-            block = data.shape[2]
-        else:
+            data = data[:, :, None, None]
+        if data.ndim != 4 or data.shape[:2] != (n, n) or data.shape[2] != data.shape[3]:
             raise CochainError(
                 f"kernel data must have shape ({n}, {n}) or ({n}, {n}, d, d), got {data.shape}"
             )
         self.group = group
         self.phi = phi
         self.data = data
-        self.block_dim = block
+
+    @property
+    def block_dim(self) -> int:
+        return self.data.shape[-1]
 
     # ------------------------------------------------------------ helpers
 
     @classmethod
     def from_function(cls, group, phi, fn, block_dim: int = 1) -> "TwistedKernel":
         n = group.order
-        if block_dim == 1:
-            data = np.array(
-                [[fn(x, y) for y in group.elements] for x in group.elements], dtype=complex
-            )
-        else:
-            data = np.empty((n, n, block_dim, block_dim), dtype=complex)
-            for i, x in enumerate(group.elements):
-                for j, y in enumerate(group.elements):
-                    data[i, j] = np.asarray(fn(x, y), dtype=complex)
+        data = np.empty((n, n, block_dim, block_dim), dtype=complex)
+        for i, x in enumerate(group.elements):
+            for j, y in enumerate(group.elements):
+                data[i, j] = np.asarray(fn(x, y), dtype=complex)
         return cls(group, phi, data)
 
     @classmethod
     def identity(cls, group, phi, block_dim: int = 1) -> "TwistedKernel":
         n = group.order
-        if block_dim == 1:
-            return cls(group, phi, np.eye(n, dtype=complex))
         data = np.zeros((n, n, block_dim, block_dim), dtype=complex)
         data[np.arange(n), np.arange(n)] = np.eye(block_dim)
         return cls(group, phi, data)
@@ -75,47 +74,29 @@ class TwistedKernel:
     @classmethod
     def random(cls, group, phi, rng: np.random.Generator, block_dim: int = 1) -> "TwistedKernel":
         n = group.order
-        shape = (n, n) if block_dim == 1 else (n, n, block_dim, block_dim)
+        shape = (n, n, block_dim, block_dim)
         return cls(group, phi, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    def _check(self, other: "TwistedKernel") -> None:
-        if self.group != other.group or self.phi != other.phi or self.block_dim != other.block_dim:
-            raise IncompatibleGroupsError("kernels live over different twists")
+    def _same_space(self, other: "TwistedKernel") -> bool:
+        return (
+            self.group == other.group
+            and self.phi == other.phi
+            and self.block_dim == other.block_dim
+        )
+
+    def _sibling(self, data: np.ndarray) -> "TwistedKernel":
+        return TwistedKernel(self.group, self.phi, data)
 
     # ---------------------------------------------------------- operations
-
-    def __add__(self, other: "TwistedKernel") -> "TwistedKernel":
-        self._check(other)
-        return TwistedKernel(self.group, self.phi, self.data + other.data)
-
-    def __sub__(self, other: "TwistedKernel") -> "TwistedKernel":
-        self._check(other)
-        return TwistedKernel(self.group, self.phi, self.data - other.data)
 
     def __mul__(self, other):
         if isinstance(other, TwistedKernel):
             return kernel_product(self, other)
-        if isinstance(other, (int, float, complex)):
-            return TwistedKernel(self.group, self.phi, self.data * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return TwistedKernel(self.group, self.phi, self.data * other)
-        return NotImplemented
+        return super().__mul__(other)
 
     def adjoint(self) -> "TwistedKernel":
         """K*(x, z) = K(z, x) conjugated (blockwise conjugate transpose)."""
-        if self.block_dim == 1:
-            return TwistedKernel(self.group, self.phi, np.conj(self.data.T))
-        return TwistedKernel(self.group, self.phi, np.conj(self.data.transpose(1, 0, 3, 2)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data.ravel()))
-
-    def isclose(self, other: "TwistedKernel", tol: float = 1e-9) -> bool:
-        self._check(other)
-        return bool(np.allclose(self.data, other.data, atol=tol, rtol=0.0))
+        return self._sibling(np.conj(self.data.transpose(1, 0, 3, 2)))
 
     def __repr__(self) -> str:
         return (
@@ -127,12 +108,7 @@ class TwistedKernel:
 def kernel_product(k1: TwistedKernel, k2: TwistedKernel) -> TwistedKernel:
     """(K1 * K2)(x, z) = sum_y exp(2 pi i phi(x, y, z)) K1(x, y) K2(y, z)."""
     k1._check(k2)
-    w = k1.phi.complex_table
-    if k1.block_dim == 1:
-        out = np.einsum("xyz,xy,yz->xz", w, k1.data, k2.data)
-    else:
-        out = kernel_product_blocks(w, k1.data, k2.data)
-    return TwistedKernel(k1.group, k1.phi, out)
+    return k1._sibling(kernel_product_blocks(k1.phi.complex_table, k1.data, k2.data))
 
 
 def kernel_product_blocks(w: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
@@ -150,11 +126,7 @@ def gamma_action(xi, kernel: TwistedKernel) -> TwistedKernel:
     i = g.element(xi).index
     rows = g.sub_table[:, i]
     w = np.conj(kernel.phi.complex_table[i])
-    if kernel.block_dim == 1:
-        data = w * kernel.data[np.ix_(rows, rows)]
-    else:
-        data = w[:, :, None, None] * kernel.data[np.ix_(rows, rows)]
-    return TwistedKernel(g, kernel.phi, data)
+    return kernel._sibling(w[:, :, None, None] * kernel.data[np.ix_(rows, rows)])
 
 
 def gamma_multiplier(phi: Cochain3, omega, xi) -> np.ndarray:
@@ -169,24 +141,13 @@ def gamma_multiplier(phi: Cochain3, omega, xi) -> np.ndarray:
     return phi.complex_table[io, ix, :]
 
 
-def gamma_multiplier_phases(phi: Cochain3, omega, xi) -> list[Phase]:
-    g = phi.group
-    io = g.element(omega).index
-    ix = g.element(xi).index
-    col = phi.table[io, ix, :]
-    return [Phase(int(v), phi.den) for v in col]
-
-
 def check_gamma_relation(phi: Cochain3, omega, xi, kernel: TwistedKernel) -> float:
     """Max deviation of gamma_omega(gamma_xi K) from ad(u(omega,xi)) gamma_{omega+xi} K."""
     g = phi.group
     lhs = gamma_action(omega, gamma_action(xi, kernel)).data
     shifted = gamma_action(g.element(omega) + g.element(xi), kernel).data
     u = gamma_multiplier(phi, omega, xi)
-    if kernel.block_dim == 1:
-        rhs = u[:, None] * shifted * np.conj(u)[None, :]
-    else:
-        rhs = u[:, None, None, None] * shifted * np.conj(u)[None, :, None, None]
+    rhs = u[:, None, None, None] * shifted * np.conj(u)[None, :, None, None]
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .cochains import Cochain3, require_cocycle3
+from .elements import ArrayElement
 from .errors import GradingError, IncompatibleGroupsError
 from .groups import FiniteAbelianGroup
 from .phases import Phase
@@ -247,10 +248,6 @@ class GAction:
         )
 
 
-def isotypic_projection(action: GAction, mat, chi) -> np.ndarray:
-    return action.isotypic_projection(mat, chi)
-
-
 @dataclass
 class GradingReport:
     passed: bool
@@ -316,7 +313,7 @@ def grading_check(action: GAction, tol: float = 1e-10) -> GradingReport:
 # ------------------------------------------------------------ graded elements
 
 
-class GradedElement:
+class GradedElement(ArrayElement):
     """A graded element: one block per character, each in A (x) End(l2(Ghat) (x) C^m).
 
     Blocks are stored as an array of shape (|Ghat|, d, d, nm, nm) with
@@ -325,6 +322,7 @@ class GradedElement:
     """
 
     __slots__ = ("action", "multiplicity", "blocks")
+    _field = "blocks"
 
     def __init__(self, action: GAction, multiplicity: int, blocks: np.ndarray):
         n, d = action.group.order, action.dim
@@ -441,34 +439,11 @@ class GradedElement:
 
     # ---------------------------------------------------------- arithmetic
 
-    def _check(self, other: "GradedElement") -> None:
-        if self.action != other.action or self.multiplicity != other.multiplicity:
-            raise IncompatibleGroupsError(
-                "graded elements must share an action and multiplicity"
-            )
+    def _same_space(self, other: "GradedElement") -> bool:
+        return self.action == other.action and self.multiplicity == other.multiplicity
 
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._check(other)
-        return GradedElement(self.action, self.multiplicity, self.blocks + other.blocks)
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        self._check(other)
-        return GradedElement(self.action, self.multiplicity, self.blocks - other.blocks)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return GradedElement(self.action, self.multiplicity, self.blocks * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        """Frobenius norm over all blocks."""
-        return float(np.linalg.norm(self.blocks.ravel()))
-
-    def isclose(self, other: "GradedElement", tol: float = 1e-9) -> bool:
-        self._check(other)
-        return bool(np.allclose(self.blocks, other.blocks, atol=tol, rtol=0.0))
+    def _sibling(self, blocks: np.ndarray) -> "GradedElement":
+        return GradedElement(self.action, self.multiplicity, blocks)
 
     def __repr__(self) -> str:
         return (
@@ -528,26 +503,28 @@ def deformed_product(a: GradedElement, b: GradedElement, phi: Cochain3) -> Grade
     return GradedElement(a.action, m, blocks)
 
 
+def _shifted_operator(a: GradedElement, i: int) -> np.ndarray:
+    """a_chi (1 (x) rho(chi) (x) 1) as a (d nm) x (d nm) matrix, chi at index i.
+
+    Right multiplication by rho(chi) (x) 1 gathers the operator leg's columns
+    at the inverse shift, the permutation of -chi.
+    """
+    g = a.action.group
+    cols = _rho_permutation(g, g.neg_table[i], a.multiplicity)
+    return _as_operators(a.blocks[i][..., cols])
+
+
 def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
     """Phi(a) = sum_chi a_chi (1 (x) rho(chi) (x) 1) as a matrix on the full space.
 
     For phi = 0 this intertwines the deformed product with the ordinary one:
     Phi(a * b) = Phi(a) Phi(b).
     """
-    g = a.action.group
-    n, d = g.order, a.action.dim
-    m = a.multiplicity
-    nm = n * m
-    out = np.zeros((d * nm, d * nm), dtype=complex)
-    eye_m = np.eye(m)
-    for i in range(n):
-        if not a.blocks[i].any():
-            continue
-        rho = np.zeros((n, n))
-        rho[np.arange(n), g.add_table[:, i]] = 1.0
-        r = np.kron(rho, eye_m)
-        blk = np.einsum("ijpr,rq->ijpq", a.blocks[i], r)
-        out += _as_operators(blk)
+    nm = a.blocks.shape[-1]
+    out = np.zeros((a.action.dim * nm,) * 2, dtype=complex)
+    for i in range(a.action.group.order):
+        if a.blocks[i].any():
+            out += _shifted_operator(a, i)
     return out
 
 
@@ -573,16 +550,11 @@ def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
     projs = np.einsum("xt,tip->xip", cc, a.action.unitaries) / n
     projs_full = np.einsum("xip,rq->xirpq", projs, np.eye(nm)).reshape(n, dim, dim)
     wtable = phi.complex_table
-    eye_m = np.eye(m)
     out = np.zeros((dim, dim), dtype=complex)
     for i1 in range(n):
         if not a.blocks[i1].any():
             continue
-        rho = np.zeros((n, n))
-        rho[np.arange(n), g.add_table[:, i1]] = 1.0
-        r = np.kron(rho, eye_m)
-        left = np.einsum("ijpr,rq->ijpq", a.blocks[i1], r)
-        left = _as_operators(left)
+        left = _shifted_operator(a, i1)
         for i2 in range(n):
             u = np.tile(np.repeat(wtable[:, i1, i2], m), d)
             out += left @ (u[:, None] * projs_full[i2])

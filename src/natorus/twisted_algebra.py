@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cochains import Cochain2, Cochain3, coboundary2, tricharacter_from_tensor
+from .cochains import Cochain2, Cochain3, Tricharacter, coboundary2
+from .elements import ArrayElement
 from .errors import CochainError, IncompatibleGroupsError
 from .groups import FiniteAbelianGroup, GroupElement
 from .phases import Phase
@@ -107,42 +108,27 @@ class TwistedGroupAlgebra:
         return f"TwistedGroupAlgebra(group={self.group.factors}, den={self.sigma.den})"
 
 
-class TGAElement:
+class TGAElement(ArrayElement):
     """An element of a twisted group algebra, a coefficient vector over G."""
 
     __slots__ = ("algebra", "coeffs")
+    _field = "coeffs"
 
     def __init__(self, algebra: TwistedGroupAlgebra, coeffs: np.ndarray):
         self.algebra = algebra
         self.coeffs = coeffs
 
-    def _check(self, other: "TGAElement") -> None:
-        if self.algebra != other.algebra:
-            raise IncompatibleGroupsError("elements live in different algebras")
+    def _same_space(self, other: "TGAElement") -> bool:
+        return self.algebra == other.algebra
 
-    def __add__(self, other: "TGAElement") -> "TGAElement":
-        self._check(other)
-        return TGAElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TGAElement") -> "TGAElement":
-        self._check(other)
-        return TGAElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "TGAElement":
-        return TGAElement(self.algebra, -self.coeffs)
+    def _sibling(self, coeffs: np.ndarray) -> "TGAElement":
+        return TGAElement(self.algebra, coeffs)
 
     def __mul__(self, other):
         if isinstance(other, TGAElement):
             self._check(other)
             return self.algebra.multiply(self, other)
-        if isinstance(other, (int, float, complex)):
-            return TGAElement(self.algebra, self.coeffs * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return TGAElement(self.algebra, self.coeffs * other)
-        return NotImplemented
+        return super().__mul__(other)
 
     def star(self) -> "TGAElement":
         """e(a)* = e(a)^{-1} = exp(-2 pi i sigma(a, -a)) e(-a), extended antilinearly."""
@@ -154,17 +140,9 @@ class TGAElement:
         out[neg] = np.conj(self.coeffs) * inv_weight
         return TGAElement(alg, out)
 
-    def norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        return float(np.linalg.norm(self.coeffs))
-
     def operator_norm(self) -> float:
         """Norm of left multiplication acting on the coefficient space."""
         return float(np.linalg.norm(self.algebra.left_regular_matrix(self), 2))
-
-    def isclose(self, other: "TGAElement", tol: float = 1e-9) -> bool:
-        self._check(other)
-        return bool(np.allclose(self.coeffs, other.coeffs, atol=tol, rtol=0.0))
 
     def __repr__(self) -> str:
         terms = []
@@ -220,7 +198,7 @@ def octonion_associator_tricharacter(group: FiniteAbelianGroup | None = None) ->
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[i, j, k] = 1
         eps[i, k, j] = -1
-    return tricharacter_from_tensor(group, eps, modulus=2)
+    return Tricharacter(group, eps, modulus=2)
 
 
 def cross_form(a, b, c) -> Phase:

@@ -12,6 +12,7 @@ from natorus import (
     HALF_PHASE,
     IncompatibleGroupsError,
     Phase,
+    PhiMultiplier,
     TensorShapeError,
     Tricharacter,
     ZERO_PHASE,
@@ -24,11 +25,9 @@ from natorus import (
     is_cocycle3,
     is_trivial_on,
     make_group,
-    multiplier_from_phi,
     octonion_associator_tricharacter,
     octonion_sigma,
     restrict,
-    tricharacter_from_tensor,
     trivializing_cochain,
 )
 from natorus.presets import epsilon_tricharacter_z4, octonion_trivializing_generators
@@ -105,6 +104,16 @@ def test_scale_factor_past_int64_is_refused():
         one_entry(2**62 + 1, 1) - one_entry(2**61 - 1, 1)
 
 
+def test_equality_past_int64_compares_lowest_terms():
+    # lcm(p, q) > 2^62: a common denominator used to make == raise CochainError.
+    p, q = 2**31 - 1, 2**31 + 11
+    assert one_entry(p, p - 1) != one_entry(q, q - 1)
+    assert not one_entry(p, p - 1) == one_entry(q, q - 1)
+    assert one_entry(2 * p, p) == one_entry(2 * q, q)  # both 1/2
+    assert one_entry(4, 2) == one_entry(2, 1)
+    assert one_entry(4, 2) != one_entry(4, 1)
+
+
 @pytest.mark.parametrize("factors", [[4], [2, 2]])
 def test_coboundary2_matches_reference(factors, rng):
     g = make_group(factors)
@@ -159,7 +168,7 @@ def test_ill_defined_tensor_rejected():
     tensor[0, 1, 2] = 1
     # 2 * 1 != 0 mod 4, so the formula is not constant on residue classes.
     with pytest.raises(TensorShapeError):
-        tricharacter_from_tensor(g, tensor, modulus=4)
+        Tricharacter(g, tensor, modulus=4)
 
 
 # 1 + 3 * 3**38 is 1 mod 3, but 3 times it no longer fits in int64.
@@ -200,7 +209,7 @@ def test_non_alternating_tensor_detected():
     g = make_group([2, 2, 2])
     tensor = np.zeros((3, 3, 3), dtype=np.int64)
     tensor[0, 1, 2] = 1
-    phi = tricharacter_from_tensor(g, tensor, modulus=2)
+    phi = Tricharacter(g, tensor, modulus=2)
     assert is_cocycle3(phi)
     assert not phi.is_alternating()
 
@@ -212,7 +221,7 @@ def test_multiplier_relation_for_bundled_tricharacters():
 
 def test_multiplier_diagonal_values():
     phi = octonion_associator_tricharacter()
-    u = multiplier_from_phi(phi)
+    u = PhiMultiplier(phi)
     g = phi.group
     beta, gamma = g.elements[3], g.elements[5]
     diag = u.diagonal(beta, gamma)
@@ -227,7 +236,7 @@ def test_multiplier_rejects_non_cocycle():
     table = phi.table.copy()
     table[1, 2, 3] = (table[1, 2, 3] + 1) % phi.den
     with pytest.raises(CochainError):
-        multiplier_from_phi(Cochain3(phi.group, table, phi.den))
+        PhiMultiplier(Cochain3(phi.group, table, phi.den))
 
 
 def test_restrict_covers_subgroup_cube():

@@ -345,23 +345,6 @@ def test_bad_cocycle_config_exits_1(capsys):
     assert code == 1
 
 
-def test_thread_env_var_validated(capsys, monkeypatch):
-    monkeypatch.setenv("NATORUS_THREADS", "abc")
-    code, _, err = run_cli(capsys, "group", "info", "--group", "2,2")
-    assert code == 2
-    assert "config error" in err
-    monkeypatch.setenv("NATORUS_THREADS", "0")
-    code, _, _ = run_cli(capsys, "group", "info", "--group", "2,2")
-    assert code == 2
-
-
-def test_thread_env_var_echoed(capsys, monkeypatch):
-    monkeypatch.setenv("NATORUS_THREADS", "3")
-    code, out, _ = run_cli(capsys, "group", "info", "--group", "2,2")
-    assert code == 0
-    assert json.loads(out)["threads"] == 3
-
-
 def _eps():
     eps = np.zeros((3, 3, 3), dtype=np.int64)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -10,6 +10,7 @@ from natorus import (
     Cochain3,
     CrossedElement,
     StrictifiedElement,
+    Tricharacter,
     TwistData,
     TwistDataError,
     coboundary2,
@@ -27,7 +28,6 @@ from natorus import (
     strictified_product,
     takai_inverse,
     takai_transform,
-    tricharacter_from_tensor,
     verify_duality,
 )
 from natorus.presets import pauli_m2_twist, shift_bicharacter, z4_scalar_twist
@@ -148,7 +148,7 @@ def test_duality_zero_and_opposite_regimes(make_tw):
 
 def test_duality_generic_alternating_regime():
     tw = z4_scalar_twist()
-    psi = tricharacter_from_tensor(tw.group, _epsilon(), modulus=4)
+    psi = Tricharacter(tw.group, _epsilon(), modulus=4)
     assert psi != tw.phi and psi != -tw.phi and not psi.is_zero()
     report = verify_duality(tw, psi, trials=30, seed=11)
     assert report.passed
@@ -160,7 +160,7 @@ def test_duality_fails_for_non_alternating_psi(tw_m2):
     # a plain one-slot tensor breaks the identity by a visible margin.
     tensor = np.zeros((3, 3, 3), dtype=np.int64)
     tensor[0, 1, 2] = 1
-    psi = tricharacter_from_tensor(tw_m2.group, tensor, modulus=2)
+    psi = Tricharacter(tw_m2.group, tensor, modulus=2)
     report = verify_duality(tw_m2, psi, trials=20, seed=3)
     assert not report.passed
     assert report.max_error > 1e-3
@@ -183,7 +183,7 @@ def test_duality_controls_fail_on_the_scalar_z4_twist(control):
     if control == "non_alternating_psi":
         tensor = np.zeros((3, 3, 3), dtype=np.int64)
         tensor[0, 1, 2] = 1
-        report = verify_duality(tw, tricharacter_from_tensor(tw.group, tensor, 4), 8, seed=3)
+        report = verify_duality(tw, Tricharacter(tw.group, tensor, 4), 8, seed=3)
     else:
         report = verify_duality(
             tw, Cochain3.zero(tw.group), 8, seed=3, include_multiplier=False

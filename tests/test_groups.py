@@ -9,7 +9,6 @@ from natorus import (
     IncompatibleGroupsError,
     InvalidGroupError,
     ZERO_PHASE,
-    enumerate_group,
     fourier,
     inverse_fourier,
     make_group,
@@ -34,7 +33,7 @@ def test_invalid_factors_rejected():
 
 def test_enumeration_is_lexicographic_with_identity_first():
     g = make_group([2, 3])
-    coords = [tuple(e.coords) for e in enumerate_group(g)]
+    coords = [tuple(e.coords) for e in g.elements]
     assert coords[0] == (0, 0)
     assert coords == sorted(coords)
     assert len(coords) == len(set(coords)) == 6

@@ -18,7 +18,6 @@ from natorus import (
     functions_algebra,
     grading_check,
     is_cocycle3,
-    isotypic_projection,
     make_group,
     octonion_associator_tricharacter,
     pairing,
@@ -88,7 +87,7 @@ def test_non_homomorphic_action_fails_grading(conj4):
 def test_isotypic_projections_resolve_identity(trans4, conj4, rng):
     for action in (trans4, conj4):
         m = action.algebra.random_element(rng)
-        parts = [isotypic_projection(action, m, chi) for chi in action.group.dual.elements]
+        parts = [action.isotypic_projection(m, chi) for chi in action.group.dual.elements]
         assert np.allclose(sum(parts), m, atol=1e-12)
 
 
@@ -96,11 +95,11 @@ def test_isotypic_projections_are_idempotent_and_orthogonal(trans4, rng):
     m = trans4.algebra.random_element(rng)
     gh = trans4.group.dual
     for chi in gh.elements:
-        p = isotypic_projection(trans4, m, chi)
-        assert np.allclose(isotypic_projection(trans4, p, chi), p, atol=1e-12)
+        p = trans4.isotypic_projection(m, chi)
+        assert np.allclose(trans4.isotypic_projection(p, chi), p, atol=1e-12)
         for eta in gh.elements:
             if eta != chi:
-                assert np.allclose(isotypic_projection(trans4, p, eta), 0.0, atol=1e-12)
+                assert np.allclose(trans4.isotypic_projection(p, eta), 0.0, atol=1e-12)
 
 
 def test_homogeneous_elements_are_action_eigenvectors(conj4, rng):
@@ -141,6 +140,32 @@ def test_intertwiner_multiplicative_at_zero_phi(trans4, conj4, rng):
             lhs = phi_zero_intertwiner(deformed_product(a, b, zero))
             rhs = phi_zero_intertwiner(a) @ phi_zero_intertwiner(b)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def rho_matrix(group, chi_index, multiplicity):
+    """rho(chi) (x) 1 as a permutation matrix, (rho(chi) psi)(eta) = psi(eta + chi)."""
+    n = group.order
+    rho = np.zeros((n, n))
+    rho[np.arange(n), group.add_table[:, chi_index]] = 1.0
+    return np.kron(rho, np.eye(multiplicity))
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2])
+def test_shifted_blocks_match_the_permutation_matrix(trans4, conj4, multiplicity, rng):
+    # Generic operator legs, so the direction of the shift matters (on Z/4, -chi != chi).
+    for action in (trans4, conj4):
+        n, d = action.group.order, action.dim
+        nm = n * multiplicity
+        shape = (n, d, d, nm, nm)
+        a = GradedElement(
+            action, multiplicity, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        expected = sum(
+            np.einsum("ijpr,rq->ipjq", a.blocks[i], rho_matrix(action.group, i, multiplicity))
+            for i in range(n)
+        ).reshape(d * nm, d * nm)
+        assert np.allclose(phi_zero_intertwiner(a), expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(represent(a), expected, rtol=0.0, atol=1e-10)
 
 
 def test_zero_phi_product_recovers_matrix_product(trans4, rng):
