@@ -59,14 +59,18 @@ class CochainTable:
     """A normalized k-cochain as an integer table over a common denominator."""
 
     def __init__(self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int):
+        if den < 1:
+            raise CochainError(f"denominator must be positive, got {den}")
+        self._adopt(group, arity, np.asarray(table, dtype=np.int64) % den, den)
+
+    def _adopt(self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int):
+        """Take ownership of `table`, a fresh int64 array already reduced mod den:
+        check its shape and normalization and freeze it, without a copy."""
         n = group.order
-        table = np.asarray(table, dtype=np.int64) % den
         if table.shape != (n,) * arity:
             raise CochainError(
                 f"table shape {table.shape} does not match arity {arity} over order {n}"
             )
-        if den < 1:
-            raise CochainError(f"denominator must be positive, got {den}")
         for axis in range(arity):
             sl = [slice(None)] * arity
             sl[axis] = 0
@@ -103,23 +107,31 @@ class CochainTable:
 
     # --------------------------------------------------------- arithmetic
 
-    def _coerced(self, other: "CochainTable") -> tuple[np.ndarray, np.ndarray, int]:
+    def _combine(self, other: "CochainTable", sign: int) -> "CochainTable":
+        """self + sign * other over the common denominator, built in one fresh
+        table: the other operand is scaled one leading index at a time, so no
+        second full-size temporary is formed."""
         if not isinstance(other, CochainTable) or other.arity != self.arity:
             raise CochainError("can only combine cochains of equal arity")
         self.group._require_same(other.group)
         d = common_denominator(self.den, other.den)
-        return self.table * (d // self.den), other.table * (d // other.den), d
+        out = self.table * (d // self.den)
+        step = sign * (d // other.den)
+        for i in range(len(out)):
+            out[i] += other.table[i] * step
+        np.remainder(out, d, out=out)
+        return type(self)._from_table(self.group, self.arity, out, d)
 
     def __add__(self, other: "CochainTable") -> "CochainTable":
-        a, b, d = self._coerced(other)
-        return type(self)._from_table(self.group, self.arity, (a + b) % d, d)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "CochainTable") -> "CochainTable":
-        a, b, d = self._coerced(other)
-        return type(self)._from_table(self.group, self.arity, (a - b) % d, d)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "CochainTable":
-        return type(self)._from_table(self.group, self.arity, (-self.table) % self.den, self.den)
+        out = np.negative(self.table)
+        np.remainder(out, self.den, out=out)
+        return type(self)._from_table(self.group, self.arity, out, self.den)
 
     def __eq__(self, other) -> bool:
         """Equal values. Over one denominator the tables decide; otherwise the
@@ -139,13 +151,18 @@ class CochainTable:
 
     @classmethod
     def _from_table(cls, group, arity, table, den):
-        """A cochain in lowest terms from a table already reduced mod den."""
+        """A cochain in lowest terms that takes ownership of `table`, a fresh
+        int64 array already reduced mod den."""
         table, den = _lowest_terms(table, den)
         if arity == 3 and issubclass(cls, Cochain3):
-            return Cochain3(group, table, den)
-        if arity == 2 and issubclass(cls, Cochain2):
-            return Cochain2(group, table, den)
-        return CochainTable(group, arity, table, den)
+            kind = Cochain3
+        elif arity == 2 and issubclass(cls, Cochain2):
+            kind = Cochain2
+        else:
+            kind = CochainTable
+        out = kind.__new__(kind)
+        out._adopt(group, arity, table, den)
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -177,6 +194,22 @@ class Cochain2(CochainTable):
     @classmethod
     def zero(cls, group: FiniteAbelianGroup) -> "Cochain2":
         return cls(group, np.zeros((group.order,) * 2, dtype=np.int64), 1)
+
+    @cached_property
+    def coboundary(self) -> "Cochain3":
+        """delta sigma (see coboundary2), in lowest terms.
+
+        The table is read-only, so the n^3 pass runs once per cochain and every
+        later coboundary2 call, cocycle check or twist built from it shares
+        this one Cochain3.
+        """
+        add = self.group.add_table
+        t = self.table
+        out = t[None, :, :] - t[add, :]
+        out += t[:, add]
+        out -= t[:, :, None]
+        np.remainder(out, self.den, out=out)
+        return Cochain3._from_table(self.group, 3, out, self.den)
 
 
 class Cochain3(CochainTable):
@@ -252,12 +285,59 @@ def _from_entries(group, arity, entries):
     return group, table, den
 
 
+def _stage_modulus(group: FiniteAbelianGroup, modulus: int | None) -> int:
+    """The modulus m of a coordinate form on `group`, refused when one stage of
+    the staged build (`_contract_last`) could leave int64: a stage sums `rank`
+    products of a coordinate (at most max factor - 1) and a residue (at most
+    m - 1)."""
+    m = group.exponent if modulus is None else int(modulus)
+    if m < 1:
+        raise CochainError(f"modulus must be positive, got {m}")
+    if m >= 2**63 or group.rank * (max(group.factors) - 1) * (m - 1) >= 2**63:
+        raise CochainError(
+            f"modulus {m} is too large for factors {group.factors}: a stage sum of "
+            "rank * (max factor - 1) * (m - 1) would not fit in int64"
+        )
+    return m
+
+
+def _incompatible_slot(residues: np.ndarray, factors, m: int) -> int | None:
+    """First slot whose factor n the residue tensor does not respect (m must
+    divide every entry times n), else None. Tested as entry mod m / gcd(m, n),
+    which forms no product."""
+    periods = m // np.gcd(np.array(factors, dtype=np.int64), m)
+    for axis in range(residues.ndim):
+        shape = [1] * residues.ndim
+        shape[axis] = -1
+        if (residues % periods.reshape(shape)).any():
+            return axis
+    return None
+
+
+def _contract_last(coords: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:
+    """out[a, ...] = sum_i coords[a, i] arr[..., i] mod m.
+
+    Contracts the last index of `arr` against every element's coordinates and
+    puts the element index first. With arr reduced mod m and m from
+    `_stage_modulus`, the sum stays inside int64.
+    """
+    out = np.tensordot(coords, arr, axes=([1], [arr.ndim - 1]))
+    np.remainder(out, m, out=out)
+    return out
+
+
 class Tricharacter(Cochain3):
     """phi(a,b,c) = (1/m) sum_ijk M[i,j,k] a_i b_j c_k, multilinear in each slot.
 
     The tensor must be compatible with the factors: m | M[i,j,k] * n  for the
     factor n attached to each slot index, otherwise the form does not descend
     to the group and multilinearity breaks under coordinate reduction.
+
+    The n^3 table is built one index at a time, reducing mod m after each
+    stage: Q[c,i,j] = sum_k c_k M[i,j,k], then P[b,c,i] = sum_j b_j Q[c,i,j],
+    then table[a,b,c] = sum_i a_i P[b,c,i]. That costs about n^3 k
+    multiply-adds for rank k, against n^3 k^3 for the direct sum. A modulus
+    for which one stage's sum could pass int64 is refused with CochainError.
     """
 
     def __init__(self, group: FiniteAbelianGroup, tensor, modulus: int | None = None):
@@ -267,24 +347,18 @@ class Tricharacter(Cochain3):
             raise TensorShapeError(
                 f"tensor shape {tensor.shape} does not match group rank {k}"
             )
-        m = group.exponent if modulus is None else int(modulus)
-        if m < 1:
-            raise CochainError(f"modulus must be positive, got {m}")
-        # Only the residues mod m matter; reducing first keeps every product
-        # below inside int64.
-        tensor = tensor % m
-        facs = np.array(group.factors, dtype=np.int64)
-        for axis, view in enumerate(
-            (tensor * facs[:, None, None], tensor * facs[None, :, None], tensor * facs[None, None, :])
-        ):
-            if (view % m).any():
-                raise TensorShapeError(
-                    f"tensor is incompatible with the factors in slot {axis}: "
-                    f"need modulus {m} to divide every entry times the slot factor"
-                )
-        coords = group.coords
-        table = np.einsum("ai,bj,ck,ijk->abc", coords, coords, coords, tensor) % m
-        super().__init__(group, table, m)
+        m = _stage_modulus(group, modulus)
+        tensor = tensor % m  # only the residues matter
+        axis = _incompatible_slot(tensor, group.factors, m)
+        if axis is not None:
+            raise TensorShapeError(
+                f"tensor is incompatible with the factors in slot {axis}: "
+                f"need modulus {m} to divide every entry times the slot factor"
+            )
+        table = tensor
+        for _ in range(3):
+            table = _contract_last(group.coords, table, m)
+        self._adopt(group, 3, table, m)
         self.tensor = tensor
         self.modulus = m
 
@@ -292,23 +366,22 @@ class Tricharacter(Cochain3):
 def bicharacter_from_matrix(
     group: FiniteAbelianGroup, matrix, modulus: int | None = None
 ) -> Cochain2:
-    """sigma(a,b) = (1/m) sum_ij B[i,j] a_i b_j; bilinear, hence a 2-cocycle."""
+    """sigma(a,b) = (1/m) sum_ij B[i,j] a_i b_j; bilinear, hence a 2-cocycle.
+
+    Built in two stages as in `Tricharacter`, with the same int64 bound on m.
+    """
     matrix = np.asarray(matrix, dtype=np.int64)
     k = group.rank
     if matrix.shape != (k, k):
         raise TensorShapeError(f"matrix shape {matrix.shape} does not match group rank {k}")
-    m = group.exponent if modulus is None else int(modulus)
-    if m < 1:
-        raise CochainError(f"modulus must be positive, got {m}")
-    matrix = matrix % m  # residues only, so the products below stay inside int64
-    facs = np.array(group.factors, dtype=np.int64)
-    if ((matrix * facs[:, None]) % m).any() or ((matrix * facs[None, :]) % m).any():
+    m = _stage_modulus(group, modulus)
+    matrix = matrix % m  # only the residues matter
+    if _incompatible_slot(matrix, group.factors, m) is not None:
         raise TensorShapeError(
             f"matrix is incompatible with the factors: need modulus {m} to divide "
             "every entry times the slot factor"
         )
-    coords = group.coords
-    table = np.einsum("ai,bj,ij->ab", coords, coords, matrix) % m
+    table = _contract_last(group.coords, _contract_last(group.coords, matrix, m), m)
     return Cochain2(group, table, m)
 
 
@@ -316,12 +389,12 @@ def bicharacter_from_matrix(
 
 
 def coboundary2(sigma: Cochain2) -> Cochain3:
-    """(delta sigma)(x,y,z) = sigma(y,z) - sigma(x+y,z) + sigma(x,y+z) - sigma(x,y)."""
-    add = sigma.group.add_table
-    t = sigma.table
-    d = sigma.den
-    out = (t[None, :, :] - t[add, :] + t[:, add] - t[:, :, None]) % d
-    return Cochain3._from_table(sigma.group, 3, out, d)
+    """(delta sigma)(x,y,z) = sigma(y,z) - sigma(x+y,z) + sigma(x,y+z) - sigma(x,y).
+
+    One O(n^3) pass per cochain: the result is cached on sigma
+    (`Cochain2.coboundary`), so repeated calls return the same Cochain3.
+    """
+    return sigma.coboundary
 
 
 def _coboundary3_slice(phi: Cochain3, w: int) -> np.ndarray:
@@ -457,12 +530,15 @@ def trivializing_cochain(phi: Cochain3) -> Cochain2:
     if phi.is_zero():
         return Cochain2.zero(phi.group)
     if isinstance(phi, Tricharacter) and not ((2 * phi.tensor) % phi.modulus).any():
-        k = phi.group.rank
+        k, m = phi.group.rank, phi.modulus
         upper = np.triu(np.ones((k, k), dtype=np.int64), 1)
-        N = (-phi.tensor) * upper[:, :, None]
+        N = (-phi.tensor * upper[:, :, None]) % m
         coords = phi.group.coords
-        table = np.einsum("ai,aj,bk,ijk->ab", coords, coords, coords, N) % phi.modulus
-        tau = Cochain2(phi.group, table, phi.modulus)
+        # S[b,i,j] = sum_k b_k N[i,j,k], then U[a,b,i] = sum_j a_j S[b,i,j],
+        # then tau[a,b] = sum_i a_i U[a,b,i]: n^2 k^2 work instead of n^2 k^3.
+        U = _contract_last(coords, _contract_last(coords, N, m), m)
+        table = np.einsum("abi,ai->ab", U, coords) % m
+        tau = Cochain2(phi.group, table, m)
         if coboundary2(tau) == phi:
             return tau
     raise CochainError(

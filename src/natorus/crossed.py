@@ -392,6 +392,11 @@ def takai_inverse(kernel: TwistedKernel, tw: TwistData) -> StrictifiedElement:
     g = tw.group
     if kernel.group != g:
         raise IncompatibleGroupsError("kernel lives on a different group")
+    if kernel.block_dim != tw.dim:
+        raise TwistDataError(
+            f"kernel blocks are {kernel.block_dim}x{kernel.block_dim}, "
+            f"the twist's coefficient algebra is {tw.dim}x{tw.dim}"
+        )
     n = g.order
     add = g.add_table
     xi = np.arange(n)

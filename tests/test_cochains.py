@@ -191,6 +191,49 @@ def test_bicharacter_reduces_entries_before_the_factor_check():
     assert bicharacter_from_matrix(g, huge, 3) == bicharacter_from_matrix(g, small, 3)
 
 
+def _exact_tricharacter_table(group, tensor, modulus):
+    """The direct sum over every index triple in Python ints."""
+    c = group.coords.astype(object)
+    return np.einsum("ai,bj,ck,ijk->abc", c, c, c, np.asarray(tensor, dtype=object)) % modulus
+
+
+def test_tricharacter_stage_past_int64_is_refused():
+    # rank 3 * (max factor - 1) 2 * (m - 1) passes 2^63; the single-sum build
+    # used to get 2,383 of the 19,683 entries wrong without an error.
+    g = make_group([3, 3, 3])
+    tensor = np.zeros((3, 3, 3), dtype=np.int64)
+    tensor[0, 1, 2] = tensor[2, 0, 1] = 2**60
+    tensor[1, 2, 0] = tensor[1, 0, 2] = 2**59
+    with pytest.raises(CochainError, match="int64"):
+        Tricharacter(g, tensor, modulus=3 * 2**59)
+
+
+def test_tricharacter_just_under_the_stage_bound_is_exact():
+    g = make_group([3, 3, 3])
+    q = (2**63 - 1) // 18
+    m = 3 * q  # 6 * (m - 1) < 2^63 <= 6 * (m + 2)
+    tensor = np.zeros((3, 3, 3), dtype=np.int64)
+    tensor[0, 1, 2] = tensor[2, 0, 1] = 2 * q
+    tensor[1, 2, 0] = tensor[1, 0, 2] = q
+    phi = Tricharacter(g, tensor, modulus=m)
+    assert phi.den == m
+    assert np.array_equal(phi.table, _exact_tricharacter_table(g, tensor, m))
+    with pytest.raises(CochainError, match="int64"):
+        Tricharacter(g, tensor, modulus=m + 3)
+
+
+def test_bicharacter_stage_past_int64_is_refused():
+    g = make_group([3, 3])
+    q = (2**63 - 1) // 12
+    matrix = np.array([[0, 2 * q], [q, 0]], dtype=np.int64)
+    exact = bicharacter_from_matrix(g, matrix, 3 * q)  # 2 * 2 * (m - 1) < 2^63
+    c = g.coords.astype(object)
+    expected = np.einsum("ai,bj,ij->ab", c, c, matrix.astype(object)) % (3 * q)
+    assert np.array_equal(exact.table, expected)
+    with pytest.raises(CochainError, match="int64"):
+        bicharacter_from_matrix(g, matrix, 3 * q + 3)
+
+
 def test_cocycle_witness_is_cached_and_agrees_with_coboundary3():
     phi = octonion_associator_tricharacter()
     table = phi.table.copy()

@@ -13,6 +13,7 @@ from natorus import (
     Tricharacter,
     TwistData,
     TwistDataError,
+    TwistedKernel,
     coboundary2,
     double_dual_action,
     dual_action,
@@ -135,6 +136,15 @@ def test_takai_transform_roundtrip(make_tw, rng):
     assert takai_inverse(takai_transform(a, psi), tw).isclose(a, tol=1e-12)
     k = takai_transform(StrictifiedElement.random(tw, rng), psi)
     assert takai_transform(takai_inverse(k, tw), psi).isclose(k, tol=1e-12)
+
+
+def test_takai_inverse_refuses_a_kernel_of_another_block_size(tw_m2, rng):
+    # A scalar kernel against the 2x2 Pauli twist used to broadcast its 1x1
+    # blocks into an (8, 8, 2, 2) element.
+    scalar = TwistedKernel.random(tw_m2.group, tw_m2.phi, rng)
+    assert scalar.block_dim == 1
+    with pytest.raises(TwistDataError, match="blocks are 1x1"):
+        takai_inverse(scalar, tw_m2)
 
 
 @pytest.mark.parametrize("make_tw", [pauli_m2_twist, z4_scalar_twist])
