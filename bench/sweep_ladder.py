@@ -1,0 +1,94 @@
+"""Seconds per exact n^4 sweep and peak RSS over group orders, on the epsilon tricharacter.
+
+    PYTHONPATH=src python3 bench/sweep_ladder.py [--order N]
+
+Each order runs in a fresh process, so its peak RSS is its own; --order runs
+one order in this process instead. A point builds phi, the Levi-Civita
+tricharacter on the last three coordinates (`setup_s`), then times each
+sweep on a freshly built phi, `repeats` times, and reports the median
+seconds in `sweep_s`:
+  is_cocycle3                  delta phi = 0 over every (w, x, y, z);
+  check_multiplier_relation    the phi-multiplier relation over every (a, b, c, entry);
+  associativity_cocycle_sweep  the multiplier combination over every (xi, eta, zeta, x);
+  cocycle3_witness             the first failing quadruple of phi plus one entry 1/m
+                               at the three generators, an early-exit search.
+`ns_per_cell` divides the first three by the n^4 cells each visits.
+`peak_rss_mb` is the process's peak RSS after the sweeps. One JSON line per order.
+"""
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+from duality_ladder import epsilon
+
+LADDER = {  # order -> (factors, modulus, repeats)
+    8: ([2, 2, 2], 2, 20),
+    16: ([2, 2, 4], 2, 20),
+    64: ([4, 4, 4], 4, 5),
+    128: ([2, 4, 4, 4], 4, 3),
+}
+FULL_SWEEPS = ("is_cocycle3", "check_multiplier_relation", "associativity_cocycle_sweep")
+
+
+def point(order):
+    import natorus as nt
+
+    factors, m, repeats = LADDER[order]
+    start = time.perf_counter()
+    group = nt.make_group(factors)
+    eps = epsilon(group.rank)
+    phi = nt.Tricharacter(group, eps, m)
+    setup_s = time.perf_counter() - start
+    units = [tuple(int(a == axis) for a in range(group.rank)) for axis in range(group.rank)]
+    bump = nt.Cochain3.from_entries(group, [(tuple(units[-3:]), f"1/{m}")])
+
+    expected = {name: None for name in FULL_SWEEPS}
+    expected["is_cocycle3"] = True
+    expected["cocycle3_witness"] = tuple(units[-1:] + units[-3:])  # (c, a, b, c)
+    seconds = {name: [] for name in expected}
+    for _ in range(repeats):
+        # Fresh cochains each time: the cocycle check is cached per cochain.
+        fresh = nt.Tricharacter(group, eps, m)
+        inputs = {name: fresh for name in FULL_SWEEPS}
+        inputs["cocycle3_witness"] = fresh + bump
+        for name, arg in inputs.items():
+            start = time.perf_counter()
+            result = getattr(nt, name)(arg)
+            seconds[name].append(time.perf_counter() - start)
+            if name == "cocycle3_witness":
+                result = tuple(e.coords for e in result)
+            if result != expected[name]:
+                raise SystemExit(f"order {order}: {name} returned {result}")
+    sweep_s = {name: statistics.median(v) for name, v in seconds.items()}
+    return {
+        "order": order,
+        "factors": factors,
+        "den": m,
+        "repeats": repeats,
+        "setup_s": setup_s,
+        "sweep_s": sweep_s,
+        "ns_per_cell": {name: sweep_s[name] / order**4 * 1e9 for name in FULL_SWEEPS},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--order", type=int, choices=sorted(LADDER), help="run one order in this process")
+    args = ap.parse_args()
+    if args.order is not None:
+        print(json.dumps(point(args.order)))
+        return
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for order in LADDER:
+        subprocess.run([sys.executable, __file__, "--order", str(order)], env=env, check=True)
+
+
+if __name__ == "__main__":
+    main()

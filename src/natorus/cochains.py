@@ -235,10 +235,16 @@ class Cochain3(CochainTable):
         """First (w,x,y,z) index tuple where delta phi != 0, or None.
 
         The table is read-only, so the O(n^4) sweep runs once per cochain and
-        every cocycle check on it reads this cached answer.
+        every cocycle check on it reads this cached answer. The sweep does
+        exact residue arithmetic on a copy of the table in the narrowest safe
+        type (`_SweepTable`): uint8 when den divides 256, else the first of
+        int16, int32 and int64 that holds 5 * (den - 1), else Python integers.
+        The copy is dropped when the sweep ends.
         """
+        residues = _SweepTable(self)
+        add = self.group.add_table
         for w in range(self.group.order):
-            chunk = _coboundary3_slice(self, w)
+            chunk = _coboundary3_slice(residues, add, w)
             if chunk.any():
                 x, y, z = np.argwhere(chunk)[0]
                 return (w, int(x), int(y), int(z))
@@ -397,19 +403,70 @@ def coboundary2(sigma: Cochain2) -> Cochain3:
     return sigma.coboundary
 
 
-def _coboundary3_slice(phi: Cochain3, w: int) -> np.ndarray:
-    """(delta phi)(w, x, y, z) mod den over all (x, y, z), for one index w."""
-    add = phi.group.add_table
-    t = phi.table
-    return (t - t[add[w], :, :] + t[w][add, :] - t[w][:, add] + t[w][:, :, None]) % phi.den
+_SWEEP_TERMS = 5  # a step of an exact sweep sums at most five signed residues
+
+
+def _sweep_dtype(den: int) -> np.dtype:
+    """The narrowest integer type in which every partial sum of up to five
+    signed residues in [0, den) is exact mod den.
+
+    uint8 when den divides 256: its wraparound is arithmetic mod 256, which is
+    exact mod den. Otherwise the first of int16, int32 and int64 whose range
+    holds 5 * (den - 1), so no partial sum wraps. Otherwise Python integers
+    (object), which never wrap.
+    """
+    if 256 % den == 0:
+        return np.dtype(np.uint8)
+    for dtype in (np.int16, np.int32, np.int64):
+        if _SWEEP_TERMS * (den - 1) <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+class _SweepTable:
+    """A cochain's table in `_sweep_dtype(den)`, the working copy of one sweep.
+
+    Made once per sweep and dropped with it, never cached on the cochain. In
+    the int64 case it is the cochain's own read-only table, not a copy.
+    """
+
+    def __init__(self, phi: CochainTable):
+        self.den = phi.den
+        self.table = phi.table.astype(_sweep_dtype(phi.den), copy=False)
+
+    def reduce(self, chunk: np.ndarray) -> np.ndarray:
+        """chunk mod den in place, for a chunk summed from this table's entries."""
+        if chunk.dtype != np.uint8:
+            np.remainder(chunk, self.den, out=chunk)
+        elif self.den != 256:
+            np.bitwise_and(chunk, self.den - 1, out=chunk)
+        return chunk
+
+
+def _coboundary3_slice(residues: _SweepTable, add: np.ndarray, w: int) -> np.ndarray:
+    """(delta phi)(w, x, y, z) mod den over all (x, y, z), for one index w.
+
+    Exact residue arithmetic in the sweep table's type, whose range holds the
+    five terms' signed sum (bound 5 * (den - 1), see `_sweep_dtype`); the
+    chunk is built in place and indexed [x, y, z].
+    """
+    t = residues.table
+    tw = t[w]
+    out = tw[add]  # phi(w, x+y, z)
+    out -= t[add[w]]  # phi(w+x, y, z)
+    out += t  # phi(x, y, z)
+    out -= tw[:, add]  # phi(w, x, y+z)
+    out += tw[:, :, None]  # phi(w, x, y)
+    return residues.reduce(out)
 
 
 def coboundary3(phi: Cochain3) -> CochainTable:
-    """(delta phi)(w,x,y,z) with the alternating-sum convention; arity-4 table."""
+    """(delta phi)(w,x,y,z) with the alternating-sum convention; arity-4 int64 table."""
     n = phi.group.order
+    residues = _SweepTable(phi)
     out = np.empty((n, n, n, n), dtype=np.int64)
     for w in range(n):
-        out[w] = _coboundary3_slice(phi, w)
+        out[w] = _coboundary3_slice(residues, phi.group.add_table, w)
     return CochainTable._from_table(phi.group, 4, out, phi.den)
 
 
@@ -475,23 +532,39 @@ def check_multiplier_relation(phi: Cochain3):
         phi(a,b,c) u(a,b) u(a+b,c) = xi_a[u(b,c)] u(a,b+c)
     on diagonal entries, where xi_a translates the diagonal by a. Returns None
     on success, else the first failing (a, b, c, entry) index tuple.
+
+    Exact residue arithmetic on a copy of the table in the narrowest safe type:
+    uint8 when den divides 256, else the first of int16, int32 and int64 that
+    holds 5 * (den - 1), the bound on a step's five signed residues, else
+    Python integers (see `_sweep_dtype`). Chunks are built in place in [entry, b, c] order;
+    the witness is the first failing (b, c, entry) in that order.
     """
     n = phi.group.order
     add = phi.group.add_table
-    t = phi.table
-    d = phi.den
+    residues = _SweepTable(phi)
+    t = residues.table
     for a in range(n):
-        # entries indexed [b, c, g]
-        lhs = t[a][:, :, None] + t[:, a, :].T[:, None, :] + t[:, add[a], :].transpose(1, 2, 0)
-        rhs = t[add[:, a]].transpose(1, 2, 0) + t[:, a, :][:, add].transpose(1, 2, 0)
-        bad = (lhs - rhs) % d
-        if bad.any():
-            b, c, g = np.argwhere(bad)[0]
+        ta = t[:, a, :]  # u(a, b)(g) = phi(g, a, b), indexed [g, b]
+        bad = t[:, add[a], :]  # u(a+b, c)(g)
+        bad += t[a]  # phi(a, b, c)
+        bad += ta[:, :, None]  # u(a, b)(g)
+        bad -= t[add[:, a]]  # xi_a[u(b, c)](g) = u(b, c)(g + a)
+        bad -= ta[:, add]  # u(a, b+c)(g)
+        if residues.reduce(bad).any():
+            b, c, g = np.argwhere(bad.transpose(1, 2, 0))[0]
             return (a, int(b), int(c), int(g))
     return None
 
 
 # ----------------------------------------------------------- restriction
+
+
+def _restricted_table(phi: Cochain3, generators):
+    """The subgroup generated by `generators` and phi's table over it, as one
+    slice of the ambient table indexed like the subgroup's elements."""
+    H = subgroup_elements(phi.group, generators)
+    idx = [h.index for h in H]
+    return H, phi.table[np.ix_(idx, idx, idx)]
 
 
 def restrict(phi: Cochain3, generators) -> dict:
@@ -500,18 +573,17 @@ def restrict(phi: Cochain3, generators) -> dict:
     Returns {(h1.coords, h2.coords, h3.coords): Phase} over all triples of
     the closure, in enumeration order of the ambient group.
     """
-    H = subgroup_elements(phi.group, generators)
-    out = {}
-    for h1 in H:
-        for h2 in H:
-            for h3 in H:
-                out[(h1.coords, h2.coords, h3.coords)] = phi.value(h1, h2, h3)
-    return out
+    H, block = _restricted_table(phi, generators)
+    keys = [h.coords for h in H]
+    return {
+        (keys[i], keys[j], keys[k]): Phase(int(v), phi.den)
+        for (i, j, k), v in np.ndenumerate(block)
+    }
 
 
 def is_trivial_on(phi: Cochain3, generators) -> bool:
     """True when phi restricts to zero on the generated subgroup."""
-    return all(p.is_zero() for p in restrict(phi, generators).values())
+    return not _restricted_table(phi, generators)[1].any()
 
 
 # ------------------------------------------------- trivializing 2-cochains

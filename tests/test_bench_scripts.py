@@ -9,21 +9,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_duality_ladder_runs_one_order():
+def run_one_order(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "duality_ladder.py"), "--order", "8"],
+        [sys.executable, str(ROOT / "bench" / script), "--order", "8"],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    point = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_duality_ladder_runs_one_order():
+    point = run_one_order("duality_ladder.py")
     assert point["order"] == 8 and point["dim"] == 2 and point["trials"] == 100
     assert set(point["setup_s"]) == {"twist", "psi"}
     assert point["max_error"] < 1e-10
     assert point["first_call_s"] > 0 and point["peak_rss_mb"] > 0
     # Differences of two timings, so only their presence is checked.
     assert {"per_trial_s", "call_setup_s"} <= set(point)
+
+
+def test_sweep_ladder_runs_one_order():
+    point = run_one_order("sweep_ladder.py")
+    assert point["order"] == 8 and point["factors"] == [2, 2, 2] and point["den"] == 2
+    assert set(point["sweep_s"]) == {
+        "is_cocycle3",
+        "check_multiplier_relation",
+        "associativity_cocycle_sweep",
+        "cocycle3_witness",
+    }
+    assert all(s > 0 for s in point["sweep_s"].values())
+    assert set(point["ns_per_cell"]) == set(point["sweep_s"]) - {"cocycle3_witness"}
+    assert point["peak_rss_mb"] > 0

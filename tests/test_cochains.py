@@ -248,6 +248,22 @@ def test_cocycle_witness_is_cached_and_agrees_with_coboundary3():
     assert is_cocycle3(phi) and is_cocycle3(phi) and cocycle3_witness(phi) is None
 
 
+def test_cocycle_sweeps_past_int64_stay_exact():
+    """Near den = 2^62 a sum of three residues passes int64. On Z/3 with
+    phi(1,1,1) = (den - 1)/den and phi(1,2,1) = 230/den, (delta phi)(1,1,1,1)
+    = 2(den - 1) + 230 = 228 mod den, but in int64 the sum wraps to 0 mod den,
+    so a later quadruple was reported. The sweeps work in Python integers there."""
+    g = make_group([3])
+    den = 2**62 - 57
+    table = np.zeros((3, 3, 3), dtype=np.int64)
+    table[1, 1, 1] = den - 1
+    table[1, 2, 1] = 230
+    phi = Cochain3(g, table, den)
+    assert phi.coboundary_witness == (1, 1, 1, 1)
+    assert check_multiplier_relation(phi) == (1, 1, 1, 1)
+    assert coboundary3(phi).value(*[(1,)] * 4) == Phase(228, den)
+
+
 def test_non_alternating_tensor_detected():
     g = make_group([2, 2, 2])
     tensor = np.zeros((3, 3, 3), dtype=np.int64)

@@ -14,16 +14,22 @@ from natorus import (
     StrictifiedElement,
     Tricharacter,
     TwistData,
+    associativity_cocycle_sweep,
     bicharacter_from_matrix,
+    check_multiplier_relation,
     coboundary2,
+    is_trivial_on,
     make_group,
+    restrict,
     strictified_product,
     takai_inverse,
     takai_transform,
     trivializing_cochain,
     verify_duality,
 )
+from natorus.cochains import _sweep_dtype
 from natorus.crossed import _transformed_product
+from natorus.groups import subgroup_elements
 from natorus.presets import pauli_m2_twist
 
 MAX_ORDER = 8  # |G|^2 <= 64 keeps every scalar duality check exhaustive
@@ -171,3 +177,117 @@ def test_coboundary2_is_computed_once_and_is_the_alternating_sum(factors, seed):
     t = sigma.table
     fresh = (t[None, :, :] - t[add, :] + t[:, add] - t[:, :, None]) % sigma.den
     assert first == Cochain3(group, fresh, sigma.den)
+
+
+# Denominators on both sides of every type boundary of the exact sweeps
+# (cochains._sweep_dtype): divisors of 256 (uint8), the int16 edge at
+# 5 * (den - 1) = 32767, the int32 edge at 5 * (den - 1) = 2^31 - 1, the int64
+# edge at 5 * (den - 1) = 2^63 - 1, and others in between.
+INT16_EDGE = 32767 // 5 + 1  # 6554
+INT32_EDGE = (2**31 - 1) // 5 + 1  # 429496730
+INT64_EDGE = (2**63 - 1) // 5 + 1
+SWEEP_DENS = [
+    1, 2, 4, 8, 16, 32, 64, 128, 256, 3, 6, 12, 255, 257, 512, 1000,
+    INT16_EDGE - 1, INT16_EDGE, INT16_EDGE + 1,
+    INT32_EDGE - 1, INT32_EDGE, INT32_EDGE + 1,
+    2**40, INT64_EDGE, INT64_EDGE + 1, 2**62 - 57,
+]
+
+
+@pytest.mark.parametrize(
+    "den, dtype",
+    [
+        (1, np.uint8), (2, np.uint8), (128, np.uint8), (256, np.uint8),
+        (3, np.int16), (6, np.int16), (255, np.int16), (257, np.int16), (512, np.int16),
+        (INT16_EDGE, np.int16), (INT16_EDGE + 1, np.int32),
+        (INT32_EDGE, np.int32), (INT32_EDGE + 1, np.int64),
+        (2**40, np.int64), (INT64_EDGE, np.int64), (INT64_EDGE + 1, object),
+    ],
+)
+def test_sweep_dtype_at_each_boundary(den, dtype):
+    assert _sweep_dtype(den) == np.dtype(dtype)
+
+
+def random_normalized_cocycle_or_mutant(group, den, rng):
+    """delta sigma for a random normalized sigma over `den`, with zero or one
+    entry replaced by a random residue; the table keeps the denominator `den`."""
+    n = group.order
+    s = rng.integers(0, 2**62, size=(n, n)).astype(object) % den
+    s[0, :] = s[:, 0] = 0
+    add = group.add_table
+    table = (s[None, :, :] - s[add, :] + s[:, add] - s[:, :, None]) % den
+    if rng.integers(0, 2):
+        i, j, k = rng.integers(1, n, size=3)
+        table[i, j, k] = int(rng.integers(0, 2**62)) % den
+    return Cochain3(group, table.astype(np.int64), den)
+
+
+def first_nonzero(chunks):
+    """(i, *index) of the first nonzero entry over a sequence of chunks, or None."""
+    for i, chunk in enumerate(chunks):
+        if chunk.any():
+            return (i, *(int(v) for v in np.argwhere(chunk)[0]))
+    return None
+
+
+def reference_witnesses(phi):
+    """The three sweeps as one wide expression per chunk, evaluated in Python
+    integers so the reference itself cannot wrap at any denominator."""
+    g, d = phi.group, phi.den
+    add, sub = g.add_table, g.sub_table
+    t = phi.table.astype(object)
+    r = range(g.order)
+    delta = (
+        (t - t[add[w], :, :] + t[w][add, :] - t[w][:, add] + t[w][:, :, None]) % d for w in r
+    )
+    multiplier = (
+        (
+            t[a][:, :, None] + t[:, a, :].T[:, None, :] + t[:, add[a], :].transpose(1, 2, 0)
+            - t[add[:, a]].transpose(1, 2, 0) - t[:, a, :][:, add].transpose(1, 2, 0)
+        ) % d
+        for a in r
+    )
+    assoc = (
+        (
+            t[ix][:, None, :] + t[add[ix]] - t[ix][add] - t[:, :, sub[:, ix]]
+            - t[:, :, ix][:, :, None]
+        ) % d
+        for ix in r
+    )
+    return first_nonzero(delta), first_nonzero(multiplier), first_nonzero(assoc)
+
+
+@pytest.mark.parametrize("den", SWEEP_DENS)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(factors=factor_lists(max_order=18), seed=st.integers(0, 2**32 - 1))
+def test_exact_sweeps_match_the_wide_reference(den, factors, seed):
+    """The narrow-type sweeps report the same first witness as the reference."""
+    group = make_group(factors)
+    phi = random_normalized_cocycle_or_mutant(group, den, np.random.default_rng(seed))
+    assert phi.den == den
+    expected = reference_witnesses(phi)
+    got = (
+        phi.coboundary_witness,
+        check_multiplier_relation(phi),
+        associativity_cocycle_sweep(phi),
+    )
+    assert got == expected
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(factors=factor_lists(max_order=32, max_rank=5), seed=st.integers(0, 2**32 - 1))
+def test_restrict_is_the_triple_loop_over_the_subgroup(factors, seed):
+    group = make_group(factors)
+    rng = np.random.default_rng(seed)
+    phi = random_cochain3(group, rng)
+    gens = [group.elements[i] for i in rng.integers(0, group.order, size=rng.integers(1, 3))]
+    H = subgroup_elements(group, gens)
+    loop = {
+        (a.coords, b.coords, c.coords): phi.value(a, b, c)
+        for a in H
+        for b in H
+        for c in H
+    }
+    got = restrict(phi, gens)
+    assert list(got.items()) == list(loop.items())
+    assert is_trivial_on(phi, gens) == all(p.is_zero() for p in loop.values())
