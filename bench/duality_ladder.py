@@ -6,13 +6,14 @@ Each order runs in a fresh process, so its peak RSS is its own; --order runs
 one order in this process instead. A point first builds its inputs and
 reports the seconds of each set-up stage in `setup_s`: group tables,
 trivializer (the mod-2 tricharacter and its trivializing 2-cochain, checked
-exactly), twist and psi (the preset |G| = 8 point has twist and psi only).
-It then calls verify_duality with one random pair (`first_call_s`, which also
-fills the caches later calls read, such as psi's complex weight table), then
-with one and with `trials` pairs, and reports
-per_trial_s = (t_trials - t_1) / (trials - 1), the per-call set-up
-call_setup_s = t_1 - per_trial_s, and the process's peak RSS after the calls
-(twist set-up included). One JSON line per order.
+exactly), twist and psi (the preset |G| = 8 point has twist and psi only),
+and the process's peak RSS at that point, `setup_peak_rss_mb`. It then calls
+verify_duality with one random pair (`first_call_s`, which also pays one-time
+costs such as the first use of numpy's random generator), then with one and
+with `trials` pairs, and reports per_trial_s = (t_trials - t_1) / (trials - 1),
+the per-call set-up call_setup_s = t_1 - per_trial_s, and the process's peak
+RSS after the calls, `peak_rss_mb`; the two peaks show whether set-up or the
+check sets the process's peak. One JSON line per order.
 """
 
 import argparse
@@ -73,11 +74,16 @@ def setup(order):
     return tw, stage("psi", nt.Tricharacter, group, eps, modulus), seconds
 
 
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def point(order, seed):
     import natorus as nt
 
     trials = LADDER[order]
     tw, psi, setup_s = setup(order)
+    setup_peak = peak_rss_mb()
     times = []
     for k in (1, 1, trials):  # the first call also fills the caches later calls read
         start = time.perf_counter()
@@ -95,7 +101,8 @@ def point(order, seed):
         "first_call_s": first,
         "per_trial_s": per_trial,
         "call_setup_s": one - per_trial,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "setup_peak_rss_mb": setup_peak,
+        "peak_rss_mb": peak_rss_mb(),
         "max_error": report.max_error,
     }
 

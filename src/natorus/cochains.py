@@ -59,13 +59,27 @@ class CochainTable:
     """A normalized k-cochain as an integer table over a common denominator."""
 
     def __init__(self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int):
+        self._adopt(group, arity, np.asarray(table, dtype=np.int64), den, reduce=True)
+
+    def _adopt(
+        self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int, reduce=False
+    ):
+        """Take ownership of `table`, a fresh int64 array already reduced mod den
+        (with reduce=True, any int64 table, of which a reduced copy is taken):
+        check den, the shape and normalization, and freeze it, without a copy.
+
+        Every cochain passes here, so this is where a denominator above 2^62 is
+        refused, the bound of common_denominator: below it, numerators and sums
+        of two of them fit in int64.
+        """
         if den < 1:
             raise CochainError(f"denominator must be positive, got {den}")
-        self._adopt(group, arity, np.asarray(table, dtype=np.int64) % den, den)
-
-    def _adopt(self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int):
-        """Take ownership of `table`, a fresh int64 array already reduced mod den:
-        check its shape and normalization and freeze it, without a copy."""
+        if den > 2**62:
+            raise CochainError(
+                f"denominator {den} exceeds 2^62; sums of its numerators would not fit in int64"
+            )
+        if reduce:
+            table = table % den
         n = group.order
         if table.shape != (n,) * arity:
             raise CochainError(

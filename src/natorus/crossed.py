@@ -26,10 +26,12 @@ substituting t = w - y in the strictified product gives
                  V_{w-y}^* u(w - y, y - z) u(w - z, z) V_w,
 
 with V_t the conjugator implementing beta_t. R depends only on the twist
-and psi, so verify_duality builds it once per call and each pair then costs
-two gathers and one contraction. strictified_product and takai_transform
-compute by the definitions and are the independent route the tests compare
-against.
+and psi, but as a whole it is an n^3 d^2 array, so verify_duality streams
+it: for each batch of pairs it builds R one w-slice at a time from the exact
+integer tables of psi and phi and computes row w of both sides for the whole
+batch. No n^3 complex array is formed. strictified_product and
+takai_transform compute by the definitions and are the independent route
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .cochains import Cochain2, Cochain3, coboundary2, common_denominator, exp_p
 from .elements import ArrayElement
 from .errors import IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
-from .kernels import TwistedKernel, kernel_product_blocks
+from .kernels import TwistedKernel
 
 
 class TwistData:
@@ -160,9 +162,10 @@ class TwistData:
                 witness=(int(x), int(y)),
             )
         # phase relation: e^{2 pi i phi} u(x,y) u(x+y,z) = beta_x[u(y,z)] u(x,y+z)
-        w = self.phi.complex_table
+        phi = self.phi
         for x in range(n):
-            lhs = np.einsum("yz,yab,yzbc->yzac", w[x], u[x], u[add[x]])
+            w = exp_phases(phi.table[x], phi.den)
+            lhs = np.einsum("yz,yab,yzbc->yzac", w, u[x], u[add[x]])
             moved = np.einsum("ab,yzbc,dc->yzad", v[x], u, np.conj(v[x]))
             rhs = np.einsum("yzab,yzbc->yzac", moved, u[x][add])
             err = np.abs(lhs - rhs)
@@ -309,67 +312,146 @@ def strictified_product(
     tw = a.twist
     if psi.group != tw.group:
         raise IncompatibleGroupsError("psi lives on a different group")
-    weight = (psi + tw.phi).complex_table
+    weight = _phase_sum(psi, tw.phi)
+    n = tw.group.order
     add = tw.group.add_table
     out = np.zeros_like(a.values)
-    for t in range(tw.group.order):
+    for t in range(n):
         # index [r, x] with r = s - t
         moved = np.einsum("ab,rxbc,dc->rxad", tw.beta[t], b.values, np.conj(tw.beta[t]))
-        term = np.einsum("rx,rxab,rxbc,rcd->rxad", weight[t], a.values[t][add], moved, tw.u[t])
+        w_t = weight(slice(t * n * n, (t + 1) * n * n)).reshape(n, n)
+        term = np.einsum("rx,rxab,rxbc,rcd->rxad", w_t, a.values[t][add], moved, tw.u[t])
         out[add[t]] += term
     return StrictifiedElement(tw, out)
 
 
+def _phase_sum(psi: Cochain3, phi: Cochain3):
+    """cells -> exp(2 pi i (psi + phi)) at `cells`, flat indices (an index
+    array or a slice) into the n^3 tables.
+
+    Each call reads only its cells of the two exact tables, which are scaled
+    to the common denominator once, into the narrowest unsigned type that
+    holds a sum of two residues, so no n^3 table of psi + phi is formed. The
+    exponent is put in lowest terms per call, so quarter turns take the exact
+    roots.
+    """
+    den = common_denominator(psi.den, phi.den)
+    dtype = np.min_scalar_type(2 * (den - 1))
+
+    def scaled(cochain):
+        table = cochain.table.astype(dtype).ravel()
+        table *= den // cochain.den
+        return table
+
+    psi_flat, phi_flat = scaled(psi), scaled(phi)
+
+    def phases(cells) -> np.ndarray:
+        exponent = psi_flat[cells]
+        exponent += phi_flat[cells]
+        if 4 % den == 0:  # exp_phases wraps quarter turns exactly at any scale
+            return exp_phases(exponent, den)
+        exponent %= den
+        common = gcd(den, int(np.gcd.reduce(exponent, axis=None)))
+        return exp_phases(exponent // common, den // common)
+
+    return phases
+
+
+def _at(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """values(r, s) at cells = r n + s, for value arrays of shape
+    (..., n, n, d, d); unlike values[..., r, s, :, :], the result keeps the
+    leading axes outermost in memory."""
+    n = values.shape[-3]
+    flat = values.reshape(values.shape[:-4] + (n * n,) + values.shape[-2:])
+    return flat.take(cells, axis=-3)
+
+
+def _block_product(d: int):
+    """The product of stacked d x d blocks; elementwise when d = 1, where it is
+    much faster than matmul on 1 x 1 matrices."""
+    return np.multiply if d == 1 else np.matmul
+
+
 def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.ndarray:
     """The duality transform on value arrays of shape (..., n, n, d, d)."""
-    n = tw.group.order
-    sub = tw.group.sub_table
-    zi = np.arange(n)
-    gathered = a[..., sub, zi, :, :]  # [w, z] -> a(w - z, z)
-    if include_multiplier:
-        gathered = np.einsum("...wzab,wzbc->...wzac", gathered, tw.u[sub, zi])
-    return np.einsum("wba,...wzbc,wcd->...wzad", np.conj(tw.beta), gathered, tw.beta)
-
-
-def _transformed_product(tw: TwistData, psi: Cochain3, include_multiplier: bool):
-    """The map (a, b) -> transform(a * b) on value arrays, by the formula in the
-    module docstring; include_multiplier=False drops u(w - z, z) from R.
-
-    R is built here, one w-slice at a time from the exact integer tables of
-    psi and phi, so no n^3 table of psi + phi is formed and quarter turns
-    stay exact. Leading axes of a and b, of shape (..., n, n, d, d),
-    broadcast against each other.
-    """
     g = tw.group
-    n, d = g.order, tw.dim
-    sub = g.sub_table
-    zi = np.arange(n)
-    phi = tw.phi
-    den = common_denominator(psi.den, phi.den)
-    scale_psi, scale_phi = den // psi.den, den // phi.den
-    beta_h = np.conj(tw.beta).transpose(0, 2, 1)
-    weight = np.empty((n, n, n, d, d), dtype=complex)
-    flat = sub * n + zi  # (y - z, z) over [y, z], as a flat index into an n x n table
-    for w in range(n):
-        t = sub[w]  # w - y over y
-        if include_multiplier:
-            right = tw.u[t, zi] @ tw.beta[w]  # u(w - z, z) V_w over z
-        else:
-            right = np.broadcast_to(tw.beta[w], (n, d, d))
-        core = np.einsum("yab,yzbc,zcd->yzad", beta_h[t], tw.u[t[:, None], sub], right)
-        cells = (t * n * n)[:, None] + flat  # (w - y, y - z, z) over [y, z]
-        exponent = (psi.table.take(cells) * scale_psi + phi.table.take(cells) * scale_phi) % den
-        # lowest terms, so that quarter turns take the exact roots
-        common = gcd(den, int(np.gcd.reduce(exponent.ravel())))
-        phase = exp_phases(exponent // common, den // common)
-        np.multiply(phase[:, :, None, None], core, out=weight[w])
-    beta_sub = tw.beta[sub]  # V_{w-y} over [w, y]
+    block = _block_product(tw.dim)
+    cells = g.sub_table * g.order + np.arange(g.order)  # (w - z, z) over [w, z], flat
+    out = _at(a, cells)
+    if include_multiplier:
+        block(out, _at(tw.u, cells), out=out)
+    v = tw.beta[:, None]  # V_w, constant along z
+    return block(block(np.conj(v).swapaxes(-1, -2), out), v)
 
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        left = np.einsum("wab,...wybc,wycd->...wyad", beta_h, a[..., sub, zi, :, :], beta_sub)
-        return np.einsum("...wyab,...yzbc,wyzcd->...wzad", left, b[..., sub, zi, :, :], weight)
 
-    return product
+def _sum_over_y(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """out[..., z] = sum_y x[..., y] m[..., y, z] on d x d blocks.
+
+    x has shape (..., n, d, d) and m (..., n, n, d, d), with leading axes
+    that broadcast; the sum over y and the inner block index is one matmul.
+    """
+    n, d = x.shape[-3], x.shape[-1]
+    rows = x.swapaxes(-3, -2).reshape(x.shape[:-3] + (d, n * d))
+    cols = m.swapaxes(-3, -2).reshape(m.shape[:-4] + (n * d, n * d))
+    out = rows @ cols
+    return out.reshape(out.shape[:-1] + (n, d)).swapaxes(-3, -2)
+
+
+class _DualityRows:
+    """Both sides of the duality identity for one (twist, psi), one row at a time.
+
+    Calling it on value arrays a and b of shape (..., n, n, d, d), whose
+    leading axes broadcast against each other, yields (w, lhs, rhs) for w in
+    G: row w of transform(a * b) and of transform(a) * transform(b)
+    (psi-twisted kernels), each of shape (..., n, d, d).
+
+    The left side is the formula in the module docstring, with R(w, y, z)
+    split as the slice exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^*
+    u(w - y, y - z), built from the exact tables of psi and phi and dropped
+    after its row, times u(w - z, z) V_w, which does not depend on y and
+    multiplies the summed row. The right side is the kernel product, read
+    with the weight row exp(2 pi i psi(w, ., .)), of transform(b), computed
+    whole by _takai_values, and row w of transform(a),
+    V_w^* a(w - z, z) u(w - z, z) V_w, which shares its gather with L(w, .).
+    include_multiplier=False drops u(w - z, z) from R and from both
+    transforms. Set-up is O(n^2 d^2) besides the narrow copies of the two
+    exact tables (see _phase_sum); no n^3 complex array is formed.
+    """
+
+    def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
+        g = tw.group
+        n, d = g.order, tw.dim
+        self.tw, self.psi, self.include_multiplier = tw, psi, include_multiplier
+        self.block = _block_product(d)
+        self.sub, self.zi = g.sub_table, np.arange(n)
+        self.diffs = self.sub * n + self.zi  # (y - z, z) over [y, z], flat into n x n
+        self.beta_h = np.conj(tw.beta).transpose(0, 2, 1)
+        self.vu = self.block(self.beta_h[:, None], tw.u).reshape(n * n, d, d)  # V_t^* u(t, r)
+        u_out = _at(tw.u, self.diffs) if include_multiplier else np.eye(d)  # u(w - z, z)
+        self.right = self.block(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
+        self.phases = _phase_sum(psi, tw.phi)
+
+    def __call__(self, a: np.ndarray, b: np.ndarray):
+        tw, psi, block, sub, zi = self.tw, self.psi, self.block, self.sub, self.zi
+        n = tw.group.order
+        tb = _takai_values(tw, b, self.include_multiplier)
+        b_sub = _at(b, self.diffs)  # b(y - z, z) over [y, z]
+        del b  # a batch's b is held here alone (see verify_duality); only tb and b_sub are read
+        weighted = np.empty_like(tb)  # each row's summands over y, one side at a time
+        for w in range(n):
+            t = sub[w]  # w - y over y
+            pairs = (t * n)[:, None] + sub  # (w - y, y - z) over [y, z], flat into n x n
+            cells = (t * n * n)[:, None] + self.diffs  # (w - y, y - z, z), flat into n^3
+            weight = self.phases(cells)[:, :, None, None] * self.vu.take(pairs, axis=0)
+            # V_w^* a(w - y, y) over y, completed to L(w, y) by V_{w-y} and to
+            # row w of transform(a) by u(w - y, y) V_w
+            moved = block(self.beta_h[w], _at(a, t * n + zi))
+            left = block(moved, tw.beta[t])
+            lhs = block(_sum_over_y(left, block(b_sub, weight, out=weighted)), self.right[w])
+            ta = block(moved, self.right[w])
+            kernel_weight = exp_phases(psi.table[w], psi.den)[:, :, None, None]
+            rhs = _sum_over_y(ta, np.multiply(kernel_weight, tb, out=weighted))
+            yield w, lhs, rhs
 
 
 def takai_transform(
@@ -444,6 +526,20 @@ class DualityReport:
         }
 
 
+def _pairs_per_batch(n: int, d: int) -> int:
+    """Random pairs that verify_duality runs through one pass over the R slices.
+
+    At least 8, so that a rebuild of the slices, which costs about as much as
+    the rows of four pairs at |G| = 64 and 128, is shared by 8 pairs; more
+    while one batch array (n^2 d^2 complex entries per pair) stays within
+    2^15 entries (512 KB), which keeps small groups from paying the per-row
+    overhead pair by pair. While its rows run, a batch holds four such arrays
+    (a, b(y - z, z), transform(b) and one temporary), so from |G| = 64 on
+    (d = 1) it stays within half of one n^3 complex table.
+    """
+    return max(8, 2**15 // (n * n * d * d))
+
+
 def verify_duality(
     tw: TwistData,
     psi: Cochain3,
@@ -461,57 +557,68 @@ def verify_duality(
 
     with L(w, y) = V_w^* a(w - y, y) V_{w-y} and the weight
     R(w, y, z) = exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^* u(w - y, y - z)
-    u(w - z, z) V_w (see _transformed_product). R, an n^3 d^2 array, and the
-    kernel weight exp(2 pi i psi) are built once per call; each pair then
-    costs two gathers and one contraction per side, and the two sides stay
-    separate products of the same pair. Both sides are bilinear, so the
-    exhaustive mode compares the two structure tensors: the basis is stacked
-    along a batch axis, each basis element is transformed once, and every
-    pair comes out of the same contractions. The witness is the first pair in
-    (a, b) order with the largest error. Random pairs run one at a time.
-    include_multiplier=False drops u(w - z, z) from both the transform and R
-    and should make the check fail loudly.
+    u(w - z, z) V_w (see _DualityRows). R is never stored whole: pairs run
+    in batches, and for each batch R(w), an n^2 d^2 slice built from the exact
+    tables of psi and phi, and the kernel weight row exp(2 pi i psi(w, ., .))
+    give row w of both sides for every pair of the batch. The two sides stay
+    separate products of the same pair, and each pair keeps the largest error
+    over its rows. Random pairs are drawn a then b, pair by pair, in batches
+    of _pairs_per_batch(n, d). Both sides are bilinear, so the exhaustive mode
+    compares the two structure tensors: the basis is stacked along two
+    broadcast axes and every pair comes out of the same slice loop. The
+    witness is the first pair in (a, b) order, or the first trial, with the
+    largest error. include_multiplier=False drops u(w - z, z) from both the
+    transform and R and should make the check fail loudly.
     """
     g = tw.group
     if psi.group != g:
         raise IncompatibleGroupsError("psi lives on a different group")
     n, d = g.order, tw.dim
-    transformed_product = _transformed_product(tw, psi, include_multiplier)
-    kernel_weight = psi.complex_table
 
-    def pair_errors(a, b, ta, tb):
-        """max |transform(a * b) - transform(a) * transform(b)| per (a, b)."""
-        lhs = transformed_product(a, b)
-        rhs = kernel_product_blocks(kernel_weight, ta, tb)
-        return np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
+    check = _DualityRows(tw, psi, include_multiplier)
 
-    max_error = 0.0
-    witness = None
+    def max_errors(rows):
+        """max |transform(a * b) - transform(a) * transform(b)| per pair, over rows."""
+        errors = 0.0
+        for _, lhs, rhs in rows:
+            errors = np.maximum(errors, np.abs(lhs - rhs).max(axis=(-3, -2, -1)))
+        return errors
+
     if n * n * d * d <= 64:
         mode = "exhaustive"
         basis = np.eye(n * n * d * d, dtype=complex).reshape(-1, n, n, d, d)
-        images = _takai_values(tw, basis, include_multiplier)
-        errors = pair_errors(basis[:, None], basis[None, :], images[:, None], images[None, :])
-        trials = errors.size
-        max_error = float(errors.max())
-        if max_error > 0.0:
-            keys = list(itertools.product(range(n), range(n), range(d), range(d)))
-            ka, kb = np.unravel_index(int(errors.argmax()), errors.shape)
-            witness = (keys[ka], keys[kb])
+        errors = max_errors(check(basis[:, None], basis[None, :]))
     else:
         mode = "random"
         rng = np.random.default_rng(seed)
-        for k in range(trials):
-            a = StrictifiedElement.random(tw, rng).values
-            b = StrictifiedElement.random(tw, rng).values
-            ta = _takai_values(tw, a, include_multiplier)
-            tb = _takai_values(tw, b, include_multiplier)
-            err = float(pair_errors(a, b, ta, tb))
-            if err > max_error:
-                max_error = err
-                witness = ("trial", k)
+
+        def draw(size):
+            """`size` random pairs, drawn a then b, pair by pair."""
+            a = np.empty((size, n, n, d, d), dtype=complex)
+            b = np.empty_like(a)
+            for i in range(size):
+                a[i] = StrictifiedElement.random(tw, rng).values
+                b[i] = StrictifiedElement.random(tw, rng).values
+            return a, b
+
+        batch = _pairs_per_batch(n, d)
+        errors = np.zeros(trials)
+        for start in range(0, trials, batch):
+            stop = min(start + batch, trials)
+            # the rows generator is the only holder of the batch, so it can drop b
+            errors[start:stop] = max_errors(check(*draw(stop - start)))
+    trials = errors.size
+    max_error = float(errors.max(initial=0.0))
     passed = max_error < tol
-    return DualityReport(passed, max_error, tol, trials, mode, None if passed else witness)
+    witness = None
+    if max_error > 0.0 and not passed:
+        k = int(errors.argmax())
+        if mode == "random":
+            witness = ("trial", k)
+        else:
+            keys = list(itertools.product(range(n), range(n), range(d), range(d)))
+            witness = tuple(keys[i] for i in np.unravel_index(k, errors.shape))
+    return DualityReport(passed, max_error, tol, trials, mode, witness)
 
 
 # ------------------------------------------------- Fourier-side presentation

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain3, _SweepTable
+from .cochains import Cochain3, _SweepTable, exp_phases
 from .elements import ArrayElement
 from .errors import CochainError, IncompatibleGroupsError, NotACocycleError
 from .groups import FiniteAbelianGroup
@@ -108,16 +108,8 @@ class TwistedKernel(ArrayElement):
 def kernel_product(k1: TwistedKernel, k2: TwistedKernel) -> TwistedKernel:
     """(K1 * K2)(x, z) = sum_y exp(2 pi i phi(x, y, z)) K1(x, y) K2(y, z)."""
     k1._check(k2)
-    return k1._sibling(kernel_product_blocks(k1.phi.complex_table, k1.data, k2.data))
-
-
-def kernel_product_blocks(w: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """The twisted product on block data of shape (..., n, n, d, d).
-
-    w is exp(2 pi i phi) indexed [x, y, z]; leading axes of k1 and k2
-    broadcast against each other, so one call multiplies a whole batch.
-    """
-    return np.einsum("xyz,...xyab,...yzbc->...xzac", w, k1, k2)
+    w = k1.phi.complex_table
+    return k1._sibling(np.einsum("xyz,xyab,yzbc->xzac", w, k1.data, k2.data))
 
 
 def gamma_action(xi, kernel: TwistedKernel) -> TwistedKernel:
@@ -125,7 +117,7 @@ def gamma_action(xi, kernel: TwistedKernel) -> TwistedKernel:
     g = kernel.group
     i = g.element(xi).index
     rows = g.sub_table[:, i]
-    w = np.conj(kernel.phi.complex_table[i])
+    w = np.conj(exp_phases(kernel.phi.table[i], kernel.phi.den))
     return kernel._sibling(w[:, :, None, None] * kernel.data[np.ix_(rows, rows)])
 
 
@@ -138,7 +130,7 @@ def gamma_multiplier(phi: Cochain3, omega, xi) -> np.ndarray:
     g = phi.group
     io = g.element(omega).index
     ix = g.element(xi).index
-    return phi.complex_table[io, ix, :]
+    return exp_phases(phi.table[io, ix], phi.den)
 
 
 def check_gamma_relation(phi: Cochain3, omega, xi, kernel: TwistedKernel) -> float:

@@ -104,6 +104,24 @@ def test_scale_factor_past_int64_is_refused():
         one_entry(2**62 + 1, 1) - one_entry(2**61 - 1, 1)
 
 
+def test_denominator_past_2_62_is_refused_at_construction():
+    # d fits in int64, but four residues of a coboundary do not: coboundary2 of
+    # this sigma returned 9223372036854775731/d at ((2,), (1,), (1,)) instead
+    # of 9223372036854775781/d, without an error.
+    g = make_group([3])
+    d = 2**63 - 25
+    table = np.zeros((3, 3), dtype=np.int64)
+    table[1, 1] = table[2, 2] = d - 1
+    with pytest.raises(CochainError, match="exceeds 2\\^62"):
+        Cochain2(g, table, d)
+
+
+def test_denominator_past_int64_is_refused_without_overflow():
+    # This used to raise a raw OverflowError while reducing the table mod d.
+    with pytest.raises(CochainError, match="exceeds 2\\^62"):
+        one_entry(2**63 + 5, 1)
+
+
 def test_equality_past_int64_compares_lowest_terms():
     # lcm(p, q) > 2^62: a common denominator used to make == raise CochainError.
     p, q = 2**31 - 1, 2**31 + 11

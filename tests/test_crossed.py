@@ -1,6 +1,7 @@
 """Twisted crossed products, strictification, and the duality transform."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from natorus import (
     takai_transform,
     verify_duality,
 )
-from natorus.presets import pauli_m2_twist, shift_bicharacter, z4_scalar_twist
+from natorus.crossed import _pairs_per_batch
+from natorus.presets import (
+    epsilon_tricharacter_z4,
+    pauli_m2_twist,
+    shift_bicharacter,
+    z4_scalar_twist,
+)
 
 
 @pytest.fixture(scope="module")
@@ -247,24 +254,62 @@ def m2_with_octonion_psi():
     return tw, octonion_associator_tricharacter(tw.group)
 
 
+def z4_with_epsilon_psi():
+    return z4_scalar_twist(), epsilon_tricharacter_z4()
+
+
 @pytest.mark.parametrize("include_multiplier", [True, False])
 @pytest.mark.parametrize(
-    "setup, mode", [(octonion_fiber, "exhaustive"), (m2_with_octonion_psi, "random")]
+    "setup, mode",
+    [
+        (octonion_fiber, "exhaustive"),
+        (m2_with_octonion_psi, "random"),
+        (z4_with_epsilon_psi, "random"),
+    ],
 )
 def test_batched_duality_matches_per_pair_loop(setup, mode, include_multiplier):
     tw, psi = setup()
-    report = verify_duality(tw, psi, trials=8, seed=4, include_multiplier=include_multiplier)
-    ref_mode, ref_trials, ref_error, ref_witness = per_pair_duality(
-        tw, psi, 8, 4, include_multiplier
+    # One full batch of random pairs and a part of the next. The seeds put the
+    # largest multiplier-free error in the second batch, so a batch that
+    # repeated or skipped draws would move the witness.
+    batch = _pairs_per_batch(tw.group.order, tw.dim)
+    trials = batch + 3
+    seed = {m2_with_octonion_psi: 36, z4_with_epsilon_psi: 3}.get(setup, 4)
+    report = verify_duality(
+        tw, psi, trials=trials, seed=seed, include_multiplier=include_multiplier
     )
+    ref_mode, ref_trials, ref_error, ref_witness = per_pair_duality(
+        tw, psi, trials, seed, include_multiplier
+    )
+    if mode == "random" and not include_multiplier:
+        assert ref_witness[1] >= batch
     assert report.passed == (ref_error < report.tol) == include_multiplier
     assert report.mode == ref_mode == mode
     assert report.trials == ref_trials
     assert abs(report.max_error - ref_error) <= 1e-13
     if include_multiplier:
         assert report.witness is None
-    elif mode == "exhaustive":
+    else:
         assert report.witness == ref_witness
+
+
+def test_duality_streams_without_n3_tables(rng):
+    """verify_duality holds no n^3 complex array: on Z/4^3 (n = 64) its traced
+    peak stays below one n^3 complex table, over several batches of pairs, and
+    it leaves no complex weight table cached on psi or on the twist's phi."""
+    tw, psi = z4_scalar_twist(), epsilon_tricharacter_z4()
+    n = tw.group.order
+    trials = 3 * _pairs_per_batch(n, tw.dim)
+    tracemalloc.start()
+    try:
+        report = verify_duality(tw, psi, trials=trials, seed=rng.integers(2**31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == trials
+    assert peak < n**3 * 16
+    assert "complex_table" not in vars(psi)
+    assert "complex_table" not in vars(tw.phi)
 
 
 def test_double_dual_identity_and_composition(rng):

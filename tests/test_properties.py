@@ -19,6 +19,7 @@ from natorus import (
     check_multiplier_relation,
     coboundary2,
     is_trivial_on,
+    kernel_product,
     make_group,
     restrict,
     strictified_product,
@@ -28,7 +29,7 @@ from natorus import (
     verify_duality,
 )
 from natorus.cochains import _sweep_dtype
-from natorus.crossed import _transformed_product
+from natorus.crossed import _DualityRows
 from natorus.groups import subgroup_elements
 from natorus.presets import pauli_m2_twist
 
@@ -92,11 +93,18 @@ def test_scalar_twist_duality_and_transform_roundtrip(factors, seed):
 
 
 def assert_transformed_product_is_the_definition(tw, psi, include_multiplier, rng):
+    """The streamed rows of both sides of verify_duality, stacked, against the
+    definitions: transform(a * b) and transform(a) * transform(b)."""
     a = StrictifiedElement.random(tw, rng)
     b = StrictifiedElement.random(tw, rng)
+    rows = list(_DualityRows(tw, psi, include_multiplier)(a.values, b.values))
+    assert [w for w, _, _ in rows] == list(range(tw.group.order))
+    bound = 1e-12 * a.norm() * b.norm()
     expected = takai_transform(strictified_product(a, b, psi), psi, include_multiplier).data
-    got = _transformed_product(tw, psi, include_multiplier)(a.values, b.values)
-    assert np.max(np.abs(got - expected)) <= 1e-12 * a.norm() * b.norm()
+    assert np.max(np.abs(np.stack([lhs for _, lhs, _ in rows]) - expected)) <= bound
+    ta, tb = (takai_transform(x, psi, include_multiplier) for x in (a, b))
+    expected = kernel_product(ta, tb).data
+    assert np.max(np.abs(np.stack([rhs for _, _, rhs in rows]) - expected)) <= bound
 
 
 @pytest.mark.parametrize("include_multiplier", [True, False])
