@@ -55,6 +55,18 @@ def exp_phases(table: np.ndarray, den: int) -> np.ndarray:
     return np.exp(2j * np.pi * table / den)
 
 
+def _require_denominator(den: int) -> None:
+    """Refuse a denominator below 1 or above 2^62, the bound of
+    common_denominator: below it, numerators and sums of two of them fit in
+    int64."""
+    if den < 1:
+        raise CochainError(f"denominator must be positive, got {den}")
+    if den > 2**62:
+        raise CochainError(
+            f"denominator {den} exceeds 2^62; sums of its numerators would not fit in int64"
+        )
+
+
 class CochainTable:
     """A normalized k-cochain as an integer table over a common denominator."""
 
@@ -72,12 +84,7 @@ class CochainTable:
         refused, the bound of common_denominator: below it, numerators and sums
         of two of them fit in int64.
         """
-        if den < 1:
-            raise CochainError(f"denominator must be positive, got {den}")
-        if den > 2**62:
-            raise CochainError(
-                f"denominator {den} exceeds 2^62; sums of its numerators would not fit in int64"
-            )
+        _require_denominator(den)
         if reduce:
             table = table % den
         n = group.order
@@ -281,6 +288,7 @@ def _tabulate(group, arity, fn):
         p = Phase(fn(*(elems[i] for i in idx)))
         values[idx] = p
         den = lcm(den, p.denominator)
+    _require_denominator(den)  # before any numerator is written to int64
     table = np.empty(values.shape, dtype=np.int64)
     for idx in np.ndindex(*values.shape):
         p = values[idx]
@@ -299,6 +307,7 @@ def _from_entries(group, arity, entries):
         p = Phase.parse(value)
         parsed.append((idx, p))
         den = lcm(den, p.denominator)
+    _require_denominator(den)  # before any numerator is written to int64
     table = np.zeros((n,) * arity, dtype=np.int64)
     for idx, p in parsed:
         table[idx] = p.numerator * (den // p.denominator)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .cochains import Cochain2, Cochain3, coboundary2, common_denominator, exp_phases
 from .elements import ArrayElement
-from .errors import IncompatibleGroupsError, TwistDataError
+from .errors import ConfigError, IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel
 
@@ -550,8 +550,9 @@ def verify_duality(
 ) -> DualityReport:
     """Check transform(a * b) = transform(a) * transform(b) (psi-twisted kernels).
 
-    Exhaustive over basis pairs when |G|^2 dim(B)^2 <= 64, else seeded random
-    pairs. The left side is computed in the transform's coordinates,
+    Exhaustive over basis pairs when |G|^2 dim(B)^2 <= 64 (trials is then
+    ignored), else `trials` seeded random pairs; fewer than one is refused
+    with ConfigError. The left side is computed in the transform's coordinates,
 
         transform(a * b)(w, z) = sum_y L(w, y) b(y - z, z) R(w, y, z),
 
@@ -590,6 +591,8 @@ def verify_duality(
         errors = max_errors(check(basis[:, None], basis[None, :]))
     else:
         mode = "random"
+        if trials < 1:
+            raise ConfigError(f"trials {trials!r} must be a positive integer in random mode")
         rng = np.random.default_rng(seed)
 
         def draw(size):

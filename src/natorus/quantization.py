@@ -469,36 +469,64 @@ def _as_operators(blocks: np.ndarray) -> np.ndarray:
     return np.swapaxes(blocks, -3, -2).reshape(*lead, d * nm, d * nm)
 
 
+def _homogeneous_products(
+    group: FiniteAbelianGroup,
+    multiplicity: int,
+    wtable: np.ndarray,
+    left: np.ndarray,
+    i1: int,
+    rights: np.ndarray,
+    i2: np.ndarray,
+) -> np.ndarray:
+    """left xi_chi1[rights[k]] u(chi1, chi2[k]) for every k, as a (k, D, D) stack.
+
+    `left` is one degree-chi1 block (chi1 at index i1) and `rights` a stack of
+    blocks of degrees chi2[k] (indices i2), all (D, D) operators in the form
+    of _as_operators, D = d nm. xi_chi1 gathers the operator leg at sigma
+    within every algebra block; u(chi1, chi2) scales the columns at point
+    alpha of l2(Ghat) by wtable[alpha, chi1, chi2] = exp(2 pi i phi(alpha,
+    chi1, chi2)). One batched matmul serves the whole stack.
+    """
+    nm = group.order * multiplicity
+    d = left.shape[-1] // nm
+    legs = np.arange(d)[:, None] * nm
+    perm = (legs + _rho_permutation(group, i1, multiplicity)[None, :]).ravel()
+    u = np.tile(np.repeat(wtable[:, i1, i2], multiplicity, axis=0), (d, 1)).T
+    moved = rights[:, perm[:, None], perm[None, :]] * u[:, None, :]
+    return left @ moved
+
+
+def _require_phi_on(group: FiniteAbelianGroup, phi: Cochain3) -> None:
+    """phi must be a 3-cocycle on the dual of `group` (same factors)."""
+    if phi.group.factors != group.factors:
+        raise IncompatibleGroupsError("phi must live on the dual group (same factors)")
+    require_cocycle3(phi)  # rejects non-cocycle phi before any arithmetic
+
+
 def deformed_product(a: GradedElement, b: GradedElement, phi: Cochain3) -> GradedElement:
     """(a * b)_chi = sum_{chi1+chi2=chi} a_chi1 xi_chi1[b_chi2] u(chi1, chi2).
 
     phi must be a 3-cocycle; the O(n^4) check runs once per cochain and is
-    cached on it, so repeated products with one phi do not repeat it. Each
-    degree pair is one (d nm) x (d nm) matrix product, batched over chi2.
+    cached on it, so repeated products with one phi do not repeat it. The
+    nonzero blocks of b are stacked as (d nm) x (d nm) operators once, and
+    each nonzero degree chi1 of a is one _homogeneous_products call against
+    that whole stack.
     """
     a._check(b)
     g = a.action.group
-    if phi.group.factors != g.factors:
-        raise IncompatibleGroupsError("phi must live on the dual group (same factors)")
-    require_cocycle3(phi)  # rejects non-cocycle phi before any arithmetic
+    _require_phi_on(g, phi)
     n, d = g.order, a.action.dim
     m = a.multiplicity
     nm = n * m
     add = g.add_table
     out = np.zeros((n, d * nm, d * nm), dtype=complex)
-    wtable = phi.complex_table  # u(chi1, chi2) diagonal = wtable[:, i1, i2]
+    wtable = phi.complex_table
     nonzero_a = [i for i in range(n) if a.blocks[i].any()]
     nonzero_b = np.array([i for i in range(n) if b.blocks[i].any()], dtype=np.int64)
     b_ops = _as_operators(b.blocks[nonzero_b])
-    legs = np.arange(d)[:, None] * nm
     for i1 in nonzero_a:
-        # xi_chi1 gathers the operator leg at sigma within every algebra block;
-        # u(chi1, chi2) scales the columns at point alpha of l2(Ghat) by
-        # exp(2 pi i phi(alpha, chi1, chi2)).
-        perm = (legs + _rho_permutation(g, i1, m)[None, :]).ravel()
-        u = np.tile(np.repeat(wtable[:, i1, nonzero_b], m, axis=0), (d, 1)).T
-        moved = b_ops[:, perm[:, None], perm[None, :]] * u[:, None, :]
-        out[add[i1, nonzero_b]] += _as_operators(a.blocks[i1]) @ moved
+        left = _as_operators(a.blocks[i1])
+        out[add[i1, nonzero_b]] += _homogeneous_products(g, m, wtable, left, i1, b_ops, nonzero_b)
     blocks = out.reshape(n, d, nm, d, nm).transpose(0, 1, 3, 2, 4)
     return GradedElement(a.action, m, blocks)
 
@@ -605,32 +633,49 @@ def associator_table(
 ) -> AssociatorReport:
     """Measure a_xi * (b_eta * c_zeta) against exp(2 pi i phi) (a_xi * b_eta) * c_zeta.
 
-    Runs over every character triple with generic homogeneous elements;
-    degrees with an empty isotypic component are skipped.
+    Runs over every character triple with generic homogeneous elements, drawn
+    from rng in character order; degrees with an empty isotypic component are
+    skipped. The k homogeneous elements are stacked as (D, D) operators H,
+    D = d |G| multiplicity, and the product table P[eta, zeta] = H_eta * H_zeta
+    is computed once, k kernel calls of k products each. Each (xi, eta) pair
+    is then one chunk of k triples: a * (b * c) = H_xi * P[eta, :] and
+    (a * b) * c = P[xi, eta] * H_: are two _homogeneous_products calls, and
+    the relative Frobenius deviations come from those two stacks. Only P and
+    one chunk's stacks (k D^2 entries each) are held at a time, so memory
+    does not grow with the k^3 triples.
     """
+    g = action.group
+    _require_phi_on(g, phi)
     if rng is None:
         rng = np.random.default_rng(0)
-    g = action.group
-    homog = {}
-    for chi in g.elements:
-        h = action.random_homogeneous(chi, rng)
-        if np.abs(h).max() > 1e-12:
-            homog[chi] = GradedElement.homogeneous(action, chi, h, multiplicity)
-    found = {}
-    for eta, b in homog.items():
-        ab = {xi: deformed_product(a, b, phi) for xi, a in homog.items()}
-        for zeta, c in homog.items():
-            bc = deformed_product(b, c, phi)
-            for xi, a in homog.items():
-                lhs = deformed_product(a, bc, phi)
-                rhs = deformed_product(ab[xi], c, phi)
-                expected = phi.value(xi, eta, zeta)
-                scaled = rhs * expected.to_complex()
-                denom = max(rhs.norm(), 1e-30)
-                dev = float((lhs - scaled).norm() / denom)
-                found[xi, eta, zeta] = AssociatorEntry(
-                    (xi.coords, eta.coords, zeta.coords), expected, dev
-                )
-    entries = [found[xi, eta, zeta] for xi in homog for eta in homog for zeta in homog]
+    drawn = np.array([action.random_homogeneous(chi, rng) for chi in g.elements])
+    degrees = np.nonzero(np.abs(drawn).max(axis=(1, 2)) > 1e-12)[0]
+    nm = g.order * multiplicity
+    k, dim = degrees.size, action.dim * nm
+    # each homogeneous block carries the identity on its operator leg
+    ops = np.einsum("kij,pq->kipjq", drawn[degrees], np.eye(nm)).reshape(k, dim, dim)
+    add = g.add_table
+    wtable = phi.complex_table
+
+    def products(left, i1, rights, i2):
+        return _homogeneous_products(g, multiplicity, wtable, left, i1, rights, i2)
+
+    table = np.empty((k, k, dim, dim), dtype=complex)  # P[eta, zeta]
+    for e, eta in enumerate(degrees):
+        table[e] = products(ops[e], eta, ops, degrees)
+    coords = [g.elements[i].coords for i in degrees]
+    entries = []
+    for x, xi in enumerate(degrees):
+        for e, eta in enumerate(degrees):
+            lhs = products(ops[x], xi, table[e], add[eta, degrees])
+            rhs = products(table[x, e], add[xi, eta], ops, degrees)
+            expected = [Phase(int(phi.table[xi, eta, zeta]), phi.den) for zeta in degrees]
+            scale = np.array([p.to_complex() for p in expected])
+            dev = np.linalg.norm(lhs - rhs * scale[:, None, None], axis=(1, 2))
+            dev /= np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-30)
+            entries.extend(
+                AssociatorEntry((coords[x], coords[e], coords[z]), expected[z], float(dev[z]))
+                for z in range(k)
+            )
     max_error = max((e.deviation for e in entries), default=0.0)
     return AssociatorReport(max_error, tol, max_error <= tol, entries)

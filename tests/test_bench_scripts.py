@@ -46,3 +46,11 @@ def test_sweep_ladder_runs_one_order():
     assert all(s > 0 for s in point["sweep_s"].values())
     assert set(point["ns_per_cell"]) == set(point["sweep_s"]) - {"cocycle3_witness"}
     assert point["peak_rss_mb"] > 0
+
+
+def test_associator_ladder_runs_one_order():
+    point = run_one_order("associator_ladder.py")
+    assert point["order"] == 8 and point["factors"] == [2, 2, 2] and point["den"] == 2
+    assert point["operator_dim"] == 64 and point["triples"] == 512 and point["repeats"] == 5
+    assert point["associator_s"] > 0 and point["max_error"] < 1e-10
+    assert point["peak_rss_mb"] > 0

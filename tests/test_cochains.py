@@ -122,6 +122,16 @@ def test_denominator_past_int64_is_refused_without_overflow():
         one_entry(2**63 + 5, 1)
 
 
+@pytest.mark.parametrize("d", [2**63 + 5, 2**63 - 25])
+def test_entries_past_2_62_are_refused_before_the_table_is_filled(d):
+    # 2^63 + 5 used to raise a raw OverflowError while writing the numerator.
+    g = make_group([3])
+    with pytest.raises(CochainError, match="exceeds 2\\^62"):
+        Cochain2.from_entries(g, {((1,), (1,)): f"{d - 1}/{d}"})
+    with pytest.raises(CochainError, match="exceeds 2\\^62"):
+        Cochain2.from_function(g, lambda a, b: Phase(d - 1, d) if a.index and b.index else 0)
+
+
 def test_equality_past_int64_compares_lowest_terms():
     # lcm(p, q) > 2^62: a common denominator used to make == raise CochainError.
     p, q = 2**31 - 1, 2**31 + 11

@@ -9,6 +9,7 @@ import pytest
 from natorus import (
     Cochain2,
     Cochain3,
+    ConfigError,
     CrossedElement,
     StrictifiedElement,
     Tricharacter,
@@ -209,6 +210,18 @@ def test_duality_controls_fail_on_the_scalar_z4_twist(control):
     assert report.mode == "random" and report.trials == 8
     assert report.max_error > 1e-3
     assert report.witness[0] == "trial"
+
+
+@pytest.mark.parametrize("trials", [-1, 0])
+def test_duality_random_mode_refuses_fewer_than_one_trial(trials):
+    # -1 used to raise numpy's ValueError, 0 to return a vacuous pass.
+    tw = z4_scalar_twist()
+    with pytest.raises(ConfigError, match="positive integer"):
+        verify_duality(tw, epsilon_tricharacter_z4(), trials=trials)
+    # the exhaustive mode (n^2 d^2 <= 64) still ignores trials
+    small = TwistData.trivial(make_group([4]), dim=2)
+    report = verify_duality(small, Cochain3.zero(small.group), trials=trials)
+    assert report.mode == "exhaustive" and report.passed and report.trials == 64 * 64
 
 
 def per_pair_duality(tw, psi, trials, seed, include_multiplier):

@@ -247,6 +247,77 @@ def test_associator_table_octonion_phi():
     assert report.max_error < 1e-10
 
 
+def associator_table_reference(action, phi, rng, multiplicity=1):
+    """(degrees, expected, deviation) per triple, one deformed_product per product."""
+    homog = {}
+    for chi in action.group.elements:
+        h = action.random_homogeneous(chi, rng)
+        if np.abs(h).max() > 1e-12:
+            homog[chi] = GradedElement.homogeneous(action, chi, h, multiplicity)
+    rows = []
+    for xi, a in homog.items():
+        for eta, b in homog.items():
+            ab = deformed_product(a, b, phi)
+            for zeta, c in homog.items():
+                lhs = deformed_product(a, deformed_product(b, c, phi), phi)
+                rhs = deformed_product(ab, c, phi)
+                expected = phi.value(xi, eta, zeta)
+                dev = (lhs - rhs * expected.to_complex()).norm() / max(rhs.norm(), 1e-30)
+                rows.append(((xi.coords, eta.coords, zeta.coords), expected, dev))
+    return rows
+
+
+def _octonion_case():
+    return translation_action(make_group([2, 2, 2])), octonion_associator_tricharacter(), 1
+
+
+def _non_symmetric_case():
+    # phi = (x0 y0 z0 + 2 x0 y0 z1) / 4, so phi(xi, eta, zeta) != phi(zeta, eta, xi)
+    action = translation_action(make_group([4, 2]))
+    tensor = np.zeros((2, 2, 2), dtype=int)
+    tensor[0, 0, 0], tensor[0, 0, 1] = 1, 2
+    return action, Tricharacter(action.group.dual, tensor, 4), 1
+
+
+def _m4_multiplicity_2_case():
+    action = m4_conjugation_action()
+    return action, Tricharacter(action.group.dual, [[[1]]], 4), 2
+
+
+def _empty_component_case():
+    # Z/2 acting trivially on functions on two points: the odd component is empty
+    action = GAction.from_permutation_generators(make_group([2]), 2, [[0, 1]])
+    return action, Tricharacter(action.group.dual, [[[1]]], 2), 1
+
+
+@pytest.mark.parametrize(
+    "case", [_octonion_case, _non_symmetric_case, _m4_multiplicity_2_case, _empty_component_case]
+)
+def test_associator_table_matches_per_triple_products(case):
+    action, phi, multiplicity = case()
+    report = associator_table(action, phi, np.random.default_rng(7), multiplicity)
+    expected = associator_table_reference(action, phi, np.random.default_rng(7), multiplicity)
+    assert [(e.degrees, e.expected) for e in report.entries] == [row[:2] for row in expected]
+    deviations = np.array([e.deviation for e in report.entries])
+    assert np.allclose(deviations, [row[2] for row in expected], rtol=0.0, atol=1e-14)
+    assert report.max_error == deviations.max() and report.passed
+    if case is _non_symmetric_case:
+        assert any(e.expected != phi.value(*e.degrees[::-1]) for e in report.entries)
+    if case is _empty_component_case:
+        assert [e.degrees for e in report.entries] == [((0,), (0,), (0,))]
+
+
+def test_associator_table_rejects_non_cocycle_before_drawing(trans4):
+    g = trans4.group.dual
+    bad = Cochain3.from_entries(g, [((g.elements[1], g.elements[1], g.elements[1]), "1/2")])
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(NotACocycleError) as caught:
+        associator_table(trans4, bad, rng)
+    assert caught.value.witness == cocycle3_witness(bad)
+    assert rng.bit_generator.state == state
+
+
 def test_represent_identity_has_unit_norm(trans4):
     a = GradedElement.from_matrix(trans4, trans4.algebra.identity)
     zero = Cochain3.zero(trans4.group.dual)
