@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -198,23 +198,31 @@ def _lowest_terms(table: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return (table // g, den // g) if g > 1 else (table, den)
 
 
-class Cochain2(CochainTable):
-    """A normalized 2-cochain on G with values in Q/Z."""
+class _FixedArity(CochainTable):
+    """The constructors shared by Cochain2 and Cochain3, whose arity is ARITY."""
+
+    ARITY: int
 
     def __init__(self, group: FiniteAbelianGroup, table, den: int):
-        super().__init__(group, 2, table, den)
+        super().__init__(group, self.ARITY, table, den)
 
     @classmethod
-    def from_function(cls, group: FiniteAbelianGroup, fn: Callable) -> "Cochain2":
-        return cls(*_tabulate(group, 2, fn))
+    def from_function(cls, group: FiniteAbelianGroup, fn: Callable):
+        return cls(*_tabulate(group, cls.ARITY, fn))
 
     @classmethod
-    def from_entries(cls, group: FiniteAbelianGroup, entries: Mapping) -> "Cochain2":
-        return cls(*_from_entries(group, 2, entries))
+    def from_entries(cls, group: FiniteAbelianGroup, entries: Mapping):
+        return cls(*_from_entries(group, cls.ARITY, entries))
 
     @classmethod
-    def zero(cls, group: FiniteAbelianGroup) -> "Cochain2":
-        return cls(group, np.zeros((group.order,) * 2, dtype=np.int64), 1)
+    def zero(cls, group: FiniteAbelianGroup):
+        return cls(group, np.zeros((group.order,) * cls.ARITY, dtype=np.int64), 1)
+
+
+class Cochain2(_FixedArity):
+    """A normalized 2-cochain on G with values in Q/Z."""
+
+    ARITY = 2
 
     @cached_property
     def coboundary(self) -> "Cochain3":
@@ -233,43 +241,21 @@ class Cochain2(CochainTable):
         return Cochain3._from_table(self.group, 3, out, self.den)
 
 
-class Cochain3(CochainTable):
+class Cochain3(_FixedArity):
     """A normalized 3-cochain on G with values in Q/Z."""
 
-    def __init__(self, group: FiniteAbelianGroup, table, den: int):
-        super().__init__(group, 3, table, den)
-
-    @classmethod
-    def from_function(cls, group: FiniteAbelianGroup, fn: Callable) -> "Cochain3":
-        return cls(*_tabulate(group, 3, fn))
-
-    @classmethod
-    def from_entries(cls, group: FiniteAbelianGroup, entries: Mapping) -> "Cochain3":
-        return cls(*_from_entries(group, 3, entries))
-
-    @classmethod
-    def zero(cls, group: FiniteAbelianGroup) -> "Cochain3":
-        return cls(group, np.zeros((group.order,) * 3, dtype=np.int64), 1)
+    ARITY = 3
 
     @cached_property
     def coboundary_witness(self) -> tuple | None:
         """First (w,x,y,z) index tuple where delta phi != 0, or None.
 
-        The table is read-only, so the O(n^4) sweep runs once per cochain and
-        every cocycle check on it reads this cached answer. The sweep does
-        exact residue arithmetic on a copy of the table in the narrowest safe
-        type (`_SweepTable`): uint8 when den divides 256, else the first of
-        int16, int32 and int64 that holds 5 * (den - 1), else Python integers.
-        The copy is dropped when the sweep ends.
+        The table is read-only, so the O(n^4) sweep (`_sweep`, one w-slice at
+        a time in the narrowest exact type) runs once per cochain and every
+        cocycle check on it, including check_multiplier_relation, reads this
+        cached answer.
         """
-        residues = _SweepTable(self)
-        add = self.group.add_table
-        for w in range(self.group.order):
-            chunk = _coboundary3_slice(residues, add, w)
-            if chunk.any():
-                x, y, z = np.argwhere(chunk)[0]
-                return (w, int(x), int(y), int(z))
-        return None
+        return _sweep_witness(self, _coboundary3_slice)
 
     def is_alternating(self) -> bool:
         """True when the value dies on any repeated argument."""
@@ -281,34 +267,39 @@ class Cochain3(CochainTable):
 
 def _tabulate(group, arity, fn):
     elems = group.elements
-    n = group.order
-    values = np.empty((n,) * arity, dtype=object)
-    den = 1
-    for idx in np.ndindex(*values.shape):
-        p = Phase(fn(*(elems[i] for i in idx)))
-        values[idx] = p
-        den = lcm(den, p.denominator)
-    _require_denominator(den)  # before any numerator is written to int64
-    table = np.empty(values.shape, dtype=np.int64)
-    for idx in np.ndindex(*values.shape):
-        p = values[idx]
-        table[idx] = p.numerator * (den // p.denominator)
-    return group, table, den
+    cells = (
+        (idx, fn(*(elems[i] for i in idx))) for idx in np.ndindex(*(group.order,) * arity)
+    )
+    return _exact_table(group, arity, cells, Phase)
 
 
 def _from_entries(group, arity, entries):
-    n = group.order
-    den = 1
+    def cells():
+        for args, value in entries.items() if isinstance(entries, Mapping) else entries:
+            idx = tuple(group.element(a).index for a in args)
+            if len(idx) != arity:
+                raise CochainError(f"entry {args} has wrong arity, expected {arity}")
+            yield idx, value
+
+    return _exact_table(group, arity, cells(), Phase.parse)
+
+
+def _exact_table(group, arity, cells, parse):
+    """(group, int64 table, den) from (index, value) cells, each value read by
+    `parse` into a Phase; cells not given are zero. A value that is no phase
+    raises CochainError, and so does the lcm denominator above 2^62, before
+    any numerator is written to int64."""
     parsed = []
-    for args, value in entries.items() if isinstance(entries, Mapping) else entries:
-        idx = tuple(group.element(a).index for a in args)
-        if len(idx) != arity:
-            raise CochainError(f"entry {args} has wrong arity, expected {arity}")
-        p = Phase.parse(value)
+    den = 1
+    for idx, value in cells:
+        try:
+            p = parse(value)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise CochainError(f"value {value!r} at index {idx} is not a phase: {exc}") from None
         parsed.append((idx, p))
         den = lcm(den, p.denominator)
-    _require_denominator(den)  # before any numerator is written to int64
-    table = np.zeros((n,) * arity, dtype=np.int64)
+    _require_denominator(den)
+    table = np.zeros((group.order,) * arity, dtype=np.int64)
     for idx, p in parsed:
         table[idx] = p.numerator * (den // p.denominator)
     return group, table, den
@@ -446,50 +437,53 @@ def _sweep_dtype(den: int) -> np.dtype:
     return np.dtype(object)
 
 
-class _SweepTable:
-    """A cochain's table in `_sweep_dtype(den)`, the working copy of one sweep.
+def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
+    """chunk(table, group, i) mod den for each index i of phi's first slot.
 
-    Made once per sweep and dropped with it, never cached on the cochain. In
-    the int64 case it is the cochain's own read-only table, not a copy.
+    The one driver of the exact n^4 sweeps. `table` is a copy of phi's table
+    in `_sweep_dtype(den)` (phi's own read-only table in the int64 case),
+    made here and dropped when the sweep ends, never cached on the cochain.
+    A chunk sums at most five signed entries of it and may be built in place;
+    the driver reduces it mod den in place (for uint8, whose wraparound is
+    already arithmetic mod 256, by masking).
     """
-
-    def __init__(self, phi: CochainTable):
-        self.den = phi.den
-        self.table = phi.table.astype(_sweep_dtype(phi.den), copy=False)
-
-    def reduce(self, chunk: np.ndarray) -> np.ndarray:
-        """chunk mod den in place, for a chunk summed from this table's entries."""
-        if chunk.dtype != np.uint8:
-            np.remainder(chunk, self.den, out=chunk)
-        elif self.den != 256:
-            np.bitwise_and(chunk, self.den - 1, out=chunk)
-        return chunk
+    den = phi.den
+    table = phi.table.astype(_sweep_dtype(den), copy=False)
+    for i in range(phi.group.order):
+        out = chunk(table, phi.group, i)
+        if out.dtype != np.uint8:
+            np.remainder(out, den, out=out)
+        elif den != 256:
+            np.bitwise_and(out, den - 1, out=out)
+        yield out
 
 
-def _coboundary3_slice(residues: _SweepTable, add: np.ndarray, w: int) -> np.ndarray:
-    """(delta phi)(w, x, y, z) mod den over all (x, y, z), for one index w.
+def _sweep_witness(phi: CochainTable, chunk: Callable) -> tuple | None:
+    """(i, *index of the first nonzero entry in chunk i) over `_sweep`, or None."""
+    for i, out in enumerate(_sweep(phi, chunk)):
+        if out.any():
+            return (i, *(int(v) for v in np.argwhere(out)[0]))
+    return None
 
-    Exact residue arithmetic in the sweep table's type, whose range holds the
-    five terms' signed sum (bound 5 * (den - 1), see `_sweep_dtype`); the
-    chunk is built in place and indexed [x, y, z].
-    """
-    t = residues.table
+
+def _coboundary3_slice(t: np.ndarray, group: FiniteAbelianGroup, w: int) -> np.ndarray:
+    """(delta phi)(w, x, y, z) over all (x, y, z) before reduction, for one
+    index w: a `_sweep` chunk, built in place and indexed [x, y, z]."""
+    add = group.add_table
     tw = t[w]
     out = tw[add]  # phi(w, x+y, z)
     out -= t[add[w]]  # phi(w+x, y, z)
     out += t  # phi(x, y, z)
     out -= tw[:, add]  # phi(w, x, y+z)
     out += tw[:, :, None]  # phi(w, x, y)
-    return residues.reduce(out)
+    return out
 
 
 def coboundary3(phi: Cochain3) -> CochainTable:
     """(delta phi)(w,x,y,z) with the alternating-sum convention; arity-4 int64 table."""
-    n = phi.group.order
-    residues = _SweepTable(phi)
-    out = np.empty((n, n, n, n), dtype=np.int64)
-    for w in range(n):
-        out[w] = _coboundary3_slice(residues, phi.group.add_table, w)
+    out = np.empty((phi.group.order,) * 4, dtype=np.int64)
+    for w, chunk in enumerate(_sweep(phi, _coboundary3_slice)):
+        out[w] = chunk
     return CochainTable._from_table(phi.group, 4, out, phi.den)
 
 
@@ -554,29 +548,21 @@ def check_multiplier_relation(phi: Cochain3):
     """Exhaustive exact check of
         phi(a,b,c) u(a,b) u(a+b,c) = xi_a[u(b,c)] u(a,b+c)
     on diagonal entries, where xi_a translates the diagonal by a. Returns None
-    on success, else the first failing (a, b, c, entry) index tuple.
+    on success, else a failing (a, b, c, entry) index tuple.
 
-    Exact residue arithmetic on a copy of the table in the narrowest safe type:
-    uint8 when den divides 256, else the first of int16, int32 and int64 that
-    holds 5 * (den - 1), the bound on a step's five signed residues, else
-    Python integers (see `_sweep_dtype`). Chunks are built in place in [entry, b, c] order;
-    the witness is the first failing (b, c, entry) in that order.
+    With u(b, c)(g) = exp(2 pi i phi(g, b, c)) the defect at (a, b, c, g) is
+    (delta phi)(g, a, b, c), term for term, so the relation holds exactly
+    when phi is a 3-cocycle. The check therefore reads the cached cocycle
+    sweep (`Cochain3.coboundary_witness`): a cold call costs one sweep, a
+    warm one none. The witness (w, x, y, z) is returned as (x, y, z, w), the
+    first failing cell in that sweep's (w, x, y, z) order, not in (a, b, c,
+    entry) order.
     """
-    n = phi.group.order
-    add = phi.group.add_table
-    residues = _SweepTable(phi)
-    t = residues.table
-    for a in range(n):
-        ta = t[:, a, :]  # u(a, b)(g) = phi(g, a, b), indexed [g, b]
-        bad = t[:, add[a], :]  # u(a+b, c)(g)
-        bad += t[a]  # phi(a, b, c)
-        bad += ta[:, :, None]  # u(a, b)(g)
-        bad -= t[add[:, a]]  # xi_a[u(b, c)](g) = u(b, c)(g + a)
-        bad -= ta[:, add]  # u(a, b+c)(g)
-        if residues.reduce(bad).any():
-            b, c, g = np.argwhere(bad.transpose(1, 2, 0))[0]
-            return (a, int(b), int(c), int(g))
-    return None
+    witness = phi.coboundary_witness
+    if witness is None:
+        return None
+    g, a, b, c = witness
+    return (a, b, c, g)
 
 
 # ----------------------------------------------------------- restriction

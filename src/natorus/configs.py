@@ -321,9 +321,6 @@ class RunConfig:
     seed: int = 0
     format: str = "json"
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
     def require(self, key: str):
         if key not in self.raw:
             raise ConfigError(f"config {self.path} is missing required key {key!r}")
@@ -331,15 +328,6 @@ class RunConfig:
 
     def group(self) -> FiniteAbelianGroup:
         return parse_group(self.require("group"))
-
-    def cochain3(self, key: str = "phi") -> Cochain3:
-        return parse_cochain3(self.group(), self.require(key))
-
-    def cochain2(self, key: str = "sigma") -> Cochain2:
-        return parse_cochain2(self.group(), self.require(key))
-
-    def action(self) -> GAction:
-        return parse_action(self.group(), self.raw.get("action"))
 
     def twist(self) -> TwistData:
         return parse_twist(self.require("twist"))

@@ -62,6 +62,8 @@ class TwistData:
         validate: bool = True,
         tol: float = 1e-10,
     ):
+        if dim < 1:
+            raise TwistDataError(f"dim must be at least 1, got {dim}")
         n = group.order
         if beta is None:
             beta = np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy()
@@ -110,14 +112,6 @@ class TwistData:
         return cls(group, dim, beta=beta, u=u, phi=phi)
 
     # ------------------------------------------------------------- queries
-
-    def beta_apply(self, t, b: np.ndarray) -> np.ndarray:
-        v = self.beta[self.group.element(t).index]
-        return v @ b @ v.conj().T
-
-    def beta_inverse_apply(self, t, b: np.ndarray) -> np.ndarray:
-        v = self.beta[self.group.element(t).index]
-        return v.conj().T @ b @ v
 
     def multiplier(self, x, y) -> np.ndarray:
         g = self.group
@@ -294,11 +288,6 @@ class StrictifiedElement(_TwistElement):
         g = twist.group
         vals[g.element(at).index, g.element(x).index] = np.eye(d) if value is None else value
         return cls(twist, vals)
-
-    def multiply_function(self, f) -> "StrictifiedElement":
-        """The C0(G) action: pointwise multiplication in the second slot."""
-        f = np.asarray(f, dtype=complex)
-        return self._sibling(self.values * f[None, :, None, None])
 
 
 def strictified_product(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain3, _SweepTable, exp_phases
+from .cochains import Cochain3, _sweep_witness, exp_phases
 from .elements import ArrayElement
 from .errors import CochainError, IncompatibleGroupsError, NotACocycleError
 from .groups import FiniteAbelianGroup
@@ -164,25 +164,21 @@ def multiplier_combination(phi: Cochain3, xi, eta, zeta) -> np.ndarray:
     return u12 * u12_3 * np.conj(u1_23) * np.conj(translated)
 
 
-def _combination_defect_chunk(
-    residues: _SweepTable, add: np.ndarray, sub: np.ndarray, ix: int
-) -> np.ndarray:
-    """Exact exponent of the combination minus phi(eta,zeta,xi), indexed [eta, zeta, x].
+def _combination_defect_chunk(t: np.ndarray, group: FiniteAbelianGroup, ix: int) -> np.ndarray:
+    """Exponent of the combination minus phi(eta,zeta,xi), indexed [eta, zeta, x].
 
     With u(xi, eta)(x) = exp(2 pi i t[xi, eta, x]) the combination exponent is
         t[xi, eta, x] + t[xi+eta, zeta, x] - t[xi, eta+zeta, x] - t[eta, zeta, x-xi].
-    Exact residue arithmetic in the sweep table's type, whose range holds the
-    five terms' signed sum (bound 5 * (den - 1), see `cochains._sweep_dtype`);
-    the chunk is built in place.
+    A `cochains._sweep` chunk for one xi, built in place before reduction.
     """
-    t = residues.table
+    add, sub = group.add_table, group.sub_table
     ti = t[ix]
     out = t[add[ix]]  # t[xi+eta, zeta, x]
     out += ti[:, None, :]  # t[xi, eta, x]
     out -= ti[add]  # t[xi, eta+zeta, x]
     out -= t[:, :, sub[:, ix]]  # t[eta, zeta, x-xi]
     out -= t[:, :, ix][:, :, None]  # phi(eta, zeta, xi)
-    return residues.reduce(out)
+    return out
 
 
 def associativity_cocycle(phi: Cochain3, xi, eta, zeta) -> Phase:
@@ -210,17 +206,7 @@ def associativity_cocycle_sweep(phi: Cochain3):
     Verifies that the combination of multipliers equals exp(2 pi i phi(eta,
     zeta, xi)) pointwise. Returns None on success, else the first failing
     (xi, eta, zeta, x) index tuple. Chunked over xi so the full fourth-power
-    table is never materialized. Each step is exact residue arithmetic on a
-    copy of the table in the narrowest safe type: uint8 when den divides 256,
-    else the first of int16, int32 and int64 that holds the five terms'
-    signed sum, 5 * (den - 1), else Python integers (see
-    `cochains._sweep_dtype`).
+    table is never materialized; exact residue arithmetic in the narrowest
+    safe type (see `cochains._sweep`).
     """
-    g = phi.group
-    residues = _SweepTable(phi)
-    for ix in range(g.order):
-        bad = _combination_defect_chunk(residues, g.add_table, g.sub_table, ix)
-        if bad.any():
-            e, z, x = np.argwhere(bad)[0]
-            return (ix, int(e), int(z), int(x))
-    return None
+    return _sweep_witness(phi, _combination_defect_chunk)

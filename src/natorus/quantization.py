@@ -313,6 +313,14 @@ def grading_check(action: GAction, tol: float = 1e-10) -> GradingReport:
 # ------------------------------------------------------------ graded elements
 
 
+def _operator_dim(group: FiniteAbelianGroup, multiplicity: int) -> int:
+    """nm = |Ghat| * multiplicity, the size of the operator leg; a multiplicity
+    below 1 raises GradingError."""
+    if multiplicity < 1:
+        raise GradingError(f"multiplicity must be at least 1, got {multiplicity}")
+    return group.order * multiplicity
+
+
 class GradedElement(ArrayElement):
     """A graded element: one block per character, each in A (x) End(l2(Ghat) (x) C^m).
 
@@ -326,7 +334,7 @@ class GradedElement(ArrayElement):
 
     def __init__(self, action: GAction, multiplicity: int, blocks: np.ndarray):
         n, d = action.group.order, action.dim
-        nm = n * multiplicity
+        nm = _operator_dim(action.group, multiplicity)
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.shape != (n, d, d, nm, nm):
             raise GradingError(
@@ -343,7 +351,7 @@ class GradedElement(ArrayElement):
         """Isotypically decompose a plain algebra element; operator legs = 1."""
         comps = action.isotypic_components(np.asarray(mat, dtype=complex))
         n, d = action.group.order, action.dim
-        nm = n * multiplicity
+        nm = _operator_dim(action.group, multiplicity)
         blocks = np.zeros((n, d, d, nm, nm), dtype=complex)
         rng_idx = np.arange(nm)
         blocks[:, :, :, rng_idx, rng_idx] = comps[:, :, :, None]
@@ -361,7 +369,7 @@ class GradedElement(ArrayElement):
         """Build from {chi: block}; (d, d) blocks get identity operator legs."""
         g = action.group
         n, d = g.order, action.dim
-        nm = n * multiplicity
+        nm = _operator_dim(g, multiplicity)
         blocks = np.zeros((n, d, d, nm, nm), dtype=complex)
         for chi, blk in degree_blocks.items():
             i = g.element(chi).index
@@ -420,10 +428,6 @@ class GradedElement(ArrayElement):
     def total(self) -> np.ndarray:
         """Sum of all blocks as a (d, d, nm, nm) tensor."""
         return self.blocks.sum(axis=0)
-
-    def as_operator(self) -> np.ndarray:
-        """The total as a matrix on H1 (x) l2(Ghat) (x) C^m."""
-        return _as_operators(self.total())
 
     def underlying_matrix(self, tol: float = 1e-10) -> np.ndarray:
         """Recover the algebra element when every operator leg is scalar."""
@@ -646,11 +650,11 @@ def associator_table(
     """
     g = action.group
     _require_phi_on(g, phi)
+    nm = _operator_dim(g, multiplicity)
     if rng is None:
         rng = np.random.default_rng(0)
     drawn = np.array([action.random_homogeneous(chi, rng) for chi in g.elements])
     degrees = np.nonzero(np.abs(drawn).max(axis=(1, 2)) > 1e-12)[0]
-    nm = g.order * multiplicity
     k, dim = degrees.size, action.dim * nm
     # each homogeneous block carries the identity on its operator leg
     ops = np.einsum("kij,pq->kipjq", drawn[degrees], np.eye(nm)).reshape(k, dim, dim)

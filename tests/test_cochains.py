@@ -11,6 +11,7 @@ from natorus import (
     CochainError,
     HALF_PHASE,
     IncompatibleGroupsError,
+    NotACocycleError,
     Phase,
     PhiMultiplier,
     TensorShapeError,
@@ -30,6 +31,8 @@ from natorus import (
     restrict,
     trivializing_cochain,
 )
+from natorus import cochains
+from natorus.cochains import require_cocycle3
 from natorus.presets import epsilon_tricharacter_z4, octonion_trivializing_generators
 
 
@@ -130,6 +133,16 @@ def test_entries_past_2_62_are_refused_before_the_table_is_filled(d):
         Cochain2.from_entries(g, {((1,), (1,)): f"{d - 1}/{d}"})
     with pytest.raises(CochainError, match="exceeds 2\\^62"):
         Cochain2.from_function(g, lambda a, b: Phase(d - 1, d) if a.index and b.index else 0)
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_unreadable_entry_values_raise_cochain_error(value):
+    # These used to raise a raw ZeroDivisionError or ValueError.
+    g = make_group([3])
+    with pytest.raises(CochainError, match="is not a phase"):
+        Cochain2.from_entries(g, {((1,), (1,)): value})
+    with pytest.raises(CochainError, match="is not a phase"):
+        Cochain3.from_entries(g, {((1,), (1,), (1,)): value})
 
 
 def test_equality_past_int64_compares_lowest_terms():
@@ -290,6 +303,42 @@ def test_cocycle_sweeps_past_int64_stay_exact():
     assert phi.coboundary_witness == (1, 1, 1, 1)
     assert check_multiplier_relation(phi) == (1, 1, 1, 1)
     assert coboundary3(phi).value(*[(1,)] * 4) == Phase(228, den)
+
+
+def test_multiplier_relation_runs_the_cocycle_sweep_once(monkeypatch):
+    """check_multiplier_relation on a fresh cochain runs the cached cocycle
+    sweep; is_cocycle3, cocycle3_witness and require_cocycle3 then reuse it."""
+    swept = []
+    slice_of = cochains._coboundary3_slice
+
+    def counted(t, group, w):
+        swept.append(w)
+        return slice_of(t, group, w)
+
+    monkeypatch.setattr(cochains, "_coboundary3_slice", counted)
+    oct_phi = octonion_associator_tricharacter()
+    good = Cochain3(oct_phi.group, oct_phi.table, oct_phi.den)
+    table = oct_phi.table.copy()
+    table[1, 2, 3] = (table[1, 2, 3] + 1) % oct_phi.den
+    bad = Cochain3(oct_phi.group, table, oct_phi.den)
+
+    assert check_multiplier_relation(good) is None
+    assert "coboundary_witness" in vars(good)
+    assert swept == list(range(good.group.order))
+    assert is_cocycle3(good) and cocycle3_witness(good) is None
+    require_cocycle3(good)
+    assert swept == list(range(good.group.order))
+
+    swept.clear()
+    a, b, c, g = check_multiplier_relation(bad)
+    assert bad.coboundary_witness == (g, a, b, c)
+    assert swept == list(range(g + 1))
+    assert not is_cocycle3(bad)
+    assert tuple(e.index for e in cocycle3_witness(bad)) == (g, a, b, c)
+    with pytest.raises(NotACocycleError) as caught:
+        require_cocycle3(bad)
+    assert caught.value.witness == cocycle3_witness(bad)
+    assert swept == list(range(g + 1))
 
 
 def test_non_alternating_tensor_detected():

@@ -366,3 +366,10 @@ def _epsilon():
         eps[i, j, k] = 1
         eps[i, k, j] = -1
     return eps
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_twist_data_refuses_dim_below_one(dim):
+    # -1 used to raise numpy's ValueError from np.eye.
+    with pytest.raises(TwistDataError, match="dim must be at least 1"):
+        TwistData(make_group([2]), dim)

@@ -238,42 +238,59 @@ def first_nonzero(chunks):
     return None
 
 
-def reference_witnesses(phi):
-    """The three sweeps as one wide expression per chunk, evaluated in Python
-    integers so the reference itself cannot wrap at any denominator."""
+def reference_tables(phi):
+    """delta phi, the multiplier-relation defect and the associativity defect
+    as full n^4 tables, each one wide expression per chunk evaluated in Python
+    integers so the reference itself cannot wrap at any denominator. The
+    multiplier table is indexed [a, b, c, entry], the others like their sweeps."""
     g, d = phi.group, phi.den
     add, sub = g.add_table, g.sub_table
     t = phi.table.astype(object)
     r = range(g.order)
-    delta = (
-        (t - t[add[w], :, :] + t[w][add, :] - t[w][:, add] + t[w][:, :, None]) % d for w in r
+    delta = np.array(
+        [(t - t[add[w], :, :] + t[w][add, :] - t[w][:, add] + t[w][:, :, None]) % d for w in r]
     )
-    multiplier = (
-        (
-            t[a][:, :, None] + t[:, a, :].T[:, None, :] + t[:, add[a], :].transpose(1, 2, 0)
-            - t[add[:, a]].transpose(1, 2, 0) - t[:, a, :][:, add].transpose(1, 2, 0)
-        ) % d
-        for a in r
+    multiplier = np.array(
+        [
+            (
+                t[a][:, :, None] + t[:, a, :].T[:, None, :] + t[:, add[a], :].transpose(1, 2, 0)
+                - t[add[:, a]].transpose(1, 2, 0) - t[:, a, :][:, add].transpose(1, 2, 0)
+            ) % d
+            for a in r
+        ]
     )
-    assoc = (
-        (
-            t[ix][:, None, :] + t[add[ix]] - t[ix][add] - t[:, :, sub[:, ix]]
-            - t[:, :, ix][:, :, None]
-        ) % d
-        for ix in r
+    assoc = np.array(
+        [
+            (
+                t[ix][:, None, :] + t[add[ix]] - t[ix][add] - t[:, :, sub[:, ix]]
+                - t[:, :, ix][:, :, None]
+            ) % d
+            for ix in r
+        ]
     )
-    return first_nonzero(delta), first_nonzero(multiplier), first_nonzero(assoc)
+    return delta, multiplier, assoc
 
 
 @pytest.mark.parametrize("den", SWEEP_DENS)
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(factors=factor_lists(max_order=18), seed=st.integers(0, 2**32 - 1))
 def test_exact_sweeps_match_the_wide_reference(den, factors, seed):
-    """The narrow-type sweeps report the same first witness as the reference."""
+    """The narrow-type sweeps report the same first witness as the reference.
+
+    The multiplier defect at (a, b, c, g) is (delta phi)(g, a, b, c) on every
+    cell, so check_multiplier_relation reads the cocycle sweep and reports
+    its witness (w, x, y, z) reindexed as (x, y, z, w)."""
     group = make_group(factors)
     phi = random_normalized_cocycle_or_mutant(group, den, np.random.default_rng(seed))
     assert phi.den == den
-    expected = reference_witnesses(phi)
+    delta, multiplier, assoc = reference_tables(phi)
+    assert (multiplier == delta.transpose(1, 2, 3, 0)).all()
+    witness = first_nonzero(delta)
+    expected = (
+        witness,
+        None if witness is None else (*witness[1:], witness[0]),
+        first_nonzero(assoc),
+    )
     got = (
         phi.coboundary_witness,
         check_multiplier_relation(phi),

@@ -318,6 +318,23 @@ def test_associator_table_rejects_non_cocycle_before_drawing(trans4):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("multiplicity", [0, -1])
+def test_multiplicity_below_one_is_refused(trans4, multiplicity):
+    # These used to raise ZeroDivisionError or numpy's ValueError, or pass.
+    n, d = trans4.group.order, trans4.dim
+    with pytest.raises(GradingError, match="multiplicity must be at least 1"):
+        GradedElement(trans4, multiplicity, np.zeros((n, d, d, 0, 0)))
+    with pytest.raises(GradingError, match="multiplicity must be at least 1"):
+        GradedElement.from_matrix(trans4, np.eye(d), multiplicity)
+    with pytest.raises(GradingError, match="multiplicity must be at least 1"):
+        GradedElement.from_blocks(trans4, {}, multiplicity)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(GradingError, match="multiplicity must be at least 1"):
+        associator_table(trans4, Cochain3.zero(trans4.group.dual), rng, multiplicity)
+    assert rng.bit_generator.state == state
+
+
 def test_represent_identity_has_unit_norm(trans4):
     a = GradedElement.from_matrix(trans4, trans4.algebra.identity)
     zero = Cochain3.zero(trans4.group.dual)
