@@ -13,14 +13,10 @@ seconds of those calls. `peak_rss_mb` is the process's peak RSS after the
 calls. One JSON line per order.
 """
 
-import argparse
-import json
-import os
-import resource
 import statistics
-import subprocess
-import sys
 import time
+
+import ladder
 
 LADDER = {  # order -> (factors, tricharacter tensor or None for the octonion phi, modulus, repeats)
     4: ([4], [[[1]]], 4, 20),
@@ -58,21 +54,9 @@ def point(order):
         "repeats": repeats,
         "associator_s": statistics.median(seconds),
         "max_error": report.max_error,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": ladder.peak_rss_mb(),
     }
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--order", type=int, choices=sorted(LADDER), help="run one order in this process")
-    args = ap.parse_args()
-    if args.order is not None:
-        print(json.dumps(point(args.order)))
-        return
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    for order in LADDER:
-        subprocess.run([sys.executable, __file__, "--order", str(order)], env=env, check=True)
-
-
 if __name__ == "__main__":
-    main()
+    ladder.main(__file__, __doc__, LADDER, point)

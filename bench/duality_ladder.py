@@ -16,26 +16,11 @@ RSS after the calls, `peak_rss_mb`; the two peaks show whether set-up or the
 check sets the process's peak. One JSON line per order.
 """
 
-import argparse
-import json
-import os
-import resource
-import subprocess
-import sys
 import time
 
-import numpy as np
+import ladder
 
 LADDER = {8: 100, 16: 100, 64: 30, 128: 8, 256: 2}  # order -> random pairs
-
-
-def epsilon(rank):
-    """Levi-Civita tensor on the last three coordinates."""
-    eps = np.zeros((rank,) * 3, dtype=np.int64)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[rank - 3 + i, rank - 3 + j, rank - 3 + k] = 1
-        eps[rank - 3 + j, rank - 3 + i, rank - 3 + k] = -1
-    return eps
 
 
 def setup(order):
@@ -43,6 +28,7 @@ def setup(order):
     the seconds each set-up stage took."""
     import natorus as nt
     from natorus.presets import pauli_m2_twist
+    from natorus.twisted_algebra import levi_civita
 
     seconds = {}
 
@@ -68,14 +54,10 @@ def setup(order):
         return group
 
     group = stage("group", group_tables)
-    eps = epsilon(group.rank)
+    eps = levi_civita(group.rank)
     tau = stage("trivializer", lambda: nt.trivializing_cochain(nt.Tricharacter(group, eps, 2)))
     tw = stage("twist", nt.TwistData.scalar_from_sigma, group, tau)
     return tw, stage("psi", nt.Tricharacter, group, eps, modulus), seconds
-
-
-def peak_rss_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def point(order, seed):
@@ -83,7 +65,7 @@ def point(order, seed):
 
     trials = LADDER[order]
     tw, psi, setup_s = setup(order)
-    setup_peak = peak_rss_mb()
+    setup_peak = ladder.peak_rss_mb()
     times = []
     for k in (1, 1, trials):  # the first call also fills the caches later calls read
         start = time.perf_counter()
@@ -102,24 +84,10 @@ def point(order, seed):
         "per_trial_s": per_trial,
         "call_setup_s": one - per_trial,
         "setup_peak_rss_mb": setup_peak,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": ladder.peak_rss_mb(),
         "max_error": report.max_error,
     }
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--order", type=int, choices=sorted(LADDER), help="run one order in this process")
-    args = ap.parse_args()
-    if args.order is not None:
-        print(json.dumps(point(args.order, args.seed)))
-        return
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    for order in LADDER:
-        cmd = [sys.executable, __file__, "--order", str(order), "--seed", str(args.seed)]
-        subprocess.run(cmd, env=env, check=True)
-
-
 if __name__ == "__main__":
-    main()
+    ladder.main(__file__, __doc__, LADDER, point, seed=0)

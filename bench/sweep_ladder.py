@@ -18,16 +18,10 @@ seconds in `sweep_s`:
 `peak_rss_mb` is the process's peak RSS after the sweeps. One JSON line per order.
 """
 
-import argparse
-import json
-import os
-import resource
 import statistics
-import subprocess
-import sys
 import time
 
-from duality_ladder import epsilon
+import ladder
 
 LADDER = {  # order -> (factors, modulus, repeats)
     8: ([2, 2, 2], 2, 20),
@@ -40,11 +34,12 @@ FULL_SWEEPS = ("is_cocycle3", "check_multiplier_relation", "associativity_cocycl
 
 def point(order):
     import natorus as nt
+    from natorus.twisted_algebra import levi_civita
 
     factors, m, repeats = LADDER[order]
     start = time.perf_counter()
     group = nt.make_group(factors)
-    eps = epsilon(group.rank)
+    eps = levi_civita(group.rank)
     phi = nt.Tricharacter(group, eps, m)
     setup_s = time.perf_counter() - start
     units = [tuple(int(a == axis) for a in range(group.rank)) for axis in range(group.rank)]
@@ -76,21 +71,9 @@ def point(order):
         "setup_s": setup_s,
         "sweep_s": sweep_s,
         "ns_per_cell": {name: sweep_s[name] / order**4 * 1e9 for name in FULL_SWEEPS},
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": ladder.peak_rss_mb(),
     }
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--order", type=int, choices=sorted(LADDER), help="run one order in this process")
-    args = ap.parse_args()
-    if args.order is not None:
-        print(json.dumps(point(args.order)))
-        return
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    for order in LADDER:
-        subprocess.run([sys.executable, __file__, "--order", str(order)], env=env, check=True)
-
-
 if __name__ == "__main__":
-    main()
+    ladder.main(__file__, __doc__, LADDER, point)

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import acceptance, configs, presets
+from . import acceptance, configs
 from .bundles import nap_condition_check
 from .cochains import cocycle3_witness, is_trivial_on, restrict
 from .errors import ConfigError, NatorusError
@@ -47,16 +47,33 @@ def _emit(payload: dict, fmt: str = "json") -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _parse_coords(text: str) -> tuple:
+def _emit_report(command: str, report, fmt: str) -> int:
+    """Emit a verifier's report under `command`; exit 0 when it passed, else 1."""
+    _emit({"command": command, **report.as_dict()}, fmt)
+    return 0 if report.passed else 1
+
+
+def _emit_table(payload: dict, labels: list, rows: list, fmt: str) -> int:
+    """A table of string cells: CSV rows under a header of labels, else the payload."""
+    if fmt == "csv":
+        print("x," + ",".join(labels))
+        for label, row in zip(labels, rows):
+            print(label + "," + ",".join(row))
+    else:
+        _emit(payload, fmt)
+    return 0
+
+
+def _ints(text: str) -> list:
     try:
-        return tuple(int(c) for c in text.split(","))
+        return [int(c) for c in text.split(",")]
     except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _group_from_args(cfg: configs.RunConfig, args):
     if getattr(args, "group", None):
-        return configs.parse_group(list(_parse_coords(args.group)))
+        return configs.parse_group(_ints(args.group))
     return cfg.group()
 
 
@@ -94,7 +111,7 @@ def cmd_cocycle(cfg: configs.RunConfig, args) -> int:
         _emit(payload, cfg.format)
         return 0 if witness is None else 1
     # restrict
-    gens = [_parse_coords(s) for s in args.subgroup or []]
+    gens = [configs.parse_coords(g, _ints(s), "--subgroup") for s in args.subgroup or []]
     if not gens:
         raise ConfigError("cocycle restrict needs at least one --subgroup generator")
     table = {
@@ -149,14 +166,8 @@ def _octonion_table() -> tuple:
 
 def cmd_oct(cfg: configs.RunConfig, args) -> int:
     labels, rows = _octonion_table()
-    fmt = cfg.format
-    if fmt == "csv":
-        print("x," + ",".join(labels))
-        for label, row in zip(labels, rows):
-            print(label + "," + ",".join(row))
-        return 0
-    _emit({"command": "oct table", "basis": labels, "table": rows}, fmt)
-    return 0
+    payload = {"command": "oct table", "basis": labels, "table": rows}
+    return _emit_table(payload, labels, rows, cfg.format)
 
 
 def cmd_kernels(cfg: configs.RunConfig, args) -> int:
@@ -207,9 +218,7 @@ def cmd_quantize(cfg: configs.RunConfig, args) -> int:
                 raise ConfigError(f"element {key!r}: flat vectors need the functions algebra")
             mat = np.diag(configs.parse_vector(raw, action.dim, f"element {key}"))
         else:
-            mat = configs.parse_matrix(raw, f"element {key}")
-            if mat.shape != (action.dim, action.dim):
-                raise ConfigError(f"element {key!r} must be {action.dim}x{action.dim}")
+            mat = configs.parse_square(raw, action.dim, f"element {key}")
         return GradedElement.from_matrix(action, mat)
 
     if args.action == "product":
@@ -231,20 +240,14 @@ def cmd_quantize(cfg: configs.RunConfig, args) -> int:
     # associator-table
     rng = np.random.default_rng(cfg.seed)
     report = associator_table(action, phi, rng=rng, tol=cfg.tolerance)
-    payload = {"command": "quantize associator-table"}
-    payload.update(report.as_dict())
-    _emit(payload, cfg.format)
-    return 0 if report.passed else 1
+    return _emit_report("quantize associator-table", report, cfg.format)
 
 
 def cmd_duality(cfg: configs.RunConfig, args) -> int:
     tw = cfg.twist()
     psi = configs.parse_cochain3(tw.group, cfg.raw.get("psi"))
     report = verify_duality(tw, psi, trials=cfg.trials, seed=cfg.seed, tol=cfg.tolerance)
-    payload = {"command": "duality check"}
-    payload.update(report.as_dict())
-    _emit(payload, cfg.format)
-    return 0 if report.passed else 1
+    return _emit_report("duality check", report, cfg.format)
 
 
 def cmd_bundle(cfg: configs.RunConfig, args) -> int:
@@ -267,10 +270,7 @@ def cmd_bundle(cfg: configs.RunConfig, args) -> int:
         return 0
     if args.action == "check":
         report = nap_condition_check(bundle, trials=cfg.trials, seed=cfg.seed, tol=cfg.tolerance)
-        payload = {"command": "bundle check"}
-        payload.update(report.as_dict())
-        _emit(payload, cfg.format)
-        return 0 if report.passed else 1
+        return _emit_report("bundle check", report, cfg.format)
     # fiber
     if not args.point:
         raise ConfigError("bundle fiber needs --point")
@@ -296,17 +296,8 @@ def cmd_bundle(cfg: configs.RunConfig, args) -> int:
         [f"{Phase(int(table[i, j]), den)}:e{targets[i, j]}" for j in range(n)]
         for i in range(n)
     ]
-    if cfg.format == "csv":
-        labels = [f"e{i}" for i in range(n)]
-        print("x," + ",".join(labels))
-        for label, row in zip(labels, entries):
-            print(label + "," + ",".join(row))
-        return 0
-    _emit(
-        {"command": "bundle fiber", "point": args.point, "table": entries},
-        cfg.format,
-    )
-    return 0
+    payload = {"command": "bundle fiber", "point": args.point, "table": entries}
+    return _emit_table(payload, [f"e{i}" for i in range(n)], entries, cfg.format)
 
 
 def cmd_verify_all(cfg: configs.RunConfig, args) -> int:

@@ -1,17 +1,17 @@
 """JSON descriptor ingestion.
 
-Every descriptor is validated by hand before any computation, and every
-violation raises ConfigError with a message naming the offending field.
-Descriptors follow a small vocabulary:
+Every descriptor is validated before any computation, and every violation
+raises ConfigError (CLI exit code 2) with a message naming the offending
+field. These are the accepted spellings, and the only ones:
 
   group    {"factors": [2, 2, 2]}                      or just [2, 2, 2]
-  cochain2 "zero" | "octonion"
+  cochain2 "zero" | "octonion"                          (absent or null: "zero")
            {"type": "bicharacter", "matrix": [[...]], "modulus": 2}
            {"type": "table", "entries": [{"args": [[..],[..]], "value": "1/2"}]}
-  cochain3 "zero" | "octonion" | "epsilon-z4"
+  cochain3 "zero" | "octonion" | "epsilon-z4"           (absent or null: "zero")
            {"type": "tricharacter", "tensor": [[[...]]], "modulus": 2}
            {"type": "table", "entries": [{"args": [[..],[..],[..]], "value": ...}]}
-  action   "translation" | "m4-conjugation"
+  action   "translation" | "m4-conjugation"             (absent or null: "translation")
            {"algebra": {"kind": "functions"|"matrix", "dim": n},
             "action": {"type": "translation"} | {"generators": [matrix, ...]}}
   twist    "pauli-m2" | {"group": ..., "dim": d, "sigma": cochain2, "phi": cochain3,
@@ -20,34 +20,53 @@ Descriptors follow a small vocabulary:
            {"base": ["p","q"], "group": ..., "phi": ...,
             "sigma": {"p": cochain2, ...}, "trivializer": cochain2?}
 
-Matrices are nested lists whose entries are numbers or [re, im] pairs.
+"zero" and "translation" are built on the config's group. Every other name
+lives on a fixed group, which must equal the config's: "octonion" on [2, 2, 2],
+"epsilon-z4" on [4, 4, 4], "m4-conjugation" on [4]. Factors, dims, moduli,
+trials, seeds, tensor entries and coordinates (one per factor) are integers
+that fit in int64. Matrix entries are numbers or [re, im] pairs.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import presets
 from .bundles import NAPBundle, build_nap_bundle
-from .cochains import (
-    Cochain2,
-    Cochain3,
-    Tricharacter,
-    bicharacter_from_matrix,
-    coboundary2,
-)
+from .cochains import Cochain2, Cochain3, Tricharacter, bicharacter_from_matrix, coboundary2
 from .crossed import TwistData
 from .errors import ConfigError, NatorusError
 from .groups import FiniteAbelianGroup, make_group
-from .phases import Phase
 from .quantization import GAction, MatrixAlgebra, full_matrix_algebra, functions_algebra
 from .twisted_algebra import octonion_associator_tricharacter, octonion_sigma
 
 FORMATS = ("json", "csv", "text")
+
+# kind -> name -> builder. The builders named in _ON_GROUP take the config's
+# group; every other one builds on its own fixed group.
+_NAMED = {
+    "2-cochain": {"zero": Cochain2.zero, "octonion": octonion_sigma},
+    "3-cochain": {
+        "zero": Cochain3.zero,
+        "octonion": octonion_associator_tricharacter,
+        "epsilon-z4": presets.epsilon_tricharacter_z4,
+    },
+    "action": {"translation": GAction.translation, "m4-conjugation": presets.m4_conjugation_action},
+    "twist": {"pauli-m2": presets.pauli_m2_twist},
+    "bundle": {"octonion-point": presets.octonion_bundle, "two-point": presets.two_point_bundle},
+}
+_ON_GROUP = {"zero", "translation"}
+
+# arity -> (cochain class, multilinear form type, its field, its builder)
+_FORMS = {
+    2: (Cochain2, "bicharacter", "matrix", bicharacter_from_matrix),
+    3: (Cochain3, "tricharacter", "tensor", Tricharacter),
+}
 
 
 def load_json(path: str) -> dict:
@@ -69,18 +88,50 @@ def _require(obj: dict, key: str, what: str):
     return obj[key]
 
 
+@contextmanager
+def _building(kind: str):
+    """Re-raise any NatorusError from building a `kind` descriptor as ConfigError."""
+    try:
+        yield
+    except NatorusError as exc:
+        raise ConfigError(f"bad {kind} descriptor: {exc}") from None
+
+
+def _named(kind: str, name, group: FiniteAbelianGroup | None = None):
+    """The named `kind` descriptor `name`, refused unless it lives on `group`."""
+    builders = _NAMED[kind]
+    if not isinstance(name, str) or name not in builders:
+        raise ConfigError(f"unknown {kind} descriptor {name!r}")
+    out = builders[name](group) if name in _ON_GROUP else builders[name]()
+    if group is not None and out.group != group:
+        raise ConfigError(f"{name!r} needs group factors {list(out.group.factors)}")
+    return out
+
+
+def _integer(v, what: str, minimum: int | None = None) -> int:
+    """v as an int: an integer, not a boolean, inside int64 and >= minimum."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ConfigError(f"{what} {v!r} is not an integer")
+    if not -(2**63) <= v < 2**63:
+        raise ConfigError(f"{what} {v!r} does not fit in int64")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{what} {v!r} is below {minimum}")
+    return int(v)
+
+
+def parse_coords(group: FiniteAbelianGroup, obj, what: str) -> tuple:
+    """A group element's coordinates: one integer per factor."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != group.rank:
+        raise ConfigError(f"{what}: {obj!r} is not a list of {group.rank} coordinates")
+    return tuple(_integer(c, f"{what} coordinate") for c in obj)
+
+
 def parse_group(obj) -> FiniteAbelianGroup:
     if isinstance(obj, dict):
         obj = _require(obj, "factors", "group")
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ConfigError("group descriptor needs a nonempty 'factors' list")
-    for f in obj:
-        if not isinstance(f, int) or isinstance(f, bool) or f < 1:
-            raise ConfigError(f"group factor {f!r} is not a positive integer")
-    try:
-        return make_group(obj)
-    except NatorusError as exc:
-        raise ConfigError(f"bad group descriptor: {exc}") from None
+    return make_group([_integer(f, "group factor", minimum=2) for f in obj])
 
 
 def parse_scalar(v, what: str) -> complex:
@@ -108,123 +159,77 @@ def parse_matrix(obj, what: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def parse_square(obj, dim: int, what: str) -> np.ndarray:
+    """A dim x dim matrix."""
+    mat = parse_matrix(obj, what)
+    if mat.shape != (dim, dim):
+        raise ConfigError(f"{what} must be {dim}x{dim}, got {mat.shape[0]}x{mat.shape[0]}")
+    return mat
+
+
 def parse_vector(obj, length: int, what: str) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or len(obj) != length:
         raise ConfigError(f"{what}: expected a list of {length} entries")
     return np.array([parse_scalar(v, what) for v in obj], dtype=complex)
 
 
-def _parse_entries(obj, arity: int, what: str) -> list:
-    if not isinstance(obj, (list, tuple)):
-        raise ConfigError(f"{what}: 'entries' must be a list")
+def _int_tensor(obj, shape: tuple, what: str):
+    if not shape:
+        return _integer(obj, f"{what} entry")
+    if not isinstance(obj, (list, tuple)) or len(obj) != shape[0]:
+        raise ConfigError(f"{what}: expected shape {shape}, one index per group factor")
+    return [_int_tensor(x, shape[1:], what) for x in obj]
+
+
+def _parse_cochain(group: FiniteAbelianGroup, obj, arity: int):
+    kind = f"{arity}-cochain"
+    if not isinstance(obj, dict):
+        return _named(kind, "zero" if obj is None else obj, group)
+    cls, form, key, build = _FORMS[arity]
+    typ = _require(obj, "type", kind)
+    if typ == form:
+        tensor = _int_tensor(_require(obj, key, form), (group.rank,) * arity, form)
+        modulus = obj.get("modulus")
+        if modulus is not None:
+            modulus = _integer(modulus, f"{form} modulus", minimum=1)
+        with _building(kind):
+            return build(group, tensor, modulus)
+    if typ != "table":
+        raise ConfigError(f"unknown {kind} type {typ!r}")
+    entries = _require(obj, "entries", kind)
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"{kind}: 'entries' must be a list")
     pairs = []
-    for i, item in enumerate(obj):
-        if not isinstance(item, dict) or "args" not in item or "value" not in item:
-            raise ConfigError(f"{what}: entry {i} needs 'args' and 'value'")
-        args = item["args"]
-        if not isinstance(args, (list, tuple)) or len(args) != arity:
-            raise ConfigError(f"{what}: entry {i} needs {arity} argument tuples")
-        try:
-            value = Phase.parse(item["value"])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{what}: entry {i} has a bad phase: {exc}") from None
-        pairs.append((tuple(tuple(a) for a in args), value))
-    return pairs
-
-
-def _int_tensor(obj, shape: tuple, what: str) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=np.int64)
-    except (ValueError, TypeError):
-        raise ConfigError(f"{what}: expected a nested integer list") from None
-    if arr.shape != shape:
-        raise ConfigError(f"{what}: shape {arr.shape} does not match group rank")
-    return arr
+    for i, item in enumerate(entries):
+        if not isinstance(item, dict) or not isinstance(item.get("args"), (list, tuple)):
+            raise ConfigError(f"{kind}: entry {i} needs a list of {arity} 'args' and a 'value'")
+        coords = tuple(parse_coords(group, a, f"{kind} entry {i}") for a in item["args"])
+        pairs.append((coords, _require(item, "value", f"{kind} entry")))
+    with _building(kind):
+        return cls.from_entries(group, pairs)
 
 
 def parse_cochain2(group: FiniteAbelianGroup, obj) -> Cochain2:
-    if obj == "zero" or obj is None:
-        return Cochain2.zero(group)
-    if obj == "octonion":
-        return octonion_sigma(group)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"unknown 2-cochain descriptor {obj!r}")
-    kind = _require(obj, "type", "2-cochain")
-    try:
-        if kind == "zero":
-            return Cochain2.zero(group)
-        if kind == "octonion":
-            return octonion_sigma(group)
-        if kind == "bicharacter":
-            mat = _int_tensor(
-                _require(obj, "matrix", "bicharacter"), (group.rank,) * 2, "bicharacter"
-            )
-            return bicharacter_from_matrix(group, mat, obj.get("modulus"))
-        if kind == "table":
-            pairs = _parse_entries(_require(obj, "entries", "2-cochain"), 2, "2-cochain")
-            return Cochain2.from_entries(group, pairs)
-    except NatorusError as exc:
-        raise ConfigError(f"bad 2-cochain descriptor: {exc}") from None
-    raise ConfigError(f"unknown 2-cochain type {kind!r}")
+    return _parse_cochain(group, obj, 2)
 
 
 def parse_cochain3(group: FiniteAbelianGroup, obj) -> Cochain3:
-    if obj == "zero" or obj is None:
-        return Cochain3.zero(group)
-    if obj == "octonion":
-        return octonion_associator_tricharacter(group)
-    if obj == "epsilon-z4":
-        phi = presets.epsilon_tricharacter_z4()
-        if phi.group != group:
-            raise ConfigError("'epsilon-z4' needs group factors [4, 4, 4]")
-        return phi
-    if not isinstance(obj, dict):
-        raise ConfigError(f"unknown 3-cochain descriptor {obj!r}")
-    kind = _require(obj, "type", "3-cochain")
-    try:
-        if kind == "zero":
-            return Cochain3.zero(group)
-        if kind == "octonion":
-            return octonion_associator_tricharacter(group)
-        if kind == "tricharacter":
-            tensor = _int_tensor(
-                _require(obj, "tensor", "tricharacter"), (group.rank,) * 3, "tricharacter"
-            )
-            return Tricharacter(group, tensor, obj.get("modulus"))
-        if kind == "table":
-            pairs = _parse_entries(_require(obj, "entries", "3-cochain"), 3, "3-cochain")
-            return Cochain3.from_entries(group, pairs)
-    except NatorusError as exc:
-        raise ConfigError(f"bad 3-cochain descriptor: {exc}") from None
-    raise ConfigError(f"unknown 3-cochain type {kind!r}")
+    return _parse_cochain(group, obj, 3)
 
 
 def parse_algebra(obj) -> MatrixAlgebra:
     if not isinstance(obj, dict):
         raise ConfigError("algebra descriptor must be an object with 'kind' and 'dim'")
     kind = _require(obj, "kind", "algebra")
-    dim = _require(obj, "dim", "algebra")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigError(f"algebra dim {dim!r} is not a positive integer")
-    if kind == "functions":
-        return functions_algebra(dim)
-    if kind == "matrix":
-        return full_matrix_algebra(dim)
-    raise ConfigError(f"unknown algebra kind {kind!r}")
+    dim = _integer(_require(obj, "dim", "algebra"), "algebra dim", minimum=1)
+    if kind not in ("functions", "matrix"):
+        raise ConfigError(f"unknown algebra kind {kind!r}")
+    return functions_algebra(dim) if kind == "functions" else full_matrix_algebra(dim)
 
 
 def parse_action(group: FiniteAbelianGroup, obj) -> GAction:
-    if obj == "translation" or obj is None:
-        return GAction.translation(group)
-    if obj == "m4-conjugation":
-        action = presets.m4_conjugation_action()
-        if action.group != group:
-            raise ConfigError("'m4-conjugation' needs group factors [4]")
-        return action
     if not isinstance(obj, dict):
-        raise ConfigError(f"unknown action descriptor {obj!r}")
-    if "preset" in obj:
-        return parse_action(group, obj["preset"])
+        return _named("action", "translation" if obj is None else obj, group)
     algebra = parse_algebra(_require(obj, "algebra", "action"))
     spec = _require(obj, "action", "action")
     if not isinstance(spec, dict):
@@ -234,64 +239,41 @@ def parse_action(group: FiniteAbelianGroup, obj) -> GAction:
             raise ConfigError("translation needs the functions algebra of size |G|")
         return GAction.translation(group)
     gens = spec.get("generators")
-    if gens is None:
-        raise ConfigError("action descriptor needs 'generators' or type 'translation'")
     if not isinstance(gens, (list, tuple)) or len(gens) != group.rank:
-        raise ConfigError(f"need one generator per group factor ({group.rank})")
-    mats = [parse_matrix(g, f"generator {i}") for i, g in enumerate(gens)]
-    try:
-        return GAction.from_unitary_generators(group, algebra, mats)
-    except NatorusError as exc:
-        raise ConfigError(f"bad action descriptor: {exc}") from None
+        raise ConfigError(f"action needs type 'translation' or {group.rank} 'generators'")
+    mats = [parse_square(m, algebra.dim, f"generator {i}") for i, m in enumerate(gens)]
+    with _building("action"):
+        action = GAction.from_unitary_generators(group, algebra, mats)
+        action.validate()
+    return action
 
 
 def parse_twist(obj) -> TwistData:
-    if obj == "pauli-m2":
-        return presets.pauli_m2_twist()
     if not isinstance(obj, dict):
-        raise ConfigError(f"unknown twist descriptor {obj!r}")
-    if "preset" in obj:
-        return parse_twist(obj["preset"])
+        return _named("twist", obj)
     group = parse_group(_require(obj, "group", "twist"))
-    dim = obj.get("dim", 1)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigError(f"twist dim {dim!r} is not a positive integer")
+    dim = _integer(obj.get("dim", 1), "twist dim", minimum=1)
     sigma = parse_cochain2(group, obj.get("sigma"))
     phi = parse_cochain3(group, obj.get("phi")) if "phi" in obj else None
-    beta_descr = obj.get("beta")
-    if beta_descr is None:
-        if phi is not None:
-            if coboundary2(sigma) != phi:
-                raise ConfigError("scalar twist needs phi = delta sigma; they differ")
-        try:
-            return TwistData.scalar_from_sigma(group, sigma, dim)
-        except NatorusError as exc:
-            raise ConfigError(f"bad twist descriptor: {exc}") from None
-    if beta_descr == "pauli":
-        beta = presets.pauli_conjugators(group) if group.factors == (2, 2, 2) else None
+    beta = obj.get("beta")
+    with _building("twist"):
         if beta is None:
-            raise ConfigError("'pauli' conjugators need group factors [2, 2, 2]")
-    else:
-        if not isinstance(beta_descr, (list, tuple)) or len(beta_descr) != group.order:
+            if phi is not None and coboundary2(sigma) != phi:
+                raise ConfigError("scalar twist needs phi = delta sigma; they differ")
+            return TwistData.scalar_from_sigma(group, sigma, dim)
+        if beta == "pauli":
+            beta = presets.pauli_conjugators(group)
+        elif not isinstance(beta, (list, tuple)) or len(beta) != group.order:
             raise ConfigError("twist 'beta' must list one unitary per group element")
-        beta = np.stack([parse_matrix(m, f"beta[{i}]") for i, m in enumerate(beta_descr)])
-    if phi is None:
-        phi = coboundary2(sigma)
-    try:
+        else:
+            beta = np.stack([parse_square(m, dim, f"beta[{i}]") for i, m in enumerate(beta)])
+        phi = coboundary2(sigma) if phi is None else phi
         return TwistData.with_scalar_multiplier(group, sigma, beta, phi, dim)
-    except NatorusError as exc:
-        raise ConfigError(f"bad twist descriptor: {exc}") from None
 
 
 def parse_bundle(obj) -> NAPBundle:
-    if obj == "octonion-point":
-        return presets.octonion_bundle()
-    if obj == "two-point":
-        return presets.two_point_bundle()
     if not isinstance(obj, dict):
-        raise ConfigError(f"unknown bundle descriptor {obj!r}")
-    if "preset" in obj:
-        return parse_bundle(obj["preset"])
+        return _named("bundle", obj)
     base = _require(obj, "base", "bundle")
     if not isinstance(base, (list, tuple)) or not base:
         raise ConfigError("bundle 'base' must be a nonempty list of labels")
@@ -301,13 +283,9 @@ def parse_bundle(obj) -> NAPBundle:
     if not isinstance(sigma_descr, dict):
         raise ConfigError("bundle 'sigma' must map base labels to 2-cochains")
     sigma = {str(x): parse_cochain2(group, d) for x, d in sigma_descr.items()}
-    trivializer = (
-        parse_cochain2(group, obj["trivializer"]) if "trivializer" in obj else None
-    )
-    try:
+    trivializer = parse_cochain2(group, obj["trivializer"]) if "trivializer" in obj else None
+    with _building("bundle"):
         return build_nap_bundle(base, group, phi, sigma, trivializer)
-    except NatorusError as exc:
-        raise ConfigError(f"bad bundle descriptor: {exc}") from None
 
 
 @dataclass
@@ -352,10 +330,8 @@ def load_config(path: str | None, **overrides) -> RunConfig:
     if not isinstance(cfg.tolerance, numbers.Real) or not cfg.tolerance > 0:
         raise ConfigError(f"tolerance {cfg.tolerance!r} must be a positive number")
     cfg.tolerance = float(cfg.tolerance)
-    if not isinstance(cfg.trials, int) or isinstance(cfg.trials, bool) or cfg.trials < 1:
-        raise ConfigError(f"trials {cfg.trials!r} must be a positive integer")
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
-        raise ConfigError(f"seed {cfg.seed!r} must be an integer")
+    cfg.trials = _integer(cfg.trials, "trials", minimum=1)
+    cfg.seed = _integer(cfg.seed, "seed", minimum=0)
     if cfg.format not in FORMATS:
         raise ConfigError(f"format {cfg.format!r} must be one of {FORMATS}")
     return cfg

@@ -98,7 +98,7 @@ class Phase:
             return cls.from_fraction(Fraction(text))
         if isinstance(text, (list, tuple)) and len(text) == 2:
             return cls(int(text[0]), int(text[1]))
-        if isinstance(text, int):
+        if isinstance(text, int) and not isinstance(text, bool):
             return cls(text)
         raise ValueError(f"cannot parse phase from {text!r}")
 

@@ -3,8 +3,8 @@
 Everything here is desk-scale data used by the CLI, the verification suite,
 and the tests: the octonion algebra over Z/2^3 with its alternating
 tricharacter, a matrix-coefficient twist datum built from Pauli conjugations,
-the epsilon tricharacter on Z/4^3 together with its vanishing subgroup, two
-small group actions for the quantization checks, and two reference bundles.
+the epsilon tricharacter on Z/4^3 together with its vanishing subgroup, Z/4
+conjugating M_4 for the quantization checks, and two reference bundles.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ from .cochains import (
     trivializing_cochain,
 )
 from .crossed import TwistData
+from .errors import IncompatibleGroupsError
 from .groups import FiniteAbelianGroup, make_group
 from .quantization import GAction, full_matrix_algebra
 from .twisted_algebra import (
+    levi_civita,
     octonion_associator_tricharacter,
     octonion_group,
     octonion_sigma,
@@ -32,12 +34,10 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
-def pauli_conjugators(group: FiniteAbelianGroup | None = None) -> np.ndarray:
+def pauli_conjugators(group: FiniteAbelianGroup) -> np.ndarray:
     """W_(a,b,c) = Z^a X^b Y^c for (a,b,c) in Z/2^3, enumeration order."""
-    if group is None:
-        group = octonion_group()
     if group.factors != (2, 2, 2):
-        raise ValueError("Pauli conjugators are defined over Z/2^3")
+        raise IncompatibleGroupsError("Pauli conjugators are defined over Z/2^3")
     w = np.empty((8, 2, 2), dtype=complex)
     for g in group.elements:
         a, b, c = g.coords
@@ -81,20 +81,12 @@ def shift_bicharacter(group: FiniteAbelianGroup | None = None) -> Cochain2:
 
 def epsilon_tricharacter_z4() -> Tricharacter:
     """The Levi-Civita tensor mod 4 on Z/4^3; alternating but not a coboundary."""
-    return Tricharacter(make_group([4, 4, 4]), _epsilon_tensor(), modulus=4)
+    return Tricharacter(make_group([4, 4, 4]), levi_civita(), modulus=4)
 
 
 def z4_trivializing_generators() -> tuple:
     """Generators of 2(Z/4^3), where the epsilon tricharacter vanishes."""
     return ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-
-
-def _epsilon_tensor() -> np.ndarray:
-    eps = np.zeros((3, 3, 3), dtype=np.int64)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k] = 1
-        eps[j, i, k] = -1
-    return eps
 
 
 def z4_scalar_twist() -> TwistData:
@@ -104,17 +96,13 @@ def z4_scalar_twist() -> TwistData:
     alternating and the duality identity applies in every psi regime.
     """
     group = make_group([4, 4, 4])
-    phi2 = Tricharacter(group, _epsilon_tensor(), modulus=2)
+    phi2 = Tricharacter(group, levi_civita(), modulus=2)
     return TwistData.scalar_from_sigma(group, trivializing_cochain(phi2))
 
 
 def octonion_trivializing_generators() -> tuple:
     """A rank-2 subgroup of Z/2^3; any alternating trilinear form dies there."""
     return ((1, 0, 0), (0, 1, 0))
-
-
-def translation_action(group: FiniteAbelianGroup) -> GAction:
-    return GAction.translation(group)
 
 
 def m4_conjugation_action() -> GAction:

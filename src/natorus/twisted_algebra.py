@@ -190,15 +190,20 @@ def octonion_algebra() -> TwistedGroupAlgebra:
     return TwistedGroupAlgebra(group, octonion_sigma(group))
 
 
+def levi_civita(rank: int = 3) -> np.ndarray:
+    """The Levi-Civita tensor on the last three of `rank` coordinates, int64."""
+    eps = np.zeros((rank,) * 3, dtype=np.int64)
+    for i, j, k in ((-3, -2, -1), (-2, -1, -3), (-1, -3, -2)):
+        eps[i, j, k] = 1
+        eps[j, i, k] = -1
+    return eps
+
+
 def octonion_associator_tricharacter(group: FiniteAbelianGroup | None = None) -> Cochain3:
     """phi(a,b,c) = (1/2) sum epsilon_ijk a_i b_j c_k, the octonion associator phase."""
     if group is None:
         group = FiniteAbelianGroup((2, 2, 2))
-    eps = np.zeros((3, 3, 3), dtype=np.int64)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k] = 1
-        eps[i, k, j] = -1
-    return Tricharacter(group, eps, modulus=2)
+    return Tricharacter(group, levi_civita(), modulus=2)
 
 
 def cross_form(a, b, c) -> Phase:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from natorus import ConfigError, make_group
+from natorus import ConfigError, IncompatibleGroupsError, make_group
 from natorus.cli import main
 from natorus.configs import (
     load_config,
@@ -17,6 +17,7 @@ from natorus.configs import (
     parse_group,
     parse_twist,
 )
+from natorus.presets import pauli_conjugators
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -126,6 +127,29 @@ def test_parse_bicharacter_matrix():
         g, {"type": "bicharacter", "matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]], "modulus": 2}
     )
     assert sigma.value((1, 0, 0), (0, 1, 0)).numerator == 1
+
+
+def test_named_descriptor_on_another_group_is_refused():
+    with pytest.raises(ConfigError, match=r"needs group factors \[2, 2, 2\]"):
+        parse_cochain2(make_group([4]), "octonion")
+    with pytest.raises(IncompatibleGroupsError):
+        pauli_conjugators(make_group([2, 2]))
+
+
+@pytest.mark.parametrize(
+    "parse, descriptor",
+    [
+        (parse_cochain2, {"type": "zero"}),
+        (parse_cochain3, {"type": "octonion"}),
+        (parse_action, {"preset": "translation"}),
+        (lambda g, d: parse_twist(d), {"preset": "pauli-m2"}),
+        (lambda g, d: parse_bundle(d), {"preset": "two-point"}),
+    ],
+    ids=["cochain2-type", "cochain3-type", "action-preset", "twist-preset", "bundle-preset"],
+)
+def test_removed_spellings_are_refused(parse, descriptor):
+    with pytest.raises(ConfigError):
+        parse(make_group([2, 2, 2]), descriptor)
 
 
 def test_parse_action_presets():
@@ -343,6 +367,78 @@ def test_malformed_json_exits_2(capsys, tmp_path):
 def test_bad_cocycle_config_exits_1(capsys):
     code, _, _ = run_cli(capsys, "cocycle", "verify", "--config", str(CONFIGS / "bad_cocycle.json"))
     assert code == 1
+
+
+def _tricharacter_config(corner=0, modulus=2):
+    """A tricharacter on Z/2^3 whose tensor is zero but for `corner` at [0, 0, 0]."""
+    tensor = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    tensor[0][0][0] = corner
+    phi = {"type": "tricharacter", "tensor": tensor, "modulus": modulus}
+    return {"group": [2, 2, 2], "phi": phi}
+
+
+def _table_config(args, value="1/2", factors=(2, 2, 2)):
+    entries = [{"args": args, "value": value}]
+    return {"group": list(factors), "phi": {"type": "table", "entries": entries}}
+
+
+def _action_config(generator):
+    algebra = {"kind": "matrix", "dim": 2}
+    return {
+        "group": [2],
+        "action": {"algebra": algebra, "action": {"generators": [generator]}},
+        "phi": "zero",
+        "a": [[1, 0], [0, 0]],
+        "b": [[0, 0], [0, 1]],
+    }
+
+
+_EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+# name -> (argv, config written to a file and passed as --config, or None)
+MALFORMED = {
+    "table-args-not-tuples": (["cocycle", "verify"], _table_config([1, 2, 3])),
+    "coordinate-string": (
+        ["cocycle", "verify"], _table_config([["a", 0, 0], [0, 1, 0], [1, 1, 0]])
+    ),
+    "coordinate-float": (["cocycle", "verify"], _table_config([[1.5, 0, 0], [0, 1, 0], [1, 1, 0]])),
+    "phase-value-bool": (["cocycle", "verify"], _table_config([[1], [1], [1]], True, factors=[2])),
+    "modulus-string": (["cocycle", "verify"], _tricharacter_config(modulus="x")),
+    "modulus-list": (["cocycle", "verify"], _tricharacter_config(modulus=[2])),
+    "modulus-float": (["cocycle", "verify"], _tricharacter_config(modulus=2.5)),
+    "modulus-bool": (["cocycle", "verify"], _tricharacter_config(modulus=True)),
+    "tensor-entry-float": (["cocycle", "verify"], _tricharacter_config(corner=0.5)),
+    "tensor-entry-beyond-int64": (["cocycle", "verify"], _tricharacter_config(corner=2**70)),
+    "octonion-phi-on-z4-cubed": (["cocycle", "verify"], {"group": [4, 4, 4], "phi": "octonion"}),
+    "octonion-sigma-on-z4": (
+        ["tga", "mul"], {"group": [4], "sigma": "octonion", "a": [1, 0, 0, 0], "b": [0, 1, 0, 0]}
+    ),
+    "non-unitary-generator": (["quantize", "product"], _action_config([[2, 0], [0, 1]])),
+    "generator-of-wrong-size": (["quantize", "product"], _action_config(_EYE3)),
+    "beta-of-mixed-sizes": (
+        ["duality", "check"], {"twist": {"group": [2], "dim": 2, "beta": [[[1, 0], [0, 1]], _EYE3]}}
+    ),
+    "subgroup-of-wrong-rank": (
+        ["cocycle", "restrict", "--config", str(CONFIGS / "octonion.json"), "--subgroup", "1,0"],
+        None,
+    ),
+    "negative-seed": (
+        ["duality", "check", "--config", str(CONFIGS / "duality_m2.json"), "--seed", "-1"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, config", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err and out == ""
 
 
 def _eps():

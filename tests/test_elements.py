@@ -21,7 +21,7 @@ from natorus import (
     octonion_associator_tricharacter,
     octonion_group,
 )
-from natorus.presets import translation_action
+from natorus.quantization import GAction
 
 
 def tga_elements(rng):
@@ -62,7 +62,7 @@ def strictified_elements(rng):
 
 
 def graded_elements(rng):
-    action = translation_action(make_group([2]))
+    action = GAction.translation(make_group([2]))
 
     def random(multiplicity):
         mat = action.algebra.random_element(rng)

@@ -24,12 +24,12 @@ from natorus import (
     phi_zero_intertwiner,
     represent,
 )
-from natorus.presets import m4_conjugation_action, translation_action
+from natorus.presets import m4_conjugation_action
 
 
 @pytest.fixture(scope="module")
 def trans4():
-    return translation_action(make_group([4]))
+    return GAction.translation(make_group([4]))
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ def test_zero_phi_product_recovers_matrix_product(trans4, rng):
 
 def test_deformed_product_is_bilinear(trans4, rng):
     phi = octonion_associator_tricharacter()
-    action = translation_action(make_group([2, 2, 2]))
+    action = GAction.translation(make_group([2, 2, 2]))
     a = GradedElement.from_matrix(action, action.algebra.random_element(rng))
     b = GradedElement.from_matrix(action, action.algebra.random_element(rng))
     c = GradedElement.from_matrix(action, action.algebra.random_element(rng))
@@ -239,7 +239,7 @@ def test_associator_table_zero_phi_is_flat(trans4):
 
 
 def test_associator_table_octonion_phi():
-    action = translation_action(make_group([2, 2, 2]))
+    action = GAction.translation(make_group([2, 2, 2]))
     phi = octonion_associator_tricharacter()
     report = associator_table(action, phi)
     assert report.passed
@@ -268,12 +268,12 @@ def associator_table_reference(action, phi, rng, multiplicity=1):
 
 
 def _octonion_case():
-    return translation_action(make_group([2, 2, 2])), octonion_associator_tricharacter(), 1
+    return GAction.translation(make_group([2, 2, 2])), octonion_associator_tricharacter(), 1
 
 
 def _non_symmetric_case():
     # phi = (x0 y0 z0 + 2 x0 y0 z1) / 4, so phi(xi, eta, zeta) != phi(zeta, eta, xi)
-    action = translation_action(make_group([4, 2]))
+    action = GAction.translation(make_group([4, 2]))
     tensor = np.zeros((2, 2, 2), dtype=int)
     tensor[0, 0, 0], tensor[0, 0, 1] = 1, 2
     return action, Tricharacter(action.group.dual, tensor, 4), 1
