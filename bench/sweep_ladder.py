@@ -1,12 +1,12 @@
-"""Seconds per exact n^4 sweep and peak RSS over group orders, on the epsilon tricharacter.
+"""Seconds per cocycle check, swept and certified side by side, and peak RSS over group orders.
 
     PYTHONPATH=src python3 bench/sweep_ladder.py [--order N]
 
 Each order runs in a fresh process, so its peak RSS is its own; --order runs
 one order in this process instead. A point builds phi, the Levi-Civita
-tricharacter on the last three coordinates (`setup_s`), then times each
-sweep on its own freshly built phi, `repeats` times, and reports the median
-seconds in `sweep_s`:
+tricharacter on the last three coordinates (`setup_s`). It times each check
+`repeats` times and reports median seconds. `sweep_s` runs each check as an
+exhaustive sweep on its own fresh plain Cochain3 copy of phi's table:
   is_cocycle3                  delta phi = 0 over every (w, x, y, z);
   check_multiplier_relation    the phi-multiplier relation over every (a, b, c, entry),
                                which is delta phi = 0 reindexed: a cold call costs
@@ -14,8 +14,11 @@ seconds in `sweep_s`:
   associativity_cocycle_sweep  the multiplier combination over every (xi, eta, zeta, x);
   cocycle3_witness             the first failing quadruple of phi plus one entry 1/m
                                at the three generators, an early-exit search.
-`ns_per_cell` divides the first three by the n^4 cells each visits.
-`peak_rss_mb` is the process's peak RSS after the sweeps. One JSON line per order.
+`certificate_s` runs the first three on phi itself, which a Tricharacter
+answers from its tensor without a sweep; the answers must equal the swept ones.
+`ns_per_cell` divides the three full sweeps of `sweep_s` by the n^4 cells each
+visits. `peak_rss_mb` is the process's peak RSS after the checks. One JSON
+line per order.
 """
 
 import statistics
@@ -32,6 +35,12 @@ LADDER = {  # order -> (factors, modulus, repeats)
 FULL_SWEEPS = ("is_cocycle3", "check_multiplier_relation", "associativity_cocycle_sweep")
 
 
+def timed(fn, arg):
+    start = time.perf_counter()
+    result = fn(arg)
+    return result, time.perf_counter() - start
+
+
 def point(order):
     import natorus as nt
     from natorus.twisted_algebra import levi_civita
@@ -39,8 +48,7 @@ def point(order):
     factors, m, repeats = LADDER[order]
     start = time.perf_counter()
     group = nt.make_group(factors)
-    eps = levi_civita(group.rank)
-    phi = nt.Tricharacter(group, eps, m)
+    phi = nt.Tricharacter(group, levi_civita(group.rank), m)
     setup_s = time.perf_counter() - start
     units = [tuple(int(a == axis) for a in range(group.rank)) for axis in range(group.rank)]
     bump = nt.Cochain3.from_entries(group, [(tuple(units[-3:]), f"1/{m}")])
@@ -48,21 +56,27 @@ def point(order):
     expected = {name: None for name in FULL_SWEEPS}
     expected["is_cocycle3"] = True
     expected["cocycle3_witness"] = tuple(units[-1:] + units[-3:])  # (c, a, b, c)
-    seconds = {name: [] for name in expected}
+    swept = {name: [] for name in expected}
+    certified = {name: [] for name in FULL_SWEEPS}
     for _ in range(repeats):
-        # A fresh cochain per sweep and repeat: the cocycle sweep is cached per
-        # cochain, and check_multiplier_relation reads it.
-        inputs = {name: nt.Tricharacter(group, eps, m) for name in FULL_SWEEPS}
-        inputs["cocycle3_witness"] = nt.Tricharacter(group, eps, m) + bump
-        for name, arg in inputs.items():
-            start = time.perf_counter()
-            result = getattr(nt, name)(arg)
-            seconds[name].append(time.perf_counter() - start)
+        # A fresh plain copy per sweep and repeat: the cocycle sweep is cached
+        # per cochain, and check_multiplier_relation reads it.
+        for name in expected:
+            plain = nt.Cochain3(group, phi.table, m)
+            if name == "cocycle3_witness":
+                plain = plain + bump
+            result, seconds = timed(getattr(nt, name), plain)
+            swept[name].append(seconds)
             if name == "cocycle3_witness":
                 result = tuple(e.coords for e in result)
             if result != expected[name]:
-                raise SystemExit(f"order {order}: {name} returned {result}")
-    sweep_s = {name: statistics.median(v) for name, v in seconds.items()}
+                raise SystemExit(f"order {order}: swept {name} returned {result}")
+        for name in FULL_SWEEPS:
+            result, seconds = timed(getattr(nt, name), phi)
+            certified[name].append(seconds)
+            if result != expected[name]:
+                raise SystemExit(f"order {order}: certified {name} returned {result}")
+    sweep_s = {name: statistics.median(v) for name, v in swept.items()}
     return {
         "order": order,
         "factors": factors,
@@ -70,6 +84,7 @@ def point(order):
         "repeats": repeats,
         "setup_s": setup_s,
         "sweep_s": sweep_s,
+        "certificate_s": {name: statistics.median(v) for name, v in certified.items()},
         "ns_per_cell": {name: sweep_s[name] / order**4 * 1e9 for name in FULL_SWEEPS},
         "peak_rss_mb": ladder.peak_rss_mb(),
     }

@@ -78,51 +78,69 @@ def _random_cochain2(group, rng, den: int = 8) -> Cochain2:
     return Cochain2(group, table, den)
 
 
+def _swept(check, phi: Cochain3):
+    """check(phi) by the exhaustive sweep, on a plain-table copy of phi, and
+    whether that answer equals check(phi) itself, which a `Tricharacter`
+    certifies from its tensor."""
+    swept = check(Cochain3(phi.group, phi.table, phi.den))
+    return swept, swept == check(phi)
+
+
+def _disagreement(agree: bool) -> str:
+    return "" if agree else "; sweep and tensor certificate disagree"
+
+
 def criterion_cocycle_substrate(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
-    """delta phi = 0 exhaustively for both bundled tricharacters; delta of a
-    coboundary vanishes for random 2-cochains."""
+    """delta phi = 0 exhaustively for both bundled tricharacters, swept on
+    plain-table copies and matched against their tensor certificates; delta
+    of a coboundary vanishes for random 2-cochains."""
     t0 = time.time()
     rng = np.random.default_rng(seed)
-    oct_ok = is_cocycle3(octonion_associator_tricharacter())
-    eps_ok = is_cocycle3(presets.epsilon_tricharacter_z4())
+    oct_ok, oct_agree = _swept(is_cocycle3, octonion_associator_tricharacter())
+    eps_ok, eps_agree = _swept(is_cocycle3, presets.epsilon_tricharacter_z4())
     dd_ok = True
     for group in (octonion_group(), make_group([4])):
         for _ in range(25):
             dd_ok = dd_ok and is_cocycle3(coboundary2(_random_cochain2(group, rng)))
-    passed = oct_ok and eps_ok and dd_ok
+    agree = oct_agree and eps_agree
+    passed = oct_ok and eps_ok and dd_ok and agree
     detail = (
         f"octonion exhaustive: {oct_ok}; eps mod 4 on Z/4^3 exhaustive: {eps_ok}; "
         f"delta(delta sigma) = 0 for 50 random 2-cochains: {dd_ok}"
-    )
+    ) + _disagreement(agree)
     return _result(1, "cocycle substrate", t0, passed, detail)
 
 
 def criterion_multiplier_relation(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
     """The diagonal multiplier from phi satisfies its defining relation on
-    all 512 triples of Z/2^3, exactly."""
+    all 512 triples of Z/2^3, exactly: swept on a plain-table copy and
+    matched against the tensor certificate."""
     t0 = time.time()
-    witness = check_multiplier_relation(octonion_associator_tricharacter())
+    witness, agree = _swept(check_multiplier_relation, octonion_associator_tricharacter())
     detail = "all 512 triples exact" if witness is None else f"failed at {witness}"
-    return _result(2, "multiplier relation", t0, witness is None, detail)
+    passed = witness is None and agree
+    return _result(2, "multiplier relation", t0, passed, detail + _disagreement(agree))
 
 
 def criterion_associativity_cocycle(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
     """The translation-multiplier combination is constant and equals
-    phi(eta, zeta, xi) for every triple, on both bundled tricharacters;
+    phi(eta, zeta, xi) for every triple, on both bundled tricharacters (swept
+    on plain-table copies and matched against their tensor certificates);
     restricting phi to a trivializing subgroup kills it."""
     t0 = time.time()
     phi_oct = octonion_associator_tricharacter()
     phi_z4 = presets.epsilon_tricharacter_z4()
-    oct_fail = associativity_cocycle_sweep(phi_oct)
-    z4_fail = associativity_cocycle_sweep(phi_z4)
+    oct_fail, oct_agree = _swept(associativity_cocycle_sweep, phi_oct)
+    z4_fail, z4_agree = _swept(associativity_cocycle_sweep, phi_z4)
     r_oct = is_trivial_on(phi_oct, presets.octonion_trivializing_generators())
     r_z4 = is_trivial_on(phi_z4, presets.z4_trivializing_generators())
-    passed = oct_fail is None and z4_fail is None and r_oct and r_z4
+    agree = oct_agree and z4_agree
+    passed = oct_fail is None and z4_fail is None and r_oct and r_z4 and agree
     detail = (
         f"octonion sweep: {'clean' if oct_fail is None else oct_fail}; "
         f"Z/4^3 sweep: {'clean' if z4_fail is None else z4_fail}; "
         f"vanishes on trivializing subgroups: {r_oct and r_z4}"
-    )
+    ) + _disagreement(agree)
     return _result(3, "associativity cocycle", t0, passed, detail)
 
 

@@ -105,6 +105,7 @@ def cmd_cocycle(cfg: configs.RunConfig, args) -> int:
             "command": "cocycle verify",
             "group": list(g.factors),
             "passed": witness is None,
+            "mode": phi.cocycle_mode,
             "alternating": phi.is_alternating(),
             "witness": None if witness is None else [list(w.coords) for w in witness],
         }
@@ -180,12 +181,13 @@ def cmd_kernels(cfg: configs.RunConfig, args) -> int:
             {
                 "command": "kernels assoc-cocycle",
                 "passed": False,
+                "mode": phi.cocycle_mode,
                 "witness": [list(g.element(i).coords) for i in failing],
             },
             cfg.format,
         )
         return 1
-    # once the sweep is clean the cocycle at (xi, eta, zeta) is phi(eta, zeta, xi)
+    # once the check is clean the cocycle at (xi, eta, zeta) is phi(eta, zeta, xi)
     n = g.order
     den = phi.den
     t = phi.table
@@ -198,6 +200,7 @@ def cmd_kernels(cfg: configs.RunConfig, args) -> int:
             "command": "kernels assoc-cocycle",
             "group": list(g.factors),
             "passed": True,
+            "mode": phi.cocycle_mode,
             "matches_phi_cycled": True,
             "table": table,
         },

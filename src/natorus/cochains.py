@@ -230,13 +230,20 @@ class Cochain2(_FixedArity):
 
         The table is read-only, so the n^3 pass runs once per cochain and every
         later coboundary2 call, cocycle check or twist built from it shares
-        this one Cochain3.
+        this one Cochain3. The pass holds one n^3 int64 array, the result: it
+        starts as one gather of sigma(x+y, z), and sigma(x, y+z) is added one
+        x-slice at a time. Every partial sum of the four residues lies in
+        (-2 den, 2 den), inside int64 for den <= 2^62, so the order of the
+        terms does not change the table.
         """
         add = self.group.add_table
         t = self.table
-        out = t[None, :, :] - t[add, :]
-        out += t[:, add]
-        out -= t[:, :, None]
+        out = t[add]  # sigma(x+y, z), the one n^3 gather
+        np.negative(out, out=out)
+        out += t  # sigma(y, z)
+        out -= t[:, :, None]  # sigma(x, y)
+        for x in range(len(t)):
+            out[x] += t[x][add]  # sigma(x, y+z), an n^2 gather per x
         np.remainder(out, self.den, out=out)
         return Cochain3._from_table(self.group, 3, out, self.den)
 
@@ -245,6 +252,9 @@ class Cochain3(_FixedArity):
     """A normalized 3-cochain on G with values in Q/Z."""
 
     ARITY = 3
+    # How the cocycle checks decide: "exhaustive" by the n^4 sweep, or
+    # "certificate" from a tensor (Tricharacter). Reports carry it.
+    cocycle_mode = "exhaustive"
 
     @cached_property
     def coboundary_witness(self) -> tuple | None:
@@ -253,7 +263,7 @@ class Cochain3(_FixedArity):
         The table is read-only, so the O(n^4) sweep (`_sweep`, one w-slice at
         a time in the narrowest exact type) runs once per cochain and every
         cocycle check on it, including check_multiplier_relation, reads this
-        cached answer.
+        cached answer. A `Tricharacter` answers None without a sweep.
         """
         return _sweep_witness(self, _coboundary3_slice)
 
@@ -360,6 +370,8 @@ class Tricharacter(Cochain3):
     for which one stage's sum could pass int64 is refused with CochainError.
     """
 
+    cocycle_mode = "certificate"  # see coboundary_witness
+
     def __init__(self, group: FiniteAbelianGroup, tensor, modulus: int | None = None):
         tensor = np.asarray(tensor, dtype=np.int64)
         k = group.rank
@@ -381,6 +393,20 @@ class Tricharacter(Cochain3):
         self._adopt(group, 3, table, m)
         self.tensor = tensor
         self.modulus = m
+
+    @property
+    def coboundary_witness(self) -> None:
+        """None, without a sweep: a trilinear form is a 3-cocycle.
+
+        Expanding each sum slot of
+            (delta t)(w,x,y,z) = t(x,y,z) - t(w+x,y,z) + t(w,x+y,z) - t(w,x,y+z) + t(w,x,y)
+        by linearity gives t(x,y,z) - t(w,y,z) - t(x,y,z) + t(w,x,z) + t(w,y,z)
+        - t(w,x,y) - t(w,x,z) + t(w,x,y) = 0, term by term, with no symmetry
+        of the tensor used. The factor check in the constructor makes the
+        table trilinear on the group. Sums, negations and other cochains built
+        from a tricharacter's table are plain `Cochain3`s and are swept.
+        """
+        return None
 
 
 def bicharacter_from_matrix(
@@ -492,11 +518,17 @@ def is_cocycle2(sigma: Cochain2) -> bool:
 
 
 def is_cocycle3(phi: Cochain3) -> bool:
+    """delta phi = 0: certified from the tensor for a `Tricharacter`, else
+    decided by the exhaustive n^4 sweep, run once per cochain and cached
+    (`Cochain3.coboundary_witness`)."""
     return phi.coboundary_witness is None
 
 
 def cocycle3_witness(phi: Cochain3):
-    """None when phi is a cocycle, else the first failing (w,x,y,z) as elements."""
+    """None when phi is a cocycle, else the first failing (w,x,y,z) as elements.
+
+    A `Tricharacter` is certified (None at once); every other cochain,
+    including sums and negations of tricharacters, is swept exhaustively."""
     w = phi.coboundary_witness
     if w is None:
         return None
@@ -504,7 +536,10 @@ def cocycle3_witness(phi: Cochain3):
 
 
 def require_cocycle3(phi: Cochain3) -> None:
-    """Raise NotACocycleError with the failing quadruple unless delta phi = 0."""
+    """Raise NotACocycleError with the failing quadruple unless delta phi = 0.
+
+    Returns at once for a `Tricharacter` (certified from the tensor); every
+    other cochain reads its cached exhaustive sweep."""
     if phi.coboundary_witness is not None:
         witness = tuple(phi.group.element(i) for i in phi.coboundary_witness)
         raise NotACocycleError(
@@ -545,18 +580,19 @@ class PhiMultiplier:
 
 
 def check_multiplier_relation(phi: Cochain3):
-    """Exhaustive exact check of
+    """Exact check of
         phi(a,b,c) u(a,b) u(a+b,c) = xi_a[u(b,c)] u(a,b+c)
-    on diagonal entries, where xi_a translates the diagonal by a. Returns None
-    on success, else a failing (a, b, c, entry) index tuple.
+    on every diagonal entry, where xi_a translates the diagonal by a. Returns
+    None on success, else a failing (a, b, c, entry) index tuple.
 
     With u(b, c)(g) = exp(2 pi i phi(g, b, c)) the defect at (a, b, c, g) is
     (delta phi)(g, a, b, c), term for term, so the relation holds exactly
-    when phi is a 3-cocycle. The check therefore reads the cached cocycle
-    sweep (`Cochain3.coboundary_witness`): a cold call costs one sweep, a
-    warm one none. The witness (w, x, y, z) is returned as (x, y, z, w), the
-    first failing cell in that sweep's (w, x, y, z) order, not in (a, b, c,
-    entry) order.
+    when phi is a 3-cocycle. The check therefore reads
+    `Cochain3.coboundary_witness`: a `Tricharacter` is certified from its
+    tensor and costs no sweep; any other cochain reads its cached cocycle
+    sweep, so a cold call costs one sweep and a warm one none. The witness
+    (w, x, y, z) is returned as (x, y, z, w), the first failing cell in that
+    sweep's (w, x, y, z) order, not in (a, b, c, entry) order.
     """
     witness = phi.coboundary_witness
     if witness is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain3, _sweep_witness, exp_phases
+from .cochains import Cochain3, Tricharacter, _sweep_witness, exp_phases
 from .elements import ArrayElement
 from .errors import CochainError, IncompatibleGroupsError, NotACocycleError
 from .groups import FiniteAbelianGroup
@@ -150,9 +150,10 @@ def multiplier_combination(phi: Cochain3, xi, eta, zeta) -> np.ndarray:
     """The pointwise product u(xi,eta) u(xi+eta,zeta) u(xi,eta+zeta)^-1 gamma_xi[u(eta,zeta)]^-1.
 
     Returned as the complex vector over x, with gamma_xi acting on a diagonal
-    multiplier by translation. For an alternating tricharacter the vector is
-    constant and equal to exp(2 pi i phi(eta, zeta, xi)): the failure of the
-    multiplier to be a 2-cocycle is the twist itself.
+    multiplier by translation. For a tricharacter, alternating or not, the
+    vector is constant and equal to exp(2 pi i phi(eta, zeta, xi)) (see
+    `associativity_cocycle_sweep`): the failure of the multiplier to be a
+    2-cocycle is the twist itself.
     """
     g = phi.group
     xi, eta, zeta = (g.element(v) for v in (xi, eta, zeta))
@@ -185,8 +186,8 @@ def associativity_cocycle(phi: Cochain3, xi, eta, zeta) -> Phase:
     """The constant value of the multiplier combination at (xi, eta, zeta).
 
     Computed exactly over every diagonal entry; raises when the combination
-    is not pointwise constant (phi not an alternating tricharacter). For an
-    alternating tricharacter the value is phi(eta, zeta, xi).
+    is not pointwise constant. For a tricharacter the value is
+    phi(eta, zeta, xi).
     """
     g = phi.group
     i, j, k = (g.element(v).index for v in (xi, eta, zeta))
@@ -201,12 +202,23 @@ def associativity_cocycle(phi: Cochain3, xi, eta, zeta) -> Phase:
 
 
 def associativity_cocycle_sweep(phi: Cochain3):
-    """Exact sweep of the cocycle identity over every (xi, eta, zeta, x).
+    """Exact check of the cocycle identity at every (xi, eta, zeta, x).
 
     Verifies that the combination of multipliers equals exp(2 pi i phi(eta,
     zeta, xi)) pointwise. Returns None on success, else the first failing
-    (xi, eta, zeta, x) index tuple. Chunked over xi so the full fourth-power
-    table is never materialized; exact residue arithmetic in the narrowest
-    safe type (see `cochains._sweep`).
+    (xi, eta, zeta, x) index tuple.
+
+    A `Tricharacter` t is certified without a sweep: expanding each sum slot
+    of the combination exponent by linearity,
+        t(xi,eta,x) + t(xi+eta,zeta,x) - t(xi,eta+zeta,x) - t(eta,zeta,x-xi)
+          = t(xi,eta,x) + t(xi,zeta,x) + t(eta,zeta,x)
+            - t(xi,eta,x) - t(xi,zeta,x) - t(eta,zeta,x) + t(eta,zeta,xi)
+          = t(eta,zeta,xi)
+    for every x, with no symmetry of the tensor used. Every other cochain is
+    swept exhaustively, chunked over xi so the full fourth-power table is
+    never materialized, in exact residue arithmetic in the narrowest safe
+    type (see `cochains._sweep`).
     """
+    if isinstance(phi, Tricharacter):
+        return None
     return _sweep_witness(phi, _combination_defect_chunk)

@@ -91,16 +91,24 @@ class Phase:
 
     @classmethod
     def parse(cls, text) -> "Phase":
-        """Accept 'p/q' strings, [num, den] pairs, and integers."""
+        """Accept 'p/q' strings, [num, den] pairs of integers, and integers.
+
+        Booleans, floats and strings are not integers here: a pair such as
+        [1.5, 2] or ["1", "2"] raises ValueError instead of being truncated
+        or converted."""
         if isinstance(text, Phase):
             return text
         if isinstance(text, str):
             return cls.from_fraction(Fraction(text))
-        if isinstance(text, (list, tuple)) and len(text) == 2:
-            return cls(int(text[0]), int(text[1]))
-        if isinstance(text, int) and not isinstance(text, bool):
+        if isinstance(text, (list, tuple)) and len(text) == 2 and all(map(_is_int, text)):
+            return cls(*text)
+        if _is_int(text):
             return cls(text)
         raise ValueError(f"cannot parse phase from {text!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 ZERO_PHASE = Phase(0)

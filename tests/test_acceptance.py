@@ -72,3 +72,21 @@ def test_negative_controls(results):
 
 def test_every_criterion_covered(results):
     assert sorted(results) == list(range(1, 10))
+
+
+def test_sweeping_criteria_fail_when_the_certificate_disagrees(monkeypatch):
+    """Criteria 1-3 sweep plain-table copies of the bundled tricharacters and
+    fail, saying why, when the tensor certificate gives another answer."""
+    from natorus import Tricharacter, acceptance
+
+    monkeypatch.setattr(Tricharacter, "coboundary_witness", property(lambda self: (1, 1, 1, 1)))
+    swept = acceptance.associativity_cocycle_sweep
+
+    def certified_wrongly(phi):
+        return (0, 0, 0, 0) if isinstance(phi, Tricharacter) else swept(phi)
+
+    monkeypatch.setattr(acceptance, "associativity_cocycle_sweep", certified_wrongly)
+    for criterion in acceptance.ALL_CRITERIA[:3]:
+        r = criterion(tolerance=TOLERANCE, trials=TRIALS, seed=SEED)
+        assert not r.passed
+        assert r.detail.endswith("; sweep and tensor certificate disagree"), r.detail

@@ -44,7 +44,12 @@ def test_sweep_ladder_runs_one_order():
         "cocycle3_witness",
     }
     assert all(s > 0 for s in point["sweep_s"].values())
-    assert set(point["ns_per_cell"]) == set(point["sweep_s"]) - {"cocycle3_witness"}
+    full = set(point["sweep_s"]) - {"cocycle3_witness"}
+    assert set(point["ns_per_cell"]) == full
+    # The certificate times the same three checks on the tensor input; a
+    # median of 20 answers with no sweep stays below the swept one.
+    assert set(point["certificate_s"]) == full
+    assert all(0 <= point["certificate_s"][k] < point["sweep_s"][k] for k in full)
     assert point["peak_rss_mb"] > 0
 
 

@@ -17,6 +17,7 @@ from natorus import (
     TensorShapeError,
     Tricharacter,
     ZERO_PHASE,
+    associativity_cocycle_sweep,
     bicharacter_from_matrix,
     check_multiplier_relation,
     coboundary2,
@@ -339,6 +340,50 @@ def test_multiplier_relation_runs_the_cocycle_sweep_once(monkeypatch):
         require_cocycle3(bad)
     assert caught.value.witness == cocycle3_witness(bad)
     assert swept == list(range(g + 1))
+
+
+def _no_sweep(*args):
+    raise AssertionError("a certified cochain was swept")
+
+
+def test_tricharacters_are_certified_without_a_sweep(monkeypatch):
+    """Every cocycle entry point answers for a Tricharacter from its tensor:
+    none reaches the exhaustive sweep."""
+    from natorus import kernels
+
+    monkeypatch.setattr(cochains, "_sweep_witness", _no_sweep)
+    monkeypatch.setattr(kernels, "_sweep_witness", _no_sweep)
+    g = make_group([2, 2, 2])
+    tensor = np.zeros((3, 3, 3), dtype=np.int64)
+    tensor[0, 1, 2] = 1  # not alternating
+    for phi in (epsilon_tricharacter_z4(), Tricharacter(g, tensor, modulus=2)):
+        assert phi.cocycle_mode == "certificate"
+        assert is_cocycle3(phi) and cocycle3_witness(phi) is None
+        require_cocycle3(phi)
+        assert check_multiplier_relation(phi) is None
+        assert associativity_cocycle_sweep(phi) is None
+        PhiMultiplier(phi)
+        assert "coboundary_witness" not in vars(phi)
+
+
+def test_a_tricharacter_plus_a_non_cocycle_is_swept():
+    """psi + delta, with psi the epsilon tricharacter on Z/4^3 and delta one
+    entry 1/4 at the three generators, is a plain Cochain3 and is swept: it
+    must not inherit psi's certificate."""
+    psi = epsilon_tricharacter_z4()
+    g = psi.group
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    delta = Cochain3.from_entries(g, [((e1, e2, e3), "1/4")])
+    for bad in (psi + delta, delta + psi, psi - delta):
+        assert type(bad) is Cochain3 and bad.cocycle_mode == "exhaustive"
+        assert not is_cocycle3(bad)
+        assert tuple(e.coords for e in cocycle3_witness(bad)) == (e3, e1, e2, e3)
+        assert check_multiplier_relation(bad) is not None
+        assert associativity_cocycle_sweep(bad) is not None
+        with pytest.raises(NotACocycleError):
+            require_cocycle3(bad)
+    for plain in (-psi, psi + Cochain3.zero(g)):
+        assert type(plain) is Cochain3 and is_cocycle3(plain)
 
 
 def test_non_alternating_tensor_detected():

@@ -194,6 +194,7 @@ def test_cocycle_verify_passes(capsys):
     )
     assert code == 0
     assert payload(out)["passed"] is True
+    assert payload(out)["mode"] == "certificate"  # "octonion" is a Tricharacter
 
 
 def test_cocycle_verify_fails_with_witness(capsys):
@@ -203,6 +204,7 @@ def test_cocycle_verify_fails_with_witness(capsys):
     assert code == 1
     data = payload(out)
     assert data["passed"] is False
+    assert data["mode"] == "exhaustive"  # a table entry is swept
     assert len(data["witness"]) == 4
 
 
@@ -265,6 +267,17 @@ def test_kernels_assoc_cocycle(capsys):
     assert code == 0
     data = payload(out)
     assert data["passed"] is True
+    assert data["mode"] == "certificate"
+
+
+def test_kernels_assoc_cocycle_sweeps_a_table(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_table_config(_BAD_ARGS)))
+    code, out, _ = run_cli(capsys, "kernels", "assoc-cocycle", "--config", str(path))
+    assert code == 1
+    data = payload(out)
+    assert data["passed"] is False and data["mode"] == "exhaustive"
+    assert len(data["witness"]) == 4
 
 
 def test_quantize_product_and_norm(capsys):
@@ -394,6 +407,7 @@ def _action_config(generator):
 
 
 _EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_BAD_ARGS = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]  # the entry of configs/bad_cocycle.json
 
 # name -> (argv, config written to a file and passed as --config, or None)
 MALFORMED = {
@@ -403,6 +417,8 @@ MALFORMED = {
     ),
     "coordinate-float": (["cocycle", "verify"], _table_config([[1.5, 0, 0], [0, 1, 0], [1, 1, 0]])),
     "phase-value-bool": (["cocycle", "verify"], _table_config([[1], [1], [1]], True, factors=[2])),
+    "phase-pair-float": (["cocycle", "verify"], _table_config(_BAD_ARGS, [1.5, 2])),
+    "phase-pair-strings": (["cocycle", "verify"], _table_config(_BAD_ARGS, ["1", "2"])),
     "modulus-string": (["cocycle", "verify"], _tricharacter_config(modulus="x")),
     "modulus-list": (["cocycle", "verify"], _tricharacter_config(modulus=[2])),
     "modulus-float": (["cocycle", "verify"], _tricharacter_config(modulus=2.5)),
@@ -427,6 +443,20 @@ MALFORMED = {
         None,
     ),
 }
+
+
+@pytest.mark.parametrize("value", ["1/2", [1, 2]])
+def test_integer_phase_pair_is_read(capsys, tmp_path, value):
+    """[1, 2] is the phase 1/2: the one-entry cochain fails with the witness
+    of the "1/2" spelling."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_table_config(_BAD_ARGS, value)))
+    code, out, _ = run_cli(capsys, "cocycle", "verify", "--config", str(path))
+    _, expected, _ = run_cli(
+        capsys, "cocycle", "verify", "--config", str(CONFIGS / "bad_cocycle.json")
+    )
+    assert code == 1
+    assert payload(out) == payload(expected)
 
 
 @pytest.mark.parametrize("argv, config", MALFORMED.values(), ids=MALFORMED)

@@ -61,6 +61,12 @@ def test_parse_rejects_junk():
         Phase.parse({"num": 1})
 
 
+@pytest.mark.parametrize("pair", [[1.5, 2], [1, 2.0], ["1", "2"], [True, 2], [1, False]])
+def test_parse_refuses_pairs_of_non_integers(pair):
+    with pytest.raises(ValueError):
+        Phase.parse(pair)
+
+
 def test_fraction_accessors():
     p = Phase(2, 8)
     assert p.numerator == 1

@@ -14,10 +14,14 @@ from natorus import (
     StrictifiedElement,
     Tricharacter,
     TwistData,
+    TwistedGroupAlgebra,
     associativity_cocycle_sweep,
     bicharacter_from_matrix,
     check_multiplier_relation,
     coboundary2,
+    evaluation_side_product,
+    fourier_side_product,
+    is_cocycle3,
     is_trivial_on,
     kernel_product,
     make_group,
@@ -174,17 +178,88 @@ def test_staged_coordinate_forms_match_the_single_sum(factors, m, seed):
     assert np.array_equal(tau.table, np.einsum("ai,aj,bk,ijk->ab", c, c, c, N) % m2)
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(factors=factor_lists(max_order=32, max_rank=5), seed=st.integers(0, 2**32 - 1))
-def test_coboundary2_is_computed_once_and_is_the_alternating_sum(factors, seed):
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    factors=factor_lists(max_order=64, max_rank=5),
+    m=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tensor_certificate_matches_the_exhaustive_sweeps(factors, m, seed):
+    """For a random compatible tensor, alternating or not, the certificate's
+    answers equal the exhaustive sweeps on a plain-table copy."""
     group = make_group(factors)
-    sigma = random_sigma(group, np.random.default_rng(seed), den=12)
+    rng = np.random.default_rng(seed)
+    k = group.rank
+    tensor = compatible_steps(factors, m, 3) * rng.integers(-3 * m, 3 * m, size=(k, k, k))
+    phi = Tricharacter(group, tensor, m)
+    plain = Cochain3(group, phi.table, phi.den)
+    assert phi.cocycle_mode == "certificate" and plain.cocycle_mode == "exhaustive"
+    checks = (is_cocycle3, check_multiplier_relation, associativity_cocycle_sweep)
+    assert [check(phi) for check in checks] == [check(plain) for check in checks]
+    assert "coboundary_witness" in vars(plain) and "coboundary_witness" not in vars(phi)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    factors=factor_lists(max_order=32, max_rank=5),
+    den=st.sampled_from([1, 2, 6, 12, 255, 2**31 + 11, 2**62 - 57, 2**62]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coboundary2_is_computed_once_and_is_the_alternating_sum(factors, den, seed):
+    """The table and denominator of delta sigma equal, entry for entry, the
+    four-term sum sigma(y,z) - sigma(x+y,z) + sigma(x,y+z) - sigma(x,y) taken
+    in Python integers, reduced mod den and put in lowest terms."""
+    group = make_group(factors)
+    sigma = random_sigma(group, np.random.default_rng(seed), den=den)
     first = coboundary2(sigma)
     assert coboundary2(sigma) is first
     add = group.add_table
-    t = sigma.table
-    fresh = (t[None, :, :] - t[add, :] + t[:, add] - t[:, :, None]) % sigma.den
-    assert first == Cochain3(group, fresh, sigma.den)
+    t = sigma.table.astype(object)
+    wide = (t[None, :, :] - t[add, :] + t[:, add] - t[:, :, None]) % den
+    g = gcd(den, *(int(v) for v in wide.flat))
+    assert first.den == den // g and first.table.dtype == np.int64
+    assert np.array_equal(first.table, (wide // g).astype(np.int64))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(factors=factor_lists(max_order=16, max_rank=4), seed=st.integers(0, 2**32 - 1))
+def test_coboundary2_is_the_float_associator_of_the_twisted_group_algebra(factors, seed):
+    """exp(2 pi i (delta sigma)(a, b, c)) is the ratio of e_a(e_b e_c) to
+    (e_a e_b)e_c, each product taken with TwistedGroupAlgebra.multiply."""
+    group = make_group(factors)
+    rng = np.random.default_rng(seed)
+    sigma = random_sigma(group, rng, den=int(rng.choice([4, 6, 8, 12])))
+    alg = TwistedGroupAlgebra(group, sigma)
+    e = alg.basis
+    n = group.order
+    pairs = [[alg.multiply(e[a], e[b]) for b in range(n)] for a in range(n)]
+    add = group.add_table
+    ratio = np.empty((n, n, n), dtype=complex)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        left = alg.multiply(e[a], pairs[b][c]).coeffs
+        right = alg.multiply(pairs[a][b], e[c]).coeffs
+        abc = add[add[a, b], c]
+        assert np.count_nonzero(left) == np.count_nonzero(right) == 1
+        ratio[a, b, c] = left[abc] / right[abc]
+    assert np.max(np.abs(ratio - coboundary2(sigma).complex_table)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(factors=factor_lists(max_order=32, max_rank=5), seed=st.integers(0, 2**32 - 1))
+def test_fourier_side_product_is_the_evaluation_side_product(dim, factors, seed):
+    """The two forms of the crossed-product convolution agree on random
+    scalar and 2x2-block coefficient functions."""
+    group = make_group(factors)
+    n = group.order
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if dim == 1 else (n, n, dim, dim)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    got = fourier_side_product(group, a, b)
+    expected = evaluation_side_product(group, a, b)
+    assert got.shape == expected.shape == shape
+    bound = 1e-13 * n * dim * np.abs(a).max() * np.abs(b).max()
+    assert np.max(np.abs(got - expected)) <= bound
 
 
 # Denominators on both sides of every type boundary of the exact sweeps
