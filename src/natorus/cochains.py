@@ -13,7 +13,7 @@ that require antisymmetry check for it rather than assume it.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping
 
@@ -116,6 +116,21 @@ class CochainTable:
     def __call__(self, *args) -> Phase:
         return self.value(*args)
 
+    def slabs(self) -> Iterator[np.ndarray]:
+        """The table's leading slices in index order: for a 3-cochain, phi(x, ., .)
+        as an (n, n) array of numerators over den, for each x.
+
+        The one accessor through which whole-table readers stream a cochain.
+        A plain table yields its own read-only rows; a `Tricharacter` builds
+        each slab from its tensor without forming the n^3 table. Slabs may
+        come in any integer type; their entries are the residues in [0, den).
+        """
+        return iter(self.table)
+
+    def _content_gcd(self) -> int:
+        """gcd of den and every entry, read slab by slab."""
+        return reduce(gcd, (int(np.gcd.reduce(s, axis=None)) for s in self.slabs()), self.den)
+
     @cached_property
     def complex_table(self) -> np.ndarray:
         """exp(2 pi i table / den), the numerical weight tensor (see exp_phases)."""
@@ -130,16 +145,17 @@ class CochainTable:
 
     def _combine(self, other: "CochainTable", sign: int) -> "CochainTable":
         """self + sign * other over the common denominator, built in one fresh
-        table: the other operand is scaled one leading index at a time, so no
-        second full-size temporary is formed."""
+        table from the two operands' slabs, so neither operand's whole table
+        is read and no second full-size temporary is formed."""
         if not isinstance(other, CochainTable) or other.arity != self.arity:
             raise CochainError("can only combine cochains of equal arity")
         self.group._require_same(other.group)
         d = common_denominator(self.den, other.den)
-        out = self.table * (d // self.den)
-        step = sign * (d // other.den)
-        for i in range(len(out)):
-            out[i] += other.table[i] * step
+        out = np.empty((self.group.order,) * self.arity, dtype=np.int64)
+        scale, step = d // self.den, sign * (d // other.den)
+        for row, a, b in zip(out, self.slabs(), other.slabs()):
+            np.multiply(a, scale, out=row, dtype=np.int64)
+            row += np.multiply(b, step, dtype=np.int64)
         np.remainder(out, d, out=out)
         return type(self)._from_table(self.group, self.arity, out, d)
 
@@ -155,18 +171,21 @@ class CochainTable:
         return type(self)._from_table(self.group, self.arity, out, self.den)
 
     def __eq__(self, other) -> bool:
-        """Equal values. Over one denominator the tables decide; otherwise the
-        lowest-terms forms do, so no common denominator (which may pass int64)
-        is formed."""
+        """Equal values, compared slab by slab. Over one denominator the
+        numerators decide; otherwise the lowest-terms forms do, so no common
+        denominator (which may pass int64) is formed."""
         if not isinstance(other, CochainTable):
             return NotImplemented
         if self.arity != other.arity or self.group.factors != other.group.factors:
             return False
-        if self.den == other.den:
-            return bool((self.table == other.table).all())
-        a, den_a = _lowest_terms(self.table, self.den)
-        b, den_b = _lowest_terms(other.table, other.den)
-        return den_a == den_b and bool((a == b).all())
+        g_a = g_b = 1
+        if self.den != other.den:
+            g_a, g_b = self._content_gcd(), other._content_gcd()
+            if self.den // g_a != other.den // g_b:
+                return False
+        return all(
+            np.array_equal(a // g_a, b // g_b) for a, b in zip(self.slabs(), other.slabs())
+        )
 
     __hash__ = None  # unhashable; tables are compared by content
 
@@ -188,7 +207,7 @@ class CochainTable:
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(group={self.group.factors}, den={self.den}, "
-            f"nonzero={int(np.count_nonzero(self.table))})"
+            f"nonzero={sum(np.count_nonzero(s) for s in self.slabs())})"
         )
 
 
@@ -363,11 +382,12 @@ class Tricharacter(Cochain3):
     factor n attached to each slot index, otherwise the form does not descend
     to the group and multilinearity breaks under coordinate reduction.
 
-    The n^3 table is built one index at a time, reducing mod m after each
-    stage: Q[c,i,j] = sum_k c_k M[i,j,k], then P[b,c,i] = sum_j b_j Q[c,i,j],
-    then table[a,b,c] = sum_i a_i P[b,c,i]. That costs about n^3 k
-    multiply-adds for rank k, against n^3 k^3 for the direct sum. A modulus
-    for which one stage's sum could pass int64 is refused with CochainError.
+    A tricharacter holds its validated tensor (residues mod m) and nothing
+    else. Whole-table readers on the hot paths stream it through `slabs`,
+    (n, n) slices built from the tensor; is_zero and is_alternating, and the
+    cocycle identities (coboundary_witness), are decided on the tensor. The
+    dense n^3 `table` is built only when a reader asks for it whole (sweeps
+    on plain copies, restrict, complex_table, digests) and then cached.
     """
 
     cocycle_mode = "certificate"  # see coboundary_witness
@@ -387,12 +407,69 @@ class Tricharacter(Cochain3):
                 f"tensor is incompatible with the factors in slot {axis}: "
                 f"need modulus {m} to divide every entry times the slot factor"
             )
-        table = tensor
-        for _ in range(3):
-            table = _contract_last(group.coords, table, m)
-        self._adopt(group, 3, table, m)
+        tensor.setflags(write=False)
+        self.group = group
+        self.arity = 3
+        self.den = m
         self.tensor = tensor
         self.modulus = m
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The dense n^3 table, built one index at a time, reducing mod m
+        after each stage: Q[c,i,j] = sum_k c_k M[i,j,k], then
+        P[b,c,i] = sum_j b_j Q[c,i,j], then table[a,b,c] = sum_i a_i P[b,c,i].
+        That costs about n^3 k multiply-adds for rank k, against n^3 k^3 for
+        the direct sum; `_stage_modulus` keeps each stage inside int64."""
+        table = self.tensor
+        for _ in range(3):
+            table = _contract_last(self.group.coords, table, self.modulus)
+        table.setflags(write=False)
+        return table
+
+    def slabs(self) -> Iterator[np.ndarray]:
+        """phi(x, ., .) for x in index order, by linearity in the first slot.
+
+        slab(x) = slab(x - 1) + slab(s) with s = x - (x - 1). In lexicographic
+        order s is e_j + ... + e_(k-1) for the coordinate j that carries, so it
+        takes at most `rank` values, and each of their slabs is built once
+        from the tensor in n^2 k steps (as in `bicharacter_from_matrix`). The
+        running sum stays in the unsigned type of 2 (m - 1), where
+        min(s, s - m) reduces a sum of two residues: s - m wraps above s
+        unless s >= m. Each slab is a fresh read-only array.
+        """
+        g, m = self.group, self.modulus
+        dtype = np.min_scalar_type(2 * (m - 1))
+        steps = {}
+        slab = np.zeros((g.order, g.order), dtype=dtype)  # phi(0, ., .) = 0
+        slab.setflags(write=False)
+        yield slab
+        for x in range(1, g.order):
+            s = int(g.sub_table[x, x - 1])
+            if s not in steps:
+                rows = np.tensordot(g.coords[s], self.tensor, axes=1) % m  # [j, k]
+                step = _contract_last(g.coords, _contract_last(g.coords, rows, m), m)
+                steps[s] = step.astype(dtype)
+            slab = slab + steps[s]
+            np.minimum(slab, slab - m, out=slab)
+            slab.setflags(write=False)
+            yield slab
+
+    def is_zero(self) -> bool:
+        """Zero exactly when the reduced tensor is: phi(e_i, e_j, e_k) = M[i,j,k]."""
+        return not self.tensor.any()
+
+    def is_alternating(self) -> bool:
+        """Decided on the tensor. phi dies on a repeated pair of slots p, q
+        exactly when M has zero diagonal in (p, q) and M + M^T (transposed in
+        p, q) is 0 mod m: evaluating at e_i and at e_i + e_j in both slots
+        gives these, and they make the quadratic form in those slots vanish.
+        """
+        t, m = self.tensor, self.modulus
+        return not any(
+            np.diagonal(t, axis1=p, axis2=q).any() or (t != -t.swapaxes(p, q) % m).any()
+            for p, q in ((0, 1), (0, 2), (1, 2))
+        )
 
     @property
     def coboundary_witness(self) -> None:

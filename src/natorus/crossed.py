@@ -27,11 +27,11 @@ substituting t = w - y in the strictified product gives
 
 with V_t the conjugator implementing beta_t. R depends only on the twist
 and psi, but as a whole it is an n^3 d^2 array, so verify_duality streams
-it: for each batch of pairs it builds R one w-slice at a time from the exact
-integer tables of psi and phi and computes row w of both sides for the whole
-batch. No n^3 complex array is formed. strictified_product and
-takai_transform compute by the definitions and are the independent route
-the tests compare against.
+it: for each batch of pairs it builds R one w-slice at a time from narrow
+exact copies of psi and phi, streamed from their slabs, and computes row w
+of both sides for the whole batch. No n^3 complex array is formed.
+strictified_product and takai_transform compute by the definitions and are
+the independent route the tests compare against.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ class TwistData:
             )
         # phase relation: e^{2 pi i phi} u(x,y) u(x+y,z) = beta_x[u(y,z)] u(x,y+z)
         phi = self.phi
-        for x in range(n):
-            w = exp_phases(phi.table[x], phi.den)
+        for x, slab in enumerate(phi.slabs()):
+            w = exp_phases(slab, phi.den)
             lhs = np.einsum("yz,yab,yzbc->yzac", w, u[x], u[add[x]])
             moved = np.einsum("ab,yzbc,dc->yzad", v[x], u, np.conj(v[x]))
             rhs = np.einsum("yzab,yzbc->yzac", moved, u[x][add])
@@ -301,7 +301,7 @@ def strictified_product(
     tw = a.twist
     if psi.group != tw.group:
         raise IncompatibleGroupsError("psi lives on a different group")
-    weight = _phase_sum(psi, tw.phi)
+    weight, _ = _phase_sum(psi, tw.phi)
     n = tw.group.order
     add = tw.group.add_table
     out = np.zeros_like(a.values)
@@ -315,27 +315,38 @@ def strictified_product(
 
 
 def _phase_sum(psi: Cochain3, phi: Cochain3):
-    """cells -> exp(2 pi i (psi + phi)) at `cells`, flat indices (an index
-    array or a slice) into the n^3 tables.
+    """(phases, psi_rows): phases(cells) is exp(2 pi i (psi + phi)) at `cells`,
+    flat indices (an index array or a slice) into the n^3 tables, and psi_rows
+    the narrow copy of psi it reads, indexed [x, y, z], in psi's own units
+    (numerators over psi.den).
 
-    Each call reads only its cells of the two exact tables, which are scaled
-    to the common denominator once, into the narrowest unsigned type that
-    holds a sum of two residues, so no n^3 table of psi + phi is formed. The
-    exponent is put in lowest terms per call, so quarter turns take the exact
-    roots.
+    The two cochains are streamed slab by slab (`slabs`) into narrow copies
+    in the unsigned type that holds a sum of two residues over the common
+    denominator: psi in its own units, phi scaled to the common denominator.
+    Neither cochain's own table is read whole, so a `Tricharacter` builds no
+    n^3 table here, and no n^3 table of psi + phi is formed. Each call reads
+    only its cells, scales psi's to the common denominator and puts the
+    exponent in lowest terms, so quarter turns take the exact roots.
     """
     den = common_denominator(psi.den, phi.den)
     dtype = np.min_scalar_type(2 * (den - 1))
+    n = psi.group.order
 
-    def scaled(cochain):
-        table = cochain.table.astype(dtype).ravel()
-        table *= den // cochain.den
-        return table
+    def narrow(cochain):
+        out = np.empty((n, n, n), dtype=dtype)
+        for row, slab in zip(out, cochain.slabs()):
+            row[...] = slab
+        return out
 
-    psi_flat, phi_flat = scaled(psi), scaled(phi)
+    psi_rows = narrow(psi)
+    psi_flat, psi_scale = psi_rows.reshape(-1), den // psi.den
+    phi_flat = narrow(phi).reshape(-1)
+    phi_flat *= den // phi.den
 
     def phases(cells) -> np.ndarray:
         exponent = psi_flat[cells]
+        if psi_scale != 1:
+            exponent *= psi_scale
         exponent += phi_flat[cells]
         if 4 % den == 0:  # exp_phases wraps quarter turns exactly at any scale
             return exp_phases(exponent, den)
@@ -343,7 +354,7 @@ def _phase_sum(psi: Cochain3, phi: Cochain3):
         common = gcd(den, int(np.gcd.reduce(exponent, axis=None)))
         return exp_phases(exponent // common, den // common)
 
-    return phases
+    return phases, psi_rows
 
 
 def _at(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -396,21 +407,25 @@ class _DualityRows:
 
     The left side is the formula in the module docstring, with R(w, y, z)
     split as the slice exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^*
-    u(w - y, y - z), built from the exact tables of psi and phi and dropped
+    u(w - y, y - z), built from the narrow copies of psi and phi and dropped
     after its row, times u(w - z, z) V_w, which does not depend on y and
     multiplies the summed row. The right side is the kernel product, read
     with the weight row exp(2 pi i psi(w, ., .)), of transform(b), computed
     whole by _takai_values, and row w of transform(a),
     V_w^* a(w - z, z) u(w - z, z) V_w, which shares its gather with L(w, .).
     include_multiplier=False drops u(w - z, z) from R and from both
-    transforms. Set-up is O(n^2 d^2) besides the narrow copies of the two
-    exact tables (see _phase_sum); no n^3 complex array is formed.
+    transforms. The kernel weight row is read from the narrow copy of psi
+    that _phase_sum holds, in psi's own units, so exp_phases sees the same
+    numerators over psi.den as from psi's table. Set-up is O(n^2 d^2) besides
+    those narrow copies of psi and phi, streamed from the cochains' slabs
+    (see _phase_sum), so a `Tricharacter` psi builds no n^3 table; no n^3
+    complex array is formed.
     """
 
     def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
         g = tw.group
         n, d = g.order, tw.dim
-        self.tw, self.psi, self.include_multiplier = tw, psi, include_multiplier
+        self.tw, self.psi_den, self.include_multiplier = tw, psi.den, include_multiplier
         self.block = _block_product(d)
         self.sub, self.zi = g.sub_table, np.arange(n)
         self.diffs = self.sub * n + self.zi  # (y - z, z) over [y, z], flat into n x n
@@ -418,10 +433,10 @@ class _DualityRows:
         self.vu = self.block(self.beta_h[:, None], tw.u).reshape(n * n, d, d)  # V_t^* u(t, r)
         u_out = _at(tw.u, self.diffs) if include_multiplier else np.eye(d)  # u(w - z, z)
         self.right = self.block(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
-        self.phases = _phase_sum(psi, tw.phi)
+        self.phases, self.psi_rows = _phase_sum(psi, tw.phi)
 
     def __call__(self, a: np.ndarray, b: np.ndarray):
-        tw, psi, block, sub, zi = self.tw, self.psi, self.block, self.sub, self.zi
+        tw, block, sub, zi = self.tw, self.block, self.sub, self.zi
         n = tw.group.order
         tb = _takai_values(tw, b, self.include_multiplier)
         b_sub = _at(b, self.diffs)  # b(y - z, z) over [y, z]
@@ -438,7 +453,7 @@ class _DualityRows:
             left = block(moved, tw.beta[t])
             lhs = block(_sum_over_y(left, block(b_sub, weight, out=weighted)), self.right[w])
             ta = block(moved, self.right[w])
-            kernel_weight = exp_phases(psi.table[w], psi.den)[:, :, None, None]
+            kernel_weight = exp_phases(self.psi_rows[w], self.psi_den)[:, :, None, None]
             rhs = _sum_over_y(ta, np.multiply(kernel_weight, tb, out=weighted))
             yield w, lhs, rhs
 
@@ -548,17 +563,18 @@ def verify_duality(
     with L(w, y) = V_w^* a(w - y, y) V_{w-y} and the weight
     R(w, y, z) = exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^* u(w - y, y - z)
     u(w - z, z) V_w (see _DualityRows). R is never stored whole: pairs run
-    in batches, and for each batch R(w), an n^2 d^2 slice built from the exact
-    tables of psi and phi, and the kernel weight row exp(2 pi i psi(w, ., .))
-    give row w of both sides for every pair of the batch. The two sides stay
-    separate products of the same pair, and each pair keeps the largest error
-    over its rows. Random pairs are drawn a then b, pair by pair, in batches
-    of _pairs_per_batch(n, d). Both sides are bilinear, so the exhaustive mode
-    compares the two structure tensors: the basis is stacked along two
-    broadcast axes and every pair comes out of the same slice loop. The
-    witness is the first pair in (a, b) order, or the first trial, with the
-    largest error. include_multiplier=False drops u(w - z, z) from both the
-    transform and R and should make the check fail loudly.
+    in batches, and for each batch R(w), an n^2 d^2 slice built from narrow
+    exact copies of psi and phi, and the kernel weight row
+    exp(2 pi i psi(w, ., .)) give row w of both sides for every pair of the
+    batch. The two sides stay separate products of the same pair, and each
+    pair keeps the largest error over its rows. Random pairs are drawn a then
+    b, pair by pair, in batches of _pairs_per_batch(n, d). Both sides are
+    bilinear, so the exhaustive mode compares the two structure tensors: the
+    basis is stacked along two broadcast axes and every pair comes out of the
+    same slice loop. The witness is the first pair in (a, b) order, or the
+    first trial, with the largest error. include_multiplier=False drops
+    u(w - z, z) from both the transform and R and should make the check
+    fail loudly.
     """
     g = tw.group
     if psi.group != g:

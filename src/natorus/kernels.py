@@ -80,7 +80,7 @@ class TwistedKernel(ArrayElement):
     def _same_space(self, other: "TwistedKernel") -> bool:
         return (
             self.group == other.group
-            and self.phi == other.phi
+            and (self.phi is other.phi or self.phi == other.phi)
             and self.block_dim == other.block_dim
         )
 

@@ -119,7 +119,7 @@ class TGAElement(ArrayElement):
         self.coeffs = coeffs
 
     def _same_space(self, other: "TGAElement") -> bool:
-        return self.algebra == other.algebra
+        return self.algebra is other.algebra or self.algebra == other.algebra
 
     def _sibling(self, coeffs: np.ndarray) -> "TGAElement":
         return TGAElement(self.algebra, coeffs)

@@ -9,11 +9,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_one_order(script):
+def run_one_order(script, order=8):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / script), "--order", "8"],
+        [sys.executable, str(ROOT / "bench" / script), "--order", str(order)],
         env=env,
         capture_output=True,
         text=True,
@@ -24,14 +24,17 @@ def run_one_order(script):
 
 
 def test_duality_ladder_runs_one_order():
-    point = run_one_order("duality_ladder.py")
-    assert point["order"] == 8 and point["dim"] == 2 and point["trials"] == 100
-    assert set(point["setup_s"]) == {"twist", "psi"}
-    assert point["max_error"] < 1e-10
-    assert point["first_call_s"] > 0
-    assert 0 < point["setup_peak_rss_mb"] <= point["peak_rss_mb"]
-    # Differences of two timings, so only their presence is checked.
-    assert {"per_trial_s", "call_setup_s"} <= set(point)
+    # Order 16 is the first that builds the trivializer from a tricharacter.
+    cases = ((8, 2, {"twist", "psi"}), (16, 1, {"group", "trivializer", "twist", "psi"}))
+    for order, dim, stages in cases:
+        point = run_one_order("duality_ladder.py", order)
+        assert point["order"] == order and point["dim"] == dim and point["trials"] == 100
+        assert set(point["setup_s"]) == stages
+        assert point["max_error"] < 1e-10
+        assert point["first_call_s"] > 0
+        assert 0 < point["setup_peak_rss_mb"] <= point["peak_rss_mb"]
+        # Differences of two timings, so only their presence is checked.
+        assert {"per_trial_s", "call_setup_s"} <= set(point)
 
 
 def test_sweep_ladder_runs_one_order():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from natorus import ConfigError, IncompatibleGroupsError, make_group
+from natorus import ConfigError, IncompatibleGroupsError, Tricharacter, make_group
 from natorus.cli import main
 from natorus.configs import (
     load_config,
@@ -195,6 +195,20 @@ def test_cocycle_verify_passes(capsys):
     assert code == 0
     assert payload(out)["passed"] is True
     assert payload(out)["mode"] == "certificate"  # "octonion" is a Tricharacter
+
+
+def test_cocycle_verify_builds_no_table_for_a_tricharacter(capsys, monkeypatch):
+    """The verdict, the mode and `alternating` are all decided on the tensor."""
+
+    def refuse(self):
+        raise AssertionError("the n^3 table of a tricharacter was built")
+
+    monkeypatch.setattr(Tricharacter, "table", property(refuse))
+    code, out, _ = run_cli(
+        capsys, "cocycle", "verify", "--config", str(CONFIGS / "octonion.json")
+    )
+    assert code == 0
+    assert payload(out)["alternating"] is True and payload(out)["mode"] == "certificate"
 
 
 def test_cocycle_verify_fails_with_witness(capsys):

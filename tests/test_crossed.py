@@ -31,9 +31,11 @@ from natorus import (
     strictified_product,
     takai_inverse,
     takai_transform,
+    trivializing_cochain,
     verify_duality,
 )
 from natorus.crossed import _pairs_per_batch
+from natorus.twisted_algebra import levi_civita
 from natorus.presets import (
     epsilon_tricharacter_z4,
     pauli_m2_twist,
@@ -323,6 +325,28 @@ def test_duality_streams_without_n3_tables(rng):
     assert peak < n**3 * 16
     assert "complex_table" not in vars(psi)
     assert "complex_table" not in vars(tw.phi)
+
+
+def test_tricharacters_on_the_duality_path_build_no_table():
+    """Set-up and check of verify_duality, the exact trivializer check, the
+    twist's validation and psi + delta read every Tricharacter through its
+    slabs: none of them caches its n^3 table."""
+    group = make_group([4, 4, 4])
+    phi2 = Tricharacter(group, levi_civita(), 2)
+    tau = trivializing_cochain(phi2)
+    tw = TwistData.scalar_from_sigma(group, tau)
+    psi = Tricharacter(group, levi_civita(), 4)
+    assert verify_duality(tw, psi, trials=2, seed=1).passed
+    # A twist whose phi is the tricharacter itself: validate reads its slabs.
+    beta = np.ones((group.order, 1, 1), dtype=complex)
+    tri_tw = TwistData.with_scalar_multiplier(group, tau, beta, phi2, 1)
+    assert verify_duality(tri_tw, psi, trials=2, seed=1).passed
+    delta = Cochain3.from_entries(group, [(((1, 0, 0), (0, 1, 0), (0, 0, 1)), "1/4")])
+    corrupted = psi + delta
+    assert all("table" not in vars(c) for c in (phi2, psi))
+    plain = Cochain3(group, psi.table, psi.den)
+    assert corrupted == plain + delta and type(corrupted) is Cochain3
+    assert psi == plain and phi2 == coboundary2(tau) == tri_tw.phi
 
 
 def test_double_dual_identity_and_composition(rng):

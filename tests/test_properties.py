@@ -41,10 +41,10 @@ MAX_ORDER = 8  # |G|^2 <= 64 keeps every scalar duality check exhaustive
 
 
 @st.composite
-def factor_lists(draw, max_order=MAX_ORDER, max_rank=3):
+def factor_lists(draw, max_order=MAX_ORDER, max_rank=3, min_rank=1):
     """Factor lists of order <= max_order; the rank is drawn first, so rank 3
     (Z/2^3, the only order-8 group with a nonzero alternating form) comes up often."""
-    rank = draw(st.integers(1, max_rank))
+    rank = draw(st.integers(min_rank, max_rank))
     factors = []
     for later in range(rank - 1, -1, -1):  # leave room for `later` factors of 2
         factors.append(draw(st.integers(2, max_order // prod(factors) // 2**later)))
@@ -197,6 +197,90 @@ def test_tensor_certificate_matches_the_exhaustive_sweeps(factors, m, seed):
     checks = (is_cocycle3, check_multiplier_relation, associativity_cocycle_sweep)
     assert [check(phi) for check in checks] == [check(plain) for check in checks]
     assert "coboundary_witness" in vars(plain) and "coboundary_witness" not in vars(phi)
+
+
+def assert_slabs_are_the_table(phi):
+    """phi.slabs() against phi.table slice by slice, and in the narrow
+    unsigned type of 2 (m - 1); the slabs are taken before the table exists."""
+    slabs = list(phi.slabs())
+    assert "table" not in vars(phi)
+    dtype = np.min_scalar_type(2 * (phi.modulus - 1))
+    assert len(slabs) == phi.group.order
+    assert all(s.dtype == dtype and not s.flags.writeable for s in slabs)
+    assert all(np.array_equal(s, row) for s, row in zip(slabs, phi.table))
+
+
+# Moduli on both sides of the uint8/uint16 boundary of the slab type, which
+# has 2 (m - 1) <= 255 up to m = 128, and small moduli.
+SLAB_MODULI = st.one_of(st.integers(1, 48), st.sampled_from([127, 128, 129, 130, 255, 256]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    factors=factor_lists(max_order=64, max_rank=5),
+    m=SLAB_MODULI,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tricharacter_slabs_are_the_table(factors, m, seed):
+    group = make_group(factors)
+    rng = np.random.default_rng(seed)
+    k = group.rank
+    tensor = compatible_steps(factors, m, 3) * rng.integers(-3 * m, 3 * m, size=(k, k, k))
+    assert_slabs_are_the_table(Tricharacter(group, tensor, m))
+
+
+@pytest.mark.parametrize("factors, m, entry", [([2], 128, 64), ([3], 129, 43), ([3, 3], 129, 43)])
+def test_tricharacter_slabs_at_the_uint8_boundary(factors, m, entry):
+    """Running sums that reach m: 64 + 64 in uint8 (m = 128), and 86 + 43 in
+    uint16 (m = 129)."""
+    k = len(factors)
+    assert_slabs_are_the_table(Tricharacter(make_group(factors), np.full((k,) * 3, entry), m))
+
+
+def random_tensor_of_kind(kind, factors, m, rng):
+    """A compatible tensor: random; alternating by antisymmetry (+-1 times the
+    compatible step on the permutations of distinct indices); alternating
+    through half turns (a multiple of m/2 on every permutation of distinct
+    indices); or zero. The two alternating kinds are perturbed at one random
+    entry about half of the time."""
+    k = len(factors)
+    steps = compatible_steps(factors, m, 3)
+    if kind == "random":
+        return steps * rng.integers(-3 * m, 3 * m, size=(k, k, k))
+    raw = np.zeros((k, k, k), dtype=np.int64)
+    if kind == "zero":
+        return raw
+    if kind == "half turns":
+        steps = np.lcm(steps, max(m // 2, 1))
+    odd = -1 if kind == "antisymmetric" else 1
+    for idx in itertools.combinations(range(k), 3):
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            raw[idx[a], idx[b], idx[c]] = 1
+            raw[idx[b], idx[a], idx[c]] = odd
+    if rng.integers(0, 2):
+        raw[tuple(rng.integers(0, k, size=3))] += 1
+    return steps * raw
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    factors=factor_lists(max_order=64, max_rank=5, min_rank=3),
+    multiple=st.integers(1, 3),
+    kind=st.sampled_from(["random", "antisymmetric", "half turns", "zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tensor_alternation_and_zero_match_the_dense_table(factors, multiple, kind, seed):
+    """Tricharacter.is_alternating and is_zero, decided on the tensor, equal
+    the answers read from the dense table of a plain copy. The modulus is a
+    multiple of the exponent, so that few of the drawn forms vanish."""
+    group = make_group(factors)
+    m = group.exponent * multiple
+    tensor = random_tensor_of_kind(kind, factors, m, np.random.default_rng(seed))
+    phi = Tricharacter(group, tensor, m)
+    got = (phi.is_alternating(), phi.is_zero())
+    assert "table" not in vars(phi)
+    plain = Cochain3(group, phi.table, phi.den)
+    assert got == (plain.is_alternating(), plain.is_zero())
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
