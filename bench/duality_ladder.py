@@ -13,9 +13,12 @@ costs such as the first use of numpy's random generator), then with one and
 with `trials` pairs, and reports per_trial_s = (t_trials - t_1) / (trials - 1),
 the per-call set-up call_setup_s = t_1 - per_trial_s, and the process's peak
 RSS after the calls, `peak_rss_mb`; the two peaks show whether set-up or the
-check sets the process's peak. One JSON line per order. The top rung,
-|G| = 512 (Z/2 x Z/4^4, 2 pairs), takes about a minute and peaks near 1.4 GB
-on a 2-core x86-64 box, most of it the dense n^3 int64 twist phi = delta tau.
+check sets the process's peak. One JSON line per order. The twist's phi is
+the mod-2 tricharacter itself (trivializing_cochain leaves it as delta tau),
+so set-up builds no n^3 table. The top rung, |G| = 512 (Z/2 x Z/4^4, 2
+pairs), takes about half a minute on a 2-core x86-64 box; set-up peaks near
+100 MB and the check near 245 MB, most of it the check's one n^3 uint8 table
+of psi + phi (128 MiB).
 """
 
 import time

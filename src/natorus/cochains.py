@@ -249,22 +249,32 @@ class Cochain2(_FixedArity):
 
         The table is read-only, so the n^3 pass runs once per cochain and every
         later coboundary2 call, cocycle check or twist built from it shares
-        this one Cochain3. The pass holds one n^3 int64 array, the result: it
-        starts as one gather of sigma(x+y, z), and sigma(x, y+z) is added one
-        x-slice at a time. Every partial sum of the four residues lies in
-        (-2 den, 2 den), inside int64 for den <= 2^62, so the order of the
-        terms does not change the table.
+        this one Cochain3. The pass fills one n^3 int64 array, the result,
+        from `_coboundary2_slabs`. trivializing_cochain, which proves
+        delta tau = phi for a `Tricharacter` phi, caches phi here in lowest
+        terms instead, so that table is never built.
         """
-        add = self.group.add_table
-        t = self.table
-        out = t[add]  # sigma(x+y, z), the one n^3 gather
-        np.negative(out, out=out)
-        out += t  # sigma(y, z)
-        out -= t[:, :, None]  # sigma(x, y)
-        for x in range(len(t)):
-            out[x] += t[x][add]  # sigma(x, y+z), an n^2 gather per x
-        np.remainder(out, self.den, out=out)
+        out = np.empty((self.group.order,) * 3, dtype=np.int64)
+        for row, slab in zip(out, _coboundary2_slabs(self)):
+            row[...] = slab
         return Cochain3._from_table(self.group, 3, out, self.den)
+
+
+def _coboundary2_slabs(sigma: Cochain2) -> Iterator[np.ndarray]:
+    """(delta sigma)(x, ., .) mod den for x in index order, as fresh (n, n)
+    int64 arrays: sigma(y, z) - sigma(x+y, z) + sigma(x, y+z) - sigma(x, y).
+
+    Every partial sum of the four residues lies in (-2 den, 2 den), inside
+    int64 for den <= 2^62, so the order of the terms does not change a slab.
+    """
+    add = sigma.group.add_table
+    t = sigma.table
+    for x in range(len(t)):
+        slab = t - t[add[x]]  # sigma(y, z) - sigma(x+y, z)
+        slab += t[x][add]  # sigma(x, y+z)
+        slab -= t[x][:, None]  # sigma(x, y)
+        np.remainder(slab, sigma.den, out=slab)
+        yield slab
 
 
 class Cochain3(_FixedArity):
@@ -717,9 +727,12 @@ def trivializing_cochain(phi: Cochain3) -> Cochain2:
     Supported inputs: the zero cochain (tau = 0) and tensor tricharacters
     whose doubled tensor vanishes mod m (2-torsion classes), where the
     quadratic cochain tau(a,b) = -(1/m) sum_{i<j,k} M[i,j,k] a_i a_j b_k
-    works. The result is verified exactly; anything else raises, since such
-    classes (e.g. the epsilon tensor mod 4 on three Z/4 factors) are not
-    coboundaries at all.
+    works. The result is verified exactly, slab by slab against phi's slabs
+    (`_coboundary2_slabs`), so no n^3 table is built; on success tau's
+    cached coboundary is phi itself in lowest terms (`_lowest_terms_form`),
+    a tricharacter that a twist built from tau carries as its phi. Anything
+    else raises, since such classes (e.g. the epsilon tensor mod 4 on three
+    Z/4 factors) are not coboundaries at all.
     """
     if phi.is_zero():
         return Cochain2.zero(phi.group)
@@ -733,9 +746,18 @@ def trivializing_cochain(phi: Cochain3) -> Cochain2:
         U = _contract_last(coords, _contract_last(coords, N, m), m)
         table = np.einsum("abi,ai->ab", U, coords) % m
         tau = Cochain2(phi.group, table, m)
-        if coboundary2(tau) == phi:
+        if all(np.array_equal(d, p) for d, p in zip(_coboundary2_slabs(tau), phi.slabs())):
+            tau.coboundary = _lowest_terms_form(phi)
             return tau
     raise CochainError(
         "no trivializing 2-cochain available: phi is not recognizably a "
         "coboundary (2 * tensor != 0 mod m obstructs the quadratic ansatz)"
     )
+
+
+def _lowest_terms_form(phi: Tricharacter) -> Tricharacter:
+    """phi over the smallest modulus, as _lowest_terms gives its table: the
+    gcd of m and the tensor is the gcd of m and the table, since the table
+    holds the tensor's entries at the basis triples and is made of them."""
+    g = gcd(phi.modulus, int(np.gcd.reduce(phi.tensor, axis=None)))
+    return phi if g == 1 else Tricharacter(phi.group, phi.tensor // g, phi.modulus // g)

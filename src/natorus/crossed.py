@@ -26,12 +26,18 @@ substituting t = w - y in the strictified product gives
                  V_{w-y}^* u(w - y, y - z) u(w - z, z) V_w,
 
 with V_t the conjugator implementing beta_t. R depends only on the twist
-and psi, but as a whole it is an n^3 d^2 array, so verify_duality streams
-it: for each batch of pairs it builds R one w-slice at a time from narrow
-exact copies of psi and phi, streamed from their slabs, and computes row w
-of both sides for the whole batch. No n^3 complex array is formed.
-strictified_product and takai_transform compute by the definitions and are
-the independent route the tests compare against.
+and psi, but as a whole it is an n^3 d^2 complex array, so verify_duality
+streams it: for each batch of pairs it builds R one w-slice at a time and
+computes row w of both sides for the whole batch. Its exact part, the
+exponent (psi + phi)(w - y, y - z, z), comes from one narrow integer table
+built once per check from psi's and phi's slabs and stored sheared,
+E[t, y, z] = (psi + phi)(t, y - z, z), so that slice w reads n contiguous
+rows E[w - y, y, .]. That table is the check's only n^3 array; no n^3
+complex array and no copy of psi is formed. strictified_product and
+takai_transform compute by the definitions and are the route the tests
+compare against; strictified_product reads the same builder's table
+unsheared, so the tests also check the check against a reference built from
+the cochains' own tables.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from math import gcd
 
 import numpy as np
 
-from .cochains import Cochain2, Cochain3, coboundary2, common_denominator, exp_phases
+from .cochains import Cochain2, Cochain3, CochainTable, coboundary2, common_denominator, exp_phases
 from .elements import ArrayElement
-from .errors import ConfigError, IncompatibleGroupsError, TwistDataError
+from .errors import CochainError, ConfigError, IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel
 
@@ -77,6 +83,8 @@ class TwistData:
             raise TwistDataError(f"beta must have shape {(n, dim, dim)}, got {beta.shape}")
         if u.shape != (n, n, dim, dim):
             raise TwistDataError(f"u must have shape {(n, n, dim, dim)}, got {u.shape}")
+        if not _is_cochain3(phi):
+            raise TwistDataError(f"phi must be a 3-cochain, got {phi!r}")
         if phi.group != group:
             raise IncompatibleGroupsError("phi lives on a different group")
         beta.setflags(write=False)
@@ -299,62 +307,66 @@ def strictified_product(
     """
     a._check(b)
     tw = a.twist
-    if psi.group != tw.group:
-        raise IncompatibleGroupsError("psi lives on a different group")
-    weight, _ = _phase_sum(psi, tw.phi)
+    _require_psi(psi, tw.group)
     n = tw.group.order
+    table, den = _phase_table(psi, tw.phi, np.arange(n * n).reshape(n, n))
     add = tw.group.add_table
     out = np.zeros_like(a.values)
     for t in range(n):
         # index [r, x] with r = s - t
         moved = np.einsum("ab,rxbc,dc->rxad", tw.beta[t], b.values, np.conj(tw.beta[t]))
-        w_t = weight(slice(t * n * n, (t + 1) * n * n)).reshape(n, n)
+        w_t = _row_phases(table[t], den)
         term = np.einsum("rx,rxab,rxbc,rcd->rxad", w_t, a.values[t][add], moved, tw.u[t])
         out[add[t]] += term
     return StrictifiedElement(tw, out)
 
 
-def _phase_sum(psi: Cochain3, phi: Cochain3):
-    """(phases, psi_rows): phases(cells) is exp(2 pi i (psi + phi)) at `cells`,
-    flat indices (an index array or a slice) into the n^3 tables, and psi_rows
-    the narrow copy of psi it reads, indexed [x, y, z], in psi's own units
-    (numerators over psi.den).
+def _is_cochain3(cochain) -> bool:
+    return isinstance(cochain, CochainTable) and cochain.arity == 3
 
-    The two cochains are streamed slab by slab (`slabs`) into narrow copies
-    in the unsigned type that holds a sum of two residues over the common
-    denominator: psi in its own units, phi scaled to the common denominator.
-    Neither cochain's own table is read whole, so a `Tricharacter` builds no
-    n^3 table here, and no n^3 table of psi + phi is formed. Each call reads
-    only its cells, scales psi's to the common denominator and puts the
-    exponent in lowest terms, so quarter turns take the exact roots.
+
+def _require_psi(psi, group: FiniteAbelianGroup) -> None:
+    """Refuse a psi that is not a 3-cochain on `group`, before any work: the
+    rows of a 2-cochain would otherwise broadcast where psi's slabs are read."""
+    if not _is_cochain3(psi):
+        raise CochainError(f"psi must be a 3-cochain, got {psi!r}")
+    if psi.group != group:
+        raise IncompatibleGroupsError("psi lives on a different group")
+
+
+def _phase_table(psi: Cochain3, phi: Cochain3, layout: np.ndarray) -> tuple[np.ndarray, int]:
+    """(table, den): table[t] = (psi + phi)(t, ., .) over the common
+    denominator den, reduced to [0, den), with each slab stored at `layout`,
+    (n, n) flat indices into it: table[t, i, j] = slab_t.flat[layout[i, j]].
+
+    The one builder of the (psi + phi) exponents. psi's and phi's slabs
+    (`slabs`) are streamed once, so a `Tricharacter` builds no n^3 table, and
+    the table is the only n^3 array: one entry per cell in the unsigned type
+    of 2 (den - 1), which holds the sum of two residues scaled to den. Each
+    slab is reduced once with min(s, s - den): s - den wraps above s unless
+    s >= den. Readers turn rows into phases with _row_phases.
     """
     den = common_denominator(psi.den, phi.den)
     dtype = np.min_scalar_type(2 * (den - 1))
-    n = psi.group.order
+    psi_scale, phi_scale = den // psi.den, den // phi.den
+    table = np.empty((psi.group.order,) + layout.shape, dtype=dtype)
+    for row, p, f in zip(table, psi.slabs(), phi.slabs()):
+        s = p.astype(dtype) * psi_scale
+        s += f.astype(dtype) * phi_scale
+        np.minimum(s, s - den, out=s)
+        row[...] = s.take(layout)
+    table.setflags(write=False)
+    return table, den
 
-    def narrow(cochain):
-        out = np.empty((n, n, n), dtype=dtype)
-        for row, slab in zip(out, cochain.slabs()):
-            row[...] = slab
-        return out
 
-    psi_rows = narrow(psi)
-    psi_flat, psi_scale = psi_rows.reshape(-1), den // psi.den
-    phi_flat = narrow(phi).reshape(-1)
-    phi_flat *= den // phi.den
-
-    def phases(cells) -> np.ndarray:
-        exponent = psi_flat[cells]
-        if psi_scale != 1:
-            exponent *= psi_scale
-        exponent += phi_flat[cells]
-        if 4 % den == 0:  # exp_phases wraps quarter turns exactly at any scale
-            return exp_phases(exponent, den)
-        exponent %= den
-        common = gcd(den, int(np.gcd.reduce(exponent, axis=None)))
-        return exp_phases(exponent // common, den // common)
-
-    return phases, psi_rows
+def _row_phases(exponent: np.ndarray, den: int) -> np.ndarray:
+    """exp(2 pi i exponent / den) for one row of a _phase_table, with the
+    exponent put in lowest terms over the row, so quarter turns take the
+    exact roots (exp_phases wraps them exactly at any scale)."""
+    if 4 % den == 0:
+        return exp_phases(exponent, den)
+    common = gcd(den, int(np.gcd.reduce(exponent, axis=None)))
+    return exp_phases(exponent // common, den // common)
 
 
 def _at(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -407,25 +419,25 @@ class _DualityRows:
 
     The left side is the formula in the module docstring, with R(w, y, z)
     split as the slice exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^*
-    u(w - y, y - z), built from the narrow copies of psi and phi and dropped
-    after its row, times u(w - z, z) V_w, which does not depend on y and
-    multiplies the summed row. The right side is the kernel product, read
-    with the weight row exp(2 pi i psi(w, ., .)), of transform(b), computed
-    whole by _takai_values, and row w of transform(a),
+    u(w - y, y - z), built for its row and dropped after it, times
+    u(w - z, z) V_w, which does not depend on y and multiplies the summed
+    row. The exponents come from one sheared table (_phase_table),
+    E[t, y, z] = (psi + phi)(t, y - z, z), built once per check, so row w's
+    are E[w - y, y, .] over y: n contiguous rows of E. The right side is the
+    kernel product, read with the weight row exp(2 pi i psi(w, ., .)), of
+    transform(b), computed whole by _takai_values, and row w of transform(a),
     V_w^* a(w - z, z) u(w - z, z) V_w, which shares its gather with L(w, .).
-    include_multiplier=False drops u(w - z, z) from R and from both
-    transforms. The kernel weight row is read from the narrow copy of psi
-    that _phase_sum holds, in psi's own units, so exp_phases sees the same
-    numerators over psi.den as from psi's table. Set-up is O(n^2 d^2) besides
-    those narrow copies of psi and phi, streamed from the cochains' slabs
-    (see _phase_sum), so a `Tricharacter` psi builds no n^3 table; no n^3
-    complex array is formed.
+    The weight rows are psi's own slabs, read from one `slabs` generator per
+    call, advanced in step with w, so exp_phases sees psi's numerators over
+    psi.den. include_multiplier=False drops u(w - z, z) from R and from both
+    transforms. Besides E, set-up is O(n^2 d^2); no copy of psi, no n^3 table
+    of a `Tricharacter` and no n^3 complex array is formed.
     """
 
     def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
         g = tw.group
         n, d = g.order, tw.dim
-        self.tw, self.psi_den, self.include_multiplier = tw, psi.den, include_multiplier
+        self.tw, self.psi, self.include_multiplier = tw, psi, include_multiplier
         self.block = _block_product(d)
         self.sub, self.zi = g.sub_table, np.arange(n)
         self.diffs = self.sub * n + self.zi  # (y - z, z) over [y, z], flat into n x n
@@ -433,7 +445,7 @@ class _DualityRows:
         self.vu = self.block(self.beta_h[:, None], tw.u).reshape(n * n, d, d)  # V_t^* u(t, r)
         u_out = _at(tw.u, self.diffs) if include_multiplier else np.eye(d)  # u(w - z, z)
         self.right = self.block(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
-        self.phases, self.psi_rows = _phase_sum(psi, tw.phi)
+        self.exponents, self.den = _phase_table(psi, tw.phi, self.diffs)
 
     def __call__(self, a: np.ndarray, b: np.ndarray):
         tw, block, sub, zi = self.tw, self.block, self.sub, self.zi
@@ -442,18 +454,18 @@ class _DualityRows:
         b_sub = _at(b, self.diffs)  # b(y - z, z) over [y, z]
         del b  # a batch's b is held here alone (see verify_duality); only tb and b_sub are read
         weighted = np.empty_like(tb)  # each row's summands over y, one side at a time
-        for w in range(n):
+        for w, psi_row in zip(range(n), self.psi.slabs()):
             t = sub[w]  # w - y over y
             pairs = (t * n)[:, None] + sub  # (w - y, y - z) over [y, z], flat into n x n
-            cells = (t * n * n)[:, None] + self.diffs  # (w - y, y - z, z), flat into n^3
-            weight = self.phases(cells)[:, :, None, None] * self.vu.take(pairs, axis=0)
+            phases = _row_phases(self.exponents[t, zi], self.den)  # over [y, z]
+            weight = phases[:, :, None, None] * self.vu.take(pairs, axis=0)
             # V_w^* a(w - y, y) over y, completed to L(w, y) by V_{w-y} and to
             # row w of transform(a) by u(w - y, y) V_w
             moved = block(self.beta_h[w], _at(a, t * n + zi))
             left = block(moved, tw.beta[t])
             lhs = block(_sum_over_y(left, block(b_sub, weight, out=weighted)), self.right[w])
             ta = block(moved, self.right[w])
-            kernel_weight = exp_phases(self.psi_rows[w], self.psi_den)[:, :, None, None]
+            kernel_weight = exp_phases(psi_row, self.psi.den)[:, :, None, None]
             rhs = _sum_over_y(ta, np.multiply(kernel_weight, tb, out=weighted))
             yield w, lhs, rhs
 
@@ -467,10 +479,8 @@ def takai_transform(
     identity on purpose and exists for negative controls.
     """
     tw = a.twist
-    g = tw.group
-    if psi.group != g:
-        raise IncompatibleGroupsError("psi lives on a different group")
-    return TwistedKernel(g, psi, _takai_values(tw, a.values, include_multiplier))
+    _require_psi(psi, tw.group)
+    return TwistedKernel(tw.group, psi, _takai_values(tw, a.values, include_multiplier))
 
 
 def takai_inverse(kernel: TwistedKernel, tw: TwistData) -> StrictifiedElement:
@@ -533,13 +543,14 @@ class DualityReport:
 def _pairs_per_batch(n: int, d: int) -> int:
     """Random pairs that verify_duality runs through one pass over the R slices.
 
-    At least 8, so that a rebuild of the slices, which costs about as much as
-    the rows of four pairs at |G| = 64 and 128, is shared by 8 pairs; more
-    while one batch array (n^2 d^2 complex entries per pair) stays within
-    2^15 entries (512 KB), which keeps small groups from paying the per-row
-    overhead pair by pair. While its rows run, a batch holds four such arrays
-    (a, b(y - z, z), transform(b) and one temporary), so from |G| = 64 on
-    (d = 1) it stays within half of one n^3 complex table.
+    At least 8, so that a pass's per-row set-up (phases, the V^* u gather and
+    the kernel weight rows), which costs about as much as the rows of two or
+    three pairs at |G| = 64 and of one or two at |G| = 128, is shared by 8
+    pairs; more while one batch array (n^2 d^2 complex entries per pair)
+    stays within 2^15 entries (512 KB), which keeps small groups from paying
+    the per-row overhead pair by pair. While its rows run, a batch holds four
+    such arrays (a, b(y - z, z), transform(b) and one temporary), so from
+    |G| = 64 on (d = 1) it stays within half of one n^3 complex table.
     """
     return max(8, 2**15 // (n * n * d * d))
 
@@ -562,23 +573,24 @@ def verify_duality(
 
     with L(w, y) = V_w^* a(w - y, y) V_{w-y} and the weight
     R(w, y, z) = exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^* u(w - y, y - z)
-    u(w - z, z) V_w (see _DualityRows). R is never stored whole: pairs run
-    in batches, and for each batch R(w), an n^2 d^2 slice built from narrow
-    exact copies of psi and phi, and the kernel weight row
-    exp(2 pi i psi(w, ., .)) give row w of both sides for every pair of the
-    batch. The two sides stay separate products of the same pair, and each
-    pair keeps the largest error over its rows. Random pairs are drawn a then
-    b, pair by pair, in batches of _pairs_per_batch(n, d). Both sides are
-    bilinear, so the exhaustive mode compares the two structure tensors: the
-    basis is stacked along two broadcast axes and every pair comes out of the
-    same slice loop. The witness is the first pair in (a, b) order, or the
-    first trial, with the largest error. include_multiplier=False drops
-    u(w - z, z) from both the transform and R and should make the check
-    fail loudly.
+    u(w - z, z) V_w (see _DualityRows). R is never stored whole: its
+    exponents are one sheared narrow table of psi + phi, built once per call
+    (_phase_table), and pairs run in batches. For each batch R(w), an
+    n^2 d^2 slice whose phases are n contiguous rows of that table, and the
+    kernel weight row exp(2 pi i psi(w, ., .)), read from psi's slabs, give
+    row w of both sides for every pair of the batch. The two sides stay
+    separate products of the same pair, and each pair keeps the largest error
+    over its rows. Random pairs are drawn a then b, pair by pair, in batches
+    of _pairs_per_batch(n, d). Both sides are bilinear, so the exhaustive
+    mode compares the two structure tensors: the basis is stacked along two
+    broadcast axes and every pair comes out of the same slice loop. The
+    witness is the first pair in (a, b) order, or the first trial, with the
+    largest error. include_multiplier=False drops u(w - z, z) from both the
+    transform and R and should make the check fail loudly. A psi that is not
+    a 3-cochain is refused with CochainError before any work.
     """
     g = tw.group
-    if psi.group != g:
-        raise IncompatibleGroupsError("psi lives on a different group")
+    _require_psi(psi, g)
     n, d = g.order, tw.dim
 
     check = _DualityRows(tw, psi, include_multiplier)

@@ -9,6 +9,7 @@ import pytest
 from natorus import (
     Cochain2,
     Cochain3,
+    CochainError,
     ConfigError,
     CrossedElement,
     StrictifiedElement,
@@ -330,11 +331,23 @@ def test_duality_streams_without_n3_tables(rng):
 def test_tricharacters_on_the_duality_path_build_no_table():
     """Set-up and check of verify_duality, the exact trivializer check, the
     twist's validation and psi + delta read every Tricharacter through its
-    slabs: none of them caches its n^3 table."""
+    slabs: none of them caches its n^3 table. The trivializer's check proves
+    delta tau = phi2 slab by slab and leaves phi2 as tau's coboundary, so the
+    twist carries the tricharacter and set-up peaks below one n^3 int64 table."""
     group = make_group([4, 4, 4])
+    n = group.order
     phi2 = Tricharacter(group, levi_civita(), 2)
-    tau = trivializing_cochain(phi2)
-    tw = TwistData.scalar_from_sigma(group, tau)
+    tracemalloc.start()
+    try:
+        tau = trivializing_cochain(phi2)
+        tw = TwistData.scalar_from_sigma(group, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n**3 * 8
+    assert tw.phi is coboundary2(tau) is phi2
+    dense = coboundary2(Cochain2(group, tau.table, tau.den))  # delta tau, table and all
+    assert type(dense) is Cochain3 and tw.phi == dense
     psi = Tricharacter(group, levi_civita(), 4)
     assert verify_duality(tw, psi, trials=2, seed=1).passed
     # A twist whose phi is the tricharacter itself: validate reads its slabs.
@@ -347,6 +360,43 @@ def test_tricharacters_on_the_duality_path_build_no_table():
     plain = Cochain3(group, psi.table, psi.den)
     assert corrupted == plain + delta and type(corrupted) is Cochain3
     assert psi == plain and phi2 == coboundary2(tau) == tri_tw.phi
+
+
+def test_trivializer_leaves_its_tricharacter_in_lowest_terms():
+    """tau's cached coboundary is the tricharacter over its smallest modulus:
+    the same den and values as the dense delta tau that _from_table reduces."""
+    group = make_group([4, 4, 4])
+    phi = Tricharacter(group, 2 * levi_civita(), 4)  # 2-torsion, content 2
+    tau = trivializing_cochain(phi)
+    lowest = coboundary2(tau)
+    assert isinstance(lowest, Tricharacter) and (lowest.den, lowest.modulus) == (2, 2)
+    assert np.array_equal(lowest.tensor, levi_civita() % 2)
+    dense = Cochain2(group, tau.table, tau.den).coboundary
+    assert type(dense) is Cochain3 and dense.den == lowest.den
+    assert np.array_equal(dense.table, lowest.table)
+
+
+@pytest.mark.parametrize("entry", ["verify_duality", "strictified_product", "takai_transform"])
+def test_psi_of_another_arity_is_refused(entry):
+    # A 2-cochain psi used to broadcast its rows: verify_duality passed.
+    g = make_group([2, 2, 2])
+    tw = TwistData.trivial(g)
+    a = StrictifiedElement.delta(tw, g.identity, g.identity)
+    psi = Cochain2.zero(g)
+    call = {
+        "verify_duality": lambda: verify_duality(tw, psi),
+        "strictified_product": lambda: strictified_product(a, a, psi),
+        "takai_transform": lambda: takai_transform(a, psi),
+    }[entry]
+    with pytest.raises(CochainError, match="psi must be a 3-cochain"):
+        call()
+
+
+def test_twist_refuses_a_phi_of_another_arity():
+    # It used to raise numpy's ValueError from einsum.
+    g = make_group([2, 2, 2])
+    with pytest.raises(TwistDataError, match="phi must be a 3-cochain"):
+        TwistData(g, phi=Cochain2.zero(g))
 
 
 def test_double_dual_identity_and_composition(rng):

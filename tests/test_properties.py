@@ -33,7 +33,7 @@ from natorus import (
     verify_duality,
 )
 from natorus.cochains import _sweep_dtype
-from natorus.crossed import _DualityRows
+from natorus.crossed import _DualityRows, _phase_table
 from natorus.groups import subgroup_elements
 from natorus.presets import pauli_m2_twist
 
@@ -475,3 +475,116 @@ def test_restrict_is_the_triple_loop_over_the_subgroup(factors, seed):
     got = restrict(phi, gens)
     assert list(got.items()) == list(loop.items())
     assert is_trivial_on(phi, gens) == all(p.is_zero() for p in loop.values())
+
+
+# (psi den, phi den): common denominators that are no quarter turns, on both
+# sides of each unsigned-type boundary of 2 (den - 1): 128 sums into uint8,
+# 129 needs uint16, 2^31 + 11 needs uint64; (4, 6) scales both to 12.
+DUALITY_DENS = [(3, 3), (6, 6), (12, 12), (4, 6), (128, 128), (129, 129), (255, 255)]
+DUALITY_DENS += [(2**31 + 11, 2**31 + 11)]
+# (factors, d, mode): n^2 d^2 <= 64 is exhaustive, above it random.
+DUALITY_SHAPES = [
+    ([2, 3], 1, "exhaustive"),
+    ([3, 3], 1, "random"),
+    ([3], 2, "exhaustive"),
+    ([2, 3], 2, "random"),
+]
+
+
+def random_normalized_table(group, den, arity, rng):
+    table = rng.integers(0, den, size=(group.order,) * arity)
+    for axis in range(arity):
+        np.moveaxis(table, axis, 0)[0] = 0
+    return table
+
+
+def random_unitaries(rng, shape, d):
+    z = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+    return np.linalg.qr(z)[0]
+
+
+def exponent_sum(psi, phi):
+    """((psi + phi) mod den, den) from the two tables, in Python integers."""
+    den = lcm(psi.den, phi.den)
+    total = psi.table.astype(object) * (den // psi.den)
+    total += phi.table.astype(object) * (den // phi.den)
+    return total % den, den
+
+
+def reference_duality_errors(tw, psi, a, b, include_multiplier):
+    """max |transform(a * b) - transform(a) * transform(b)| per pair (leading
+    axis of a and b), by the definitions, with the exponents summed from
+    psi.table and phi.table (exponent_sum): no code shared with
+    verify_duality's phase table."""
+    g = tw.group
+    n, add, sub = g.order, g.add_table, g.sub_table
+    total, den = exponent_sum(psi, tw.phi)
+    weight = np.exp(2j * np.pi * total.astype(float) / den)
+    kernel_weight = np.exp(2j * np.pi * psi.table.astype(float) / psi.den)
+    v, vh, u = tw.beta, np.conj(tw.beta).swapaxes(-1, -2), tw.u
+    # (a * b)(s, x) = sum_t w(t, s - t, x) a(t, (s - t) + x) v_t b(s - t, x) v_t^* u(t, s - t)
+    product = np.zeros_like(a)
+    for t, r in itertools.product(range(n), repeat=2):
+        term = a[:, t, add[r]] @ v[t] @ b[:, r] @ vh[t] @ u[t, r]
+        product[:, add[t, r]] += weight[t, r][:, None, None] * term
+
+    def transform(c):  # c~(w, z) = v_w^* c(w - z, z) u(w - z, z) v_w
+        out = np.empty_like(c)
+        for w, z in itertools.product(range(n), repeat=2):
+            m = c[:, sub[w, z], z]
+            out[:, w, z] = vh[w] @ (m @ u[sub[w, z], z] if include_multiplier else m) @ v[w]
+        return out
+
+    ta, tb = transform(a), transform(b)
+    rhs = np.einsum("xyz,pxyab,pyzbc->pxzac", kernel_weight, ta, tb)
+    return np.abs(transform(product) - rhs).max(axis=(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("include_multiplier", [True, False])
+@pytest.mark.parametrize("factors, d, mode", DUALITY_SHAPES)
+@pytest.mark.parametrize("psi_den, phi_den", DUALITY_DENS)
+def test_duality_check_matches_the_definitions_over_each_denominator(
+    psi_den, phi_den, factors, d, mode, include_multiplier
+):
+    """verify_duality on plain random psi and phi (no cocycles, so the identity
+    fails by O(1) and every phase shows in the errors) against the definitions,
+    and its sheared exponent table, exactly, against the Python-integer sum."""
+    group = make_group(factors)
+    n = group.order
+    rng = np.random.default_rng([psi_den % 2**32, n, d])
+    psi = Cochain3(group, random_normalized_table(group, psi_den, 3, rng), psi_den)
+    phi = Cochain3(group, random_normalized_table(group, phi_den, 3, rng), phi_den)
+    beta, u = random_unitaries(rng, (n,), d), random_unitaries(rng, (n, n), d)
+    tw = TwistData(group, d, beta=beta, u=u, phi=phi, validate=False)
+
+    total, den = exponent_sum(psi, phi)
+    rows = _DualityRows(tw, psi, include_multiplier)
+    assert rows.den == den and rows.exponents.dtype == np.min_scalar_type(2 * (den - 1))
+    sheared = total[:, group.sub_table, np.arange(n)]  # (psi + phi)(t, y - z, z) over [t, y, z]
+    assert (rows.exponents.astype(object) == sheared).all()
+    plain, _ = _phase_table(psi, phi, np.arange(n * n).reshape(n, n))  # strictified_product's
+    assert (plain.astype(object) == total).all()
+
+    trials, seed = 5, 7
+    report = verify_duality(
+        tw, psi, trials=trials, seed=seed, include_multiplier=include_multiplier
+    )
+    assert report.mode == mode
+    if mode == "exhaustive":
+        basis = np.eye(n * n * d * d, dtype=complex).reshape(-1, n, n, d, d)
+        a, b = np.repeat(basis, len(basis), axis=0), np.tile(basis, (len(basis), 1, 1, 1, 1))
+    else:
+        draw = np.random.default_rng(seed)  # a then b, pair by pair, as verify_duality draws
+        elements = [StrictifiedElement.random(tw, draw).values for _ in range(2 * trials)]
+        a, b = np.stack(elements[0::2]), np.stack(elements[1::2])
+    errors = reference_duality_errors(tw, psi, a, b, include_multiplier)
+    assert report.trials == len(errors)
+    worst = errors.max()
+    assert worst > 1e-3 and not report.passed
+    assert abs(report.max_error - worst) <= 1e-9 * worst
+    if mode == "random":
+        k = report.witness[1]
+    else:
+        keys = list(itertools.product(range(n), range(n), range(d), range(d)))
+        k = keys.index(report.witness[0]) * len(keys) + keys.index(report.witness[1])
+    assert errors[k] >= worst * (1 - 1e-9)
