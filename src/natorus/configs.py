@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -327,9 +328,15 @@ def load_config(path: str | None, **overrides) -> RunConfig:
             setattr(cfg, key, raw[key])
         if key in overrides and overrides[key] is not None:
             setattr(cfg, key, overrides[key])
-    if not isinstance(cfg.tolerance, numbers.Real) or not cfg.tolerance > 0:
-        raise ConfigError(f"tolerance {cfg.tolerance!r} must be a positive number")
-    cfg.tolerance = float(cfg.tolerance)
+    tol = cfg.tolerance
+    # a bool is an int, and an infinite tolerance would pass every float verdict
+    if (
+        isinstance(tol, bool)
+        or not isinstance(tol, numbers.Real)
+        or not 0 < tol <= sys.float_info.max
+    ):
+        raise ConfigError(f"tolerance {tol!r} must be a positive finite number")
+    cfg.tolerance = float(tol)
     cfg.trials = _integer(cfg.trials, "trials", minimum=1)
     cfg.seed = _integer(cfg.seed, "seed", minimum=0)
     if cfg.format not in FORMATS:

@@ -15,6 +15,13 @@ xi_chi1 conjugates that leg by the right regular representation, and u is the
 diagonal multiplier built from phi. For phi = 0 the star product is conjugate
 to the ordinary one via an explicit intertwiner; for general phi the
 associator of homogeneous elements is exactly exp(2 pi i phi(xi, eta, zeta)).
+
+Every constructor gives a diagonal operator leg, and the product keeps it
+so: xi_chi1 permutes the leg's rows and columns by one permutation and u
+rescales it point by point. So a graded element is stored point by point, one
+d x d matrix per degree and per point of l2(Ghat) (x) C^m, and only
+represent and the flat intertwiner, which return the (d nm) x (d nm) matrix,
+build one.
 """
 
 from __future__ import annotations
@@ -324,9 +331,10 @@ def _operator_dim(group: FiniteAbelianGroup, multiplicity: int) -> int:
 class GradedElement(ArrayElement):
     """A graded element: one block per character, each in A (x) End(l2(Ghat) (x) C^m).
 
-    Blocks are stored as an array of shape (|Ghat|, d, d, nm, nm) with
-    nm = |Ghat| * multiplicity; the (d, d) leg is the algebra, the (nm, nm)
-    leg the auxiliary operator space.
+    The operator legs are diagonal (see the module docstring), so blocks are
+    stored point by point, as an array of shape (|Ghat|, nm, d, d) with
+    nm = |Ghat| * multiplicity: blocks[chi, p] is the algebra matrix at
+    point p of l2(Ghat) (x) C^m.
     """
 
     __slots__ = ("action", "multiplicity", "blocks")
@@ -336,9 +344,9 @@ class GradedElement(ArrayElement):
         n, d = action.group.order, action.dim
         nm = _operator_dim(action.group, multiplicity)
         blocks = np.asarray(blocks, dtype=complex)
-        if blocks.shape != (n, d, d, nm, nm):
+        if blocks.shape != (n, nm, d, d):
             raise GradingError(
-                f"blocks must have shape {(n, d, d, nm, nm)}, got {blocks.shape}"
+                f"blocks must have shape {(n, nm, d, d)}, got {blocks.shape}"
             )
         self.action = action
         self.multiplicity = multiplicity
@@ -350,12 +358,8 @@ class GradedElement(ArrayElement):
     def from_matrix(cls, action: GAction, mat, multiplicity: int = 1) -> "GradedElement":
         """Isotypically decompose a plain algebra element; operator legs = 1."""
         comps = action.isotypic_components(np.asarray(mat, dtype=complex))
-        n, d = action.group.order, action.dim
         nm = _operator_dim(action.group, multiplicity)
-        blocks = np.zeros((n, d, d, nm, nm), dtype=complex)
-        rng_idx = np.arange(nm)
-        blocks[:, :, :, rng_idx, rng_idx] = comps[:, :, :, None]
-        return cls(action, multiplicity, blocks)
+        return cls(action, multiplicity, np.repeat(comps[:, None], nm, axis=1))
 
     @classmethod
     def from_blocks(
@@ -366,25 +370,21 @@ class GradedElement(ArrayElement):
         validate: bool = True,
         tol: float = 1e-10,
     ) -> "GradedElement":
-        """Build from {chi: block}; (d, d) blocks get identity operator legs."""
+        """Build from {chi: block}: a (d, d) block gets the identity operator
+        leg, an (nm, d, d) block gives one matrix per point."""
         g = action.group
         n, d = g.order, action.dim
         nm = _operator_dim(g, multiplicity)
-        blocks = np.zeros((n, d, d, nm, nm), dtype=complex)
+        blocks = np.zeros((n, nm, d, d), dtype=complex)
         for chi, blk in degree_blocks.items():
             i = g.element(chi).index
             blk = np.asarray(blk, dtype=complex)
-            if blk.shape == (d, d):
-                full = np.zeros((d, d, nm, nm), dtype=complex)
-                idx = np.arange(nm)
-                full[:, :, idx, idx] = blk[:, :, None]
-                blk = full
-            elif blk.shape != (d, d, nm, nm):
+            if blk.shape not in ((d, d), (nm, d, d)):
                 raise GradingError(
                     f"block for degree {chi} must have shape {(d, d)} or "
-                    f"{(d, d, nm, nm)}, got {blk.shape}"
+                    f"{(nm, d, d)}, got {blk.shape}"
                 )
-            blocks[i] = blocks[i] + blk
+            blocks[i] += blk
         el = cls(action, multiplicity, blocks)
         if validate:
             el.validate_grading(tol)
@@ -407,8 +407,8 @@ class GradedElement(ArrayElement):
             blk = self.blocks[i]
             if not blk.any():
                 continue
-            moved = np.einsum("tip,pqrs,tjq->tijrs", w, blk, np.conj(w))
-            expected = chars[i][:, None, None, None, None] * blk[None]
+            moved = np.einsum("tip,rpq,tjq->trij", w, blk, np.conj(w))
+            expected = chars[i][:, None, None, None] * blk[None]
             err = np.max(np.abs(moved - expected))
             if err > tol:
                 raise GradingError(
@@ -426,18 +426,14 @@ class GradedElement(ArrayElement):
         return self.blocks[self.action.group.element(chi).index]
 
     def total(self) -> np.ndarray:
-        """Sum of all blocks as a (d, d, nm, nm) tensor."""
+        """Sum of all blocks as an (nm, d, d) stack, one matrix per point."""
         return self.blocks.sum(axis=0)
 
     def underlying_matrix(self, tol: float = 1e-10) -> np.ndarray:
         """Recover the algebra element when every operator leg is scalar."""
-        nm = self.blocks.shape[-1]
         tot = self.total()
-        scalar = np.trace(tot, axis1=2, axis2=3) / nm
-        recon = np.zeros_like(tot)
-        idx = np.arange(nm)
-        recon[:, :, idx, idx] = scalar[:, :, None]
-        if np.max(np.abs(recon - tot)) > tol:
+        scalar = tot.mean(axis=0)
+        if np.max(np.abs(tot - scalar)) > tol:
             raise GradingError("operator legs are not scalar; no underlying matrix")
         return scalar
 
@@ -467,12 +463,6 @@ def _rho_permutation(group: FiniteAbelianGroup, chi_index: int, multiplicity: in
     return (base[:, None] * multiplicity + np.arange(multiplicity)[None, :]).ravel()
 
 
-def _as_operators(blocks: np.ndarray) -> np.ndarray:
-    """(..., d, d, nm, nm) blocks as (..., d nm, d nm) matrices, row index (i, p)."""
-    *lead, d, _, nm, _ = blocks.shape
-    return np.swapaxes(blocks, -3, -2).reshape(*lead, d * nm, d * nm)
-
-
 def _homogeneous_products(
     group: FiniteAbelianGroup,
     multiplicity: int,
@@ -482,21 +472,21 @@ def _homogeneous_products(
     rights: np.ndarray,
     i2: np.ndarray,
 ) -> np.ndarray:
-    """left xi_chi1[rights[k]] u(chi1, chi2[k]) for every k, as a (k, D, D) stack.
+    """left xi_chi1[rights[k]] u(chi1, chi2[k]) for every k, as a (k, nm, d, d) stack.
 
     `left` is one degree-chi1 block (chi1 at index i1) and `rights` a stack of
-    blocks of degrees chi2[k] (indices i2), all (D, D) operators in the form
-    of _as_operators, D = d nm. xi_chi1 gathers the operator leg at sigma
-    within every algebra block; u(chi1, chi2) scales the columns at point
-    alpha of l2(Ghat) by wtable[alpha, chi1, chi2] = exp(2 pi i phi(alpha,
-    chi1, chi2)). One batched matmul serves the whole stack.
+    blocks of degrees chi2[k] (indices i2), all stored point by point.
+    xi_chi1 moves the matrix at point sigma(p) to p, and u(chi1, chi2) scales
+    point p, over alpha = p // multiplicity, by wtable[alpha, chi1, chi2] =
+    exp(2 pi i phi(alpha, chi1, chi2)). So the product at p is
+    left[p] rights[k][sigma(p)] wtable[alpha, chi1, chi2[k]], and one batched
+    d x d matmul serves the whole stack.
     """
-    nm = group.order * multiplicity
-    d = left.shape[-1] // nm
-    legs = np.arange(d)[:, None] * nm
-    perm = (legs + _rho_permutation(group, i1, multiplicity)[None, :]).ravel()
-    u = np.tile(np.repeat(wtable[:, i1, i2], multiplicity, axis=0), (d, 1)).T
-    moved = rights[:, perm[:, None], perm[None, :]] * u[:, None, :]
+    sigma = _rho_permutation(group, i1, multiplicity)
+    alpha = np.arange(group.order * multiplicity) // multiplicity
+    u = wtable[alpha[None, :], i1, np.asarray(i2)[:, None]]  # [k, p]
+    moved = rights[:, sigma]  # the gather copies, so it is scaled in place
+    moved *= u[:, :, None, None]
     return left @ moved
 
 
@@ -511,39 +501,47 @@ def deformed_product(a: GradedElement, b: GradedElement, phi: Cochain3) -> Grade
     """(a * b)_chi = sum_{chi1+chi2=chi} a_chi1 xi_chi1[b_chi2] u(chi1, chi2).
 
     phi must be a 3-cocycle; the O(n^4) check runs once per cochain and is
-    cached on it, so repeated products with one phi do not repeat it. The
-    nonzero blocks of b are stacked as (d nm) x (d nm) operators once, and
-    each nonzero degree chi1 of a is one _homogeneous_products call against
-    that whole stack.
+    cached on it, so repeated products with one phi do not repeat it. Each
+    nonzero degree chi1 of a is one _homogeneous_products call against the
+    stack of b's nonzero blocks: a gather, a scale and a batched matmul of
+    d x d matrices, n nm d^3 work per call.
     """
     a._check(b)
     g = a.action.group
     _require_phi_on(g, phi)
-    n, d = g.order, a.action.dim
     m = a.multiplicity
-    nm = n * m
     add = g.add_table
-    out = np.zeros((n, d * nm, d * nm), dtype=complex)
+    out = np.zeros_like(a.blocks)
     wtable = phi.complex_table
-    nonzero_a = [i for i in range(n) if a.blocks[i].any()]
-    nonzero_b = np.array([i for i in range(n) if b.blocks[i].any()], dtype=np.int64)
-    b_ops = _as_operators(b.blocks[nonzero_b])
+    nonzero_a = [i for i in range(g.order) if a.blocks[i].any()]
+    nonzero_b = np.array([i for i in range(g.order) if b.blocks[i].any()], dtype=np.int64)
+    rights = b.blocks[nonzero_b]
     for i1 in nonzero_a:
-        left = _as_operators(a.blocks[i1])
-        out[add[i1, nonzero_b]] += _homogeneous_products(g, m, wtable, left, i1, b_ops, nonzero_b)
-    blocks = out.reshape(n, d, nm, d, nm).transpose(0, 1, 3, 2, 4)
-    return GradedElement(a.action, m, blocks)
+        out[add[i1, nonzero_b]] += _homogeneous_products(
+            g, m, wtable, a.blocks[i1], i1, rights, nonzero_b
+        )
+    return GradedElement(a.action, m, out)
 
 
-def _shifted_operator(a: GradedElement, i: int) -> np.ndarray:
-    """a_chi (1 (x) rho(chi) (x) 1) as a (d nm) x (d nm) matrix, chi at index i.
+def _shifted_sum(a: GradedElement, point_matrices) -> np.ndarray:
+    """sum_chi X_chi (1 (x) rho(chi) (x) 1) over the nonzero degrees of a, as
+    one (d nm) x (d nm) matrix with row index (i, p).
 
-    Right multiplication by rho(chi) (x) 1 gathers the operator leg's columns
-    at the inverse shift, the permutation of -chi.
+    X_chi is diagonal on the operator leg, with point_matrices(i, sigma)[p]
+    at point p (chi at index i, sigma its _rho_permutation). Right
+    multiplication by rho(chi) (x) 1 puts point p's matrix in column block
+    sigma(p), so each degree fills nm disjoint d x d blocks.
     """
     g = a.action.group
-    cols = _rho_permutation(g, g.neg_table[i], a.multiplicity)
-    return _as_operators(a.blocks[i][..., cols])
+    nm, d = a.blocks.shape[1:3]
+    out = np.zeros((d * nm, d * nm), dtype=complex)
+    grid = out.reshape(d, nm, d, nm)  # a view: [i, p, j, q]
+    points = np.arange(nm)
+    for i in range(g.order):
+        if a.blocks[i].any():
+            sigma = _rho_permutation(g, i, a.multiplicity)
+            grid[:, points, :, sigma] += point_matrices(i, sigma)
+    return out
 
 
 def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
@@ -552,45 +550,34 @@ def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
     For phi = 0 this intertwines the deformed product with the ordinary one:
     Phi(a * b) = Phi(a) Phi(b).
     """
-    nm = a.blocks.shape[-1]
-    out = np.zeros((a.action.dim * nm,) * 2, dtype=complex)
-    for i in range(a.action.group.order):
-        if a.blocks[i].any():
-            out += _shifted_operator(a, i)
-    return out
+    return _shifted_sum(a, lambda i, sigma: a.blocks[i])
 
 
 def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
     """The star-action of a on graded vectors of H1 (x) l2(Ghat) (x) C^m.
 
     R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1) (x) 1) (1 (x) u(chi1, chi2) (x) 1) P_chi2
-    with P_chi the spectral projections of t -> W_t (x) 1 (x) 1. For phi =
-    None or the zero cocycle this collapses to the intertwiner above.
+    with P_chi the spectral projections of t -> W_t (x) 1 (x) 1. The sum over
+    chi2 folds into one matrix per point, M_chi1(alpha) = sum_chi2
+    u(alpha, chi1, chi2) P_chi2, so R(a) places a_chi1[p] M_chi1(sigma(p)) in
+    column block sigma(p) of row block p: n nm d^3 work. phi must be a
+    3-cocycle on the dual group; None means the zero cocycle, for which R(a)
+    is the intertwiner above.
     """
     g = a.action.group
-    n, d = g.order, a.action.dim
-    m = a.multiplicity
-    nm = n * m
-    dim = d * nm
     if phi is None:
         phi = Cochain3.zero(g)
-    if phi.group.factors != g.factors:
-        raise IncompatibleGroupsError("phi must live on the dual group (same factors)")
-    cc = np.conj(g.character_matrix)  # [chi, t]
-    # spectral projections of the unitary rep on the H1 leg, lifted to the
-    # full space with index order (i, p)
-    projs = np.einsum("xt,tip->xip", cc, a.action.unitaries) / n
-    projs_full = np.einsum("xip,rq->xirpq", projs, np.eye(nm)).reshape(n, dim, dim)
+    _require_phi_on(g, phi)
+    # spectral projections of the unitary rep on the H1 leg
+    projs = np.einsum("xt,tip->xip", np.conj(g.character_matrix), a.action.unitaries) / g.order
+    alpha = np.arange(a.blocks.shape[1]) // a.multiplicity
     wtable = phi.complex_table
-    out = np.zeros((dim, dim), dtype=complex)
-    for i1 in range(n):
-        if not a.blocks[i1].any():
-            continue
-        left = _shifted_operator(a, i1)
-        for i2 in range(n):
-            u = np.tile(np.repeat(wtable[:, i1, i2], m), d)
-            out += left @ (u[:, None] * projs_full[i2])
-    return out
+
+    def point_matrices(i1, sigma):
+        folded = np.tensordot(wtable[:, i1], projs, axes=1)  # [alpha, i, j]
+        return a.blocks[i1] @ folded[alpha[sigma]]
+
+    return _shifted_sum(a, point_matrices)
 
 
 def deformed_norm(a: GradedElement, phi: Cochain3 | None = None) -> float:
@@ -639,13 +626,14 @@ def associator_table(
 
     Runs over every character triple with generic homogeneous elements, drawn
     from rng in character order; degrees with an empty isotypic component are
-    skipped. The k homogeneous elements are stacked as (D, D) operators H,
-    D = d |G| multiplicity, and the product table P[eta, zeta] = H_eta * H_zeta
-    is computed once, k kernel calls of k products each. Each (xi, eta) pair
-    is then one chunk of k triples: a * (b * c) = H_xi * P[eta, :] and
+    skipped. The k homogeneous elements are stacked point by point as H, one
+    (nm, d, d) block each (the drawn matrix at every point, nm = |G|
+    multiplicity), and the product table P[eta, zeta] = H_eta * H_zeta is
+    computed once, k kernel calls of k products each. Each (xi, eta) pair is
+    then one chunk of k triples: a * (b * c) = H_xi * P[eta, :] and
     (a * b) * c = P[xi, eta] * H_: are two _homogeneous_products calls, and
-    the relative Frobenius deviations come from those two stacks. Only P and
-    one chunk's stacks (k D^2 entries each) are held at a time, so memory
+    the relative Frobenius deviations come from those two stacks. Only P
+    (k^2 nm d^2 entries) and one chunk's stacks are held at a time, so memory
     does not grow with the k^3 triples.
     """
     g = action.group
@@ -655,16 +643,16 @@ def associator_table(
         rng = np.random.default_rng(0)
     drawn = np.array([action.random_homogeneous(chi, rng) for chi in g.elements])
     degrees = np.nonzero(np.abs(drawn).max(axis=(1, 2)) > 1e-12)[0]
-    k, dim = degrees.size, action.dim * nm
+    k, d = degrees.size, action.dim
     # each homogeneous block carries the identity on its operator leg
-    ops = np.einsum("kij,pq->kipjq", drawn[degrees], np.eye(nm)).reshape(k, dim, dim)
+    ops = np.broadcast_to(drawn[degrees][:, None], (k, nm, d, d))
     add = g.add_table
     wtable = phi.complex_table
 
     def products(left, i1, rights, i2):
         return _homogeneous_products(g, multiplicity, wtable, left, i1, rights, i2)
 
-    table = np.empty((k, k, dim, dim), dtype=complex)  # P[eta, zeta]
+    table = np.empty((k, k, nm, d, d), dtype=complex)  # P[eta, zeta]
     for e, eta in enumerate(degrees):
         table[e] = products(ops[e], eta, ops, degrees)
     coords = [g.elements[i].coords for i in degrees]
@@ -675,8 +663,8 @@ def associator_table(
             rhs = products(table[x, e], add[xi, eta], ops, degrees)
             expected = [Phase(int(phi.table[xi, eta, zeta]), phi.den) for zeta in degrees]
             scale = np.array([p.to_complex() for p in expected])
-            dev = np.linalg.norm(lhs - rhs * scale[:, None, None], axis=(1, 2))
-            dev /= np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-30)
+            dev = np.linalg.norm((lhs - rhs * scale[:, None, None, None]).reshape(k, -1), axis=1)
+            dev /= np.maximum(np.linalg.norm(rhs.reshape(k, -1), axis=1), 1e-30)
             entries.extend(
                 AssociatorEntry((coords[x], coords[e], coords[z]), expected[z], float(dev[z]))
                 for z in range(k)

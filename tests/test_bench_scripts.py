@@ -59,6 +59,7 @@ def test_sweep_ladder_runs_one_order():
 def test_associator_ladder_runs_one_order():
     point = run_one_order("associator_ladder.py")
     assert point["order"] == 8 and point["factors"] == [2, 2, 2] and point["den"] == 2
-    assert point["operator_dim"] == 64 and point["triples"] == 512 and point["repeats"] == 5
+    assert point["points"] == 8 and point["block_dim"] == 8
+    assert point["triples"] == 512 and point["repeats"] == 5
     assert point["associator_s"] > 0 and point["max_error"] < 1e-10
     assert point["peak_rss_mb"] > 0

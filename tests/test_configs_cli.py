@@ -303,6 +303,18 @@ def test_quantize_product_and_norm(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("action", ["product", "norm"])
+def test_quantize_refuses_a_non_cocycle_phi(capsys, tmp_path, action):
+    # Every quantize action needs phi to be a 3-cocycle, the norm included.
+    config = json.loads((CONFIGS / "quantize_translation.json").read_text())
+    config["phi"] = {"type": "table", "entries": [{"args": [[1], [1], [1]], "value": "1/2"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "quantize", action, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("check failed:") and "not a 3-cocycle" in err
+
+
 def test_quantize_associator_table(capsys):
     cfg = str(CONFIGS / "associator_octonion.json")
     code, out, _ = run_cli(capsys, "quantize", "associator-table", "--config", cfg)
@@ -450,6 +462,18 @@ MALFORMED = {
     ),
     "subgroup-of-wrong-rank": (
         ["cocycle", "restrict", "--config", str(CONFIGS / "octonion.json"), "--subgroup", "1,0"],
+        None,
+    ),
+    "tolerance-bool": (["cocycle", "verify"], {**_tricharacter_config(), "tolerance": True}),
+    "tolerance-beyond-float": (
+        ["cocycle", "verify"], {**_tricharacter_config(), "tolerance": 10**400}
+    ),
+    "tolerance-infinite-flag": (
+        ["duality", "check", "--config", str(CONFIGS / "duality_m2.json"), "--tolerance", "inf"],
+        None,
+    ),
+    "tolerance-overflowing-flag": (
+        ["duality", "check", "--config", str(CONFIGS / "duality_m2.json"), "--tolerance", "1e400"],
         None,
     ),
     "negative-seed": (

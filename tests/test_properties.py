@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from natorus import (
     Cochain2,
     Cochain3,
+    GAction,
+    GradedElement,
     StrictifiedElement,
     Tricharacter,
     TwistData,
@@ -19,12 +21,14 @@ from natorus import (
     bicharacter_from_matrix,
     check_multiplier_relation,
     coboundary2,
+    deformed_product,
     evaluation_side_product,
     fourier_side_product,
     is_cocycle3,
     is_trivial_on,
     kernel_product,
     make_group,
+    represent,
     restrict,
     strictified_product,
     takai_inverse,
@@ -35,7 +39,13 @@ from natorus import (
 from natorus.cochains import _sweep_dtype
 from natorus.crossed import _DualityRows, _phase_table
 from natorus.groups import subgroup_elements
-from natorus.presets import pauli_m2_twist
+from natorus.presets import m4_conjugation_action, pauli_m2_twist
+from test_quantization import (
+    deformed_product_reference,
+    dense_blocks,
+    random_point_blocks,
+    represent_reference,
+)
 
 MAX_ORDER = 8  # |G|^2 <= 64 keeps every scalar duality check exhaustive
 
@@ -456,6 +466,33 @@ def test_exact_sweeps_match_the_wide_reference(den, factors, seed):
         associativity_cocycle_sweep(phi),
     )
     assert got == expected
+
+
+def assert_relatively_close(got, expected, rtol=1e-12):
+    assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(factors=factor_lists(), conjugation=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_per_point_products_match_the_dense_reference(multiplicity, factors, conjugation, seed):
+    """deformed_product and represent, computed point by point, equal the
+    dense (d nm) x (d nm) formulas of test_quantization within 1e-12
+    relative. Every point carries its own random matrix and phi is a random
+    tricharacter on the dual; the action is translation on the drawn group,
+    or Z/4 conjugating M_4."""
+    action = m4_conjugation_action() if conjugation else GAction.translation(make_group(factors))
+    group = action.group.dual
+    rng = np.random.default_rng(seed)
+    m = group.exponent
+    phi = Tricharacter(group, random_tensor_of_kind("random", group.factors, m, rng), m)
+    a, b = (
+        GradedElement(action, multiplicity, random_point_blocks(action, multiplicity, rng))
+        for _ in range(2)
+    )
+    got = dense_blocks(deformed_product(a, b, phi).blocks)
+    assert_relatively_close(got, deformed_product_reference(a, b, phi))
+    assert_relatively_close(represent(a, phi), represent_reference(a, phi))
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

@@ -131,6 +131,18 @@ def test_from_blocks_rejects_bad_shape(conj4):
         GradedElement.from_blocks(conj4, {chi: np.eye(3)})
 
 
+def test_from_blocks_takes_one_matrix_per_point(conj4, rng):
+    chi = conj4.group.dual.elements[1]
+    points = np.array([conj4.random_homogeneous(chi, rng) for _ in range(2 * conj4.group.order)])
+    a = GradedElement.from_blocks(conj4, {chi: points}, multiplicity=2)
+    assert np.array_equal(a.block(chi), points) and a.degrees() == (chi,)
+    with pytest.raises(GradingError, match="not scalar"):
+        a.underlying_matrix()
+    points[3] = conj4.algebra.random_element(rng)
+    with pytest.raises(GradingError, match="not isotypic"):
+        GradedElement.from_blocks(conj4, {chi: points}, multiplicity=2)
+
+
 def test_intertwiner_multiplicative_at_zero_phi(trans4, conj4, rng):
     for action in (trans4, conj4):
         zero = Cochain3.zero(action.group.dual)
@@ -150,20 +162,57 @@ def rho_matrix(group, chi_index, multiplicity):
     return np.kron(rho, np.eye(multiplicity))
 
 
+def dense_blocks(blocks):
+    """(n, nm, d, d) point-by-point blocks as dense (n, d, d, nm, nm) blocks,
+    each point's matrix on the diagonal of the operator leg."""
+    n, nm, d, _ = blocks.shape
+    out = np.zeros((n, d, d, nm, nm), dtype=complex)
+    points = np.arange(nm)
+    out[:, :, :, points, points] = blocks.transpose(0, 2, 3, 1)
+    return out
+
+
+def random_point_blocks(action, multiplicity, rng):
+    """Generic (n, nm, d, d) blocks: a different random matrix at every point."""
+    n, d = action.group.order, action.dim
+    shape = (n, n * multiplicity, d, d)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def shifted_reference(block, group, chi_index, multiplicity):
+    """One dense block times 1 (x) rho(chi) (x) 1, as a matrix with row index (i, p)."""
+    d, _, nm, _ = block.shape
+    rho = rho_matrix(group, chi_index, multiplicity)
+    return np.einsum("ijpr,rq->ipjq", block, rho).reshape(d * nm, d * nm)
+
+
+def represent_reference(a, phi):
+    """R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1) (x) 1) (1 (x) u(chi1, chi2) (x) 1) P_chi2
+    on dense blocks, one (d nm)^2 matmul per degree pair."""
+    g, m = a.action.group, a.multiplicity
+    n = g.order
+    dense = dense_blocks(a.blocks)
+    projs = np.einsum("xt,tip->xip", np.conj(g.character_matrix), a.action.unitaries) / n
+    out = 0.0
+    for i1 in range(n):
+        left = shifted_reference(dense[i1], g, i1, m)
+        for i2 in range(n):
+            u = np.repeat(phi.complex_table[:, i1, i2], m)
+            out = out + left @ np.kron(projs[i2], np.diag(u))
+    return out
+
+
 @pytest.mark.parametrize("multiplicity", [1, 2])
 def test_shifted_blocks_match_the_permutation_matrix(trans4, conj4, multiplicity, rng):
-    # Generic operator legs, so the direction of the shift matters (on Z/4, -chi != chi).
+    # A different matrix at every point, so the direction of the shift matters
+    # (on Z/4, -chi != chi).
     for action in (trans4, conj4):
-        n, d = action.group.order, action.dim
-        nm = n * multiplicity
-        shape = (n, d, d, nm, nm)
-        a = GradedElement(
-            action, multiplicity, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
+        a = GradedElement(action, multiplicity, random_point_blocks(action, multiplicity, rng))
+        dense = dense_blocks(a.blocks)
         expected = sum(
-            np.einsum("ijpr,rq->ipjq", a.blocks[i], rho_matrix(action.group, i, multiplicity))
-            for i in range(n)
-        ).reshape(d * nm, d * nm)
+            shifted_reference(dense[i], action.group, i, multiplicity)
+            for i in range(action.group.order)
+        )
         assert np.allclose(phi_zero_intertwiner(a), expected, rtol=0.0, atol=1e-12)
         assert np.allclose(represent(a), expected, rtol=0.0, atol=1e-10)
 
@@ -190,32 +239,32 @@ def test_deformed_product_is_bilinear(trans4, rng):
 
 
 def deformed_product_reference(a, b, phi):
-    """The degreewise formula, one degree pair and one einsum at a time."""
+    """The degreewise formula on dense blocks, one degree pair and one einsum
+    at a time; returns dense (n, d, d, nm, nm) blocks."""
     g = a.action.group
     m = a.multiplicity
-    out = np.zeros_like(a.blocks)
+    a_dense, b_dense = dense_blocks(a.blocks), dense_blocks(b.blocks)
+    out = np.zeros_like(a_dense)
     for i1 in range(g.order):
         perm = (g.add_table[:, i1][:, None] * m + np.arange(m)).ravel()
         for i2 in range(g.order):
             u = np.repeat(phi.complex_table[:, i1, i2], m)
-            moved = b.blocks[i2][:, :, perm][:, :, :, perm] * u
-            out[g.add_table[i1, i2]] += np.einsum("ikpr,kjrq->ijpq", a.blocks[i1], moved)
+            moved = b_dense[i2][:, :, perm][:, :, :, perm] * u
+            out[g.add_table[i1, i2]] += np.einsum("ikpr,kjrq->ijpq", a_dense[i1], moved)
     return out
 
 
 @pytest.mark.parametrize("multiplicity", [1, 2])
 def test_deformed_product_matches_reference(conj4, multiplicity, rng):
     phi = Tricharacter(conj4.group.dual, [[[1]]], 4)
-    n, d = conj4.group.order, conj4.dim
-    nm = n * multiplicity
-    shape = (n, d, d, nm, nm)
     a, b = (
-        GradedElement(conj4, multiplicity, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        GradedElement(conj4, multiplicity, random_point_blocks(conj4, multiplicity, rng))
         for _ in range(2)
     )
     a.blocks[1] = 0.0  # an empty degree on the left
     expected = deformed_product_reference(a, b, phi)
-    assert np.allclose(deformed_product(a, b, phi).blocks, expected, atol=1e-12)
+    got = dense_blocks(deformed_product(a, b, phi).blocks)
+    assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_deformed_product_rejects_non_cocycle_on_every_call(trans4, rng):
@@ -229,6 +278,17 @@ def test_deformed_product_rejects_non_cocycle_on_every_call(trans4, rng):
             deformed_product(a, a, bad)
         assert caught.value.witness == witness
     assert not is_cocycle3(bad) and cocycle3_witness(bad) == witness
+
+
+def test_represent_rejects_non_cocycle(trans4, rng):
+    # The star-action is defined only for a 3-cocycle; both refuse with the witness.
+    g = trans4.group.dual
+    bad = Cochain3.from_entries(g, [((g.elements[1], g.elements[1], g.elements[1]), "1/2")])
+    a = GradedElement.from_matrix(trans4, trans4.algebra.random_element(rng))
+    for draw in (represent, deformed_norm):
+        with pytest.raises(NotACocycleError) as caught:
+            draw(a, bad)
+        assert caught.value.witness == cocycle3_witness(bad)
 
 
 def test_associator_table_zero_phi_is_flat(trans4):
@@ -323,7 +383,7 @@ def test_multiplicity_below_one_is_refused(trans4, multiplicity):
     # These used to raise ZeroDivisionError or numpy's ValueError, or pass.
     n, d = trans4.group.order, trans4.dim
     with pytest.raises(GradingError, match="multiplicity must be at least 1"):
-        GradedElement(trans4, multiplicity, np.zeros((n, d, d, 0, 0)))
+        GradedElement(trans4, multiplicity, np.zeros((n, 0, d, d)))
     with pytest.raises(GradingError, match="multiplicity must be at least 1"):
         GradedElement.from_matrix(trans4, np.eye(d), multiplicity)
     with pytest.raises(GradingError, match="multiplicity must be at least 1"):
