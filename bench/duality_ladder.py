@@ -13,19 +13,20 @@ costs such as the first use of numpy's random generator), then with one and
 with `trials` pairs, and reports per_trial_s = (t_trials - t_1) / (trials - 1),
 the per-call set-up call_setup_s = t_1 - per_trial_s, and the process's peak
 RSS after the calls, `peak_rss_mb`; the two peaks show whether set-up or the
-check sets the process's peak. One JSON line per order. The twist's phi is
-the mod-2 tricharacter itself (trivializing_cochain leaves it as delta tau),
-so set-up builds no n^3 table. The top rung, |G| = 512 (Z/2 x Z/4^4, 2
-pairs), takes about half a minute on a 2-core x86-64 box; set-up peaks near
-100 MB and the check near 245 MB, most of it the check's one n^3 uint8 table
-of psi + phi (128 MiB).
+check sets the process's peak. A rung of one pair makes only the two
+one-pair calls and reports the second whole as per_trial_s, call set-up
+included, with call_setup_s null. One JSON line per order. The twist's phi
+is the mod-2 tricharacter itself (trivializing_cochain leaves it as
+delta tau) and psi is a tricharacter too, so neither set-up nor the check
+builds an n^3 table. The top rungs are |G| = 512 (Z/2 x Z/4^4, 2 pairs) and
+|G| = 1024 (Z/4^5, 1 pair).
 """
 
 import time
 
 import ladder
 
-LADDER = {8: 100, 16: 100, 64: 30, 128: 8, 256: 2, 512: 2}  # order -> random pairs
+LADDER = {8: 100, 16: 100, 64: 30, 128: 8, 256: 2, 512: 2, 1024: 1}  # order -> random pairs
 
 
 def setup(order):
@@ -52,6 +53,7 @@ def setup(order):
         128: ([2, 4, 4, 4], 4),
         256: ([4, 4, 4, 4], 4),
         512: ([2, 4, 4, 4, 4], 4),
+        1024: ([4, 4, 4, 4, 4], 4),
     }[order]
 
     def group_tables():
@@ -73,14 +75,15 @@ def point(order, seed):
     tw, psi, setup_s = setup(order)
     setup_peak = ladder.peak_rss_mb()
     times = []
-    for k in (1, 1, trials):  # the first call also fills the caches later calls read
+    # the first call also fills the caches later calls read
+    for k in (1, 1, trials) if trials > 1 else (1, 1):
         start = time.perf_counter()
         report = nt.verify_duality(tw, psi, trials=k, seed=seed)
         times.append(time.perf_counter() - start)
         if not report.passed or report.mode != "random":
             raise SystemExit(f"order {order}: unexpected report {report.as_dict()}")
-    first, one, many = times
-    per_trial = (many - one) / (trials - 1)
+    first, one = times[:2]
+    per_trial = (times[2] - one) / (trials - 1) if trials > 1 else one
     return {
         "order": order,
         "dim": tw.dim,
@@ -88,7 +91,7 @@ def point(order, seed):
         "setup_s": setup_s,
         "first_call_s": first,
         "per_trial_s": per_trial,
-        "call_setup_s": one - per_trial,
+        "call_setup_s": one - per_trial if trials > 1 else None,
         "setup_peak_rss_mb": setup_peak,
         "peak_rss_mb": ladder.peak_rss_mb(),
         "max_error": report.max_error,

@@ -226,12 +226,13 @@ def cmd_quantize(cfg: configs.RunConfig, args) -> int:
 
     if args.action == "product":
         prod = deformed_product(element("a"), element("b"), phi)
+        operator = represent(prod, phi)
         _emit(
             {
                 "command": "quantize product",
                 "degrees": [list(d.coords) for d in prod.degrees()],
-                "operator": _matrix_json(represent(prod, phi)),
-                "norm": deformed_norm(prod, phi),
+                "operator": _matrix_json(operator),
+                "norm": float(np.linalg.norm(operator, 2)),  # deformed_norm, from this operator
             },
             cfg.format,
         )

@@ -127,6 +127,33 @@ class CochainTable:
         """
         return iter(self.table)
 
+    def sheared_rows(self) -> Iterator[np.ndarray]:
+        """c(w - y, y - z, z) over [y, z] for each w in index order, as an (n, n)
+        array of residues in [0, den) in an unsigned type: the rows in which
+        the duality check (`crossed`) reads a 3-cochain.
+
+        A plain table reads them from one sheared narrow copy of itself
+        (`_sheared`, built on first use and kept): row w is S[w - y, y, .]
+        over y, n contiguous rows. A `Tricharacter` builds them as a running
+        sum from its tensor, like its slabs, and forms no n^3 array. Each row
+        is a fresh array.
+        """
+        g = self.group
+        sheared, zi = self._sheared, np.arange(g.order)
+        for w in range(g.order):
+            yield sheared[g.sub_table[w], zi]
+
+    @cached_property
+    def _sheared(self) -> np.ndarray:
+        """S[t, y, z] = c(t, y - z, z) in the unsigned type of den - 1, one eighth
+        of the int64 table while den <= 256; filled slab by slab."""
+        n, sub = self.group.order, self.group.sub_table
+        out = np.empty((n, n, n), dtype=np.min_scalar_type(self.den - 1))
+        for row, slab in zip(out, self.slabs()):
+            row[...] = slab[sub, np.arange(n)]  # c(t, y - z, z) over [y, z]
+        out.setflags(write=False)
+        return out
+
     def _content_gcd(self) -> int:
         """gcd of den and every entry, read slab by slab."""
         return reduce(gcd, (int(np.gcd.reduce(s, axis=None)) for s in self.slabs()), self.den)
@@ -438,32 +465,68 @@ class Tricharacter(Cochain3):
         return table
 
     def slabs(self) -> Iterator[np.ndarray]:
-        """phi(x, ., .) for x in index order, by linearity in the first slot.
+        """phi(x, ., .) for x in index order, by linearity in the first slot:
+        slab(x) = slab(x - 1) + slab(s) with s = x - (x - 1), a running sum
+        (`_running_sum`) from slab(0) = 0 whose steps are built from the
+        tensor (`_step_slab`), at most `rank` of them.
+        """
+        n = self.group.order
+        return self._running_sum(np.zeros((n, n), dtype=np.int64), self._step_slab)
 
-        slab(x) = slab(x - 1) + slab(s) with s = x - (x - 1). In lexicographic
-        order s is e_j + ... + e_(k-1) for the coordinate j that carries, so it
-        takes at most `rank` values, and each of their slabs is built once
-        from the tensor in n^2 k steps (as in `bicharacter_from_matrix`). The
-        running sum stays in the unsigned type of 2 (m - 1), where
-        min(s, s - m) reduces a sum of two residues: s - m wraps above s
-        unless s >= m. Each slab is a fresh read-only array.
+    def sheared_rows(self) -> Iterator[np.ndarray]:
+        """c(w - y, y - z, z) over [y, z] for w in index order, as a running sum
+        like `slabs`: by linearity in the first slot, row(w) = row(w - 1) +
+        c(s, y - z, z) with s = w - (w - 1), and c(s, y - z, z) = c(s, y, z) -
+        c(s, z, z) is s's slab minus its diagonal along z. Row 0 is
+        c(-y, y - z, z) = c(y, z, z) - c(y, y, z) by linearity in the first two
+        slots, built from the tensor in n^2 k steps for rank k, each stage
+        inside the bound of `_stage_modulus`. O(n^2) memory and no gather.
+        """
+        g, m, t = self.group, self.modulus, self.tensor
+        coords = g.coords
+        yy = np.einsum("yj,yjk->yk", coords, np.tensordot(coords, t, axes=1) % m) % m
+        zz = np.einsum("zj,zij->zi", coords, _contract_last(coords, t, m)) % m
+        # yy[y, k] = c(y, y, e_k) and zz[z, i] = c(e_i, z, z)
+        first = (coords @ zz.T - yy @ coords.T) % m
+
+        def step(s):
+            slab = self._step_slab(s)
+            return (slab - np.diagonal(slab)) % m
+
+        return self._running_sum(first, step)
+
+    def _step_slab(self, s: int) -> np.ndarray:
+        """c(s, ., .) as an (n, n) int64 array of residues, from the tensor in
+        n^2 k steps (as in `bicharacter_from_matrix`)."""
+        g, m = self.group, self.modulus
+        rows = np.tensordot(g.coords[s], self.tensor, axes=1) % m  # [j, k]
+        return _contract_last(g.coords, _contract_last(g.coords, rows, m), m)
+
+    def _running_sum(self, first: np.ndarray, step: Callable) -> Iterator[np.ndarray]:
+        """first, then row(x) = row(x - 1) + step(s) with s = x - (x - 1), for x
+        in index order: the rows of a form linear in its first slot.
+
+        In lexicographic order s is e_j + ... + e_(k-1) for the coordinate j
+        that carries, so it takes at most `rank` values, and step(s), residues
+        mod m, is called once for each. The running sum stays in the unsigned
+        type of 2 (m - 1), where min(s, s - m) reduces a sum of two residues:
+        s - m wraps above s unless s >= m. Each row is a fresh read-only array.
         """
         g, m = self.group, self.modulus
         dtype = np.min_scalar_type(2 * (m - 1))
         steps = {}
-        slab = np.zeros((g.order, g.order), dtype=dtype)  # phi(0, ., .) = 0
-        slab.setflags(write=False)
-        yield slab
+        row = first.astype(dtype)
+        del first  # a paused generator keeps no int64 row
+        row.setflags(write=False)
+        yield row
         for x in range(1, g.order):
             s = int(g.sub_table[x, x - 1])
             if s not in steps:
-                rows = np.tensordot(g.coords[s], self.tensor, axes=1) % m  # [j, k]
-                step = _contract_last(g.coords, _contract_last(g.coords, rows, m), m)
-                steps[s] = step.astype(dtype)
-            slab = slab + steps[s]
-            np.minimum(slab, slab - m, out=slab)
-            slab.setflags(write=False)
-            yield slab
+                steps[s] = step(s).astype(dtype)
+            row = row + steps[s]
+            np.minimum(row, row - m, out=row)
+            row.setflags(write=False)
+            yield row
 
     def is_zero(self) -> bool:
         """Zero exactly when the reduced tensor is: phi(e_i, e_j, e_k) = M[i,j,k]."""

@@ -28,15 +28,16 @@ substituting t = w - y in the strictified product gives
 with V_t the conjugator implementing beta_t. R depends only on the twist
 and psi, but as a whole it is an n^3 d^2 complex array, so verify_duality
 streams it: for each batch of pairs it builds R one w-slice at a time and
-computes row w of both sides for the whole batch. Its exact part, the
-exponent (psi + phi)(w - y, y - z, z), comes from one narrow integer table
-built once per check from psi's and phi's slabs and stored sheared,
-E[t, y, z] = (psi + phi)(t, y - z, z), so that slice w reads n contiguous
-rows E[w - y, y, .]. That table is the check's only n^3 array; no n^3
-complex array and no copy of psi is formed. strictified_product and
-takai_transform compute by the definitions and are the route the tests
-compare against; strictified_product reads the same builder's table
-unsheared, so the tests also check the check against a reference built from
+computes row w of both sides for the whole batch, in tiles of pairs whose
+weighted summands stay within a fixed entry budget. Its exact part, the
+exponent (psi + phi)(w - y, y - z, z), is summed per w from psi's and phi's
+sheared rows (`sheared_rows`): a tricharacter derives them from its slabs
+in O(n^2) memory, and a plain table reads one sheared narrow copy of itself.
+So with tensor psi and phi the check holds no n^3 array at all; no n^3
+complex array and no copy of psi is formed in any case. strictified_product
+and takai_transform compute by the definitions and are the route the tests
+compare against; strictified_product sums psi's and phi's plain slabs the
+same way, so the tests also check the check against a reference built from
 the cochains' own tables.
 """
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 
@@ -164,13 +166,15 @@ class TwistData:
                 witness=(int(x), int(y)),
             )
         # phase relation: e^{2 pi i phi} u(x,y) u(x+y,z) = beta_x[u(y,z)] u(x,y+z)
-        phi = self.phi
+        phi, block = self.phi, _block_product(d)
         for x, slab in enumerate(phi.slabs()):
-            w = exp_phases(slab, phi.den)
-            lhs = np.einsum("yz,yab,yzbc->yzac", w, u[x], u[add[x]])
-            moved = np.einsum("ab,yzbc,dc->yzad", v[x], u, np.conj(v[x]))
-            rhs = np.einsum("yzab,yzbc->yzac", moved, u[x][add])
-            err = np.abs(lhs - rhs)
+            lhs = exp_phases(slab, phi.den)[:, :, None, None] * u[x][:, None]
+            block(lhs, u[add[x]], out=lhs)
+            rhs = block(v[x], u)  # beta_x[u(y, z)], then times u(x, y + z)
+            block(rhs, np.conj(v[x]).T, out=rhs)
+            block(rhs, u[x][add], out=rhs)
+            lhs -= rhs
+            err = np.abs(lhs)
             if err.max() > tol:
                 y, z = np.unravel_index(int(err.max(axis=(2, 3)).argmax()), (n, n))
                 raise TwistDataError(
@@ -308,14 +312,13 @@ def strictified_product(
     a._check(b)
     tw = a.twist
     _require_psi(psi, tw.group)
-    n = tw.group.order
-    table, den = _phase_table(psi, tw.phi, np.arange(n * n).reshape(n, n))
+    den = common_denominator(psi.den, tw.phi.den)
     add = tw.group.add_table
     out = np.zeros_like(a.values)
-    for t in range(n):
+    for t, exponent in enumerate(_exponent_rows(psi, tw.phi, den, "slabs")):
         # index [r, x] with r = s - t
         moved = np.einsum("ab,rxbc,dc->rxad", tw.beta[t], b.values, np.conj(tw.beta[t]))
-        w_t = _row_phases(table[t], den)
+        w_t = _row_phases(exponent, den)
         term = np.einsum("rx,rxab,rxbc,rcd->rxad", w_t, a.values[t][add], moved, tw.u[t])
         out[add[t]] += term
     return StrictifiedElement(tw, out)
@@ -334,33 +337,28 @@ def _require_psi(psi, group: FiniteAbelianGroup) -> None:
         raise IncompatibleGroupsError("psi lives on a different group")
 
 
-def _phase_table(psi: Cochain3, phi: Cochain3, layout: np.ndarray) -> tuple[np.ndarray, int]:
-    """(table, den): table[t] = (psi + phi)(t, ., .) over the common
-    denominator den, reduced to [0, den), with each slab stored at `layout`,
-    (n, n) flat indices into it: table[t, i, j] = slab_t.flat[layout[i, j]].
+def _exponent_rows(psi: Cochain3, phi: Cochain3, den: int, rows: str) -> Iterator[np.ndarray]:
+    """(psi + phi) row by row over den, their common denominator, reduced to
+    [0, den): each row the sum of psi's and phi's rows from the accessor
+    named `rows`, "slabs" (strictified_product) or "sheared_rows"
+    (_DualityRows), read in step.
 
-    The one builder of the (psi + phi) exponents. psi's and phi's slabs
-    (`slabs`) are streamed once, so a `Tricharacter` builds no n^3 table, and
-    the table is the only n^3 array: one entry per cell in the unsigned type
-    of 2 (den - 1), which holds the sum of two residues scaled to den. Each
-    slab is reduced once with min(s, s - den): s - den wraps above s unless
+    The one adder of the (psi + phi) exponents. A row is held in the unsigned
+    type of 2 (den - 1), which holds the sum of two residues scaled to den,
+    and reduced once with min(s, s - den): s - den wraps above s unless
     s >= den. Readers turn rows into phases with _row_phases.
     """
-    den = common_denominator(psi.den, phi.den)
     dtype = np.min_scalar_type(2 * (den - 1))
     psi_scale, phi_scale = den // psi.den, den // phi.den
-    table = np.empty((psi.group.order,) + layout.shape, dtype=dtype)
-    for row, p, f in zip(table, psi.slabs(), phi.slabs()):
+    for p, f in zip(getattr(psi, rows)(), getattr(phi, rows)()):
         s = p.astype(dtype) * psi_scale
         s += f.astype(dtype) * phi_scale
         np.minimum(s, s - den, out=s)
-        row[...] = s.take(layout)
-    table.setflags(write=False)
-    return table, den
+        yield s
 
 
 def _row_phases(exponent: np.ndarray, den: int) -> np.ndarray:
-    """exp(2 pi i exponent / den) for one row of a _phase_table, with the
+    """exp(2 pi i exponent / den) for one row of _exponent_rows, with the
     exponent put in lowest terms over the row, so quarter turns take the
     exact roots (exp_phases wraps them exactly at any scale)."""
     if 4 % den == 0:
@@ -384,16 +382,28 @@ def _block_product(d: int):
     return np.multiply if d == 1 else np.matmul
 
 
+def _diffs(g: FiniteAbelianGroup) -> np.ndarray:
+    """(x - z, z) over [x, z], as flat indices into n x n: the cells the
+    transform gathers, a(w - z, z) over [w, z]."""
+    return g.sub_table * g.order + np.arange(g.order)
+
+
+def _transform_in_place(tw: TwistData, out: np.ndarray, u_out: np.ndarray | None) -> np.ndarray:
+    """Turn out = a(w - z, z) over [w, z], of shape (..., n, n, d, d), into the
+    duality transform of a, V_w^* a(w - z, z) u(w - z, z) V_w, in place;
+    u_out is u(w - z, z) over [w, z], or None to drop the multiplier."""
+    block = _block_product(tw.dim)
+    if u_out is not None:
+        block(out, u_out, out=out)
+    v = tw.beta[:, None]  # V_w, constant along z
+    block(np.conj(v).swapaxes(-1, -2), out, out=out)
+    return block(out, v, out=out)
+
+
 def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.ndarray:
     """The duality transform on value arrays of shape (..., n, n, d, d)."""
-    g = tw.group
-    block = _block_product(tw.dim)
-    cells = g.sub_table * g.order + np.arange(g.order)  # (w - z, z) over [w, z], flat
-    out = _at(a, cells)
-    if include_multiplier:
-        block(out, _at(tw.u, cells), out=out)
-    v = tw.beta[:, None]  # V_w, constant along z
-    return block(block(np.conj(v).swapaxes(-1, -2), out), v)
+    cells = _diffs(tw.group)
+    return _transform_in_place(tw, _at(a, cells), _at(tw.u, cells) if include_multiplier else None)
 
 
 def _sum_over_y(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -421,53 +431,78 @@ class _DualityRows:
     split as the slice exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^*
     u(w - y, y - z), built for its row and dropped after it, times
     u(w - z, z) V_w, which does not depend on y and multiplies the summed
-    row. The exponents come from one sheared table (_phase_table),
-    E[t, y, z] = (psi + phi)(t, y - z, z), built once per check, so row w's
-    are E[w - y, y, .] over y: n contiguous rows of E. The right side is the
-    kernel product, read with the weight row exp(2 pi i psi(w, ., .)), of
-    transform(b), computed whole by _takai_values, and row w of transform(a),
+    row. Row w's exponents are the sum of psi's and phi's sheared rows
+    (`sheared_rows`, summed by _exponent_rows), read in step with w. The
+    right side is the kernel product, read with the weight row
+    exp(2 pi i psi(w, ., .)) from psi's own slabs, so exp_phases sees psi's
+    numerators over psi.den, of transform(b) and row w of transform(a),
     V_w^* a(w - z, z) u(w - z, z) V_w, which shares its gather with L(w, .).
-    The weight rows are psi's own slabs, read from one `slabs` generator per
-    call, advanced in step with w, so exp_phases sees psi's numerators over
-    psi.den. include_multiplier=False drops u(w - z, z) from R and from both
-    transforms. Besides E, set-up is O(n^2 d^2); no copy of psi, no n^3 table
-    of a `Tricharacter` and no n^3 complex array is formed.
+    transform(b) is computed in place on a copy of the gather b(y - z, z)
+    that the left side reads, and b itself is dropped. Pairs stacked along
+    one shared leading axis (random batches) run in tiles of
+    _pairs_per_tile(n, d) inside each row, so each row's slice of R and
+    kernel weights is built once and the weighted summands of one tile are
+    the only temporary of that size; other leading shapes run as one tile.
+    include_multiplier=False drops u(w - z, z) from R and from both
+    transforms. Set-up is O(n^2 d^2); for tensor psi and phi no n^3 array
+    is formed, and no copy of psi and no n^3 complex array in any case.
     """
 
     def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
         g = tw.group
         n, d = g.order, tw.dim
-        self.tw, self.psi, self.include_multiplier = tw, psi, include_multiplier
+        self.tw, self.psi = tw, psi
         self.block = _block_product(d)
         self.sub, self.zi = g.sub_table, np.arange(n)
-        self.diffs = self.sub * n + self.zi  # (y - z, z) over [y, z], flat into n x n
+        self.diffs = _diffs(g)  # (y - z, z) over [y, z], flat into n x n
         self.beta_h = np.conj(tw.beta).transpose(0, 2, 1)
         self.vu = self.block(self.beta_h[:, None], tw.u).reshape(n * n, d, d)  # V_t^* u(t, r)
-        u_out = _at(tw.u, self.diffs) if include_multiplier else np.eye(d)  # u(w - z, z)
+        self.u_out = _at(tw.u, self.diffs) if include_multiplier else None  # u(w - z, z)
+        u_out = np.eye(d) if self.u_out is None else self.u_out
         self.right = self.block(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
-        self.exponents, self.den = _phase_table(psi, tw.phi, self.diffs)
+        self.den = common_denominator(psi.den, tw.phi.den)
+        self.tile = _pairs_per_tile(n, d)
 
     def __call__(self, a: np.ndarray, b: np.ndarray):
-        tw, block, sub, zi = self.tw, self.block, self.sub, self.zi
-        n = tw.group.order
-        tb = _takai_values(tw, b, self.include_multiplier)
         b_sub = _at(b, self.diffs)  # b(y - z, z) over [y, z]
-        del b  # a batch's b is held here alone (see verify_duality); only tb and b_sub are read
-        weighted = np.empty_like(tb)  # each row's summands over y, one side at a time
-        for w, psi_row in zip(range(n), self.psi.slabs()):
-            t = sub[w]  # w - y over y
-            pairs = (t * n)[:, None] + sub  # (w - y, y - z) over [y, z], flat into n x n
-            phases = _row_phases(self.exponents[t, zi], self.den)  # over [y, z]
-            weight = phases[:, :, None, None] * self.vu.take(pairs, axis=0)
-            # V_w^* a(w - y, y) over y, completed to L(w, y) by V_{w-y} and to
-            # row w of transform(a) by u(w - y, y) V_w
-            moved = block(self.beta_h[w], _at(a, t * n + zi))
-            left = block(moved, tw.beta[t])
-            lhs = block(_sum_over_y(left, block(b_sub, weight, out=weighted)), self.right[w])
-            ta = block(moved, self.right[w])
-            kernel_weight = exp_phases(psi_row, self.psi.den)[:, :, None, None]
-            rhs = _sum_over_y(ta, np.multiply(kernel_weight, tb, out=weighted))
-            yield w, lhs, rhs
+        del b  # a batch's b is held here alone (see verify_duality); only b_sub is read
+        tb = _transform_in_place(self.tw, b_sub.copy(), self.u_out)
+        if a.ndim == 5 and a.shape[:1] == b_sub.shape[:1]:
+            # each tile's pairs, with the buffer their summands are weighted in
+            weighted = np.empty((min(self.tile, len(a)),) + b_sub.shape[1:], dtype=complex)
+            tiles = [
+                (slice(i, i + self.tile), weighted[: min(self.tile, len(a) - i)])
+                for i in range(0, len(a), self.tile)
+            ]
+        else:
+            tiles = [(slice(None), np.empty_like(b_sub))]
+        exponents = _exponent_rows(self.psi, self.tw.phi, self.den, "sheared_rows")
+        for w, exponent, psi_row in zip(range(len(self.zi)), exponents, self.psi.slabs()):
+            yield (w, *self._row(w, exponent, psi_row, a, b_sub, tb, tiles))
+
+    def _row(self, w, exponent, psi_row, a, b_sub, tb, tiles):
+        """(lhs, rhs) of row w; its slices of R and of the kernel weights are
+        dropped on return, before the next row builds its own."""
+        tw, block, sub, zi = self.tw, self.block, self.sub, self.zi
+        n, d = tw.group.order, tw.dim
+        t = sub[w]  # w - y over y
+        pairs = (t * n)[:, None] + sub  # (w - y, y - z) over [y, z], flat into n x n
+        weight = self.vu.take(pairs, axis=0)  # R(w) without u(w - z, z) V_w, once phased
+        np.multiply(_row_phases(exponent, self.den)[:, :, None, None], weight, out=weight)
+        kernel_weight = exp_phases(psi_row, self.psi.den)[:, :, None, None]
+        # V_w^* a(w - y, y) over y, completed to L(w, y) by V_{w-y} and to
+        # row w of transform(a) by u(w - y, y) V_w
+        moved = block(self.beta_h[w], _at(a, t * n + zi))
+        left = block(moved, tw.beta[t])
+        ta = block(moved, self.right[w])
+        lhs = np.empty(np.broadcast_shapes(a.shape[:-4], b_sub.shape[:-4]) + (n, d, d), complex)
+        rhs = np.empty_like(lhs)
+        for s, summands in tiles:
+            lhs[s] = block(
+                _sum_over_y(left[s], block(b_sub[s], weight, out=summands)), self.right[w]
+            )
+            rhs[s] = _sum_over_y(ta[s], np.multiply(kernel_weight, tb[s], out=summands))
+        return lhs, rhs
 
 
 def takai_transform(
@@ -540,6 +575,9 @@ class DualityReport:
         }
 
 
+_ENTRY_BUDGET = 2**15  # complex entries (512 KB) of one batch array or one tile's summands
+
+
 def _pairs_per_batch(n: int, d: int) -> int:
     """Random pairs that verify_duality runs through one pass over the R slices.
 
@@ -547,12 +585,21 @@ def _pairs_per_batch(n: int, d: int) -> int:
     the kernel weight rows), which costs about as much as the rows of two or
     three pairs at |G| = 64 and of one or two at |G| = 128, is shared by 8
     pairs; more while one batch array (n^2 d^2 complex entries per pair)
-    stays within 2^15 entries (512 KB), which keeps small groups from paying
-    the per-row overhead pair by pair. While its rows run, a batch holds four
-    such arrays (a, b(y - z, z), transform(b) and one temporary), so from
-    |G| = 64 on (d = 1) it stays within half of one n^3 complex table.
+    stays within _ENTRY_BUDGET, which keeps small groups from paying the
+    per-row overhead pair by pair. While its rows run, a batch holds three
+    such arrays (a, b(y - z, z) and transform(b)); the weighted summands,
+    the one temporary of that size per pair, are formed a tile at a time
+    (_pairs_per_tile).
     """
-    return max(8, 2**15 // (n * n * d * d))
+    return max(8, _ENTRY_BUDGET // (n * n * d * d))
+
+
+def _pairs_per_tile(n: int, d: int) -> int:
+    """Pairs whose weighted summands _DualityRows forms at once inside a row:
+    as many as fit in _ENTRY_BUDGET, at least one. That is the whole batch
+    up to |G| = 64 (d = 1) and 2 pairs at |G| = 128; the per-pair float
+    operations do not depend on it."""
+    return max(1, _ENTRY_BUDGET // (n * n * d * d))
 
 
 def verify_duality(
@@ -573,21 +620,23 @@ def verify_duality(
 
     with L(w, y) = V_w^* a(w - y, y) V_{w-y} and the weight
     R(w, y, z) = exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^* u(w - y, y - z)
-    u(w - z, z) V_w (see _DualityRows). R is never stored whole: its
-    exponents are one sheared narrow table of psi + phi, built once per call
-    (_phase_table), and pairs run in batches. For each batch R(w), an
-    n^2 d^2 slice whose phases are n contiguous rows of that table, and the
+    u(w - z, z) V_w (see _DualityRows). R is never stored whole: pairs run
+    in batches, and for each batch R(w), an n^2 d^2 slice whose exponents are
+    the sum of psi's and phi's sheared rows w (`sheared_rows`), and the
     kernel weight row exp(2 pi i psi(w, ., .)), read from psi's slabs, give
-    row w of both sides for every pair of the batch. The two sides stay
-    separate products of the same pair, and each pair keeps the largest error
-    over its rows. Random pairs are drawn a then b, pair by pair, in batches
-    of _pairs_per_batch(n, d). Both sides are bilinear, so the exhaustive
-    mode compares the two structure tensors: the basis is stacked along two
-    broadcast axes and every pair comes out of the same slice loop. The
-    witness is the first pair in (a, b) order, or the first trial, with the
-    largest error. include_multiplier=False drops u(w - z, z) from both the
-    transform and R and should make the check fail loudly. A psi that is not
-    a 3-cochain is refused with CochainError before any work.
+    row w of both sides for every pair of the batch, in tiles of
+    _pairs_per_tile(n, d) pairs. With tensor psi and phi (`Tricharacter`)
+    no n^3 array is formed; a plain table keeps one sheared narrow copy of
+    itself. The two sides stay separate products of the same pair, and each
+    pair keeps the largest error over its rows. Random pairs are drawn a then
+    b, pair by pair, in batches of _pairs_per_batch(n, d). Both sides are
+    bilinear, so the exhaustive mode compares the two structure tensors: the
+    basis is stacked along two broadcast axes and every pair comes out of the
+    same slice loop. The witness is the first pair in (a, b) order, or the
+    first trial, with the largest error. include_multiplier=False drops
+    u(w - z, z) from both the transform and R and should make the check fail
+    loudly. A psi that is not a 3-cochain is refused with CochainError before
+    any work.
     """
     g = tw.group
     _require_psi(psi, g)

@@ -303,6 +303,25 @@ def test_quantize_product_and_norm(capsys):
     assert code == 0
 
 
+def test_quantize_product_represents_the_product_once(capsys, monkeypatch):
+    # The operator and its norm come from one dense matrix.
+    import natorus.cli
+    import natorus.quantization
+
+    represent, calls = natorus.quantization.represent, []
+
+    def counted(*args):
+        calls.append(args)
+        return represent(*args)
+
+    for module in (natorus.cli, natorus.quantization):
+        monkeypatch.setattr(module, "represent", counted)
+    cfg = str(CONFIGS / "quantize_translation.json")
+    code, out, _ = run_cli(capsys, "quantize", "product", "--config", cfg)
+    assert code == 0 and len(calls) == 1
+    assert payload(out)["norm"] == natorus.quantization.deformed_norm(*calls[0])
+
+
 @pytest.mark.parametrize("action", ["product", "norm"])
 def test_quantize_refuses_a_non_cocycle_phi(capsys, tmp_path, action):
     # Every quantize action needs phi to be a 3-cocycle, the norm included.

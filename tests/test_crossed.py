@@ -35,7 +35,8 @@ from natorus import (
     trivializing_cochain,
     verify_duality,
 )
-from natorus.crossed import _pairs_per_batch
+from natorus import crossed
+from natorus.crossed import _pairs_per_batch, _pairs_per_tile
 from natorus.twisted_algebra import levi_civita
 from natorus.presets import (
     epsilon_tricharacter_z4,
@@ -326,6 +327,48 @@ def test_duality_streams_without_n3_tables(rng):
     assert peak < n**3 * 16
     assert "complex_table" not in vars(psi)
     assert "complex_table" not in vars(tw.phi)
+
+
+@pytest.mark.parametrize("include_multiplier", [True, False])
+@pytest.mark.parametrize("setup", [z4_with_epsilon_psi, m2_with_octonion_psi], ids=["d1", "d2"])
+@pytest.mark.parametrize("tile", [1, 3])
+def test_duality_reports_do_not_depend_on_the_tile(setup, tile, include_multiplier, monkeypatch):
+    """Tiles only group the pairs: with the entry budget cut to `tile` pairs
+    (and so batches of 8), 11 random pairs give the same report, bit for bit."""
+    tw, psi = setup()
+    n, d = tw.group.order, tw.dim
+    trials = 11  # neither a multiple of the tile nor of a batch
+    expected = verify_duality(tw, psi, trials=trials, seed=3, include_multiplier=include_multiplier)
+    monkeypatch.setattr(crossed, "_ENTRY_BUDGET", tile * n * n * d * d)
+    assert _pairs_per_tile(n, d) == tile and _pairs_per_batch(n, d) == 8
+    report = verify_duality(tw, psi, trials=trials, seed=3, include_multiplier=include_multiplier)
+    assert report.mode == "random" and report.max_error.hex() == expected.max_error.hex()
+    assert report.as_dict() == expected.as_dict()
+    assert (report.witness is None) == include_multiplier
+
+
+def test_duality_check_on_tensor_inputs_builds_no_n3_array():
+    """With tricharacter psi and phi on Z/4^3 the check's traced peak stays
+    below its batch arrays (a, b, b(y - z, z), transform(b) and the weighted
+    summands, 8 pairs of n^2 complex entries each) plus one n^3 uint8 table,
+    and no sheared copy or table is cached on either cochain."""
+    group = make_group([4, 4, 4])
+    n = group.order
+    phi = Tricharacter(group, levi_civita(), 2)
+    tw = TwistData.scalar_from_sigma(group, trivializing_cochain(phi))
+    psi = Tricharacter(group, levi_civita(), 4)
+    assert tw.phi is phi
+    batch = _pairs_per_batch(n, tw.dim)
+    verify_duality(tw, psi, trials=1)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        report = verify_duality(tw, psi, trials=batch, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == batch
+    assert peak < 5 * batch * n * n * 16 + n**3
+    assert all({"_sheared", "table"}.isdisjoint(vars(c)) for c in (psi, phi))
 
 
 def test_tricharacters_on_the_duality_path_build_no_table():

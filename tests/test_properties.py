@@ -37,7 +37,7 @@ from natorus import (
     verify_duality,
 )
 from natorus.cochains import _sweep_dtype
-from natorus.crossed import _DualityRows, _phase_table
+from natorus.crossed import _DualityRows, _exponent_rows
 from natorus.groups import subgroup_elements
 from natorus.presets import m4_conjugation_action, pauli_m2_twist
 from test_quantization import (
@@ -548,6 +548,12 @@ def exponent_sum(psi, phi):
     return total % den, den
 
 
+def sheared_reference(group, table):
+    """c(w - y, y - z, z) over [w, y, z], by indexing the n^3 table of c."""
+    sub = group.sub_table
+    return table[sub[:, :, None], sub[None, :, :], np.arange(group.order)]
+
+
 def reference_duality_errors(tw, psi, a, b, include_multiplier):
     """max |transform(a * b) - transform(a) * transform(b)| per pair (leading
     axis of a and b), by the definitions, with the exponents summed from
@@ -585,7 +591,8 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
 ):
     """verify_duality on plain random psi and phi (no cocycles, so the identity
     fails by O(1) and every phase shows in the errors) against the definitions,
-    and its sheared exponent table, exactly, against the Python-integer sum."""
+    and its exponent rows, summed from the sheared rows, and strictified_product's,
+    summed from the slabs, exactly, against the Python-integer sum."""
     group = make_group(factors)
     n = group.order
     rng = np.random.default_rng([psi_den % 2**32, n, d])
@@ -595,12 +602,11 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
     tw = TwistData(group, d, beta=beta, u=u, phi=phi, validate=False)
 
     total, den = exponent_sum(psi, phi)
-    rows = _DualityRows(tw, psi, include_multiplier)
-    assert rows.den == den and rows.exponents.dtype == np.min_scalar_type(2 * (den - 1))
-    sheared = total[:, group.sub_table, np.arange(n)]  # (psi + phi)(t, y - z, z) over [t, y, z]
-    assert (rows.exponents.astype(object) == sheared).all()
-    plain, _ = _phase_table(psi, phi, np.arange(n * n).reshape(n, n))  # strictified_product's
-    assert (plain.astype(object) == total).all()
+    assert _DualityRows(tw, psi, include_multiplier).den == den
+    for rows, expected in (("sheared_rows", sheared_reference(group, total)), ("slabs", total)):
+        summed = list(_exponent_rows(psi, phi, den, rows))
+        assert all(row.dtype == np.min_scalar_type(2 * (den - 1)) for row in summed)
+        assert (np.stack(summed).astype(object) == expected).all()
 
     trials, seed = 5, 7
     report = verify_duality(
@@ -625,3 +631,62 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
         keys = list(itertools.product(range(n), range(n), range(d), range(d)))
         k = keys.index(report.witness[0]) * len(keys) + keys.index(report.witness[1])
     assert errors[k] >= worst * (1 - 1e-9)
+
+
+SHEARED_MODULI = list(range(1, 49)) + [127, 128, 129, 130, 255, 256]
+
+
+def tricharacter_reference(tri):
+    """tri's n^3 table from its tensor and the coordinates, in Python integers."""
+    coords, tensor = tri.group.coords.astype(object), tri.tensor.astype(object)
+    table = np.tensordot(coords, tensor, axes=([1], [0]))  # [a, j, k]
+    table = np.tensordot(table, coords, axes=([1], [1]))  # [a, k, b]
+    table = np.tensordot(table, coords, axes=([1], [1]))  # [a, b, c]
+    return table % tri.modulus
+
+
+def assert_sheared_rows_match(cochain, table):
+    rows = list(cochain.sheared_rows())
+    assert all(row.dtype.kind == "u" and row.shape == table.shape[1:] for row in rows)
+    assert (np.stack(rows).astype(object) == sheared_reference(cochain.group, table)).all()
+
+
+@st.composite
+def tricharacter_groups(draw):
+    """(factors, m) with |G| <= 64: factors that share a prime with m where
+    any does, so that most forms are nonzero, else any factors."""
+    m = draw(st.sampled_from(SHEARED_MODULI))
+    options = [f for f in range(2, 33) if gcd(f, m) > 1]
+    if not options:
+        return draw(factor_lists(max_order=64, max_rank=4)), m
+    factors = [draw(st.sampled_from(options))]
+    while len(factors) < 4 and draw(st.booleans()):
+        room = [f for f in options if prod(factors) * f <= 64]
+        if not room:
+            break
+        factors.append(draw(st.sampled_from(room)))
+    return factors, m
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(drawn=tricharacter_groups(), seed=st.integers(0, 2**32 - 1))
+def test_tricharacter_sheared_rows_match_the_definition(drawn, seed):
+    """Any tensor the factors admit, alternating or not, over moduli around the
+    uint8 and uint16 bounds of the rows' type."""
+    (factors, modulus), rng = drawn, np.random.default_rng(seed)
+    group = make_group(factors)
+    periods = [modulus // gcd(modulus, f) for f in factors]
+    steps = np.array([[[lcm(a, b, c) for c in periods] for b in periods] for a in periods])
+    tensor = rng.integers(0, modulus, size=steps.shape) * steps
+    tri = Tricharacter(group, tensor, modulus)
+    assert_sheared_rows_match(tri, tricharacter_reference(tri))
+    assert "table" not in vars(tri)
+
+
+@pytest.mark.parametrize("den", sorted({den for pair in DUALITY_DENS for den in pair}))
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(factors=factor_lists(max_order=64, max_rank=4), seed=st.integers(0, 2**32 - 1))
+def test_plain_sheared_rows_match_the_definition(den, factors, seed):
+    group = make_group(factors)
+    table = random_normalized_table(group, den, 3, np.random.default_rng(seed))
+    assert_sheared_rows_match(Cochain3(group, table, den), table.astype(object))
