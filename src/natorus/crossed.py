@@ -50,7 +50,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .cochains import Cochain2, Cochain3, CochainTable, coboundary2, common_denominator, exp_phases
+from .cochains import (
+    Cochain2,
+    Cochain3,
+    CochainTable,
+    Tricharacter,
+    coboundary2,
+    common_denominator,
+    exp_phases,
+)
 from .elements import ArrayElement
 from .errors import CochainError, ConfigError, IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
@@ -346,10 +354,21 @@ def _exponent_rows(psi: Cochain3, phi: Cochain3, den: int, rows: str) -> Iterato
     The one adder of the (psi + phi) exponents. A row is held in the unsigned
     type of 2 (den - 1), which holds the sum of two residues scaled to den,
     and reduced once with min(s, s - den): s - den wraps above s unless
-    s >= den. Readers turn rows into phases with _row_phases.
+    s >= den. Two tricharacters sum to one over den, whose own rows come in
+    that type from one running sum, so their rows are not added row by row
+    unless den is past the bound of its staged build. Readers turn rows into
+    phases with _row_phases.
     """
     dtype = np.min_scalar_type(2 * (den - 1))
     psi_scale, phi_scale = den // psi.den, den // phi.den
+    if isinstance(psi, Tricharacter) and isinstance(phi, Tricharacter):
+        try:
+            total = Tricharacter(psi.group, psi.tensor * psi_scale + phi.tensor * phi_scale, den)
+        except CochainError:  # den too large for the staged build
+            pass
+        else:
+            yield from getattr(total, rows)()
+            return
     for p, f in zip(getattr(psi, rows)(), getattr(phi, rows)()):
         s = p.astype(dtype) * psi_scale
         s += f.astype(dtype) * phi_scale
@@ -484,7 +503,7 @@ class _DualityRows:
         """(lhs, rhs) of row w; its slices of R and of the kernel weights are
         dropped on return, before the next row builds its own."""
         tw, block, sub, zi = self.tw, self.block, self.sub, self.zi
-        n, d = tw.group.order, tw.dim
+        n = tw.group.order
         t = sub[w]  # w - y over y
         pairs = (t * n)[:, None] + sub  # (w - y, y - z) over [y, z], flat into n x n
         weight = self.vu.take(pairs, axis=0)  # R(w) without u(w - z, z) V_w, once phased
@@ -495,14 +514,16 @@ class _DualityRows:
         moved = block(self.beta_h[w], _at(a, t * n + zi))
         left = block(moved, tw.beta[t])
         ta = block(moved, self.right[w])
-        lhs = np.empty(np.broadcast_shapes(a.shape[:-4], b_sub.shape[:-4]) + (n, d, d), complex)
-        rhs = np.empty_like(lhs)
-        for s, summands in tiles:
-            lhs[s] = block(
-                _sum_over_y(left[s], block(b_sub[s], weight, out=summands)), self.right[w]
+        sides = [
+            (
+                block(_sum_over_y(left[s], block(b_sub[s], weight, out=summands)), self.right[w]),
+                _sum_over_y(ta[s], np.multiply(kernel_weight, tb[s], out=summands)),
             )
-            rhs[s] = _sum_over_y(ta[s], np.multiply(kernel_weight, tb[s], out=summands))
-        return lhs, rhs
+            for s, summands in tiles
+        ]
+        if len(sides) == 1:
+            return sides[0]
+        return tuple(np.concatenate(side) for side in zip(*sides))
 
 
 def takai_transform(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from natorus import (
     Cochain2,
     Cochain3,
+    CochainError,
     GAction,
     GradedElement,
     StrictifiedElement,
@@ -668,19 +669,53 @@ def tricharacter_groups(draw):
     return factors, m
 
 
+def random_tricharacter(group, modulus, rng):
+    """Any tensor the factors admit mod `modulus`, alternating or not."""
+    periods = [modulus // gcd(modulus, f) for f in group.factors]
+    steps = np.array([[[lcm(a, b, c) for c in periods] for b in periods] for a in periods])
+    return Tricharacter(group, rng.integers(0, modulus, size=steps.shape) * steps, modulus)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(drawn=tricharacter_groups(), seed=st.integers(0, 2**32 - 1))
-def test_tricharacter_sheared_rows_match_the_definition(drawn, seed):
-    """Any tensor the factors admit, alternating or not, over moduli around the
-    uint8 and uint16 bounds of the rows' type."""
+@given(
+    drawn=tricharacter_groups(),
+    other=st.sampled_from(SHEARED_MODULI),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tricharacter_sheared_rows_match_the_definition(drawn, other, seed):
+    """Over moduli around the uint8 and uint16 bounds of the rows' type; and
+    the exponent rows of two tricharacters, which _exponent_rows takes from
+    their sum as one tricharacter, against the Python-integer sum."""
     (factors, modulus), rng = drawn, np.random.default_rng(seed)
     group = make_group(factors)
-    periods = [modulus // gcd(modulus, f) for f in factors]
-    steps = np.array([[[lcm(a, b, c) for c in periods] for b in periods] for a in periods])
-    tensor = rng.integers(0, modulus, size=steps.shape) * steps
-    tri = Tricharacter(group, tensor, modulus)
-    assert_sheared_rows_match(tri, tricharacter_reference(tri))
-    assert "table" not in vars(tri)
+    tri, second = random_tricharacter(group, modulus, rng), random_tricharacter(group, other, rng)
+    table = tricharacter_reference(tri)
+    assert_sheared_rows_match(tri, table)
+    den = lcm(modulus, other)
+    total = table * (den // modulus) + tricharacter_reference(second) * (den // other)
+    assert_exponent_rows_match(tri, second, den, total % den)
+    assert all("table" not in vars(c) for c in (tri, second))
+
+
+def assert_exponent_rows_match(psi, second, den, total):
+    for rows, expected in (("sheared_rows", sheared_reference(psi.group, total)), ("slabs", total)):
+        summed = list(_exponent_rows(psi, second, den, rows))
+        assert all(row.dtype == np.min_scalar_type(2 * (den - 1)) for row in summed)
+        assert (np.stack(summed).astype(object) == expected).all()
+
+
+def test_tricharacters_past_the_staged_bound_are_summed_row_by_row():
+    """On Z/4 a common denominator above 2^63 / 3 is too large for one staged
+    build, so _exponent_rows adds the two tricharacters' rows instead."""
+    group = make_group([4])
+    m1, m2 = 4 * (2**30 - 1), 4 * (2**30 + 1)  # coprime but for 4: den = 2^62 - 4
+    psi = Tricharacter(group, [[[2**30 - 1]]], m1)  # xyz / 4
+    phi = Tricharacter(group, [[[2 * (2**30 + 1)]]], m2)  # xyz / 2
+    den = lcm(m1, m2)
+    with pytest.raises(CochainError, match="too large"):
+        Tricharacter(group, [[[0]]], den)
+    total = tricharacter_reference(psi) * (den // m1) + tricharacter_reference(phi) * (den // m2)
+    assert_exponent_rows_match(psi, phi, den, total % den)
 
 
 @pytest.mark.parametrize("den", sorted({den for pair in DUALITY_DENS for den in pair}))
