@@ -31,8 +31,9 @@ streams it: for each batch of pairs it builds R one w-slice at a time and
 computes row w of both sides for the whole batch, in tiles of pairs whose
 weighted summands stay within a fixed entry budget. Its exact part, the
 exponent (psi + phi)(w - y, y - z, z), is summed per w from psi's and phi's
-sheared rows (`sheared_rows`): a tricharacter derives them from its slabs
-in O(n^2) memory, and a plain table reads one sheared narrow copy of itself.
+sheared rows (`sheared_rows`): a tricharacter builds them as a running sum
+from its tensor in O(n^2) memory (two tricharacters as one, their sum), and
+a plain table reads one sheared narrow copy of itself.
 So with tensor psi and phi the check holds no n^3 array at all; no n^3
 complex array and no copy of psi is formed in any case. strictified_product
 and takai_transform compute by the definitions and are the route the tests
