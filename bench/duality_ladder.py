@@ -6,7 +6,8 @@ Each order runs in a fresh process, so its peak RSS is its own; --order runs
 one order in this process instead. A point first builds its inputs and
 reports the seconds of each set-up stage in `setup_s`: group tables,
 trivializer (the mod-2 tricharacter and its trivializing 2-cochain, checked
-exactly), twist and psi (the preset |G| = 8 point has twist and psi only),
+exactly), twist (validated exactly: its phi is tau's cached coboundary, so
+nothing is swept) and psi (the preset |G| = 8 point has twist and psi only),
 and the process's peak RSS at that point, `setup_peak_rss_mb`. It then calls
 verify_duality with one random pair (`first_call_s`, which also pays one-time
 costs such as the first use of numpy's random generator), then with one and

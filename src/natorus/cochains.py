@@ -130,29 +130,16 @@ class CochainTable:
     def sheared_rows(self) -> Iterator[np.ndarray]:
         """c(w - y, y - z, z) over [y, z] for each w in index order, as an (n, n)
         array of residues in [0, den) in an unsigned type: the rows in which
-        the duality check (`crossed`) reads a 3-cochain.
-
-        A plain table reads them from one sheared narrow copy of itself
-        (`_sheared`, built on first use and kept): row w is S[w - y, y, .]
-        over y, n contiguous rows. A `Tricharacter` builds them as a running
-        sum from its tensor, like its slabs, and forms no n^3 array. Each row
-        is a fresh array.
+        the duality check (`crossed`) reads a 3-cochain. A plain table gathers
+        each row from its table; a `Tricharacter` builds them as a running sum
+        from its tensor, like its slabs, and forms no n^3 array. Each row is a
+        fresh array.
         """
-        g = self.group
-        sheared, zi = self._sheared, np.arange(g.order)
-        for w in range(g.order):
-            yield sheared[g.sub_table[w], zi]
-
-    @cached_property
-    def _sheared(self) -> np.ndarray:
-        """S[t, y, z] = c(t, y - z, z) in the unsigned type of den - 1, one eighth
-        of the int64 table while den <= 256; filled slab by slab."""
         n, sub = self.group.order, self.group.sub_table
-        out = np.empty((n, n, n), dtype=np.min_scalar_type(self.den - 1))
-        for row, slab in zip(out, self.slabs()):
-            row[...] = slab[sub, np.arange(n)]  # c(t, y - z, z) over [y, z]
-        out.setflags(write=False)
-        return out
+        cells = sub * n + np.arange(n)  # (y - z, z) over [y, z], flat into n x n
+        for w in range(n):  # one flat take: faster than indexing with three arrays
+            rows = self.table.take(sub[w, :, None] * (n * n) + cells)
+            yield rows.astype(np.min_scalar_type(self.den - 1))
 
     def _content_gcd(self) -> int:
         """gcd of den and every entry, read slab by slab."""
@@ -272,36 +259,45 @@ class Cochain2(_FixedArity):
 
     @cached_property
     def coboundary(self) -> "Cochain3":
-        """delta sigma (see coboundary2), in lowest terms.
-
-        The table is read-only, so the n^3 pass runs once per cochain and every
-        later coboundary2 call, cocycle check or twist built from it shares
-        this one Cochain3. The pass fills one n^3 int64 array, the result,
-        from `_coboundary2_slabs`. trivializing_cochain, which proves
-        delta tau = phi for a `Tricharacter` phi, caches phi here in lowest
-        terms instead, so that table is never built.
+        """delta sigma (see coboundary2), in lowest terms, cached: the n^3 pass
+        (the narrow sweep's slabs, `_coboundary2_slice`, copied into one n^3
+        int64 table) runs once per cochain, and every later coboundary2 call,
+        cocycle check or twist built from it shares this one Cochain3.
+        trivializing_cochain, which proves delta tau = phi for a `Tricharacter`
+        phi, caches phi here in lowest terms instead, so no table is built.
         """
         out = np.empty((self.group.order,) * 3, dtype=np.int64)
-        for row, slab in zip(out, _coboundary2_slabs(self)):
+        for row, slab in zip(out, _sweep(self, _coboundary2_slice)):
             row[...] = slab
         return Cochain3._from_table(self.group, 3, out, self.den)
 
 
-def _coboundary2_slabs(sigma: Cochain2) -> Iterator[np.ndarray]:
-    """(delta sigma)(x, ., .) mod den for x in index order, as fresh (n, n)
-    int64 arrays: sigma(y, z) - sigma(x+y, z) + sigma(x, y+z) - sigma(x, y).
+def _coboundary2_slice(t: np.ndarray, group: FiniteAbelianGroup, x: int) -> np.ndarray:
+    """(delta sigma)(x, ., .) before reduction (see coboundary2): a `_sweep`
+    chunk of four signed entries, built in place."""
+    add, tx = group.add_table, t[x]
+    out = tx.take(add)  # sigma(x, y+z), gathered faster by take than by indexing
+    out -= t[add[x]]
+    out += t
+    out -= tx[:, None]
+    return out
 
-    Every partial sum of the four residues lies in (-2 den, 2 den), inside
-    int64 for den <= 2^62, so the order of the terms does not change a slab.
-    """
-    add = sigma.group.add_table
-    t = sigma.table
-    for x in range(len(t)):
-        slab = t - t[add[x]]  # sigma(y, z) - sigma(x+y, z)
-        slab += t[x][add]  # sigma(x, y+z)
-        slab -= t[x][:, None]  # sigma(x, y)
-        np.remainder(slab, sigma.den, out=slab)
-        yield slab
+
+def _coboundary2_mismatch(sigma: Cochain2, phi: Cochain3) -> tuple | None:
+    """The first (x, y, z) index triple, in index order, where delta sigma and
+    phi differ, or None: exact, over their common denominator, and with no
+    n^3 array. None at once when phi is sigma's cached coboundary; otherwise
+    delta sigma's slabs come from the narrow sweep (`_sweep`) and meet phi's."""
+    if phi is vars(sigma).get("coboundary"):
+        return None
+    den = common_denominator(sigma.den, phi.den)
+    for x, (a, b) in enumerate(zip(_sweep(sigma, _coboundary2_slice), phi.slabs())):
+        if sigma.den != phi.den:
+            a, b = a.astype(np.int64) * (den // sigma.den), b.astype(np.int64) * (den // phi.den)
+        bad = a != b
+        if bad.any():
+            return (x, *(int(v) for v in np.argwhere(bad)[0]))
+    return None
 
 
 class Cochain3(_FixedArity):
@@ -616,7 +612,8 @@ def _sweep_dtype(den: int) -> np.dtype:
 def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
     """chunk(table, group, i) mod den for each index i of phi's first slot.
 
-    The one driver of the exact n^4 sweeps. `table` is a copy of phi's table
+    The one driver of the exact sweeps: the n^4 cocycle sweeps of 3-cochains
+    and the n^3 coboundary of a 2-cochain. `table` is a copy of phi's table
     in `_sweep_dtype(den)` (phi's own read-only table in the int64 case),
     made here and dropped when the sweep ends, never cached on the cochain.
     A chunk sums at most five signed entries of it and may be built in place;
@@ -790,8 +787,8 @@ def trivializing_cochain(phi: Cochain3) -> Cochain2:
     Supported inputs: the zero cochain (tau = 0) and tensor tricharacters
     whose doubled tensor vanishes mod m (2-torsion classes), where the
     quadratic cochain tau(a,b) = -(1/m) sum_{i<j,k} M[i,j,k] a_i a_j b_k
-    works. The result is verified exactly, slab by slab against phi's slabs
-    (`_coboundary2_slabs`), so no n^3 table is built; on success tau's
+    works. delta tau = phi is checked exactly by the narrow sweep
+    (`_coboundary2_mismatch`), so no n^3 table is built; on success tau's
     cached coboundary is phi itself in lowest terms (`_lowest_terms_form`),
     a tricharacter that a twist built from tau carries as its phi. Anything
     else raises, since such classes (e.g. the epsilon tensor mod 4 on three
@@ -809,7 +806,7 @@ def trivializing_cochain(phi: Cochain3) -> Cochain2:
         U = _contract_last(coords, _contract_last(coords, N, m), m)
         table = np.einsum("abi,ai->ab", U, coords) % m
         tau = Cochain2(phi.group, table, m)
-        if all(np.array_equal(d, p) for d, p in zip(_coboundary2_slabs(tau), phi.slabs())):
+        if _coboundary2_mismatch(tau, phi) is None:
             tau.coboundary = _lowest_terms_form(phi)
             return tau
     raise CochainError(

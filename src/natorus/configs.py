@@ -257,16 +257,12 @@ def parse_twist(obj) -> TwistData:
     sigma = parse_cochain2(group, obj.get("sigma"))
     phi = parse_cochain3(group, obj.get("phi")) if "phi" in obj else None
     beta = obj.get("beta")
-    with _building("twist"):
-        if beta is None:
-            if phi is not None and coboundary2(sigma) != phi:
-                raise ConfigError("scalar twist needs phi = delta sigma; they differ")
-            return TwistData.scalar_from_sigma(group, sigma, dim)
+    with _building("twist"):  # validate checks phi = delta sigma exactly
         if beta == "pauli":
             beta = presets.pauli_conjugators(group)
-        elif not isinstance(beta, (list, tuple)) or len(beta) != group.order:
-            raise ConfigError("twist 'beta' must list one unitary per group element")
-        else:
+        elif beta is not None:
+            if not isinstance(beta, (list, tuple)) or len(beta) != group.order:
+                raise ConfigError("twist 'beta' must list one unitary per group element")
             beta = np.stack([parse_square(m, dim, f"beta[{i}]") for i, m in enumerate(beta)])
         phi = coboundary2(sigma) if phi is None else phi
         return TwistData.with_scalar_multiplier(group, sigma, beta, phi, dim)

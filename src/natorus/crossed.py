@@ -27,25 +27,19 @@ substituting t = w - y in the strictified product gives
 
 with V_t the conjugator implementing beta_t. R depends only on the twist
 and psi, but as a whole it is an n^3 d^2 complex array, so verify_duality
-streams it: for each batch of pairs it builds R one w-slice at a time and
-computes row w of both sides for the whole batch, in tiles of pairs whose
-weighted summands stay within a fixed entry budget. Its exact part, the
-exponent (psi + phi)(w - y, y - z, z), is summed per w from psi's and phi's
-sheared rows (`sheared_rows`): a tricharacter builds them as a running sum
-from its tensor in O(n^2) memory (two tricharacters as one, their sum), and
-a plain table reads one sheared narrow copy of itself.
-So with tensor psi and phi the check holds no n^3 array at all; no n^3
-complex array and no copy of psi is formed in any case. strictified_product
-and takai_transform compute by the definitions and are the route the tests
-compare against; strictified_product sums psi's and phi's plain slabs the
-same way, so the tests also check the check against a reference built from
-the cochains' own tables.
+streams it one w-slice at a time (_DualityRows); with tensor psi and phi it
+holds no n^3 array at all. strictified_product and takai_transform compute
+by the definitions and are the route the tests compare against;
+strictified_product sums psi's and phi's plain slabs the same way, so the
+tests also check the check against a reference built from the cochains' own
+tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Iterator
 
@@ -56,6 +50,7 @@ from .cochains import (
     Cochain3,
     CochainTable,
     Tricharacter,
+    _coboundary2_mismatch,
     coboundary2,
     common_denominator,
     exp_phases,
@@ -105,6 +100,7 @@ class TwistData:
         self.beta = beta
         self.u = u
         self.phi = phi
+        self._sigma = None  # the 2-cochain of a scalar u (with_scalar_multiplier)
         if validate:
             self.validate(tol)
 
@@ -112,23 +108,29 @@ class TwistData:
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup, dim: int = 1) -> "TwistData":
-        return cls(group, dim)
+        return cls.with_scalar_multiplier(group, Cochain2.zero(group), None, None, dim)
 
     @classmethod
     def scalar_from_sigma(cls, group, sigma: Cochain2, dim: int = 1) -> "TwistData":
-        """Trivial beta, u(x,y) = exp(2 pi i sigma(x,y)) 1_B, phi = delta sigma."""
-        u = sigma.complex_table[:, :, None, None] * np.eye(dim, dtype=complex)
-        return cls(group, dim, u=u, phi=coboundary2(sigma))
+        """Trivial beta, u(x,y) = exp(2 pi i sigma(x,y)) 1_B, phi = delta sigma:
+        sigma's cached coboundary, so validate needs no sweep for it."""
+        return cls.with_scalar_multiplier(group, sigma, None, coboundary2(sigma), dim)
 
     @classmethod
     def with_scalar_multiplier(
-        cls, group, sigma: Cochain2, beta: np.ndarray, phi: Cochain3, dim: int
+        cls, group, sigma: Cochain2, beta: np.ndarray | None, phi: Cochain3 | None, dim: int
     ) -> "TwistData":
-        """beta given as conjugators, u scalar from sigma; needs delta sigma = phi
-        whenever the conjugators commute with the scalars (always) and
-        ad(beta) is a homomorphism."""
-        u = sigma.complex_table[:, :, None, None] * np.eye(dim, dtype=complex)
-        return cls(group, dim, beta=beta, u=u, phi=phi)
+        """beta given as conjugators (None: trivial), u scalar from sigma; needs
+        delta sigma = phi whenever the conjugators commute with the scalars
+        (always) and ad(beta) is a homomorphism. validate checks the first
+        exactly and beta in floats."""
+        if sigma.group != group:
+            raise IncompatibleGroupsError("sigma lives on a different group")
+        u = sigma.complex_table[:, :, None, None] * np.eye(max(dim, 1), dtype=complex)
+        tw = cls(group, dim, beta, u, phi, validate=False)  # refuses dim < 1
+        tw._sigma = sigma
+        tw.validate()
+        return tw
 
     # ------------------------------------------------------------- queries
 
@@ -142,38 +144,50 @@ class TwistData:
     # ----------------------------------------------------------- validation
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Exhaustive check of unitarity, normalization, and both relations."""
+        """Exhaustive check of unitarity, normalization, and both relations.
+
+        beta is checked in floats within tol: unitary conjugators, beta_0 = 1
+        and, for d > 1 (1 x 1 blocks are central), composition, n^2 d^3 work.
+        A u = exp(2 pi i sigma) 1_B from a 2-cochain sigma (every constructor)
+        is unitary and normalized by construction, drops out of composition
+        and is fixed by beta, so the phase relation is phi = delta sigma,
+        checked exactly (`_coboundary2_mismatch`): slab by slab with no n^3
+        array, and at once when phi is sigma's cached coboundary. Its failure
+        names the first (x, y, z) in index order. Any other u is checked in
+        floats within tol, with n^3 d^2 complex work for the phase relation.
+        """
         n, d = self.group.order, self.dim
-        v, u = self.beta, self.u
+        v, u, exact = self.beta, self.u, self._sigma is not None
         eye = np.eye(d)
         verr = np.max(np.abs(np.einsum("tab,tcb->tac", v, np.conj(v)) - eye[None]))
         if verr > tol:
             raise TwistDataError(f"beta conjugators are not unitary (defect {verr:.3e})")
-        uerr = np.max(np.abs(np.einsum("xyab,xycb->xyac", u, np.conj(u)) - eye[None, None]))
+        uerr = 0.0 if exact else np.max(np.abs(np.einsum("xyab,xycb->xyac", u, np.conj(u)) - eye))
         if uerr > tol:
             raise TwistDataError(f"u values are not unitary (defect {uerr:.3e})")
         if np.max(np.abs(v[0] - eye)) > tol:
             raise TwistDataError("beta_0 is not the identity")
-        norm_err = max(
-            float(np.max(np.abs(u[0] - eye[None]))), float(np.max(np.abs(u[:, 0] - eye[None])))
-        )
+        norm_err = 0.0 if exact else max(np.max(np.abs(u[0] - eye)), np.max(np.abs(u[:, 0] - eye)))
         if norm_err > tol:
             raise TwistDataError(f"u is not normalized at the identity (defect {norm_err:.3e})")
         add = self.group.add_table
-        # beta_x beta_y = ad(u(x,y)) beta_{x+y}: V_x V_y (u(x,y) V_{x+y})^H central
-        prod = np.einsum("xab,ybc->xyac", v, v)
-        target = np.einsum("xyab,xybc->xyac", u, v[add])
-        c = np.einsum("xyab,xycb->xyac", prod, np.conj(target))
-        trace = np.einsum("xyaa->xy", c) / d
-        central_defect = np.abs(c - trace[:, :, None, None] * eye[None, None])
-        if central_defect.max() > tol:
-            x, y = np.unravel_index(
-                int(central_defect.max(axis=(2, 3)).argmax()), (n, n)
-            )
-            raise TwistDataError(
-                f"beta_x beta_y != ad(u) beta_(x+y) at indices ({x}, {y})",
-                witness=(int(x), int(y)),
-            )
+        if d > 1:  # beta_x beta_y = ad(u(x,y)) beta_{x+y}: V_x V_y (u(x,y) V_{x+y})^H central
+            prod = np.einsum("xab,ybc->xyac", v, v)
+            target = v[add] if exact else np.einsum("xyab,xybc->xyac", u, v[add])
+            c = np.einsum("xyab,xycb->xyac", prod, np.conj(target))
+            trace = np.einsum("xyaa->xy", c) / d
+            central_defect = np.abs(c - trace[:, :, None, None] * eye[None, None])
+            if central_defect.max() > tol:
+                x, y = np.unravel_index(int(central_defect.max(axis=(2, 3)).argmax()), (n, n))
+                raise TwistDataError(
+                    f"beta_x beta_y != ad(u) beta_(x+y) at indices ({x}, {y})",
+                    witness=(int(x), int(y)),
+                )
+        if exact:
+            bad = _coboundary2_mismatch(self._sigma, self.phi)
+            if bad is not None:
+                raise TwistDataError(f"multiplier relation fails at indices {bad}", witness=bad)
+            return
         # phase relation: e^{2 pi i phi} u(x,y) u(x+y,z) = beta_x[u(y,z)] u(x,y+z)
         phi, block = self.phi, _block_product(d)
         for x, slab in enumerate(phi.slabs()):
@@ -451,8 +465,9 @@ class _DualityRows:
     split as the slice exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^*
     u(w - y, y - z), built for its row and dropped after it, times
     u(w - z, z) V_w, which does not depend on y and multiplies the summed
-    row. Row w's exponents are the sum of psi's and phi's sheared rows
-    (`sheared_rows`, summed by _exponent_rows), read in step with w. The
+    row. Row w's exponents sum psi's and phi's sheared rows (_exponent_rows):
+    two tricharacters as one, streamed from its tensor in O(n^2) memory;
+    with a plain operand, one narrow n^3 table built once per check. The
     right side is the kernel product, read with the weight row
     exp(2 pi i psi(w, ., .)) from psi's own slabs, so exp_phases sees psi's
     numerators over psi.den, of transform(b) and row w of transform(a),
@@ -464,8 +479,7 @@ class _DualityRows:
     kernel weights is built once and the weighted summands of one tile are
     the only temporary of that size; other leading shapes run as one tile.
     include_multiplier=False drops u(w - z, z) from R and from both
-    transforms. Set-up is O(n^2 d^2); for tensor psi and phi no n^3 array
-    is formed, and no copy of psi and no n^3 complex array in any case.
+    transforms. No copy of psi and no n^3 complex array is formed.
     """
 
     def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
@@ -482,6 +496,13 @@ class _DualityRows:
         self.right = self.block(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
         self.den = common_denominator(psi.den, tw.phi.den)
         self.tile = _pairs_per_tile(n, d)
+        self.exponents = partial(_exponent_rows, psi, tw.phi, self.den, "sheared_rows")
+        if not (isinstance(psi, Tricharacter) and isinstance(tw.phi, Tricharacter)):
+            # a plain operand: the summed rows once per check, as one narrow table
+            table = np.empty((n, n, n), dtype=np.min_scalar_type(2 * (self.den - 1)))
+            for row, exponent in zip(table, self.exponents()):
+                row[...] = exponent
+            self.exponents = partial(iter, table)
 
     def __call__(self, a: np.ndarray, b: np.ndarray):
         b_sub = _at(b, self.diffs)  # b(y - z, z) over [y, z]
@@ -496,8 +517,7 @@ class _DualityRows:
             ]
         else:
             tiles = [(slice(None), np.empty_like(b_sub))]
-        exponents = _exponent_rows(self.psi, self.tw.phi, self.den, "sheared_rows")
-        for w, exponent, psi_row in zip(range(len(self.zi)), exponents, self.psi.slabs()):
+        for w, exponent, psi_row in zip(range(len(self.zi)), self.exponents(), self.psi.slabs()):
             yield (w, *self._row(w, exponent, psi_row, a, b_sub, tb, tiles))
 
     def _row(self, w, exponent, psi_row, a, b_sub, tb, tiles):
@@ -604,14 +624,12 @@ def _pairs_per_batch(n: int, d: int) -> int:
     """Random pairs that verify_duality runs through one pass over the R slices.
 
     At least 8, so that a pass's per-row set-up (phases, the V^* u gather and
-    the kernel weight rows), which costs about as much as the rows of two or
-    three pairs at |G| = 64 and of one or two at |G| = 128, is shared by 8
-    pairs; more while one batch array (n^2 d^2 complex entries per pair)
-    stays within _ENTRY_BUDGET, which keeps small groups from paying the
-    per-row overhead pair by pair. While its rows run, a batch holds three
-    such arrays (a, b(y - z, z) and transform(b)); the weighted summands,
-    the one temporary of that size per pair, are formed a tile at a time
-    (_pairs_per_tile).
+    the kernel weight rows) is shared by 8 pairs; more while one batch array
+    (n^2 d^2 complex entries per pair) stays within _ENTRY_BUDGET, which
+    keeps small groups from paying the per-row overhead pair by pair. While
+    its rows run, a batch holds three such arrays (a, b(y - z, z) and
+    transform(b)); the weighted summands, the one temporary of that size
+    per pair, are formed a tile at a time (_pairs_per_tile).
     """
     return max(8, _ENTRY_BUDGET // (n * n * d * d))
 
@@ -636,25 +654,14 @@ def verify_duality(
 
     Exhaustive over basis pairs when |G|^2 dim(B)^2 <= 64 (trials is then
     ignored), else `trials` seeded random pairs; fewer than one is refused
-    with ConfigError. The left side is computed in the transform's coordinates,
-
-        transform(a * b)(w, z) = sum_y L(w, y) b(y - z, z) R(w, y, z),
-
-    with L(w, y) = V_w^* a(w - y, y) V_{w-y} and the weight
-    R(w, y, z) = exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^* u(w - y, y - z)
-    u(w - z, z) V_w (see _DualityRows). R is never stored whole: pairs run
-    in batches, and for each batch R(w), an n^2 d^2 slice whose exponents are
-    the sum of psi's and phi's sheared rows w (`sheared_rows`), and the
-    kernel weight row exp(2 pi i psi(w, ., .)), read from psi's slabs, give
-    row w of both sides for every pair of the batch, in tiles of
-    _pairs_per_tile(n, d) pairs. With tensor psi and phi (`Tricharacter`)
-    no n^3 array is formed; a plain table keeps one sheared narrow copy of
-    itself. The two sides stay separate products of the same pair, and each
-    pair keeps the largest error over its rows. Random pairs are drawn a then
-    b, pair by pair, in batches of _pairs_per_batch(n, d). Both sides are
+    with ConfigError. Both sides are computed row by row in the transform's
+    coordinates (module docstring, _DualityRows), so R is never stored
+    whole. Random pairs are drawn a then b, pair by pair, in batches of
+    _pairs_per_batch(n, d); the two sides stay separate products of the same
+    pair, and each pair keeps the largest error over its rows. Both sides are
     bilinear, so the exhaustive mode compares the two structure tensors: the
     basis is stacked along two broadcast axes and every pair comes out of the
-    same slice loop. The witness is the first pair in (a, b) order, or the
+    same row loop. The witness is the first pair in (a, b) order, or the
     first trial, with the largest error. include_multiplier=False drops
     u(w - z, z) from both the transform and R and should make the check fail
     loudly. A psi that is not a 3-cochain is refused with CochainError before

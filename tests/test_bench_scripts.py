@@ -30,6 +30,7 @@ def test_duality_ladder_runs_one_order():
         point = run_one_order("duality_ladder.py", order)
         assert point["order"] == order and point["dim"] == dim and point["trials"] == 100
         assert set(point["setup_s"]) == stages
+        assert all(isinstance(s, float) and s >= 0 for s in point["setup_s"].values())
         assert point["max_error"] < 1e-10
         assert point["first_call_s"] > 0
         assert 0 < point["setup_peak_rss_mb"] <= point["peak_rss_mb"]

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from natorus import (
     CochainError,
     ConfigError,
     CrossedElement,
+    IncompatibleGroupsError,
     StrictifiedElement,
     Tricharacter,
     TwistData,
@@ -36,10 +38,12 @@ from natorus import (
     verify_duality,
 )
 from natorus import crossed
+from natorus.configs import load_config
 from natorus.crossed import _pairs_per_batch, _pairs_per_tile
 from natorus.twisted_algebra import levi_civita
 from natorus.presets import (
     epsilon_tricharacter_z4,
+    pauli_conjugators,
     pauli_m2_twist,
     shift_bicharacter,
     z4_scalar_twist,
@@ -490,3 +494,133 @@ def test_twist_data_refuses_dim_below_one(dim):
     # -1 used to raise numpy's ValueError from np.eye.
     with pytest.raises(TwistDataError, match="dim must be at least 1"):
         TwistData(make_group([2]), dim)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_twist_constructors_refuse_dim_below_one(dim):
+    g = make_group([2])
+    for build in (
+        lambda: TwistData.trivial(g, dim),
+        lambda: TwistData.scalar_from_sigma(g, Cochain2.zero(g), dim),
+    ):
+        with pytest.raises(TwistDataError, match="dim must be at least 1"):
+            build()
+
+
+# ------------------------------------------- exact twist checks against floats
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def float_twin(tw):
+    """The same twist with a raw u, so validate takes the float route."""
+    return TwistData(tw.group, tw.dim, beta=tw.beta, u=tw.u, phi=tw.phi)
+
+
+def bundled_twists():
+    """Every preset twist and every twist a bundled config builds, each from a
+    2-cochain sigma."""
+    twists = [
+        pauli_m2_twist(),
+        pauli_m2_twist(shift_bicharacter()),
+        z4_scalar_twist(),
+        TwistData.trivial(make_group([4]), dim=3),
+    ]
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = load_config(str(path))
+        if "twist" in cfg.raw:
+            twists.append(cfg.twist())
+        if "bundle" in cfg.raw:
+            bundle = cfg.bundle()
+            twists += [
+                TwistData.scalar_from_sigma(bundle.group, bundle.fiber(x).sigma)
+                for x in bundle.base
+            ]
+    return twists
+
+
+def test_bundled_twists_pass_the_exact_and_the_float_route():
+    twists = bundled_twists()
+    assert len(twists) >= 7  # 4 presets, duality_m2's twist, two_point_bundle's 2 fibers
+    for tw in twists:
+        assert tw._sigma is not None  # built from sigma: validated exactly
+        float_twin(tw)  # raises unless the float route accepts it too
+
+
+def first_mismatch(sigma, phi):
+    """The first (x, y, z) where the dense delta sigma table and phi differ."""
+    dense = Cochain2(sigma.group, sigma.table, sigma.den).coboundary
+    den = np.lcm(dense.den, phi.den)
+    diff = (dense.table * (den // dense.den) - phi.table * (den // phi.den)) % den
+    return tuple(int(i) for i in np.argwhere(diff)[0])
+
+
+def test_phi_off_delta_sigma_is_refused_by_both_routes_with_the_first_witness():
+    g = octonion_group()
+    sigma, beta = octonion_sigma(g), pauli_conjugators(g)
+    phi = octonion_associator_tricharacter(g)
+    for cell, value in ((((1, 0, 0), (0, 1, 0), (0, 0, 1)), "1/2"), (((1, 1, 1),) * 3, "1/6")):
+        bad = phi + Cochain3.from_entries(g, [(cell, value)])
+        with pytest.raises(TwistDataError, match="multiplier relation") as exact:
+            TwistData.with_scalar_multiplier(g, sigma, beta, bad, 2)
+        assert exact.value.witness == first_mismatch(sigma, bad)
+        assert exact.value.witness == tuple(g.element(c).index for c in cell)
+        u = sigma.complex_table[:, :, None, None] * np.eye(2)
+        with pytest.raises(TwistDataError, match="multiplier relation"):
+            TwistData(g, 2, beta=beta, u=u, phi=bad)
+
+
+def test_non_projective_beta_is_refused_by_both_routes():
+    g = octonion_group()
+    sigma, phi = octonion_sigma(g), octonion_associator_tricharacter(g)
+    beta = pauli_conjugators(g).copy()
+    beta[3] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)  # unitary, but not a Pauli
+    u = sigma.complex_table[:, :, None, None] * np.eye(2)
+    for build in (
+        lambda: TwistData.with_scalar_multiplier(g, sigma, beta, phi, 2),
+        lambda: TwistData(g, 2, beta=beta, u=u, phi=phi),
+    ):
+        with pytest.raises(TwistDataError, match=r"beta_x beta_y != ad\(u\)"):
+            build()
+
+
+def test_sigma_on_another_group_is_refused():
+    with pytest.raises(IncompatibleGroupsError, match="sigma lives on a different group"):
+        TwistData.scalar_from_sigma(make_group([4]), Cochain2.zero(make_group([2, 2])))
+
+
+def test_exact_twist_check_on_a_plain_sigma_and_a_tricharacter_builds_no_n3_array():
+    """with_scalar_multiplier on a plain sigma (no cached coboundary) and a
+    tricharacter phi sweeps delta sigma slab by slab against phi's slabs: its
+    traced peak stays below one n^3 uint8 array, and neither cochain caches
+    a table of delta sigma or of phi."""
+    group = make_group([2, 4, 4, 4])
+    n = group.order
+    phi = Tricharacter(group, levi_civita(group.rank), 2)
+    tau = trivializing_cochain(phi)
+    sigma = Cochain2(group, tau.table, tau.den)  # the same values, no cached coboundary
+    beta = np.ones((n, 1, 1), dtype=complex)
+    tracemalloc.start()
+    try:
+        tw = TwistData.with_scalar_multiplier(group, sigma, beta, phi, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tw.phi is phi and peak < n**3
+    assert "coboundary" not in vars(sigma) and "table" not in vars(phi)
+
+
+def test_plain_psi_rows_are_summed_once_per_check_and_reports_are_identical():
+    """A plain psi's summed exponent rows are built once per verify_duality
+    call, whatever the number of batches, and the report is bit-identical to
+    that of the tricharacter psi with the same values, whose rows stream."""
+    tw = z4_scalar_twist()
+    tri = Tricharacter(tw.group, levi_civita(), 4)
+    plain = Cochain3(tw.group, tri.table, tri.den)
+    calls, rows = [], plain.sheared_rows
+    plain.sheared_rows = lambda: calls.append(1) or rows()
+    trials = 3 * _pairs_per_batch(tw.group.order, tw.dim)
+    report = verify_duality(tw, plain, trials=trials, seed=3)
+    assert calls == [1]
+    assert report.as_dict() == verify_duality(tw, tri, trials=trials, seed=3).as_dict()
+    assert report.passed and report.trials == trials

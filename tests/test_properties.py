@@ -17,6 +17,7 @@ from natorus import (
     StrictifiedElement,
     Tricharacter,
     TwistData,
+    TwistDataError,
     TwistedGroupAlgebra,
     associativity_cocycle_sweep,
     bicharacter_from_matrix,
@@ -314,6 +315,38 @@ def test_coboundary2_is_computed_once_and_is_the_alternating_sum(factors, den, s
     g = gcd(den, *(int(v) for v in wide.flat))
     assert first.den == den // g and first.table.dtype == np.int64
     assert np.array_equal(first.table, (wide // g).astype(np.int64))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    factors=factor_lists(max_order=32, max_rank=5),
+    den=st.sampled_from([1, 2, 6, 12, 255, 2**31 + 11]),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_twist_validation_agrees_with_the_float_route(factors, den, dim, seed):
+    """A twist built from sigma is validated exactly (phi = delta sigma, slab
+    by slab), its twin with the same raw u in floats. Both accept phi =
+    delta sigma, also as a plain copy over twice the denominator, which the
+    exact route must sweep; both refuse it with two entries moved by 1/3, and
+    the exact witness is the first of them in index order."""
+    group = make_group(factors)
+    rng = np.random.default_rng(seed)
+    sigma = random_sigma(group, rng, den=den)
+    dense = Cochain2(group, sigma.table, sigma.den).coboundary
+    twin = Cochain3(group, dense.table * 2, dense.den * 2)  # equal values, not cached
+    for phi in (coboundary2(sigma), twin):
+        tw = TwistData.with_scalar_multiplier(group, sigma, None, phi, dim)
+        TwistData(group, dim, beta=tw.beta, u=tw.u, phi=phi)  # the float route
+    if group.order == 1:
+        return
+    cells = {tuple(int(i) for i in rng.integers(1, group.order, size=3)) for _ in range(2)}
+    bad = dense + Cochain3.from_entries(group, [(cell, "1/3") for cell in cells])
+    with pytest.raises(TwistDataError, match="multiplier relation") as exact:
+        TwistData.with_scalar_multiplier(group, sigma, None, bad, dim)
+    assert exact.value.witness == min(cells)
+    with pytest.raises(TwistDataError, match="multiplier relation"):
+        TwistData(group, dim, u=tw.u, phi=bad)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
