@@ -27,6 +27,7 @@ from .cochains import (
 from .crossed import TwistData, evaluation_side_product, fourier_side_product, verify_duality
 from .groups import make_group
 from .kernels import associativity_cocycle_sweep
+from .phases import Report
 from .quantization import (
     GAction,
     GradedElement,
@@ -44,7 +45,7 @@ from .twisted_algebra import (
 
 
 @dataclass
-class CriterionResult:
+class CriterionResult(Report):
     number: int
     name: str
     passed: bool
@@ -55,16 +56,6 @@ class CriterionResult:
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] criterion {self.number}: {self.name} ({self.runtime:.2f}s) {self.detail}"
-
-    def as_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "runtime": self.runtime,
-            "detail": self.detail,
-            "data": self.data,
-        }
 
 
 def _result(number, name, t0, passed, detail, **data) -> CriterionResult:
@@ -159,7 +150,7 @@ def criterion_fourier_evaluation(tolerance=1e-10, trials=100, seed=0) -> Criteri
             diff = evaluation_side_product(group, a, b) - fourier_side_product(group, a, b)
             worst = max(worst, float(np.abs(diff).max()))
     detail = f"max error {worst:.3e} over {2 * trials} pairs (scalar and M2 blocks)"
-    return _result(4, "fourier vs evaluation product", t0, worst < tolerance, detail, max_error=worst)
+    return _result(4, "fourier vs evaluation product", t0, worst <= tolerance, detail, max_error=worst)
 
 
 def criterion_duality(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
@@ -212,7 +203,7 @@ def criterion_deformation_consistency(tolerance=1e-10, trials=100, seed=0) -> Cr
             lhs = phi_zero_intertwiner(deformed_product(a, b, phi0))
             rhs = phi_zero_intertwiner(a) @ phi_zero_intertwiner(b)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
-    flat_ok = worst < tolerance
+    flat_ok = worst <= tolerance
     rep = associator_table(
         GAction.translation(octonion_group()),
         octonion_associator_tricharacter(),

@@ -20,10 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cochains import Cochain2, Cochain3, coboundary2, is_cocycle2, trivializing_cochain
+from .cochains import (
+    Cochain2,
+    Cochain3,
+    _coboundary2_mismatch,
+    is_cocycle2,
+    require_cochain,
+    trivializing_cochain,
+)
 from .crossed import DualityReport, TwistData, verify_duality
 from .errors import BundleConstructionError, CochainError, IncompatibleGroupsError
 from .groups import FiniteAbelianGroup
+from .phases import Report
 from .twisted_algebra import TwistedGroupAlgebra
 
 
@@ -109,14 +117,14 @@ def build_nap_bundle(
     """
     if not isinstance(base, BaseSpace):
         base = BaseSpace(base)
+    require_cochain(phi, 3, group)
     sigma = dict(sigma) if sigma else {}
     for x in base:
         s = sigma.get(x)
         if s is None:
             sigma[x] = Cochain2.zero(group)
             continue
-        if s.group != group:
-            raise IncompatibleGroupsError(f"sigma over {x!r} lives on a different group")
+        require_cochain(s, 2, group, f"sigma over {x!r}")
         if not is_cocycle2(s):
             raise BundleConstructionError(f"sigma over {x!r} is not a 2-cocycle")
     extra = set(sigma) - set(base.labels)
@@ -130,10 +138,12 @@ def build_nap_bundle(
                 f"cannot realize the fibers: {exc}"
             ) from exc
     else:
-        if trivializer.group != group:
-            raise IncompatibleGroupsError("trivializer lives on a different group")
-        if coboundary2(trivializer) != phi:
-            raise BundleConstructionError("trivializer does not satisfy delta tau = phi")
+        require_cochain(trivializer, 2, group, "trivializer")
+        bad = _coboundary2_mismatch(trivializer, phi)  # no n^3 table of delta tau
+        if bad is not None:
+            raise BundleConstructionError(
+                f"trivializer does not satisfy delta tau = phi: they differ at indices {bad}"
+            )
     return NAPBundle(base, group, phi, sigma, trivializer)
 
 
@@ -141,19 +151,11 @@ def build_nap_bundle(
 
 
 @dataclass
-class NAPReport:
+class NAPReport(Report):
     passed: bool
     max_error: float
     tol: float
     points: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_error": self.max_error,
-            "tol": self.tol,
-            "points": {x: r.as_dict() for x, r in self.points.items()},
-        }
 
 
 def nap_condition_check(
@@ -184,33 +186,19 @@ def nap_condition_check(
 
 
 @dataclass
-class SigmaExtraction:
-    sigma: np.ndarray
-    scalar_table: np.ndarray
+class SigmaExtraction(Report):
+    passed: bool = field(init=False)
+    sigma: np.ndarray = field(repr=False)
+    scalar_table: np.ndarray = field(repr=False)
     central_error: float
     invariance_error: float
     unitarity_error: float
     cocycle_error: float
     tol: float
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.central_error <= self.tol
-            and self.invariance_error <= self.tol
-            and self.unitarity_error <= self.tol
-            and self.cocycle_error <= self.tol
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "central_error": self.central_error,
-            "invariance_error": self.invariance_error,
-            "unitarity_error": self.unitarity_error,
-            "cocycle_error": self.cocycle_error,
-            "tol": self.tol,
-        }
+    def __post_init__(self):
+        errors = (self.central_error, self.invariance_error, self.unitarity_error)
+        self.passed = all(e <= self.tol for e in (*errors, self.cocycle_error))
 
 
 def extract_sigma(tw1: TwistData, tw2: TwistData, tol: float = 1e-10) -> SigmaExtraction:

@@ -180,6 +180,9 @@ class CochainTable:
         return self._combine(other, -1)
 
     def __neg__(self) -> "CochainTable":
+        return self._negated()
+
+    def _negated(self) -> "CochainTable":
         out = np.negative(self.table)
         np.remainder(out, self.den, out=out)
         return type(self)._from_table(self.group, self.arity, out, self.den)
@@ -229,6 +232,15 @@ def _lowest_terms(table: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     """(table, den) divided by the gcd of den and every entry; entries in [0, den)."""
     g = gcd(int(np.gcd.reduce(table, axis=None)), den)
     return (table // g, den // g) if g > 1 else (table, den)
+
+
+def require_cochain(cochain, arity: int, group=None, name="phi", error=CochainError) -> None:
+    """Refuse, before any work, a `name` that is not a cochain of `arity`
+    (raising `error`) or, when `group` is given, one on another group."""
+    if not isinstance(cochain, CochainTable) or cochain.arity != arity:
+        raise error(f"{name} must be a {arity}-cochain, got {cochain!r}")
+    if group is not None and cochain.group != group:
+        raise IncompatibleGroupsError(f"{name} lives on a different group")
 
 
 class _FixedArity(CochainTable):
@@ -421,6 +433,8 @@ class Tricharacter(Cochain3):
     cocycle identities (coboundary_witness), are decided on the tensor. The
     dense n^3 `table` is built only when a reader asks for it whole (sweeps
     on plain copies, restrict, complex_table, digests) and then cached.
+    Sums, differences and negations of tricharacters are tricharacters,
+    formed on the tensors (`_combine`); with a plain operand they are plain.
     """
 
     cocycle_mode = "certificate"  # see coboundary_witness
@@ -524,6 +538,26 @@ class Tricharacter(Cochain3):
             row.setflags(write=False)
             yield row
 
+    def _combine(self, other: CochainTable, sign: int) -> CochainTable:
+        """self + sign * other. Two tricharacters combine as one, in lowest
+        terms, whose tensor is the signed sum of theirs scaled to the common
+        modulus; a plain other, or a common modulus past the bound of the
+        staged build (`_stage_modulus`), gives the plain table instead."""
+        if isinstance(other, Tricharacter):
+            self.group._require_same(other.group)
+            d = common_denominator(self.den, other.den)
+            tensor = self.tensor * (d // self.den) + sign * other.tensor * (d // other.den)
+            try:
+                total = Tricharacter(self.group, tensor, d)
+            except CochainError:  # d too large for the staged build
+                pass
+            else:
+                return _lowest_terms_form(total)
+        return super()._combine(other, sign)
+
+    def _negated(self) -> "Tricharacter":
+        return _lowest_terms_form(Tricharacter(self.group, -self.tensor, self.modulus))
+
     def is_zero(self) -> bool:
         """Zero exactly when the reduced tensor is: phi(e_i, e_j, e_k) = M[i,j,k]."""
         return not self.tensor.any()
@@ -549,8 +583,10 @@ class Tricharacter(Cochain3):
         by linearity gives t(x,y,z) - t(w,y,z) - t(x,y,z) + t(w,x,z) + t(w,y,z)
         - t(w,x,y) - t(w,x,z) + t(w,x,y) = 0, term by term, with no symmetry
         of the tensor used. The factor check in the constructor makes the
-        table trilinear on the group. Sums, negations and other cochains built
-        from a tricharacter's table are plain `Cochain3`s and are swept.
+        table trilinear on the group. Sums, differences and negations of
+        tricharacters are tricharacters and are certified too; a sum with a
+        plain cochain, and any cochain built from a tricharacter's table, is a
+        plain `Cochain3` and is swept.
         """
         return None
 
@@ -586,6 +622,7 @@ def coboundary2(sigma: Cochain2) -> Cochain3:
     One O(n^3) pass per cochain: the result is cached on sigma
     (`Cochain2.coboundary`), so repeated calls return the same Cochain3.
     """
+    require_cochain(sigma, 2, name="sigma")
     return sigma.coboundary
 
 
@@ -664,22 +701,27 @@ def is_cocycle2(sigma: Cochain2) -> bool:
     return coboundary2(sigma).is_zero()
 
 
+def _witness(phi: Cochain3) -> tuple | None:
+    """phi's `coboundary_witness`, once phi is known to be a 3-cochain."""
+    require_cochain(phi, 3)
+    return phi.coboundary_witness
+
+
 def is_cocycle3(phi: Cochain3) -> bool:
     """delta phi = 0: certified from the tensor for a `Tricharacter`, else
     decided by the exhaustive n^4 sweep, run once per cochain and cached
     (`Cochain3.coboundary_witness`)."""
-    return phi.coboundary_witness is None
+    return _witness(phi) is None
 
 
 def cocycle3_witness(phi: Cochain3):
     """None when phi is a cocycle, else the first failing (w,x,y,z) as elements.
 
-    A `Tricharacter` is certified (None at once); every other cochain,
-    including sums and negations of tricharacters, is swept exhaustively."""
-    w = phi.coboundary_witness
-    if w is None:
-        return None
-    return tuple(phi.group.element(i) for i in w)
+    A `Tricharacter`, including a sum, difference or negation of
+    tricharacters, is certified (None at once); every other cochain is swept
+    exhaustively."""
+    w = _witness(phi)
+    return None if w is None else tuple(phi.group.element(i) for i in w)
 
 
 def require_cocycle3(phi: Cochain3) -> None:
@@ -687,7 +729,7 @@ def require_cocycle3(phi: Cochain3) -> None:
 
     Returns at once for a `Tricharacter` (certified from the tensor); every
     other cochain reads its cached exhaustive sweep."""
-    if phi.coboundary_witness is not None:
+    if _witness(phi) is not None:
         witness = tuple(phi.group.element(i) for i in phi.coboundary_witness)
         raise NotACocycleError(
             f"phi is not a 3-cocycle, delta phi != 0 at {witness}", witness=witness
@@ -741,7 +783,7 @@ def check_multiplier_relation(phi: Cochain3):
     (w, x, y, z) is returned as (x, y, z, w), the first failing cell in that
     sweep's (w, x, y, z) order, not in (a, b, c, entry) order.
     """
-    witness = phi.coboundary_witness
+    witness = _witness(phi)
     if witness is None:
         return None
     g, a, b, c = witness

@@ -27,12 +27,12 @@ substituting t = w - y in the strictified product gives
 
 with V_t the conjugator implementing beta_t. R depends only on the twist
 and psi, but as a whole it is an n^3 d^2 complex array, so verify_duality
-streams it one w-slice at a time (_DualityRows); with tensor psi and phi it
-holds no n^3 array at all. strictified_product and takai_transform compute
-by the definitions and are the route the tests compare against;
-strictified_product sums psi's and phi's plain slabs the same way, so the
-tests also check the check against a reference built from the cochains' own
-tables.
+streams it one w-slice at a time (_DualityRows). Both routes read the
+exponent psi + phi as the one cochain that `cochains` adds: a tricharacter
+when psi and phi are, and then the check holds no n^3 array at all.
+strictified_product and takai_transform compute by the definitions and are
+the route the tests compare against; strictified_product reads the sum's
+slabs and shares no other code with the check.
 """
 
 from __future__ import annotations
@@ -41,24 +41,23 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
-from typing import Iterator
 
 import numpy as np
 
 from .cochains import (
     Cochain2,
     Cochain3,
-    CochainTable,
     Tricharacter,
     _coboundary2_mismatch,
     coboundary2,
-    common_denominator,
     exp_phases,
+    require_cochain,
 )
 from .elements import ArrayElement
-from .errors import CochainError, ConfigError, IncompatibleGroupsError, TwistDataError
+from .errors import ConfigError, IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel
+from .phases import Report
 
 
 class TwistData:
@@ -89,10 +88,7 @@ class TwistData:
             raise TwistDataError(f"beta must have shape {(n, dim, dim)}, got {beta.shape}")
         if u.shape != (n, n, dim, dim):
             raise TwistDataError(f"u must have shape {(n, n, dim, dim)}, got {u.shape}")
-        if not _is_cochain3(phi):
-            raise TwistDataError(f"phi must be a 3-cochain, got {phi!r}")
-        if phi.group != group:
-            raise IncompatibleGroupsError("phi lives on a different group")
+        require_cochain(phi, 3, group, error=TwistDataError)
         beta.setflags(write=False)
         u.setflags(write=False)
         self.group = group
@@ -124,8 +120,7 @@ class TwistData:
         delta sigma = phi whenever the conjugators commute with the scalars
         (always) and ad(beta) is a homomorphism. validate checks the first
         exactly and beta in floats."""
-        if sigma.group != group:
-            raise IncompatibleGroupsError("sigma lives on a different group")
+        require_cochain(sigma, 2, group, "sigma")
         u = sigma.complex_table[:, :, None, None] * np.eye(max(dim, 1), dtype=complex)
         tw = cls(group, dim, beta, u, phi, validate=False)  # refuses dim < 1
         tw._sigma = sigma
@@ -334,65 +329,21 @@ def strictified_product(
     """
     a._check(b)
     tw = a.twist
-    _require_psi(psi, tw.group)
-    den = common_denominator(psi.den, tw.phi.den)
+    require_cochain(psi, 3, tw.group, "psi")
+    total = psi + tw.phi
     add = tw.group.add_table
     out = np.zeros_like(a.values)
-    for t, exponent in enumerate(_exponent_rows(psi, tw.phi, den, "slabs")):
+    for t, exponent in enumerate(total.slabs()):
         # index [r, x] with r = s - t
         moved = np.einsum("ab,rxbc,dc->rxad", tw.beta[t], b.values, np.conj(tw.beta[t]))
-        w_t = _row_phases(exponent, den)
+        w_t = _row_phases(exponent, total.den)
         term = np.einsum("rx,rxab,rxbc,rcd->rxad", w_t, a.values[t][add], moved, tw.u[t])
         out[add[t]] += term
     return StrictifiedElement(tw, out)
 
 
-def _is_cochain3(cochain) -> bool:
-    return isinstance(cochain, CochainTable) and cochain.arity == 3
-
-
-def _require_psi(psi, group: FiniteAbelianGroup) -> None:
-    """Refuse a psi that is not a 3-cochain on `group`, before any work: the
-    rows of a 2-cochain would otherwise broadcast where psi's slabs are read."""
-    if not _is_cochain3(psi):
-        raise CochainError(f"psi must be a 3-cochain, got {psi!r}")
-    if psi.group != group:
-        raise IncompatibleGroupsError("psi lives on a different group")
-
-
-def _exponent_rows(psi: Cochain3, phi: Cochain3, den: int, rows: str) -> Iterator[np.ndarray]:
-    """(psi + phi) row by row over den, their common denominator, reduced to
-    [0, den): each row the sum of psi's and phi's rows from the accessor
-    named `rows`, "slabs" (strictified_product) or "sheared_rows"
-    (_DualityRows), read in step.
-
-    The one adder of the (psi + phi) exponents. A row is held in the unsigned
-    type of 2 (den - 1), which holds the sum of two residues scaled to den,
-    and reduced once with min(s, s - den): s - den wraps above s unless
-    s >= den. Two tricharacters sum to one over den, whose own rows come in
-    that type from one running sum, so their rows are not added row by row
-    unless den is past the bound of its staged build. Readers turn rows into
-    phases with _row_phases.
-    """
-    dtype = np.min_scalar_type(2 * (den - 1))
-    psi_scale, phi_scale = den // psi.den, den // phi.den
-    if isinstance(psi, Tricharacter) and isinstance(phi, Tricharacter):
-        try:
-            total = Tricharacter(psi.group, psi.tensor * psi_scale + phi.tensor * phi_scale, den)
-        except CochainError:  # den too large for the staged build
-            pass
-        else:
-            yield from getattr(total, rows)()
-            return
-    for p, f in zip(getattr(psi, rows)(), getattr(phi, rows)()):
-        s = p.astype(dtype) * psi_scale
-        s += f.astype(dtype) * phi_scale
-        np.minimum(s, s - den, out=s)
-        yield s
-
-
 def _row_phases(exponent: np.ndarray, den: int) -> np.ndarray:
-    """exp(2 pi i exponent / den) for one row of _exponent_rows, with the
+    """exp(2 pi i exponent / den) for one row of exponents over den, with the
     exponent put in lowest terms over the row, so quarter turns take the
     exact roots (exp_phases wraps them exactly at any scale)."""
     if 4 % den == 0:
@@ -465,9 +416,10 @@ class _DualityRows:
     split as the slice exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^*
     u(w - y, y - z), built for its row and dropped after it, times
     u(w - z, z) V_w, which does not depend on y and multiplies the summed
-    row. Row w's exponents sum psi's and phi's sheared rows (_exponent_rows):
-    two tricharacters as one, streamed from its tensor in O(n^2) memory;
-    with a plain operand, one narrow n^3 table built once per check. The
+    row. Row w's exponents are the sheared rows of psi + phi: when both are
+    tricharacters, of their sum as one, streamed from its tensor in O(n^2)
+    memory; with a plain operand, of the plain sum, gathered once per check
+    into one narrow n^3 table, after which the int64 sum is dropped. The
     right side is the kernel product, read with the weight row
     exp(2 pi i psi(w, ., .)) from psi's own slabs, so exp_phases sees psi's
     numerators over psi.den, of transform(b) and row w of transform(a),
@@ -494,13 +446,12 @@ class _DualityRows:
         self.u_out = _at(tw.u, self.diffs) if include_multiplier else None  # u(w - z, z)
         u_out = np.eye(d) if self.u_out is None else self.u_out
         self.right = self.block(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
-        self.den = common_denominator(psi.den, tw.phi.den)
         self.tile = _pairs_per_tile(n, d)
-        self.exponents = partial(_exponent_rows, psi, tw.phi, self.den, "sheared_rows")
-        if not (isinstance(psi, Tricharacter) and isinstance(tw.phi, Tricharacter)):
-            # a plain operand: the summed rows once per check, as one narrow table
-            table = np.empty((n, n, n), dtype=np.min_scalar_type(2 * (self.den - 1)))
-            for row, exponent in zip(table, self.exponents()):
+        total = psi + tw.phi
+        self.den, self.exponents = total.den, total.sheared_rows
+        if not isinstance(total, Tricharacter):  # its rows once, as one narrow table
+            table = np.empty((n, n, n), dtype=np.min_scalar_type(total.den - 1))
+            for row, exponent in zip(table, total.sheared_rows()):
                 row[...] = exponent
             self.exponents = partial(iter, table)
 
@@ -556,7 +507,7 @@ def takai_transform(
     identity on purpose and exists for negative controls.
     """
     tw = a.twist
-    _require_psi(psi, tw.group)
+    require_cochain(psi, 3, tw.group, "psi")
     return TwistedKernel(tw.group, psi, _takai_values(tw, a.values, include_multiplier))
 
 
@@ -598,23 +549,13 @@ def double_dual_action(v, kernel: TwistedKernel, alpha: np.ndarray | None = None
 
 
 @dataclass
-class DualityReport:
+class DualityReport(Report):
     passed: bool
     max_error: float
     tol: float
     trials: int
     mode: str
     witness: tuple | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_error": self.max_error,
-            "tol": self.tol,
-            "trials": self.trials,
-            "mode": self.mode,
-            "witness": None if self.witness is None else list(self.witness),
-        }
 
 
 _ENTRY_BUDGET = 2**15  # complex entries (512 KB) of one batch array or one tile's summands
@@ -668,7 +609,7 @@ def verify_duality(
     any work.
     """
     g = tw.group
-    _require_psi(psi, g)
+    require_cochain(psi, 3, g, "psi")
     n, d = g.order, tw.dim
 
     check = _DualityRows(tw, psi, include_multiplier)
@@ -707,7 +648,7 @@ def verify_duality(
             errors[start:stop] = max_errors(check(*draw(stop - start)))
     trials = errors.size
     max_error = float(errors.max(initial=0.0))
-    passed = max_error < tol
+    passed = max_error <= tol
     witness = None
     if max_error > 0.0 and not passed:
         k = int(errors.argmax())

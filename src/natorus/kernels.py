@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain3, Tricharacter, _sweep_witness, exp_phases
+from .cochains import Cochain3, Tricharacter, _sweep_witness, exp_phases, require_cochain
 from .elements import ArrayElement
-from .errors import CochainError, IncompatibleGroupsError, NotACocycleError
+from .errors import CochainError, NotACocycleError
 from .groups import FiniteAbelianGroup
 from .phases import Phase
 
@@ -35,8 +35,7 @@ class TwistedKernel(ArrayElement):
     _field = "data"
 
     def __init__(self, group: FiniteAbelianGroup, phi: Cochain3, data):
-        if phi.group != group:
-            raise IncompatibleGroupsError("phi lives on a different group")
+        require_cochain(phi, 3, group)
         data = np.asarray(data, dtype=complex)
         n = group.order
         if data.shape == (n, n):
@@ -146,23 +145,28 @@ def check_gamma_relation(phi: Cochain3, omega, xi, kernel: TwistedKernel) -> flo
 # ------------------------------------------------ associativity cocycle
 
 
+def _combination_exponent(phi: Cochain3, i: int, j: int, k: int) -> np.ndarray:
+    """The exact exponent of the multiplier combination at indices (i, j, k)
+    over x, reduced mod phi.den:
+        phi(xi, eta, x) + phi(xi+eta, zeta, x) - phi(xi, eta+zeta, x) - phi(eta, zeta, x-xi).
+    """
+    t, add, sub = phi.table, phi.group.add_table, phi.group.sub_table
+    return (t[i, j, :] + t[add[i, j], k, :] - t[i, add[j, k], :] - t[j, k, sub[:, i]]) % phi.den
+
+
 def multiplier_combination(phi: Cochain3, xi, eta, zeta) -> np.ndarray:
     """The pointwise product u(xi,eta) u(xi+eta,zeta) u(xi,eta+zeta)^-1 gamma_xi[u(eta,zeta)]^-1.
 
     Returned as the complex vector over x, with gamma_xi acting on a diagonal
-    multiplier by translation. For a tricharacter, alternating or not, the
-    vector is constant and equal to exp(2 pi i phi(eta, zeta, xi)) (see
+    multiplier by translation: exp_phases of the exact exponent, so quarter
+    turns are exact. For a tricharacter, alternating or not, the vector is
+    constant and equal to exp(2 pi i phi(eta, zeta, xi)) (see
     `associativity_cocycle_sweep`): the failure of the multiplier to be a
     2-cocycle is the twist itself.
     """
     g = phi.group
-    xi, eta, zeta = (g.element(v) for v in (xi, eta, zeta))
-    u12 = gamma_multiplier(phi, xi, eta)
-    u12_3 = gamma_multiplier(phi, xi + eta, zeta)
-    u1_23 = gamma_multiplier(phi, xi, eta + zeta)
-    u23 = gamma_multiplier(phi, eta, zeta)
-    translated = u23[g.sub_table[:, xi.index]]
-    return u12 * u12_3 * np.conj(u1_23) * np.conj(translated)
+    indices = (g.element(v).index for v in (xi, eta, zeta))
+    return exp_phases(_combination_exponent(phi, *indices), phi.den)
 
 
 def _combination_defect_chunk(t: np.ndarray, group: FiniteAbelianGroup, ix: int) -> np.ndarray:
@@ -190,9 +194,7 @@ def associativity_cocycle(phi: Cochain3, xi, eta, zeta) -> Phase:
     phi(eta, zeta, xi).
     """
     g = phi.group
-    i, j, k = (g.element(v).index for v in (xi, eta, zeta))
-    t, add, sub = phi.table, g.add_table, g.sub_table
-    vals = (t[i, j, :] + t[add[i, j], k, :] - t[i, add[j, k], :] - t[j, k, sub[:, i]]) % phi.den
+    vals = _combination_exponent(phi, *(g.element(v).index for v in (xi, eta, zeta)))
     if not (vals == vals[0]).all():
         raise NotACocycleError(
             "associativity cocycle is not pointwise constant at "

@@ -4,12 +4,14 @@ A phase is an element of Q/Z written additively: the stored fraction f
 represents the unit complex number exp(2 pi i f). All cocycle and coboundary
 identities in this package are checked with Phase arithmetic, which is exact;
 conversion to complex happens only at the numerical boundary (building
-operators, comparing against floating-point products).
+operators, comparing against floating-point products). Reports leave the
+package as plain data through `Report.as_dict`, with each phase as 'p/q'.
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 
@@ -113,3 +115,22 @@ def _is_int(value) -> bool:
 
 ZERO_PHASE = Phase(0)
 HALF_PHASE = Phase(1, 2)
+
+
+class Report:
+    """The base of the verifiers' dataclass reports."""
+
+    def as_dict(self) -> dict:
+        """The report as plain data, the fields shown in its repr in order:
+        dataclasses become dicts, tuples lists, and a Phase 'p/q'."""
+        return _plain(self)
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.repr}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return str(value) if isinstance(value, Phase) else value

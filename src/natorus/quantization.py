@@ -31,11 +31,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .cochains import Cochain3, require_cocycle3
+from .cochains import Cochain3, require_cochain, require_cocycle3
 from .elements import ArrayElement
-from .errors import GradingError, IncompatibleGroupsError
+from .errors import GradingError
 from .groups import FiniteAbelianGroup
-from .phases import Phase
+from .phases import Phase, Report
 
 
 class MatrixAlgebra:
@@ -256,21 +256,12 @@ class GAction:
 
 
 @dataclass
-class GradingReport:
+class GradingReport(Report):
     passed: bool
     max_product_error: float
     max_star_error: float
     tol: float
     witness: tuple | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_product_error": self.max_product_error,
-            "max_star_error": self.max_star_error,
-            "tol": self.tol,
-            "witness": None if self.witness is None else list(self.witness),
-        }
 
 
 def grading_check(action: GAction, tol: float = 1e-10) -> GradingReport:
@@ -492,8 +483,7 @@ def _homogeneous_products(
 
 def _require_phi_on(group: FiniteAbelianGroup, phi: Cochain3) -> None:
     """phi must be a 3-cocycle on the dual of `group` (same factors)."""
-    if phi.group.factors != group.factors:
-        raise IncompatibleGroupsError("phi must live on the dual group (same factors)")
+    require_cochain(phi, 3, group)
     require_cocycle3(phi)  # rejects non-cocycle phi before any arithmetic
 
 
@@ -593,26 +583,11 @@ class AssociatorEntry:
 
 
 @dataclass
-class AssociatorReport:
+class AssociatorReport(Report):
     max_error: float
     tol: float
     passed: bool
     entries: list[AssociatorEntry] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "max_error": self.max_error,
-            "tol": self.tol,
-            "passed": self.passed,
-            "entries": [
-                {
-                    "degrees": [list(c) for c in e.degrees],
-                    "expected": str(e.expected),
-                    "deviation": e.deviation,
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def associator_table(

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cochains import Cochain2, Cochain3, Tricharacter, coboundary2
+from .cochains import Cochain2, Cochain3, Tricharacter, coboundary2, require_cochain
 from .elements import ArrayElement
 from .errors import CochainError, IncompatibleGroupsError
 from .groups import FiniteAbelianGroup, GroupElement
@@ -29,8 +29,7 @@ class TwistedGroupAlgebra:
     """The twisted group algebra C^sigma[G]."""
 
     def __init__(self, group: FiniteAbelianGroup, sigma: Cochain2):
-        if sigma.group != group:
-            raise IncompatibleGroupsError("sigma lives on a different group")
+        require_cochain(sigma, 2, group, "sigma")
         self.group = group
         self.sigma = sigma
         self.dim = group.order

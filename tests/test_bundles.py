@@ -1,5 +1,7 @@
 """Bundles of twisted fibers over finite base spaces."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from natorus import (
     extract_sigma,
     make_group,
     nap_condition_check,
+    octonion_associator_tricharacter,
     octonion_group,
     octonion_sigma,
 )
@@ -24,6 +27,7 @@ from natorus.presets import (
     shift_bicharacter,
     two_point_bundle,
 )
+from test_crossed import first_mismatch
 
 
 def test_base_space_validation():
@@ -166,3 +170,25 @@ def test_extract_sigma_requires_matching_shapes():
     tw2 = TwistData.trivial(make_group([4]), dim=2)
     with pytest.raises(IncompatibleGroupsError):
         extract_sigma(tw1, tw2)
+
+
+def test_a_given_trivializer_is_checked_without_caching_its_coboundary():
+    """build_nap_bundle checks delta tau = phi slab by slab: a trivializer
+    with no cached coboundary still has none after the build."""
+    g = octonion_group()
+    phi = octonion_associator_tricharacter(g)
+    tau = octonion_sigma(g)
+    bundle = build_nap_bundle(("p",), g, phi, {}, trivializer=tau)
+    assert bundle.trivializer is tau and "coboundary" not in vars(tau)
+
+
+def test_a_wrong_trivializer_is_refused_with_its_first_witness():
+    g = octonion_group()
+    phi = octonion_associator_tricharacter(g)
+    table = octonion_sigma(g).table.copy()
+    table[3, 5] = (table[3, 5] + 1) % 2
+    tau = Cochain2(g, table, 2)
+    witness = first_mismatch(tau, phi)
+    with pytest.raises(BundleConstructionError, match=re.escape(f"at indices {witness}")):
+        build_nap_bundle(("p",), g, phi, {}, trivializer=tau)
+    assert "coboundary" not in vars(tau)

@@ -9,6 +9,8 @@ from natorus import (
     Cochain2,
     Cochain3,
     CochainError,
+    GAction,
+    GradedElement,
     HALF_PHASE,
     IncompatibleGroupsError,
     NotACocycleError,
@@ -16,13 +18,18 @@ from natorus import (
     PhiMultiplier,
     TensorShapeError,
     Tricharacter,
+    TwistData,
+    TwistedGroupAlgebra,
+    TwistedKernel,
     ZERO_PHASE,
     associativity_cocycle_sweep,
     bicharacter_from_matrix,
+    build_nap_bundle,
     check_multiplier_relation,
     coboundary2,
     coboundary3,
     cocycle3_witness,
+    deformed_product,
     is_cocycle2,
     is_cocycle3,
     is_trivial_on,
@@ -369,7 +376,7 @@ def test_tricharacters_are_certified_without_a_sweep(monkeypatch):
 def test_a_tricharacter_plus_a_non_cocycle_is_swept():
     """psi + delta, with psi the epsilon tricharacter on Z/4^3 and delta one
     entry 1/4 at the three generators, is a plain Cochain3 and is swept: it
-    must not inherit psi's certificate."""
+    must not inherit psi's certificate. -psi is a tricharacter."""
     psi = epsilon_tricharacter_z4()
     g = psi.group
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -382,8 +389,11 @@ def test_a_tricharacter_plus_a_non_cocycle_is_swept():
         assert associativity_cocycle_sweep(bad) is not None
         with pytest.raises(NotACocycleError):
             require_cocycle3(bad)
-    for plain in (-psi, psi + Cochain3.zero(g)):
+    for plain in (psi + Cochain3.zero(g), Cochain3.zero(g) - psi):
         assert type(plain) is Cochain3 and is_cocycle3(plain)
+    negated = -psi  # a tricharacter, certified, with the plain negation's values
+    assert type(negated) is Tricharacter and negated.cocycle_mode == "certificate"
+    assert negated == -Cochain3(g, psi.table, psi.den) == Cochain3.zero(g) - psi
 
 
 def test_non_alternating_tensor_detected():
@@ -470,3 +480,42 @@ def test_group_mismatch_raises():
     b = Cochain2.zero(make_group([4]))
     with pytest.raises(IncompatibleGroupsError):
         a + b
+
+
+def _graded_pair(g):
+    action = GAction.translation(g)
+    return (GradedElement.from_matrix(action, np.eye(g.order)),) * 2
+
+
+WRONG_KIND = {  # each call, with the argument it must name
+    "kernel phi None": (lambda g: TwistedKernel(g, None, np.zeros((4, 4))), "phi", 3),
+    "kernel phi 2-cochain": (
+        lambda g: TwistedKernel(g, Cochain2.zero(g), np.zeros((4, 4))), "phi", 3
+    ),
+    "deformed product phi 2-cochain": (
+        lambda g: deformed_product(*_graded_pair(g), Cochain2.zero(g)), "phi", 3
+    ),
+    "group algebra sigma 3-cochain": (
+        lambda g: TwistedGroupAlgebra(g, Cochain3.zero(g)), "sigma", 2
+    ),
+    "scalar twist sigma 3-cochain": (
+        lambda g: TwistData.scalar_from_sigma(g, Cochain3.zero(g)), "sigma", 2
+    ),
+    "is_cocycle3 on a 2-cochain": (lambda g: is_cocycle3(Cochain2.zero(g)), "phi", 3),
+    "bundle phi 2-cochain": (lambda g: build_nap_bundle(["p"], g, Cochain2.zero(g)), "phi", 3),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_KIND)
+def test_a_cochain_of_the_wrong_kind_is_refused_with_a_typed_error(name):
+    call, argument, arity = WRONG_KIND[name]
+    with pytest.raises(CochainError, match=f"^{argument} must be a {arity}-cochain"):
+        call(make_group([2, 2]))
+
+
+def test_a_cochain_on_another_group_is_refused():
+    g, other = make_group([2, 2]), make_group([4])
+    with pytest.raises(IncompatibleGroupsError, match="phi lives on a different group"):
+        deformed_product(*_graded_pair(g), Cochain3.zero(other))
+    with pytest.raises(IncompatibleGroupsError, match="phi lives on a different group"):
+        TwistedKernel(g, Cochain3.zero(other), np.zeros((4, 4)))

@@ -11,6 +11,7 @@ from natorus import (
     Cochain2,
     Cochain3,
     CochainError,
+    CochainTable,
     ConfigError,
     CrossedElement,
     IncompatibleGroupsError,
@@ -38,6 +39,7 @@ from natorus import (
     verify_duality,
 )
 from natorus import crossed
+from natorus.acceptance import criterion_fourier_evaluation
 from natorus.configs import load_config
 from natorus.crossed import _pairs_per_batch, _pairs_per_tile
 from natorus.twisted_algebra import levi_civita
@@ -610,17 +612,32 @@ def test_exact_twist_check_on_a_plain_sigma_and_a_tricharacter_builds_no_n3_arra
     assert "coboundary" not in vars(sigma) and "table" not in vars(phi)
 
 
-def test_plain_psi_rows_are_summed_once_per_check_and_reports_are_identical():
-    """A plain psi's summed exponent rows are built once per verify_duality
-    call, whatever the number of batches, and the report is bit-identical to
-    that of the tricharacter psi with the same values, whose rows stream."""
+def test_plain_psi_rows_are_summed_once_per_check_and_reports_are_identical(monkeypatch):
+    """A plain psi's summed exponent rows, the sheared rows of the plain sum
+    psi + phi, are read once per verify_duality call, whatever the number of
+    batches, and the report is bit-identical to that of the tricharacter psi
+    with the same values, whose sum with phi is a tricharacter that streams."""
     tw = z4_scalar_twist()
     tri = Tricharacter(tw.group, levi_civita(), 4)
     plain = Cochain3(tw.group, tri.table, tri.den)
-    calls, rows = [], plain.sheared_rows
-    plain.sheared_rows = lambda: calls.append(1) or rows()
+    calls, rows = [], CochainTable.sheared_rows
+    monkeypatch.setattr(CochainTable, "sheared_rows", lambda c: calls.append(type(c)) or rows(c))
     trials = 3 * _pairs_per_batch(tw.group.order, tw.dim)
     report = verify_duality(tw, plain, trials=trials, seed=3)
-    assert calls == [1]
+    assert calls == [Cochain3]
     assert report.as_dict() == verify_duality(tw, tri, trials=trials, seed=3).as_dict()
+    assert calls == [Cochain3]  # tri + phi is a tricharacter, read by its own rows
     assert report.passed and report.trials == trials
+
+
+def test_a_verdict_passes_when_tol_equals_the_achieved_error():
+    """Every float verdict passes on error <= tol: verify_duality and
+    criterion 4 rerun with tol set to the error they achieved."""
+    tw = pauli_m2_twist()
+    psi = Cochain3.zero(tw.group)
+    missed = verify_duality(tw, psi, trials=4, include_multiplier=False)
+    assert not missed.passed and missed.witness is not None
+    at = verify_duality(tw, psi, trials=4, tol=missed.max_error, include_multiplier=False)
+    assert at.passed and at.max_error == missed.max_error and at.witness is None
+    worst = criterion_fourier_evaluation(trials=5).data["max_error"]
+    assert criterion_fourier_evaluation(tolerance=worst, trials=5).passed

@@ -1,19 +1,24 @@
 """Twisted kernels: products, the gamma translation action, and its cocycle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from natorus import (
+    Cochain2,
     Cochain3,
     IncompatibleGroupsError,
     TwistedKernel,
     associativity_cocycle,
     associativity_cocycle_sweep,
     check_gamma_relation,
+    coboundary2,
     gamma_action,
     gamma_multiplier,
     kernel_product,
     make_group,
+    multiplier_combination,
     octonion_associator_tricharacter,
 )
 from natorus.presets import epsilon_tricharacter_z4
@@ -121,3 +126,25 @@ def test_kernels_with_different_twists_do_not_mix(rng):
     k2 = TwistedKernel.random(g, Cochain3.zero(g), rng)
     with pytest.raises(IncompatibleGroupsError):
         kernel_product(k1, k2)
+
+
+def test_multiplier_combination_is_the_product_of_the_four_multipliers(rng):
+    """On delta sigma, a cocycle that is no tricharacter, the combination is
+    the product u(xi,eta) u(xi+eta,zeta) u(xi,eta+zeta)^-1 gamma_xi[u(eta,zeta)]^-1
+    of gamma_multiplier values; on both bundled tricharacters it is exactly
+    the constant e(phi(eta, zeta, xi))."""
+    g = make_group([2, 3])
+    table = rng.integers(0, 8, size=(g.order, g.order))
+    table[0, :] = table[:, 0] = 0
+    delta = coboundary2(Cochain2(g, table, 8))
+    for xi, eta, zeta in itertools.product(g.elements, repeat=3):
+        u23 = gamma_multiplier(delta, eta, zeta)[g.sub_table[:, xi.index]]
+        expected = gamma_multiplier(delta, xi, eta) * gamma_multiplier(delta, xi + eta, zeta)
+        expected *= np.conj(gamma_multiplier(delta, xi, eta + zeta) * u23)
+        assert np.allclose(multiplier_combination(delta, xi, eta, zeta), expected, atol=1e-12)
+    for phi in (octonion_associator_tricharacter(), epsilon_tricharacter_z4()):
+        elements = phi.group.elements
+        for _ in range(64):
+            xi, eta, zeta = (elements[i] for i in rng.integers(0, len(elements), size=3))
+            constant = np.full(len(elements), phi.value(eta, zeta, xi).to_complex())
+            assert np.array_equal(multiplier_combination(phi, xi, eta, zeta), constant)

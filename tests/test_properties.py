@@ -39,7 +39,7 @@ from natorus import (
     verify_duality,
 )
 from natorus.cochains import _sweep_dtype
-from natorus.crossed import _DualityRows, _exponent_rows
+from natorus.crossed import _DualityRows
 from natorus.groups import subgroup_elements
 from natorus.presets import m4_conjugation_action, pauli_m2_twist
 from test_quantization import (
@@ -625,8 +625,8 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
 ):
     """verify_duality on plain random psi and phi (no cocycles, so the identity
     fails by O(1) and every phase shows in the errors) against the definitions,
-    and its exponent rows, summed from the sheared rows, and strictified_product's,
-    summed from the slabs, exactly, against the Python-integer sum."""
+    and the exponent rows of the plain sum psi + phi, its sheared rows and its
+    slabs, exactly, against the Python-integer sum."""
     group = make_group(factors)
     n = group.order
     rng = np.random.default_rng([psi_den % 2**32, n, d])
@@ -636,11 +636,9 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
     tw = TwistData(group, d, beta=beta, u=u, phi=phi, validate=False)
 
     total, den = exponent_sum(psi, phi)
-    assert _DualityRows(tw, psi, include_multiplier).den == den
-    for rows, expected in (("sheared_rows", sheared_reference(group, total)), ("slabs", total)):
-        summed = list(_exponent_rows(psi, phi, den, rows))
-        assert all(row.dtype == np.min_scalar_type(2 * (den - 1)) for row in summed)
-        assert (np.stack(summed).astype(object) == expected).all()
+    summed = psi + phi
+    assert type(summed) is Cochain3 and _DualityRows(tw, psi, include_multiplier).den == summed.den
+    assert_exponent_rows_match(summed, den, total)
 
     trials, seed = 5, 7
     report = verify_duality(
@@ -717,8 +715,8 @@ def random_tricharacter(group, modulus, rng):
 )
 def test_tricharacter_sheared_rows_match_the_definition(drawn, other, seed):
     """Over moduli around the uint8 and uint16 bounds of the rows' type; and
-    the exponent rows of two tricharacters, which _exponent_rows takes from
-    their sum as one tricharacter, against the Python-integer sum."""
+    the exponent rows of two tricharacters, read from their sum as one
+    tricharacter, against the Python-integer sum."""
     (factors, modulus), rng = drawn, np.random.default_rng(seed)
     group = make_group(factors)
     tri, second = random_tricharacter(group, modulus, rng), random_tricharacter(group, other, rng)
@@ -726,20 +724,46 @@ def test_tricharacter_sheared_rows_match_the_definition(drawn, other, seed):
     assert_sheared_rows_match(tri, table)
     den = lcm(modulus, other)
     total = table * (den // modulus) + tricharacter_reference(second) * (den // other)
-    assert_exponent_rows_match(tri, second, den, total % den)
-    assert all("table" not in vars(c) for c in (tri, second))
+    summed = tri + second
+    assert type(summed) is Tricharacter
+    assert_exponent_rows_match(summed, den, total % den)
+    assert all("table" not in vars(c) for c in (tri, second, summed))
 
 
-def assert_exponent_rows_match(psi, second, den, total):
-    for rows, expected in (("sheared_rows", sheared_reference(psi.group, total)), ("slabs", total)):
-        summed = list(_exponent_rows(psi, second, den, rows))
-        assert all(row.dtype == np.min_scalar_type(2 * (den - 1)) for row in summed)
-        assert (np.stack(summed).astype(object) == expected).all()
+def assert_exponent_rows_match(summed, den, total):
+    """The sheared rows (verify_duality) and slabs (strictified_product) of
+    `summed`, which may be in lower terms, against `total` over den."""
+    assert den % summed.den == 0
+    sheared = sheared_reference(summed.group, total)
+    for rows, expected in ((summed.sheared_rows(), sheared), (summed.slabs(), total)):
+        rows = list(rows)
+        assert all(row.dtype.kind in "ui" for row in rows)
+        assert (np.stack(rows).astype(object) * (den // summed.den) == expected).all()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    drawn=tricharacter_groups(),
+    other=st.sampled_from(SHEARED_MODULI),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sums_and_negations_of_tricharacters_are_tricharacters(drawn, other, seed):
+    """a + b, a - b and -a are certified tricharacters in lowest terms, equal
+    entry for entry to the same arithmetic on plain copies of the tables."""
+    (factors, modulus), rng = drawn, np.random.default_rng(seed)
+    group = make_group(factors)
+    a, b = random_tricharacter(group, modulus, rng), random_tricharacter(group, other, rng)
+    plain_a, plain_b = (Cochain3(group, c.table, c.den) for c in (a, b))
+    for got, expected in ((a + b, plain_a + plain_b), (a - b, plain_a - plain_b), (-a, -plain_a)):
+        assert type(got) is Tricharacter and got.cocycle_mode == "certificate"
+        assert type(expected) is Cochain3
+        assert got.den == expected.den and np.array_equal(got.table, expected.table)
 
 
 def test_tricharacters_past_the_staged_bound_are_summed_row_by_row():
     """On Z/4 a common denominator above 2^63 / 3 is too large for one staged
-    build, so _exponent_rows adds the two tricharacters' rows instead."""
+    build, so psi + phi is the plain table summed slab by slab, exact, and
+    swept."""
     group = make_group([4])
     m1, m2 = 4 * (2**30 - 1), 4 * (2**30 + 1)  # coprime but for 4: den = 2^62 - 4
     psi = Tricharacter(group, [[[2**30 - 1]]], m1)  # xyz / 4
@@ -747,8 +771,11 @@ def test_tricharacters_past_the_staged_bound_are_summed_row_by_row():
     den = lcm(m1, m2)
     with pytest.raises(CochainError, match="too large"):
         Tricharacter(group, [[[0]]], den)
-    total = tricharacter_reference(psi) * (den // m1) + tricharacter_reference(phi) * (den // m2)
-    assert_exponent_rows_match(psi, phi, den, total % den)
+    a, b = tricharacter_reference(psi) * (den // m1), tricharacter_reference(phi) * (den // m2)
+    for summed, total in ((psi + phi, a + b), (psi - phi, a - b)):
+        assert type(summed) is Cochain3 and summed.cocycle_mode == "exhaustive"
+        assert_exponent_rows_match(summed, den, total % den)
+        assert is_cocycle3(summed)
 
 
 @pytest.mark.parametrize("den", sorted({den for pair in DUALITY_DENS for den in pair}))
