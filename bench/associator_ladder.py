@@ -5,8 +5,8 @@
 Each order runs in a fresh process, so its peak RSS is its own; --order runs
 one order in this process instead. A point is G acting on functions on G by
 translation, so d = |G|, and a graded element holds one d x d matrix per
-degree and per point of l2(Ghat), nm = |G| points (multiplicity 1). A
-homogeneous product is nm d x d matmuls, about |G|^4 multiply-adds; the
+degree and per point of l2(Ghat), nm = |G| points. A homogeneous product
+is nm d x d matmuls, about |G|^4 multiply-adds; the
 table checks |G|^3 triples with two products each, about |G|^7 in all, and
 holds the product table P of |G|^2 blocks, |G|^5 complex entries (0.5 GB at
 |G| = 32). phi is a tricharacter on G: the Levi-Civita tensor on the last

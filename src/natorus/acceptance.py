@@ -266,16 +266,16 @@ def criterion_octonion_suite(tolerance=1e-10, trials=100, seed=0) -> CriterionRe
 def criterion_bundle_construction(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
     """A two-point bundle with distinct sigma passes the crossed-product
     condition fiberwise, and the multiplier quotient recovers the injected
-    bicharacter."""
+    bicharacter exactly, as a certified 2-cocycle."""
     t0 = time.time()
     bundle = presets.two_point_bundle()
     nap = nap_condition_check(bundle, trials=trials, seed=seed, tol=tolerance)
     shift = presets.shift_bicharacter(bundle.group)
     tw_p = TwistData.scalar_from_sigma(bundle.group, bundle.fiber("p").sigma)
     tw_q = TwistData.scalar_from_sigma(bundle.group, bundle.fiber("q").sigma)
-    ex = extract_sigma(tw_q, tw_p, tol=tolerance)
-    recovery = float(np.abs(ex.scalar_table - shift.complex_table).max())
-    recovered = recovery < 1e-12
+    ex = extract_sigma(tw_q, tw_p)
+    recovered = ex.sigma == shift  # exact; the float error below keeps the report's form
+    recovery = float(np.abs(ex.sigma.complex_table - shift.complex_table).max())
     passed = nap.passed and ex.passed and recovered
     detail = (
         f"fiberwise crossed-product condition: {nap.passed} ({nap.max_error:.2e}); "

@@ -9,21 +9,20 @@ the crossed product of each fiber by the translation action is the twisted
 compact operators; it is checked constructively through the duality
 transform, fiber by fiber.
 
-extract_sigma goes the other way: given two multiplier families for the same
-action it forms their quotient and certifies it as an ordinary scalar
-2-cocycle (centrality, invariance, unitarity, cocycle identity).
+extract_sigma goes the other way: given two twists over the same action it
+forms the quotient of their multipliers, exactly the difference of their
+2-cochains, and decides exactly whether it is an ordinary 2-cocycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cochains import (
     Cochain2,
     Cochain3,
     _coboundary2_mismatch,
+    _cocycle2_witness,
     is_cocycle2,
     require_cochain,
     trivializing_cochain,
@@ -165,7 +164,7 @@ def nap_condition_check(
     compacts.
 
     Each fiber's twisted group algebra is presented as a scalar twist datum
-    (u = the fiber's structure phases, phi = delta of its cochain); the
+    (sigma = the fiber's cochain, phi = its coboundary); the
     duality transform must carry its crossed product onto (-phi)-twisted
     kernels. Exhaustive over basis pairs for scalar fibers of small order,
     so a pass is a structure-constant match, not a sample.
@@ -188,44 +187,23 @@ def nap_condition_check(
 @dataclass
 class SigmaExtraction(Report):
     passed: bool = field(init=False)
-    sigma: np.ndarray = field(repr=False)
-    scalar_table: np.ndarray = field(repr=False)
-    central_error: float
-    invariance_error: float
-    unitarity_error: float
-    cocycle_error: float
-    tol: float
+    sigma: Cochain2 = field(repr=False)
+    witness: tuple | None
 
     def __post_init__(self):
-        errors = (self.central_error, self.invariance_error, self.unitarity_error)
-        self.passed = all(e <= self.tol for e in (*errors, self.cocycle_error))
+        self.passed = self.witness is None
 
 
-def extract_sigma(tw1: TwistData, tw2: TwistData, tol: float = 1e-10) -> SigmaExtraction:
-    """sigma(x, y) = u1(x, y) u2(x, y)^-1 for two multipliers over one action.
+def extract_sigma(tw1: TwistData, tw2: TwistData) -> SigmaExtraction:
+    """sigma = sigma1 - sigma2, so u1(x, y) u2(x, y)^-1 = exp(2 pi i sigma(x, y)).
 
-    Certifies the quotient as central (scalar), invariant under the action,
-    unitary, and an ordinary 2-cocycle. A non-central quotient signals that
-    the second multiplier is incompatible with the shared action; that shows
-    up in the report rather than as an exception.
+    The quotient of two scalar multipliers is central, invariant and unitary
+    by construction; what is left to certify is the cocycle identity, decided
+    exactly. Its witness is the first (x, y, z) index triple where
+    delta sigma != 0, which for two validated twists is the first place
+    where phi1 and phi2 differ.
     """
     if tw1.group != tw2.group or tw1.dim != tw2.dim:
         raise IncompatibleGroupsError("twist data are incompatible")
-    g = tw1.group
-    d = tw1.dim
-    sigma = np.einsum("xyab,xycb->xyac", tw1.u, np.conj(tw2.u))
-    eye = np.eye(d)
-    trace = np.einsum("xyaa->xy", sigma) / d
-    central_error = float(np.max(np.abs(sigma - trace[:, :, None, None] * eye)))
-    scalar = trace
-    moved = np.einsum("tab,xybc,tdc->txyad", tw1.beta, sigma, np.conj(tw1.beta))
-    invariance_error = float(np.max(np.abs(moved - sigma[None])))
-    unitarity_error = float(np.max(np.abs(np.abs(scalar) - 1.0)))
-    add = g.add_table
-    # lhs[x,y,z] = sigma(x,y) sigma(x+y,z); rhs[x,y,z] = sigma(y,z) sigma(x,y+z)
-    lhs = scalar[:, :, None] * scalar[add, :]
-    rhs = scalar[None, :, :] * scalar[:, add]
-    cocycle_error = float(np.max(np.abs(lhs - rhs)))
-    return SigmaExtraction(
-        sigma, scalar, central_error, invariance_error, unitarity_error, cocycle_error, tol
-    )
+    sigma = tw1.sigma - tw2.sigma
+    return SigmaExtraction(sigma, _cocycle2_witness(sigma))

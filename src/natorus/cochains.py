@@ -697,8 +697,18 @@ def coboundary3(phi: Cochain3) -> CochainTable:
     return CochainTable._from_table(phi.group, 4, out, phi.den)
 
 
+def _cocycle2_witness(sigma: Cochain2) -> tuple | None:
+    """The first (x, y, z) index triple where delta sigma != 0, or None,
+    from the narrow sweep (`_sweep`): no n^3 array, and nothing cached."""
+    return _sweep_witness(sigma, _coboundary2_slice)
+
+
 def is_cocycle2(sigma: Cochain2) -> bool:
-    return coboundary2(sigma).is_zero()
+    """delta sigma = 0: read from sigma's cached coboundary when there is
+    one, else decided by the narrow sweep, which builds no n^3 table."""
+    require_cochain(sigma, 2, name="sigma")
+    cached = vars(sigma).get("coboundary")
+    return cached.is_zero() if cached is not None else _cocycle2_witness(sigma) is None
 
 
 def _witness(phi: Cochain3) -> tuple | None:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import presets
 from .bundles import NAPBundle, build_nap_bundle
-from .cochains import Cochain2, Cochain3, Tricharacter, bicharacter_from_matrix, coboundary2
+from .cochains import Cochain2, Cochain3, Tricharacter, bicharacter_from_matrix
 from .crossed import TwistData
 from .errors import ConfigError, NatorusError
 from .groups import FiniteAbelianGroup, make_group
@@ -264,8 +264,7 @@ def parse_twist(obj) -> TwistData:
             if not isinstance(beta, (list, tuple)) or len(beta) != group.order:
                 raise ConfigError("twist 'beta' must list one unitary per group element")
             beta = np.stack([parse_square(m, dim, f"beta[{i}]") for i, m in enumerate(beta)])
-        phi = coboundary2(sigma) if phi is None else phi
-        return TwistData.with_scalar_multiplier(group, sigma, beta, phi, dim)
+        return TwistData(group, dim, beta, sigma, phi)
 
 
 def parse_bundle(obj) -> NAPBundle:

@@ -1,11 +1,16 @@
 """Twisted crossed products, their strictification, and the duality transform.
 
-A twist datum is a quadruple (B, beta, u, phi): a matrix coefficient algebra
-B = M_d, per-element conjugators implementing beta: G -> Aut(B), a unitary
-multiplier u on G x G, and a 3-cocycle phi, tied together by
+A twist datum is (B, beta, sigma, phi): a matrix coefficient algebra B = M_d,
+per-element conjugators implementing beta: G -> Aut(B), a 2-cochain sigma
+giving the scalar unitary multiplier u(x,y) = exp(2 pi i sigma(x,y)) 1_B, and
+a 3-cocycle phi, tied together by
 
     beta_x beta_y = ad(u(x,y)) beta_{x+y}
     exp(2 pi i phi(x,y,z)) u(x,y) u(x+y,z) = beta_x[u(y,z)] u(x,y+z).
+
+A scalar u is central and fixed by beta, so the first relation says that
+beta is a homomorphism up to scalars and the second that phi = delta sigma.
+TwistData.validate checks the first in floats and the second exactly.
 
 Crossed elements are B-valued functions on G with the twisted convolution;
 strictified elements carry an extra function leg and multiply with an
@@ -39,8 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
-from math import gcd
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .cochains import (
     Cochain3,
     Tricharacter,
     _coboundary2_mismatch,
+    _lowest_terms,
     coboundary2,
     exp_phases,
     require_cochain,
@@ -61,14 +66,18 @@ from .phases import Report
 
 
 class TwistData:
-    """Coefficient algebra M_d with compatible (beta, u, phi)."""
+    """Coefficient algebra M_d with compatible (beta, sigma, phi).
+
+    The multiplier is u(x, y) = exp(2 pi i sigma(x, y)) 1_B for a 2-cochain
+    sigma (default zero), and phi defaults to delta sigma.
+    """
 
     def __init__(
         self,
         group: FiniteAbelianGroup,
         dim: int = 1,
         beta: np.ndarray | None = None,
-        u: np.ndarray | None = None,
+        sigma: Cochain2 | None = None,
         phi: Cochain3 | None = None,
         validate: bool = True,
         tol: float = 1e-10,
@@ -79,24 +88,20 @@ class TwistData:
         if beta is None:
             beta = np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy()
         beta = np.asarray(beta, dtype=complex)
-        if u is None:
-            u = np.broadcast_to(np.eye(dim, dtype=complex), (n, n, dim, dim)).copy()
-        u = np.asarray(u, dtype=complex)
-        if phi is None:
-            phi = Cochain3.zero(group)
         if beta.shape != (n, dim, dim):
             raise TwistDataError(f"beta must have shape {(n, dim, dim)}, got {beta.shape}")
-        if u.shape != (n, n, dim, dim):
-            raise TwistDataError(f"u must have shape {(n, n, dim, dim)}, got {u.shape}")
+        if sigma is None:
+            sigma = Cochain2.zero(group)
+        require_cochain(sigma, 2, group, "sigma")
+        if phi is None:
+            phi = coboundary2(sigma)
         require_cochain(phi, 3, group, error=TwistDataError)
         beta.setflags(write=False)
-        u.setflags(write=False)
         self.group = group
         self.dim = dim
         self.beta = beta
-        self.u = u
+        self.sigma = sigma
         self.phi = phi
-        self._sigma = None  # the 2-cochain of a scalar u (with_scalar_multiplier)
         if validate:
             self.validate(tol)
 
@@ -104,34 +109,22 @@ class TwistData:
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup, dim: int = 1) -> "TwistData":
-        return cls.with_scalar_multiplier(group, Cochain2.zero(group), None, None, dim)
+        return cls(group, dim)
 
     @classmethod
     def scalar_from_sigma(cls, group, sigma: Cochain2, dim: int = 1) -> "TwistData":
         """Trivial beta, u(x,y) = exp(2 pi i sigma(x,y)) 1_B, phi = delta sigma:
         sigma's cached coboundary, so validate needs no sweep for it."""
-        return cls.with_scalar_multiplier(group, sigma, None, coboundary2(sigma), dim)
-
-    @classmethod
-    def with_scalar_multiplier(
-        cls, group, sigma: Cochain2, beta: np.ndarray | None, phi: Cochain3 | None, dim: int
-    ) -> "TwistData":
-        """beta given as conjugators (None: trivial), u scalar from sigma; needs
-        delta sigma = phi whenever the conjugators commute with the scalars
-        (always) and ad(beta) is a homomorphism. validate checks the first
-        exactly and beta in floats."""
-        require_cochain(sigma, 2, group, "sigma")
-        u = sigma.complex_table[:, :, None, None] * np.eye(max(dim, 1), dtype=complex)
-        tw = cls(group, dim, beta, u, phi, validate=False)  # refuses dim < 1
-        tw._sigma = sigma
-        tw.validate()
-        return tw
+        return cls(group, dim, sigma=sigma)
 
     # ------------------------------------------------------------- queries
 
-    def multiplier(self, x, y) -> np.ndarray:
-        g = self.group
-        return self.u[g.element(x).index, g.element(y).index]
+    @cached_property
+    def u(self) -> np.ndarray:
+        """u(x, y) = exp(2 pi i sigma(x, y)) 1_B, read-only, shape (n, n, d, d)."""
+        u = self.sigma.complex_table[:, :, None, None] * np.eye(self.dim, dtype=complex)
+        u.setflags(write=False)
+        return u
 
     def is_scalar(self) -> bool:
         return self.dim == 1
@@ -139,37 +132,26 @@ class TwistData:
     # ----------------------------------------------------------- validation
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Exhaustive check of unitarity, normalization, and both relations.
+        """Exhaustive check of beta and of both relations.
 
         beta is checked in floats within tol: unitary conjugators, beta_0 = 1
         and, for d > 1 (1 x 1 blocks are central), composition, n^2 d^3 work.
-        A u = exp(2 pi i sigma) 1_B from a 2-cochain sigma (every constructor)
-        is unitary and normalized by construction, drops out of composition
-        and is fixed by beta, so the phase relation is phi = delta sigma,
-        checked exactly (`_coboundary2_mismatch`): slab by slab with no n^3
-        array, and at once when phi is sigma's cached coboundary. Its failure
-        names the first (x, y, z) in index order. Any other u is checked in
-        floats within tol, with n^3 d^2 complex work for the phase relation.
+        u = exp(2 pi i sigma) 1_B is unitary and normalized by construction,
+        drops out of composition and is fixed by beta, so the phase relation
+        is phi = delta sigma, checked exactly (`_coboundary2_mismatch`): slab
+        by slab with no n^3 array, and at once when phi is sigma's cached
+        coboundary. Its failure names the first (x, y, z) in index order.
         """
-        n, d = self.group.order, self.dim
-        v, u, exact = self.beta, self.u, self._sigma is not None
+        n, d, v = self.group.order, self.dim, self.beta
         eye = np.eye(d)
         verr = np.max(np.abs(np.einsum("tab,tcb->tac", v, np.conj(v)) - eye[None]))
         if verr > tol:
             raise TwistDataError(f"beta conjugators are not unitary (defect {verr:.3e})")
-        uerr = 0.0 if exact else np.max(np.abs(np.einsum("xyab,xycb->xyac", u, np.conj(u)) - eye))
-        if uerr > tol:
-            raise TwistDataError(f"u values are not unitary (defect {uerr:.3e})")
         if np.max(np.abs(v[0] - eye)) > tol:
             raise TwistDataError("beta_0 is not the identity")
-        norm_err = 0.0 if exact else max(np.max(np.abs(u[0] - eye)), np.max(np.abs(u[:, 0] - eye)))
-        if norm_err > tol:
-            raise TwistDataError(f"u is not normalized at the identity (defect {norm_err:.3e})")
-        add = self.group.add_table
-        if d > 1:  # beta_x beta_y = ad(u(x,y)) beta_{x+y}: V_x V_y (u(x,y) V_{x+y})^H central
+        if d > 1:  # beta_x beta_y = ad(u(x,y)) beta_{x+y}: V_x V_y V_{x+y}^H central
             prod = np.einsum("xab,ybc->xyac", v, v)
-            target = v[add] if exact else np.einsum("xyab,xybc->xyac", u, v[add])
-            c = np.einsum("xyab,xycb->xyac", prod, np.conj(target))
+            c = np.einsum("xyab,xycb->xyac", prod, np.conj(v[self.group.add_table]))
             trace = np.einsum("xyaa->xy", c) / d
             central_defect = np.abs(c - trace[:, :, None, None] * eye[None, None])
             if central_defect.max() > tol:
@@ -178,27 +160,9 @@ class TwistData:
                     f"beta_x beta_y != ad(u) beta_(x+y) at indices ({x}, {y})",
                     witness=(int(x), int(y)),
                 )
-        if exact:
-            bad = _coboundary2_mismatch(self._sigma, self.phi)
-            if bad is not None:
-                raise TwistDataError(f"multiplier relation fails at indices {bad}", witness=bad)
-            return
-        # phase relation: e^{2 pi i phi} u(x,y) u(x+y,z) = beta_x[u(y,z)] u(x,y+z)
-        phi, block = self.phi, _block_product(d)
-        for x, slab in enumerate(phi.slabs()):
-            lhs = exp_phases(slab, phi.den)[:, :, None, None] * u[x][:, None]
-            block(lhs, u[add[x]], out=lhs)
-            rhs = block(v[x], u)  # beta_x[u(y, z)], then times u(x, y + z)
-            block(rhs, np.conj(v[x]).T, out=rhs)
-            block(rhs, u[x][add], out=rhs)
-            lhs -= rhs
-            err = np.abs(lhs)
-            if err.max() > tol:
-                y, z = np.unravel_index(int(err.max(axis=(2, 3)).argmax()), (n, n))
-                raise TwistDataError(
-                    f"multiplier relation fails at indices ({x}, {int(y)}, {int(z)})",
-                    witness=(x, int(y), int(z)),
-                )
+        bad = _coboundary2_mismatch(self.sigma, self.phi)
+        if bad is not None:
+            raise TwistDataError(f"multiplier relation fails at indices {bad}", witness=bad)
 
     def __repr__(self) -> str:
         return f"TwistData(group={self.group.factors}, dim={self.dim})"
@@ -343,13 +307,10 @@ def strictified_product(
 
 
 def _row_phases(exponent: np.ndarray, den: int) -> np.ndarray:
-    """exp(2 pi i exponent / den) for one row of exponents over den, with the
-    exponent put in lowest terms over the row, so quarter turns take the
-    exact roots (exp_phases wraps them exactly at any scale)."""
-    if 4 % den == 0:
-        return exp_phases(exponent, den)
-    common = gcd(den, int(np.gcd.reduce(exponent, axis=None)))
-    return exp_phases(exponent // common, den // common)
+    """exp(2 pi i exponent / den) for one row of exponents, put in lowest
+    terms over the row (`_lowest_terms`) so that quarter turns take exact
+    roots; a quarter-turn den is exact as it is and skips the gcd pass."""
+    return exp_phases(exponent, den) if 4 % den == 0 else exp_phases(*_lowest_terms(exponent, den))
 
 
 def _at(values: np.ndarray, cells: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ def pauli_m2_twist(shift: Cochain2 | None = None) -> TwistData:
     if shift is not None:
         sigma = sigma + shift
     phi = octonion_associator_tricharacter(group)
-    return TwistData.with_scalar_multiplier(group, sigma, pauli_conjugators(group), phi, 2)
+    return TwistData(group, 2, pauli_conjugators(group), sigma, phi)
 
 
 def shift_bicharacter(group: FiniteAbelianGroup | None = None) -> Cochain2:

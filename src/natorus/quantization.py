@@ -10,7 +10,7 @@ A 3-cocycle phi on the dual group deforms the product degreewise:
 
     (a * b)_chi = sum_{chi1 + chi2 = chi} a_chi1 xi_chi1[b_chi2] u(chi1, chi2)
 
-where each graded block carries an extra operator leg End(l2(Ghat) (x) C^m),
+where each graded block carries an extra operator leg End(l2(Ghat)),
 xi_chi1 conjugates that leg by the right regular representation, and u is the
 diagonal multiplier built from phi. For phi = 0 the star product is conjugate
 to the ordinary one via an explicit intertwiner; for general phi the
@@ -19,9 +19,9 @@ associator of homogeneous elements is exactly exp(2 pi i phi(xi, eta, zeta)).
 Every constructor gives a diagonal operator leg, and the product keeps it
 so: xi_chi1 permutes the leg's rows and columns by one permutation and u
 rescales it point by point. So a graded element is stored point by point, one
-d x d matrix per degree and per point of l2(Ghat) (x) C^m, and only
-represent and the flat intertwiner, which return the (d nm) x (d nm) matrix,
-build one.
+d x d matrix per degree and per point of l2(Ghat), nm = |Ghat| points, and
+only represent and the flat intertwiner, which return the (d nm) x (d nm)
+matrix, build one.
 """
 
 from __future__ import annotations
@@ -311,61 +311,42 @@ def grading_check(action: GAction, tol: float = 1e-10) -> GradingReport:
 # ------------------------------------------------------------ graded elements
 
 
-def _operator_dim(group: FiniteAbelianGroup, multiplicity: int) -> int:
-    """nm = |Ghat| * multiplicity, the size of the operator leg; a multiplicity
-    below 1 raises GradingError."""
-    if multiplicity < 1:
-        raise GradingError(f"multiplicity must be at least 1, got {multiplicity}")
-    return group.order * multiplicity
-
-
 class GradedElement(ArrayElement):
-    """A graded element: one block per character, each in A (x) End(l2(Ghat) (x) C^m).
+    """A graded element: one block per character, each in A (x) End(l2(Ghat)).
 
     The operator legs are diagonal (see the module docstring), so blocks are
     stored point by point, as an array of shape (|Ghat|, nm, d, d) with
-    nm = |Ghat| * multiplicity: blocks[chi, p] is the algebra matrix at
-    point p of l2(Ghat) (x) C^m.
+    nm = |Ghat|: blocks[chi, p] is the algebra matrix at point p of l2(Ghat).
     """
 
-    __slots__ = ("action", "multiplicity", "blocks")
+    __slots__ = ("action", "blocks")
     _field = "blocks"
 
-    def __init__(self, action: GAction, multiplicity: int, blocks: np.ndarray):
+    def __init__(self, action: GAction, blocks: np.ndarray):
         n, d = action.group.order, action.dim
-        nm = _operator_dim(action.group, multiplicity)
         blocks = np.asarray(blocks, dtype=complex)
-        if blocks.shape != (n, nm, d, d):
-            raise GradingError(
-                f"blocks must have shape {(n, nm, d, d)}, got {blocks.shape}"
-            )
+        if blocks.shape != (n, n, d, d):
+            raise GradingError(f"blocks must have shape {(n, n, d, d)}, got {blocks.shape}")
         self.action = action
-        self.multiplicity = multiplicity
         self.blocks = blocks
 
     # -------------------------------------------------------- constructors
 
     @classmethod
-    def from_matrix(cls, action: GAction, mat, multiplicity: int = 1) -> "GradedElement":
+    def from_matrix(cls, action: GAction, mat) -> "GradedElement":
         """Isotypically decompose a plain algebra element; operator legs = 1."""
         comps = action.isotypic_components(np.asarray(mat, dtype=complex))
-        nm = _operator_dim(action.group, multiplicity)
-        return cls(action, multiplicity, np.repeat(comps[:, None], nm, axis=1))
+        return cls(action, np.repeat(comps[:, None], action.group.order, axis=1))
 
     @classmethod
     def from_blocks(
-        cls,
-        action: GAction,
-        degree_blocks: dict,
-        multiplicity: int = 1,
-        validate: bool = True,
-        tol: float = 1e-10,
+        cls, action: GAction, degree_blocks: dict, validate: bool = True, tol: float = 1e-10
     ) -> "GradedElement":
         """Build from {chi: block}: a (d, d) block gets the identity operator
         leg, an (nm, d, d) block gives one matrix per point."""
         g = action.group
-        n, d = g.order, action.dim
-        nm = _operator_dim(g, multiplicity)
+        n = nm = g.order
+        d = action.dim
         blocks = np.zeros((n, nm, d, d), dtype=complex)
         for chi, blk in degree_blocks.items():
             i = g.element(chi).index
@@ -376,16 +357,16 @@ class GradedElement(ArrayElement):
                     f"{(nm, d, d)}, got {blk.shape}"
                 )
             blocks[i] += blk
-        el = cls(action, multiplicity, blocks)
+        el = cls(action, blocks)
         if validate:
             el.validate_grading(tol)
         return el
 
     @classmethod
-    def homogeneous(cls, action: GAction, chi, mat, multiplicity: int = 1) -> "GradedElement":
+    def homogeneous(cls, action: GAction, chi, mat) -> "GradedElement":
         """The degree-chi part of a plain matrix, placed as a single block."""
         comp = action.isotypic_projection(np.asarray(mat, dtype=complex), chi)
-        return cls.from_blocks(action, {chi: comp}, multiplicity, validate=False)
+        return cls.from_blocks(action, {chi: comp}, validate=False)
 
     # ------------------------------------------------------------- queries
 
@@ -431,32 +412,27 @@ class GradedElement(ArrayElement):
     # ---------------------------------------------------------- arithmetic
 
     def _same_space(self, other: "GradedElement") -> bool:
-        return self.action == other.action and self.multiplicity == other.multiplicity
+        return self.action == other.action
 
     def _sibling(self, blocks: np.ndarray) -> "GradedElement":
-        return GradedElement(self.action, self.multiplicity, blocks)
+        return GradedElement(self.action, blocks)
 
     def __repr__(self) -> str:
-        return (
-            f"GradedElement(degrees={[g.coords for g in self.degrees()]}, "
-            f"multiplicity={self.multiplicity})"
-        )
+        return f"GradedElement(degrees={[g.coords for g in self.degrees()]})"
 
 
-def _rho_permutation(group: FiniteAbelianGroup, chi_index: int, multiplicity: int) -> np.ndarray:
-    """Index permutation sigma with (rho(chi) (x) 1) conjugation = gather at sigma.
+def _rho_permutation(group: FiniteAbelianGroup, chi_index: int) -> np.ndarray:
+    """Index permutation sigma with rho(chi) conjugation = gather at sigma.
 
     rho(chi) acts by (rho(chi) psi)(eta) = psi(eta + chi); conjugating an
-    operator X by rho(chi) (x) 1 gives entries X[sigma(p), sigma(q)] with
-    sigma(alpha, u) = (alpha + chi, u).
+    operator X by rho(chi) gives entries X[sigma(p), sigma(q)] with
+    sigma(alpha) = alpha + chi.
     """
-    base = group.add_table[:, chi_index].astype(np.int64)
-    return (base[:, None] * multiplicity + np.arange(multiplicity)[None, :]).ravel()
+    return group.add_table[:, chi_index]
 
 
 def _homogeneous_products(
     group: FiniteAbelianGroup,
-    multiplicity: int,
     wtable: np.ndarray,
     left: np.ndarray,
     i1: int,
@@ -468,14 +444,12 @@ def _homogeneous_products(
     `left` is one degree-chi1 block (chi1 at index i1) and `rights` a stack of
     blocks of degrees chi2[k] (indices i2), all stored point by point.
     xi_chi1 moves the matrix at point sigma(p) to p, and u(chi1, chi2) scales
-    point p, over alpha = p // multiplicity, by wtable[alpha, chi1, chi2] =
-    exp(2 pi i phi(alpha, chi1, chi2)). So the product at p is
-    left[p] rights[k][sigma(p)] wtable[alpha, chi1, chi2[k]], and one batched
-    d x d matmul serves the whole stack.
+    point p by wtable[p, chi1, chi2] = exp(2 pi i phi(p, chi1, chi2)). So the
+    product at p is left[p] rights[k][sigma(p)] wtable[p, chi1, chi2[k]], and
+    one batched d x d matmul serves the whole stack.
     """
-    sigma = _rho_permutation(group, i1, multiplicity)
-    alpha = np.arange(group.order * multiplicity) // multiplicity
-    u = wtable[alpha[None, :], i1, np.asarray(i2)[:, None]]  # [k, p]
+    sigma = _rho_permutation(group, i1)
+    u = wtable[:, i1, np.asarray(i2)].T  # [k, p]
     moved = rights[:, sigma]  # the gather copies, so it is scaled in place
     moved *= u[:, :, None, None]
     return left @ moved
@@ -499,7 +473,6 @@ def deformed_product(a: GradedElement, b: GradedElement, phi: Cochain3) -> Grade
     a._check(b)
     g = a.action.group
     _require_phi_on(g, phi)
-    m = a.multiplicity
     add = g.add_table
     out = np.zeros_like(a.blocks)
     wtable = phi.complex_table
@@ -508,18 +481,18 @@ def deformed_product(a: GradedElement, b: GradedElement, phi: Cochain3) -> Grade
     rights = b.blocks[nonzero_b]
     for i1 in nonzero_a:
         out[add[i1, nonzero_b]] += _homogeneous_products(
-            g, m, wtable, a.blocks[i1], i1, rights, nonzero_b
+            g, wtable, a.blocks[i1], i1, rights, nonzero_b
         )
-    return GradedElement(a.action, m, out)
+    return GradedElement(a.action, out)
 
 
 def _shifted_sum(a: GradedElement, point_matrices) -> np.ndarray:
-    """sum_chi X_chi (1 (x) rho(chi) (x) 1) over the nonzero degrees of a, as
-    one (d nm) x (d nm) matrix with row index (i, p).
+    """sum_chi X_chi (1 (x) rho(chi)) over the nonzero degrees of a, as one
+    (d nm) x (d nm) matrix with row index (i, p).
 
     X_chi is diagonal on the operator leg, with point_matrices(i, sigma)[p]
     at point p (chi at index i, sigma its _rho_permutation). Right
-    multiplication by rho(chi) (x) 1 puts point p's matrix in column block
+    multiplication by rho(chi) puts point p's matrix in column block
     sigma(p), so each degree fills nm disjoint d x d blocks.
     """
     g = a.action.group
@@ -529,13 +502,13 @@ def _shifted_sum(a: GradedElement, point_matrices) -> np.ndarray:
     points = np.arange(nm)
     for i in range(g.order):
         if a.blocks[i].any():
-            sigma = _rho_permutation(g, i, a.multiplicity)
+            sigma = _rho_permutation(g, i)
             grid[:, points, :, sigma] += point_matrices(i, sigma)
     return out
 
 
 def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
-    """Phi(a) = sum_chi a_chi (1 (x) rho(chi) (x) 1) as a matrix on the full space.
+    """Phi(a) = sum_chi a_chi (1 (x) rho(chi)) as a matrix on the full space.
 
     For phi = 0 this intertwines the deformed product with the ordinary one:
     Phi(a * b) = Phi(a) Phi(b).
@@ -544,10 +517,10 @@ def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
 
 
 def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
-    """The star-action of a on graded vectors of H1 (x) l2(Ghat) (x) C^m.
+    """The star-action of a on graded vectors of H1 (x) l2(Ghat).
 
-    R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1) (x) 1) (1 (x) u(chi1, chi2) (x) 1) P_chi2
-    with P_chi the spectral projections of t -> W_t (x) 1 (x) 1. The sum over
+    R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1)) (1 (x) u(chi1, chi2)) P_chi2
+    with P_chi the spectral projections of t -> W_t (x) 1. The sum over
     chi2 folds into one matrix per point, M_chi1(alpha) = sum_chi2
     u(alpha, chi1, chi2) P_chi2, so R(a) places a_chi1[p] M_chi1(sigma(p)) in
     column block sigma(p) of row block p: n nm d^3 work. phi must be a
@@ -560,12 +533,11 @@ def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
     _require_phi_on(g, phi)
     # spectral projections of the unitary rep on the H1 leg
     projs = np.einsum("xt,tip->xip", np.conj(g.character_matrix), a.action.unitaries) / g.order
-    alpha = np.arange(a.blocks.shape[1]) // a.multiplicity
     wtable = phi.complex_table
 
     def point_matrices(i1, sigma):
         folded = np.tensordot(wtable[:, i1], projs, axes=1)  # [alpha, i, j]
-        return a.blocks[i1] @ folded[alpha[sigma]]
+        return a.blocks[i1] @ folded[sigma]
 
     return _shifted_sum(a, point_matrices)
 
@@ -594,7 +566,6 @@ def associator_table(
     action: GAction,
     phi: Cochain3,
     rng: np.random.Generator | None = None,
-    multiplicity: int = 1,
     tol: float = 1e-10,
 ) -> AssociatorReport:
     """Measure a_xi * (b_eta * c_zeta) against exp(2 pi i phi) (a_xi * b_eta) * c_zeta.
@@ -602,9 +573,9 @@ def associator_table(
     Runs over every character triple with generic homogeneous elements, drawn
     from rng in character order; degrees with an empty isotypic component are
     skipped. The k homogeneous elements are stacked point by point as H, one
-    (nm, d, d) block each (the drawn matrix at every point, nm = |G|
-    multiplicity), and the product table P[eta, zeta] = H_eta * H_zeta is
-    computed once, k kernel calls of k products each. Each (xi, eta) pair is
+    (nm, d, d) block each (the drawn matrix at every point, nm = |G|), and
+    the product table P[eta, zeta] = H_eta * H_zeta is computed once, k
+    kernel calls of k products each. Each (xi, eta) pair is
     then one chunk of k triples: a * (b * c) = H_xi * P[eta, :] and
     (a * b) * c = P[xi, eta] * H_: are two _homogeneous_products calls, and
     the relative Frobenius deviations come from those two stacks. Only P
@@ -613,7 +584,7 @@ def associator_table(
     """
     g = action.group
     _require_phi_on(g, phi)
-    nm = _operator_dim(g, multiplicity)
+    nm = g.order
     if rng is None:
         rng = np.random.default_rng(0)
     drawn = np.array([action.random_homogeneous(chi, rng) for chi in g.elements])
@@ -625,7 +596,7 @@ def associator_table(
     wtable = phi.complex_table
 
     def products(left, i1, rights, i2):
-        return _homogeneous_products(g, multiplicity, wtable, left, i1, rights, i2)
+        return _homogeneous_products(g, wtable, left, i1, rights, i2)
 
     table = np.empty((k, k, nm, d, d), dtype=complex)  # P[eta, zeta]
     for e, eta in enumerate(degrees):

@@ -34,7 +34,6 @@ class TwistedGroupAlgebra:
         self.sigma = sigma
         self.dim = group.order
         self._weights = sigma.complex_table  # exp(2 pi i sigma)
-        self._assoc = coboundary2(sigma)
 
     # ----------------------------------------------------------- elements
 
@@ -70,6 +69,12 @@ class TwistedGroupAlgebra:
         out = np.zeros(self.dim, dtype=complex)
         np.add.at(out, self.group.add_table, outer)
         return TGAElement(self, out)
+
+    @cached_property
+    def _assoc(self) -> Cochain3:
+        """delta sigma, built on first use: the n^3 pass is paid only by the
+        associator queries."""
+        return coboundary2(self.sigma)
 
     def associator_phase(self, a, b, c) -> Phase:
         """The exact phase by which e(a)(e(b)e(c)) differs from (e(a)e(b))e(c)."""

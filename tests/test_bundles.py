@@ -1,6 +1,7 @@
 """Bundles of twisted fibers over finite base spaces."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from natorus import (
     Cochain2,
     Cochain3,
     IncompatibleGroupsError,
+    Tricharacter,
     TwistData,
+    bicharacter_from_matrix,
     build_nap_bundle,
     extract_sigma,
     make_group,
@@ -20,6 +23,7 @@ from natorus import (
     octonion_group,
     octonion_sigma,
 )
+from natorus.twisted_algebra import levi_civita
 from natorus.presets import (
     epsilon_tricharacter_z4,
     octonion_bundle,
@@ -140,29 +144,24 @@ def test_extract_sigma_recovers_bicharacter_shift():
     tw_p = TwistData.scalar_from_sigma(g, octonion_sigma())
     tw_q = TwistData.scalar_from_sigma(g, octonion_sigma() + shift)
     extraction = extract_sigma(tw_q, tw_p)
-    assert extraction.passed
-    assert np.allclose(extraction.scalar_table, shift.complex_table, atol=1e-12)
+    assert extraction.passed and extraction.witness is None
+    assert extraction.sigma == shift
 
 
 def test_extract_sigma_trivial_quotient():
     tw = pauli_m2_twist()
     extraction = extract_sigma(tw, tw)
     assert extraction.passed
-    assert np.allclose(extraction.scalar_table, 1.0, atol=1e-14)
+    assert extraction.sigma.is_zero()
 
 
-def test_extract_sigma_flags_incompatible_multipliers():
+def test_extract_sigma_flags_twists_with_different_phi():
+    # The quotient's coboundary is phi1 - phi2, nonzero first where they differ.
     g = octonion_group()
-    tw1 = pauli_m2_twist()
-    # Same group and dim, but a multiplier that is not a scalar shift of u1.
-    rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    u = tw1.u.copy()
-    u[3, 5] = q
-    tw2 = TwistData(g, dim=2, beta=tw1.beta, u=u, phi=tw1.phi, validate=False)
+    tw1, tw2 = pauli_m2_twist(), TwistData.trivial(g, dim=2)
     extraction = extract_sigma(tw1, tw2)
     assert not extraction.passed
-    assert extraction.central_error > 1e-3
+    assert extraction.witness == first_mismatch(Cochain2.zero(g), tw1.phi)
 
 
 def test_extract_sigma_requires_matching_shapes():
@@ -170,6 +169,30 @@ def test_extract_sigma_requires_matching_shapes():
     tw2 = TwistData.trivial(make_group([4]), dim=2)
     with pytest.raises(IncompatibleGroupsError):
         extract_sigma(tw1, tw2)
+
+
+def test_building_a_bundle_holds_no_n3_table():
+    """build_nap_bundle on Z/2 x Z/4^3 (|G| = 128) with phi = eps mod 2 and a
+    bicharacter over q peaks below one n^3 int64 table under tracemalloc:
+    the cocycle check on the bicharacter streams, the trivializer is checked
+    slab by slab, and a fiber takes the coboundary of its cochain only when
+    its associator is asked for."""
+    group = make_group([2, 4, 4, 4])
+    n = group.order
+    phi = Tricharacter(group, levi_civita(group.rank), 2)
+    matrix = np.zeros((group.rank, group.rank), dtype=np.int64)
+    matrix[1, 2] = 1
+    bichar = bicharacter_from_matrix(group, matrix)
+    tracemalloc.start()
+    try:
+        bundle = build_nap_bundle(["p", "q"], group, phi, {"q": bichar})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n**3 * 8
+    assert "coboundary" not in vars(bichar)
+    assert all("_assoc" not in vars(bundle.fiber(x)) for x in bundle.base)
+    assert not bundle.fiber("q").is_associative()
 
 
 def test_a_given_trivializer_is_checked_without_caching_its_coboundary():

@@ -42,6 +42,7 @@ from natorus import (
 from natorus import cochains
 from natorus.cochains import require_cocycle3
 from natorus.presets import epsilon_tricharacter_z4, octonion_trivializing_generators
+from natorus.twisted_algebra import levi_civita
 
 
 def random_cochain2(group, rng, den=8):
@@ -454,6 +455,23 @@ def test_trivializing_cochain_solves_coboundary_equation():
     tau = trivializing_cochain(phi)
     assert coboundary2(tau) == phi
     assert is_cocycle2(tau) is False  # a cocycle would have zero coboundary
+
+
+def test_is_cocycle2_streams_unless_a_coboundary_is_cached(rng):
+    """A plain 2-cochain is decided by the narrow sweep and caches nothing;
+    one whose coboundary is cached, such as a trivializer carrying its
+    tricharacter, reads that instead and builds no table."""
+    g = make_group([4, 2, 3])
+    table = rng.integers(0, 12, size=(g.order, g.order))
+    table[0, :] = table[:, 0] = 0
+    matrix = np.zeros((g.rank, g.rank), dtype=np.int64)
+    matrix[0, 1] = 6  # a half turn on the first two factors
+    for sigma in (Cochain2(g, table, 12), bicharacter_from_matrix(g, matrix), Cochain2.zero(g)):
+        dense = Cochain2(g, sigma.table, sigma.den).coboundary
+        assert is_cocycle2(sigma) == dense.is_zero()
+        assert "coboundary" not in vars(sigma)
+    tau = trivializing_cochain(Tricharacter(make_group([4, 4, 4]), levi_civita(), 2))
+    assert is_cocycle2(tau) is False and "table" not in vars(coboundary2(tau))
 
 
 def test_trivializing_cochain_refuses_nontrivial_class():

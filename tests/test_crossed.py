@@ -39,6 +39,7 @@ from natorus import (
     verify_duality,
 )
 from natorus import crossed
+from natorus.cochains import _lowest_terms, exp_phases
 from natorus.acceptance import criterion_fourier_evaluation
 from natorus.configs import load_config
 from natorus.crossed import _pairs_per_batch, _pairs_per_tile
@@ -82,10 +83,19 @@ def test_bicharacter_twist_is_untwisted_up_to_phi(tw_shift):
 
 
 def test_corrupted_multiplier_rejected(tw_m2):
-    u = tw_m2.u.copy()
-    u[1, 2] = 1j * u[1, 2]
-    with pytest.raises(TwistDataError):
-        TwistData(tw_m2.group, dim=tw_m2.dim, beta=tw_m2.beta, u=u, phi=tw_m2.phi)
+    # u(1, 2) turned by a quarter: delta sigma no longer equals phi
+    g = tw_m2.group
+    corrupted = tw_m2.sigma + Cochain2.from_entries(g, {(g.elements[1], g.elements[2]): "1/4"})
+    with pytest.raises(TwistDataError, match="multiplier relation"):
+        TwistData(g, dim=tw_m2.dim, beta=tw_m2.beta, sigma=corrupted, phi=tw_m2.phi)
+
+
+def test_u_is_the_read_only_scalar_multiplier_of_sigma(tw_m2):
+    u = tw_m2.u
+    assert np.array_equal(u, tw_m2.sigma.complex_table[:, :, None, None] * np.eye(2))
+    assert u is tw_m2.u and not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
 
 
 def test_crossed_unit_is_identity(tw_m2, rng):
@@ -401,7 +411,7 @@ def test_tricharacters_on_the_duality_path_build_no_table():
     assert verify_duality(tw, psi, trials=2, seed=1).passed
     # A twist whose phi is the tricharacter itself: validate reads its slabs.
     beta = np.ones((group.order, 1, 1), dtype=complex)
-    tri_tw = TwistData.with_scalar_multiplier(group, tau, beta, phi2, 1)
+    tri_tw = TwistData(group, 1, beta, tau, phi2)
     assert verify_duality(tri_tw, psi, trials=2, seed=1).passed
     delta = Cochain3.from_entries(group, [(((1, 0, 0), (0, 1, 0), (0, 0, 1)), "1/4")])
     corrupted = psi + delta
@@ -514,9 +524,28 @@ def test_twist_constructors_refuse_dim_below_one(dim):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def float_twin(tw):
-    """The same twist with a raw u, so validate takes the float route."""
-    return TwistData(tw.group, tw.dim, beta=tw.beta, u=tw.u, phi=tw.phi)
+def float_twist_witness(tw, tol=1e-10):
+    """Both twist relations evaluated in floats from the tables of sigma and
+    phi, independently of TwistData.validate: ("composition", (x, y)) for
+    the first pair where V_x V_y (u(x,y) V_{x+y})^* is not a scalar, else
+    ("phase", (x, y, z)) for the first triple, in index order, where
+    e(phi(x,y,z)) u(x,y) u(x+y,z) != beta_x[u(y,z)] u(x,y+z), else None."""
+    g, d, v = tw.group, tw.dim, tw.beta
+    add = g.add_table
+    u = np.exp(2j * np.pi * tw.sigma.table / tw.sigma.den)[:, :, None, None] * np.eye(d)
+    c = v[:, None] @ v[None, :] @ np.conj(u @ v[add]).swapaxes(-1, -2)
+    scalar = np.trace(c, axis1=-2, axis2=-1)[:, :, None, None] / d * np.eye(d)
+    bad = np.abs(c - scalar).max(axis=(-2, -1)) > tol
+    if bad.any():
+        return "composition", tuple(int(i) for i in np.argwhere(bad)[0])
+    phase = np.exp(2j * np.pi * tw.phi.table / tw.phi.den)
+    for x in range(g.order):
+        lhs = phase[x][:, :, None, None] * u[x][:, None] @ u[add[x]]
+        rhs = v[x] @ u @ np.conj(v[x]).T @ u[x][add]
+        bad = np.abs(lhs - rhs).max(axis=(-2, -1)) > tol
+        if bad.any():
+            return "phase", (x, *(int(i) for i in np.argwhere(bad)[0]))
+    return None
 
 
 def bundled_twists():
@@ -541,12 +570,11 @@ def bundled_twists():
     return twists
 
 
-def test_bundled_twists_pass_the_exact_and_the_float_route():
+def test_bundled_twists_satisfy_both_relations_in_floats():
     twists = bundled_twists()
     assert len(twists) >= 7  # 4 presets, duality_m2's twist, two_point_bundle's 2 fibers
     for tw in twists:
-        assert tw._sigma is not None  # built from sigma: validated exactly
-        float_twin(tw)  # raises unless the float route accepts it too
+        assert float_twist_witness(tw) is None
 
 
 def first_mismatch(sigma, phi):
@@ -557,33 +585,34 @@ def first_mismatch(sigma, phi):
     return tuple(int(i) for i in np.argwhere(diff)[0])
 
 
-def test_phi_off_delta_sigma_is_refused_by_both_routes_with_the_first_witness():
+def test_phi_off_delta_sigma_is_refused_with_the_first_float_witness():
     g = octonion_group()
     sigma, beta = octonion_sigma(g), pauli_conjugators(g)
     phi = octonion_associator_tricharacter(g)
     for cell, value in ((((1, 0, 0), (0, 1, 0), (0, 0, 1)), "1/2"), (((1, 1, 1),) * 3, "1/6")):
         bad = phi + Cochain3.from_entries(g, [(cell, value)])
         with pytest.raises(TwistDataError, match="multiplier relation") as exact:
-            TwistData.with_scalar_multiplier(g, sigma, beta, bad, 2)
+            TwistData(g, 2, beta, sigma, bad)
         assert exact.value.witness == first_mismatch(sigma, bad)
         assert exact.value.witness == tuple(g.element(c).index for c in cell)
-        u = sigma.complex_table[:, :, None, None] * np.eye(2)
-        with pytest.raises(TwistDataError, match="multiplier relation"):
-            TwistData(g, 2, beta=beta, u=u, phi=bad)
+        unchecked = TwistData(g, 2, beta, sigma, bad, validate=False)
+        assert float_twist_witness(unchecked) == ("phase", exact.value.witness)
 
 
-def test_non_projective_beta_is_refused_by_both_routes():
+def test_non_projective_beta_is_refused():
     g = octonion_group()
     sigma, phi = octonion_sigma(g), octonion_associator_tricharacter(g)
     beta = pauli_conjugators(g).copy()
     beta[3] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)  # unitary, but not a Pauli
-    u = sigma.complex_table[:, :, None, None] * np.eye(2)
-    for build in (
-        lambda: TwistData.with_scalar_multiplier(g, sigma, beta, phi, 2),
-        lambda: TwistData(g, 2, beta=beta, u=u, phi=phi),
-    ):
-        with pytest.raises(TwistDataError, match=r"beta_x beta_y != ad\(u\)"):
-            build()
+    with pytest.raises(TwistDataError, match=r"beta_x beta_y != ad\(u\)") as exact:
+        TwistData(g, 2, beta, sigma, phi)
+    unchecked = TwistData(g, 2, beta, sigma, phi, validate=False)
+    kind, first = float_twist_witness(unchecked)
+
+    def meets_3(pair):  # x, y or x + y is the altered element
+        return 3 in (*pair, g.add_table[pair])
+
+    assert kind == "composition" and meets_3(first) and meets_3(exact.value.witness)
 
 
 def test_sigma_on_another_group_is_refused():
@@ -592,10 +621,10 @@ def test_sigma_on_another_group_is_refused():
 
 
 def test_exact_twist_check_on_a_plain_sigma_and_a_tricharacter_builds_no_n3_array():
-    """with_scalar_multiplier on a plain sigma (no cached coboundary) and a
-    tricharacter phi sweeps delta sigma slab by slab against phi's slabs: its
-    traced peak stays below one n^3 uint8 array, and neither cochain caches
-    a table of delta sigma or of phi."""
+    """A twist on a plain sigma (no cached coboundary) and a tricharacter phi
+    sweeps delta sigma slab by slab against phi's slabs: its traced peak
+    stays below one n^3 uint8 array, and neither cochain caches a table of
+    delta sigma or of phi."""
     group = make_group([2, 4, 4, 4])
     n = group.order
     phi = Tricharacter(group, levi_civita(group.rank), 2)
@@ -604,7 +633,7 @@ def test_exact_twist_check_on_a_plain_sigma_and_a_tricharacter_builds_no_n3_arra
     beta = np.ones((n, 1, 1), dtype=complex)
     tracemalloc.start()
     try:
-        tw = TwistData.with_scalar_multiplier(group, sigma, beta, phi, 1)
+        tw = TwistData(group, 1, beta, sigma, phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -641,3 +670,19 @@ def test_a_verdict_passes_when_tol_equals_the_achieved_error():
     assert at.passed and at.max_error == missed.max_error and at.witness is None
     worst = criterion_fourier_evaluation(trials=5).data["max_error"]
     assert criterion_fourier_evaluation(tolerance=worst, trials=5).passed
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 4, 6, 8, 12, 127, 128, 255, 1000])
+def test_row_phases_are_the_phases_of_the_row_in_lowest_terms(den):
+    """The row phases of the duality check and of strictified_product equal
+    exp_phases of the row in lowest terms bit for bit, on narrow unsigned
+    rows as sheared_rows yields them, with and without a common factor: the
+    quarter-turn shortcut changes no bit."""
+    rng = np.random.default_rng(den)
+    for step in {1, 2, 3, den}:
+        if den % step:
+            continue
+        row = (rng.integers(0, den // step, size=(16, 16)) * step).astype(
+            np.min_scalar_type(den - 1)
+        )
+        assert np.array_equal(crossed._row_phases(row, den), exp_phases(*_lowest_terms(row, den)))

@@ -62,13 +62,14 @@ def strictified_elements(rng):
 
 
 def graded_elements(rng):
+    # the other space: Z/2 acting trivially on the same two points, blocks of one shape
     action = GAction.translation(make_group([2]))
+    fixed = GAction.from_permutation_generators(make_group([2]), 2, [[0, 1]])
 
-    def random(multiplicity):
-        mat = action.algebra.random_element(rng)
-        return GradedElement.from_matrix(action, mat, multiplicity)
+    def random(action):
+        return GradedElement.from_matrix(action, action.algebra.random_element(rng))
 
-    return random(1), random(1), random(2)
+    return random(action), random(action), random(fixed)
 
 
 # (element type, public array attribute, factory of (x, y, element over another space))

@@ -25,6 +25,7 @@ from natorus import (
     coboundary2,
     deformed_product,
     evaluation_side_product,
+    extract_sigma,
     fourier_side_product,
     is_cocycle3,
     is_trivial_on,
@@ -42,6 +43,7 @@ from natorus.cochains import _sweep_dtype
 from natorus.crossed import _DualityRows
 from natorus.groups import subgroup_elements
 from natorus.presets import m4_conjugation_action, pauli_m2_twist
+from test_crossed import float_twist_witness
 from test_quantization import (
     deformed_product_reference,
     dense_blocks,
@@ -324,29 +326,65 @@ def test_coboundary2_is_computed_once_and_is_the_alternating_sum(factors, den, s
     dim=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_exact_twist_validation_agrees_with_the_float_route(factors, den, dim, seed):
-    """A twist built from sigma is validated exactly (phi = delta sigma, slab
-    by slab), its twin with the same raw u in floats. Both accept phi =
-    delta sigma, also as a plain copy over twice the denominator, which the
-    exact route must sweep; both refuse it with two entries moved by 1/3, and
-    the exact witness is the first of them in index order."""
+def test_exact_twist_validation_agrees_with_the_float_relations(factors, den, dim, seed):
+    """validate decides the phase relation exactly (phi = delta sigma, slab
+    by slab); the test file's float evaluation of both relations agrees. Both
+    accept phi = delta sigma, also as a plain copy over twice the
+    denominator, which the exact check must sweep; both refuse it with two
+    entries moved by 1/3, and both name the first of them in index order."""
     group = make_group(factors)
     rng = np.random.default_rng(seed)
     sigma = random_sigma(group, rng, den=den)
     dense = Cochain2(group, sigma.table, sigma.den).coboundary
     twin = Cochain3(group, dense.table * 2, dense.den * 2)  # equal values, not cached
     for phi in (coboundary2(sigma), twin):
-        tw = TwistData.with_scalar_multiplier(group, sigma, None, phi, dim)
-        TwistData(group, dim, beta=tw.beta, u=tw.u, phi=phi)  # the float route
+        assert float_twist_witness(TwistData(group, dim, sigma=sigma, phi=phi)) is None
     if group.order == 1:
         return
     cells = {tuple(int(i) for i in rng.integers(1, group.order, size=3)) for _ in range(2)}
     bad = dense + Cochain3.from_entries(group, [(cell, "1/3") for cell in cells])
     with pytest.raises(TwistDataError, match="multiplier relation") as exact:
-        TwistData.with_scalar_multiplier(group, sigma, None, bad, dim)
+        TwistData(group, dim, sigma=sigma, phi=bad)
     assert exact.value.witness == min(cells)
-    with pytest.raises(TwistDataError, match="multiplier relation"):
-        TwistData(group, dim, u=tw.u, phi=bad)
+    unchecked = TwistData(group, dim, sigma=sigma, phi=bad, validate=False)
+    assert float_twist_witness(unchecked) == ("phase", min(cells))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    factors=factor_lists(max_order=32, max_rank=4),
+    m=st.integers(1, 24),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extract_sigma_is_the_exact_quotient(factors, m, dim, seed):
+    """sigma2 = sigma1 + B for a random bicharacter B: extract_sigma returns B
+    exactly and certifies it, and the float multipliers agree, u2 u1^-1 =
+    exp(2 pi i B) 1. For a random sigma3 instead, the verdict fails exactly
+    when phi3 != phi1, with the first (x, y, z) in index order where they
+    differ, read from their dense tables."""
+    group = make_group(factors)
+    rng = np.random.default_rng(seed)
+    k = group.rank
+    sigma1 = random_sigma(group, rng, den=int(rng.choice([4, 6, 12])))
+    matrix = compatible_steps(factors, m, 2) * rng.integers(0, m, size=(k, k))
+    bichar = bicharacter_from_matrix(group, matrix, m)
+    tw1 = TwistData(group, dim, sigma=sigma1)
+    tw2 = TwistData(group, dim, sigma=sigma1 + bichar)
+    ex = extract_sigma(tw2, tw1)
+    assert ex.passed and ex.witness is None and ex.sigma == bichar
+    quotient = tw2.u @ np.conj(tw1.u).swapaxes(-1, -2)
+    expected = np.exp(2j * np.pi * bichar.table / bichar.den)[:, :, None, None] * np.eye(dim)
+    assert np.abs(quotient - expected).max() < 1e-12
+
+    tw3 = TwistData(group, dim, sigma=random_sigma(group, rng, den=int(rng.choice([2, 6, 8]))))
+    phi1, phi3 = tw1.phi, tw3.phi
+    den = lcm(phi1.den, phi3.den)
+    diff = (phi3.table * (den // phi3.den) - phi1.table * (den // phi1.den)) % den
+    first = tuple(int(i) for i in np.argwhere(diff)[0]) if diff.any() else None
+    ex = extract_sigma(tw3, tw1)
+    assert ex.witness == first and ex.passed == (first is None)
+    assert ex.sigma == Cochain2(group, tw3.sigma.table, tw3.sigma.den) - sigma1
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
@@ -506,10 +544,9 @@ def assert_relatively_close(got, expected, rtol=1e-12):
     assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("multiplicity", [1, 2])
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(factors=factor_lists(), conjugation=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_per_point_products_match_the_dense_reference(multiplicity, factors, conjugation, seed):
+def test_per_point_products_match_the_dense_reference(factors, conjugation, seed):
     """deformed_product and represent, computed point by point, equal the
     dense (d nm) x (d nm) formulas of test_quantization within 1e-12
     relative. Every point carries its own random matrix and phi is a random
@@ -520,10 +557,7 @@ def test_per_point_products_match_the_dense_reference(multiplicity, factors, con
     rng = np.random.default_rng(seed)
     m = group.exponent
     phi = Tricharacter(group, random_tensor_of_kind("random", group.factors, m, rng), m)
-    a, b = (
-        GradedElement(action, multiplicity, random_point_blocks(action, multiplicity, rng))
-        for _ in range(2)
-    )
+    a, b = (GradedElement(action, random_point_blocks(action, rng)) for _ in range(2))
     got = dense_blocks(deformed_product(a, b, phi).blocks)
     assert_relatively_close(got, deformed_product_reference(a, b, phi))
     assert_relatively_close(represent(a, phi), represent_reference(a, phi))
@@ -632,8 +666,9 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
     rng = np.random.default_rng([psi_den % 2**32, n, d])
     psi = Cochain3(group, random_normalized_table(group, psi_den, 3, rng), psi_den)
     phi = Cochain3(group, random_normalized_table(group, phi_den, 3, rng), phi_den)
-    beta, u = random_unitaries(rng, (n,), d), random_unitaries(rng, (n, n), d)
-    tw = TwistData(group, d, beta=beta, u=u, phi=phi, validate=False)
+    beta = random_unitaries(rng, (n,), d)
+    sigma = Cochain2(group, random_normalized_table(group, psi_den, 2, rng), psi_den)
+    tw = TwistData(group, d, beta=beta, sigma=sigma, phi=phi, validate=False)
 
     total, den = exponent_sum(psi, phi)
     summed = psi + phi

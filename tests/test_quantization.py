@@ -133,14 +133,14 @@ def test_from_blocks_rejects_bad_shape(conj4):
 
 def test_from_blocks_takes_one_matrix_per_point(conj4, rng):
     chi = conj4.group.dual.elements[1]
-    points = np.array([conj4.random_homogeneous(chi, rng) for _ in range(2 * conj4.group.order)])
-    a = GradedElement.from_blocks(conj4, {chi: points}, multiplicity=2)
+    points = np.array([conj4.random_homogeneous(chi, rng) for _ in range(conj4.group.order)])
+    a = GradedElement.from_blocks(conj4, {chi: points})
     assert np.array_equal(a.block(chi), points) and a.degrees() == (chi,)
     with pytest.raises(GradingError, match="not scalar"):
         a.underlying_matrix()
     points[3] = conj4.algebra.random_element(rng)
     with pytest.raises(GradingError, match="not isotypic"):
-        GradedElement.from_blocks(conj4, {chi: points}, multiplicity=2)
+        GradedElement.from_blocks(conj4, {chi: points})
 
 
 def test_intertwiner_multiplicative_at_zero_phi(trans4, conj4, rng):
@@ -154,12 +154,12 @@ def test_intertwiner_multiplicative_at_zero_phi(trans4, conj4, rng):
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def rho_matrix(group, chi_index, multiplicity):
-    """rho(chi) (x) 1 as a permutation matrix, (rho(chi) psi)(eta) = psi(eta + chi)."""
+def rho_matrix(group, chi_index):
+    """rho(chi) as a permutation matrix, (rho(chi) psi)(eta) = psi(eta + chi)."""
     n = group.order
     rho = np.zeros((n, n))
     rho[np.arange(n), group.add_table[:, chi_index]] = 1.0
-    return np.kron(rho, np.eye(multiplicity))
+    return rho
 
 
 def dense_blocks(blocks):
@@ -172,46 +172,43 @@ def dense_blocks(blocks):
     return out
 
 
-def random_point_blocks(action, multiplicity, rng):
+def random_point_blocks(action, rng):
     """Generic (n, nm, d, d) blocks: a different random matrix at every point."""
     n, d = action.group.order, action.dim
-    shape = (n, n * multiplicity, d, d)
+    shape = (n, n, d, d)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def shifted_reference(block, group, chi_index, multiplicity):
-    """One dense block times 1 (x) rho(chi) (x) 1, as a matrix with row index (i, p)."""
+def shifted_reference(block, group, chi_index):
+    """One dense block times 1 (x) rho(chi), as a matrix with row index (i, p)."""
     d, _, nm, _ = block.shape
-    rho = rho_matrix(group, chi_index, multiplicity)
+    rho = rho_matrix(group, chi_index)
     return np.einsum("ijpr,rq->ipjq", block, rho).reshape(d * nm, d * nm)
 
 
 def represent_reference(a, phi):
-    """R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1) (x) 1) (1 (x) u(chi1, chi2) (x) 1) P_chi2
+    """R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1)) (1 (x) u(chi1, chi2)) P_chi2
     on dense blocks, one (d nm)^2 matmul per degree pair."""
-    g, m = a.action.group, a.multiplicity
+    g = a.action.group
     n = g.order
     dense = dense_blocks(a.blocks)
     projs = np.einsum("xt,tip->xip", np.conj(g.character_matrix), a.action.unitaries) / n
     out = 0.0
     for i1 in range(n):
-        left = shifted_reference(dense[i1], g, i1, m)
+        left = shifted_reference(dense[i1], g, i1)
         for i2 in range(n):
-            u = np.repeat(phi.complex_table[:, i1, i2], m)
-            out = out + left @ np.kron(projs[i2], np.diag(u))
+            out = out + left @ np.kron(projs[i2], np.diag(phi.complex_table[:, i1, i2]))
     return out
 
 
-@pytest.mark.parametrize("multiplicity", [1, 2])
-def test_shifted_blocks_match_the_permutation_matrix(trans4, conj4, multiplicity, rng):
+def test_shifted_blocks_match_the_permutation_matrix(trans4, conj4, rng):
     # A different matrix at every point, so the direction of the shift matters
     # (on Z/4, -chi != chi).
     for action in (trans4, conj4):
-        a = GradedElement(action, multiplicity, random_point_blocks(action, multiplicity, rng))
+        a = GradedElement(action, random_point_blocks(action, rng))
         dense = dense_blocks(a.blocks)
         expected = sum(
-            shifted_reference(dense[i], action.group, i, multiplicity)
-            for i in range(action.group.order)
+            shifted_reference(dense[i], action.group, i) for i in range(action.group.order)
         )
         assert np.allclose(phi_zero_intertwiner(a), expected, rtol=0.0, atol=1e-12)
         assert np.allclose(represent(a), expected, rtol=0.0, atol=1e-10)
@@ -242,25 +239,20 @@ def deformed_product_reference(a, b, phi):
     """The degreewise formula on dense blocks, one degree pair and one einsum
     at a time; returns dense (n, d, d, nm, nm) blocks."""
     g = a.action.group
-    m = a.multiplicity
     a_dense, b_dense = dense_blocks(a.blocks), dense_blocks(b.blocks)
     out = np.zeros_like(a_dense)
     for i1 in range(g.order):
-        perm = (g.add_table[:, i1][:, None] * m + np.arange(m)).ravel()
+        perm = g.add_table[:, i1]
         for i2 in range(g.order):
-            u = np.repeat(phi.complex_table[:, i1, i2], m)
+            u = phi.complex_table[:, i1, i2]
             moved = b_dense[i2][:, :, perm][:, :, :, perm] * u
             out[g.add_table[i1, i2]] += np.einsum("ikpr,kjrq->ijpq", a_dense[i1], moved)
     return out
 
 
-@pytest.mark.parametrize("multiplicity", [1, 2])
-def test_deformed_product_matches_reference(conj4, multiplicity, rng):
+def test_deformed_product_matches_reference(conj4, rng):
     phi = Tricharacter(conj4.group.dual, [[[1]]], 4)
-    a, b = (
-        GradedElement(conj4, multiplicity, random_point_blocks(conj4, multiplicity, rng))
-        for _ in range(2)
-    )
+    a, b = (GradedElement(conj4, random_point_blocks(conj4, rng)) for _ in range(2))
     a.blocks[1] = 0.0  # an empty degree on the left
     expected = deformed_product_reference(a, b, phi)
     got = dense_blocks(deformed_product(a, b, phi).blocks)
@@ -307,13 +299,13 @@ def test_associator_table_octonion_phi():
     assert report.max_error < 1e-10
 
 
-def associator_table_reference(action, phi, rng, multiplicity=1):
+def associator_table_reference(action, phi, rng):
     """(degrees, expected, deviation) per triple, one deformed_product per product."""
     homog = {}
     for chi in action.group.elements:
         h = action.random_homogeneous(chi, rng)
         if np.abs(h).max() > 1e-12:
-            homog[chi] = GradedElement.homogeneous(action, chi, h, multiplicity)
+            homog[chi] = GradedElement.homogeneous(action, chi, h)
     rows = []
     for xi, a in homog.items():
         for eta, b in homog.items():
@@ -328,7 +320,7 @@ def associator_table_reference(action, phi, rng, multiplicity=1):
 
 
 def _octonion_case():
-    return GAction.translation(make_group([2, 2, 2])), octonion_associator_tricharacter(), 1
+    return GAction.translation(make_group([2, 2, 2])), octonion_associator_tricharacter()
 
 
 def _non_symmetric_case():
@@ -336,27 +328,27 @@ def _non_symmetric_case():
     action = GAction.translation(make_group([4, 2]))
     tensor = np.zeros((2, 2, 2), dtype=int)
     tensor[0, 0, 0], tensor[0, 0, 1] = 1, 2
-    return action, Tricharacter(action.group.dual, tensor, 4), 1
+    return action, Tricharacter(action.group.dual, tensor, 4)
 
 
-def _m4_multiplicity_2_case():
+def _m4_case():
     action = m4_conjugation_action()
-    return action, Tricharacter(action.group.dual, [[[1]]], 4), 2
+    return action, Tricharacter(action.group.dual, [[[1]]], 4)
 
 
 def _empty_component_case():
     # Z/2 acting trivially on functions on two points: the odd component is empty
     action = GAction.from_permutation_generators(make_group([2]), 2, [[0, 1]])
-    return action, Tricharacter(action.group.dual, [[[1]]], 2), 1
+    return action, Tricharacter(action.group.dual, [[[1]]], 2)
 
 
 @pytest.mark.parametrize(
-    "case", [_octonion_case, _non_symmetric_case, _m4_multiplicity_2_case, _empty_component_case]
+    "case", [_octonion_case, _non_symmetric_case, _m4_case, _empty_component_case]
 )
 def test_associator_table_matches_per_triple_products(case):
-    action, phi, multiplicity = case()
-    report = associator_table(action, phi, np.random.default_rng(7), multiplicity)
-    expected = associator_table_reference(action, phi, np.random.default_rng(7), multiplicity)
+    action, phi = case()
+    report = associator_table(action, phi, np.random.default_rng(7))
+    expected = associator_table_reference(action, phi, np.random.default_rng(7))
     assert [(e.degrees, e.expected) for e in report.entries] == [row[:2] for row in expected]
     deviations = np.array([e.deviation for e in report.entries])
     assert np.allclose(deviations, [row[2] for row in expected], rtol=0.0, atol=1e-14)
@@ -375,23 +367,6 @@ def test_associator_table_rejects_non_cocycle_before_drawing(trans4):
     with pytest.raises(NotACocycleError) as caught:
         associator_table(trans4, bad, rng)
     assert caught.value.witness == cocycle3_witness(bad)
-    assert rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("multiplicity", [0, -1])
-def test_multiplicity_below_one_is_refused(trans4, multiplicity):
-    # These used to raise ZeroDivisionError or numpy's ValueError, or pass.
-    n, d = trans4.group.order, trans4.dim
-    with pytest.raises(GradingError, match="multiplicity must be at least 1"):
-        GradedElement(trans4, multiplicity, np.zeros((n, 0, d, d)))
-    with pytest.raises(GradingError, match="multiplicity must be at least 1"):
-        GradedElement.from_matrix(trans4, np.eye(d), multiplicity)
-    with pytest.raises(GradingError, match="multiplicity must be at least 1"):
-        GradedElement.from_blocks(trans4, {}, multiplicity)
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
-    with pytest.raises(GradingError, match="multiplicity must be at least 1"):
-        associator_table(trans4, Cochain3.zero(trans4.group.dual), rng, multiplicity)
     assert rng.bit_generator.state == state
 
 
