@@ -704,11 +704,9 @@ def _cocycle2_witness(sigma: Cochain2) -> tuple | None:
 
 
 def is_cocycle2(sigma: Cochain2) -> bool:
-    """delta sigma = 0: read from sigma's cached coboundary when there is
-    one, else decided by the narrow sweep, which builds no n^3 table."""
+    """delta sigma = 0, decided by the narrow sweep, which builds no n^3 table."""
     require_cochain(sigma, 2, name="sigma")
-    cached = vars(sigma).get("coboundary")
-    return cached.is_zero() if cached is not None else _cocycle2_witness(sigma) is None
+    return _cocycle2_witness(sigma) is None
 
 
 def _witness(phi: Cochain3) -> tuple | None:

@@ -108,10 +108,6 @@ class TwistData:
     # -------------------------------------------------------- constructors
 
     @classmethod
-    def trivial(cls, group: FiniteAbelianGroup, dim: int = 1) -> "TwistData":
-        return cls(group, dim)
-
-    @classmethod
     def scalar_from_sigma(cls, group, sigma: Cochain2, dim: int = 1) -> "TwistData":
         """Trivial beta, u(x,y) = exp(2 pi i sigma(x,y)) 1_B, phi = delta sigma:
         sigma's cached coboundary, so validate needs no sweep for it."""

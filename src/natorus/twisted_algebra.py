@@ -70,18 +70,13 @@ class TwistedGroupAlgebra:
         np.add.at(out, self.group.add_table, outer)
         return TGAElement(self, out)
 
-    @cached_property
-    def _assoc(self) -> Cochain3:
-        """delta sigma, built on first use: the n^3 pass is paid only by the
-        associator queries."""
-        return coboundary2(self.sigma)
-
     def associator_phase(self, a, b, c) -> Phase:
-        """The exact phase by which e(a)(e(b)e(c)) differs from (e(a)e(b))e(c)."""
-        return self._assoc.value(a, b, c)
+        """The exact phase by which e(a)(e(b)e(c)) differs from (e(a)e(b))e(c):
+        delta sigma, whose n^3 table sigma builds and caches on first use."""
+        return coboundary2(self.sigma).value(a, b, c)
 
     def is_associative(self) -> bool:
-        return self._assoc.is_zero()
+        return coboundary2(self.sigma).is_zero()
 
     def is_real(self) -> bool:
         """True when every structure constant is +-1."""

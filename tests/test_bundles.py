@@ -158,7 +158,7 @@ def test_extract_sigma_trivial_quotient():
 def test_extract_sigma_flags_twists_with_different_phi():
     # The quotient's coboundary is phi1 - phi2, nonzero first where they differ.
     g = octonion_group()
-    tw1, tw2 = pauli_m2_twist(), TwistData.trivial(g, dim=2)
+    tw1, tw2 = pauli_m2_twist(), TwistData(g, dim=2)
     extraction = extract_sigma(tw1, tw2)
     assert not extraction.passed
     assert extraction.witness == first_mismatch(Cochain2.zero(g), tw1.phi)
@@ -166,7 +166,7 @@ def test_extract_sigma_flags_twists_with_different_phi():
 
 def test_extract_sigma_requires_matching_shapes():
     tw1 = pauli_m2_twist()
-    tw2 = TwistData.trivial(make_group([4]), dim=2)
+    tw2 = TwistData(make_group([4]), dim=2)
     with pytest.raises(IncompatibleGroupsError):
         extract_sigma(tw1, tw2)
 
@@ -191,7 +191,7 @@ def test_building_a_bundle_holds_no_n3_table():
         tracemalloc.stop()
     assert peak < n**3 * 8
     assert "coboundary" not in vars(bichar)
-    assert all("_assoc" not in vars(bundle.fiber(x)) for x in bundle.base)
+    assert all("coboundary" not in vars(bundle.fiber(x).sigma) for x in bundle.base)
     assert not bundle.fiber("q").is_associative()
 
 

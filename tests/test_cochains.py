@@ -457,10 +457,9 @@ def test_trivializing_cochain_solves_coboundary_equation():
     assert is_cocycle2(tau) is False  # a cocycle would have zero coboundary
 
 
-def test_is_cocycle2_streams_unless_a_coboundary_is_cached(rng):
-    """A plain 2-cochain is decided by the narrow sweep and caches nothing;
-    one whose coboundary is cached, such as a trivializer carrying its
-    tricharacter, reads that instead and builds no table."""
+def test_is_cocycle2_streams_and_caches_nothing(rng):
+    """is_cocycle2 decides by the narrow sweep: it caches no coboundary, and
+    a trivializer carrying its tricharacter gains no table from the check."""
     g = make_group([4, 2, 3])
     table = rng.integers(0, 12, size=(g.order, g.order))
     table[0, :] = table[:, 0] = 0

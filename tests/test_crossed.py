@@ -67,7 +67,7 @@ def tw_shift():
 def test_bundled_twists_validate(tw_m2):
     tw_m2.validate()
     z4_scalar_twist().validate()
-    TwistData.trivial(make_group([4]), dim=3).validate()
+    TwistData(make_group([4]), dim=3).validate()
 
 
 def test_scalar_twist_phi_is_sigma_coboundary():
@@ -239,7 +239,7 @@ def test_duality_random_mode_refuses_fewer_than_one_trial(trials):
     with pytest.raises(ConfigError, match="positive integer"):
         verify_duality(tw, epsilon_tricharacter_z4(), trials=trials)
     # the exhaustive mode (n^2 d^2 <= 64) still ignores trials
-    small = TwistData.trivial(make_group([4]), dim=2)
+    small = TwistData(make_group([4]), dim=2)
     report = verify_duality(small, Cochain3.zero(small.group), trials=trials)
     assert report.mode == "exhaustive" and report.passed and report.trials == 64 * 64
 
@@ -439,7 +439,7 @@ def test_trivializer_leaves_its_tricharacter_in_lowest_terms():
 def test_psi_of_another_arity_is_refused(entry):
     # A 2-cochain psi used to broadcast its rows: verify_duality passed.
     g = make_group([2, 2, 2])
-    tw = TwistData.trivial(g)
+    tw = TwistData(g)
     a = StrictifiedElement.delta(tw, g.identity, g.identity)
     psi = Cochain2.zero(g)
     call = {
@@ -511,12 +511,8 @@ def test_twist_data_refuses_dim_below_one(dim):
 @pytest.mark.parametrize("dim", [0, -1])
 def test_twist_constructors_refuse_dim_below_one(dim):
     g = make_group([2])
-    for build in (
-        lambda: TwistData.trivial(g, dim),
-        lambda: TwistData.scalar_from_sigma(g, Cochain2.zero(g), dim),
-    ):
-        with pytest.raises(TwistDataError, match="dim must be at least 1"):
-            build()
+    with pytest.raises(TwistDataError, match="dim must be at least 1"):
+        TwistData.scalar_from_sigma(g, Cochain2.zero(g), dim)
 
 
 # ------------------------------------------- exact twist checks against floats
@@ -555,7 +551,7 @@ def bundled_twists():
         pauli_m2_twist(),
         pauli_m2_twist(shift_bicharacter()),
         z4_scalar_twist(),
-        TwistData.trivial(make_group([4]), dim=3),
+        TwistData(make_group([4]), dim=3),
     ]
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = load_config(str(path))

@@ -42,8 +42,8 @@ def kernels(rng):
 
 
 def crossed_elements(rng):
-    tw = TwistData.trivial(make_group([2, 2]))
-    other = TwistData.trivial(make_group([4]))
+    tw = TwistData(make_group([2, 2]))
+    other = TwistData(make_group([4]))
     return (
         CrossedElement.random(tw, rng),
         CrossedElement.random(tw, rng),
@@ -52,8 +52,8 @@ def crossed_elements(rng):
 
 
 def strictified_elements(rng):
-    tw = TwistData.trivial(make_group([2, 2]), dim=2)
-    other = TwistData.trivial(make_group([2, 2]))
+    tw = TwistData(make_group([2, 2]), dim=2)
+    other = TwistData(make_group([2, 2]))
     return (
         StrictifiedElement.random(tw, rng),
         StrictifiedElement.random(tw, rng),
@@ -123,7 +123,7 @@ def test_mixed_spaces_are_refused(cls, field, make, rng):
 
 
 def test_element_types_do_not_mix(rng):
-    tw = TwistData.trivial(make_group([2, 2]))
+    tw = TwistData(make_group([2, 2]))
     a = CrossedElement.random(tw, rng)
     b = StrictifiedElement.random(tw, rng)
     with pytest.raises(IncompatibleGroupsError):
