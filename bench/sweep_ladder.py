@@ -17,8 +17,13 @@ exhaustive sweep on its own fresh plain Cochain3 copy of phi's table:
 `certificate_s` runs the first three on phi itself, which a Tricharacter
 answers from its tensor without a sweep; the answers must equal the swept ones.
 `ns_per_cell` divides the three full sweeps of `sweep_s` by the n^4 cells each
-visits. `peak_rss_mb` is the process's peak RSS after the checks. One JSON
-line per order.
+visits. `table_mb` is the size of one plain n^3 table over m, phi's (stored
+in the narrowest type that holds m - 1, as the plain copy is). `peak_rss_mb` is the
+process's peak RSS after the checks. One JSON line per order.
+
+The rungs with no repeats (|G| = 256 and 512) measure memory only: they build
+the plain copy and its sum with the bump once and run the early-exit
+`cocycle3_witness` on the sum, with no full n^4 sweep and no certificates.
 """
 
 import statistics
@@ -26,11 +31,13 @@ import time
 
 import ladder
 
-LADDER = {  # order -> (factors, modulus, repeats)
+LADDER = {  # order -> (factors, modulus, repeats); no repeats: memory only
     8: ([2, 2, 2], 2, 20),
     16: ([2, 2, 4], 2, 20),
     64: ([4, 4, 4], 4, 5),
     128: ([2, 4, 4, 4], 4, 3),
+    256: ([4, 4, 4, 4], 4, 0),
+    512: ([2, 4, 4, 4, 4], 4, 0),
 }
 FULL_SWEEPS = ("is_cocycle3", "check_multiplier_relation", "associativity_cocycle_sweep")
 
@@ -53,9 +60,27 @@ def point(order):
     units = [tuple(int(a == axis) for a in range(group.rank)) for axis in range(group.rank)]
     bump = nt.Cochain3.from_entries(group, [(tuple(units[-3:]), f"1/{m}")])
 
+    witness = tuple(units[-1:] + units[-3:])  # (c, a, b, c)
+    table_mb = phi.table.nbytes / 2**20
+    if not repeats:
+        bumped = nt.Cochain3(group, phi.table, m) + bump
+        result, seconds = timed(nt.cocycle3_witness, bumped)
+        if tuple(e.coords for e in result) != witness:
+            raise SystemExit(f"order {order}: swept cocycle3_witness returned {result}")
+        return {
+            "order": order,
+            "factors": factors,
+            "den": m,
+            "repeats": repeats,
+            "setup_s": setup_s,
+            "sweep_s": {"cocycle3_witness": seconds},
+            "table_mb": table_mb,
+            "peak_rss_mb": ladder.peak_rss_mb(),
+        }
+
     expected = {name: None for name in FULL_SWEEPS}
     expected["is_cocycle3"] = True
-    expected["cocycle3_witness"] = tuple(units[-1:] + units[-3:])  # (c, a, b, c)
+    expected["cocycle3_witness"] = witness
     swept = {name: [] for name in expected}
     certified = {name: [] for name in FULL_SWEEPS}
     for _ in range(repeats):
@@ -86,6 +111,7 @@ def point(order):
         "sweep_s": sweep_s,
         "certificate_s": {name: statistics.median(v) for name, v in certified.items()},
         "ns_per_cell": {name: sweep_s[name] / order**4 * 1e9 for name in FULL_SWEEPS},
+        "table_mb": table_mb,
         "peak_rss_mb": ladder.peak_rss_mb(),
     }
 

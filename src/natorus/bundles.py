@@ -164,16 +164,18 @@ def nap_condition_check(
     compacts.
 
     Each fiber's twisted group algebra is presented as a scalar twist datum
-    (sigma = the fiber's cochain, phi = its coboundary); the
-    duality transform must carry its crossed product onto (-phi)-twisted
-    kernels. Exhaustive over basis pairs for scalar fibers of small order,
-    so a pass is a structure-constant match, not a sample.
+    with sigma = the fiber's cochain and phi = the bundle's phi, which
+    validate proves equal to delta sigma exactly, slab by slab, with no n^3
+    table; the duality transform must carry its crossed product onto
+    (-phi)-twisted kernels, so for a tricharacter phi the check streams.
+    Exhaustive over basis pairs for scalar fibers of small order, so a pass
+    is a structure-constant match, not a sample.
     """
     reports = {}
     max_error = 0.0
     for x in bundle.base:
         alg = bundle.fiber(x)
-        tw = TwistData.scalar_from_sigma(bundle.group, alg.sigma)
+        tw = TwistData(bundle.group, sigma=alg.sigma, phi=bundle.phi)
         psi = -tw.phi
         reports[x] = verify_duality(tw, psi, trials=trials, seed=seed, tol=tol)
         max_error = max(max_error, reports[x].max_error)

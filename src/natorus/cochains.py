@@ -2,7 +2,11 @@
 
 Tables are stored as integer numerators over a single common denominator, so
 coboundaries and cocycle identities are evaluated in exact integer arithmetic
-(vectorized with numpy). Values come in and out as `Phase` objects.
+(vectorized with numpy). Values come in and out as `Phase` objects. A plain
+table holds its residues in [0, den) in the narrowest type that holds den - 1
+(`_storage_dtype`: uint8 up to den = 256, then uint16, uint32, and int64 past
+2^32); every sum, difference, negation or multiple of entries widens them to
+int64 first, or runs in the exact sweep type (`_sweep_dtype`).
 
 A k-cochain here is always normalized: it vanishes whenever any argument is
 the identity. Tricharacters (multilinear phase forms built from an integer
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -67,31 +71,55 @@ def _require_denominator(den: int) -> None:
         )
 
 
+def _storage_dtype(den: int) -> np.dtype:
+    """The type a plain table over `den` is stored in: the narrowest unsigned
+    type that holds den - 1 (uint8 up to den = 256, then uint16, then uint32).
+    Past 2^32 it is int64, not uint64, which numpy promotes to float64 when
+    mixed with int64."""
+    return np.min_scalar_type(den - 1) if den <= 2**32 else np.dtype(np.int64)
+
+
+def _stored(rows: Iterable[np.ndarray], shape: tuple, den: int) -> np.ndarray:
+    """A fresh table of `shape` in `_storage_dtype(den)` whose leading slices
+    are `rows`, residues in [0, den) of any integer type, written one at a
+    time: no full-size wider array is formed."""
+    table = np.empty(shape, dtype=_storage_dtype(den))
+    for out, row in zip(table, rows):
+        out[...] = row
+    return table
+
+
+def _require_shape(group: FiniteAbelianGroup, arity: int, shape: tuple) -> None:
+    n = group.order
+    if shape != (n,) * arity:
+        raise CochainError(f"table shape {shape} does not match arity {arity} over order {n}")
+
+
 class CochainTable:
     """A normalized k-cochain as an integer table over a common denominator."""
 
     def __init__(self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int):
-        self._adopt(group, arity, np.asarray(table, dtype=np.int64), den, reduce=True)
+        """Any integer table, of which a reduced copy mod den is stored, one
+        leading slice at a time, widened to int64 only while it is reduced."""
+        table = np.asarray(table)
+        if table.dtype.kind not in "iu":
+            table = table.astype(np.int64)
+        _require_denominator(den)
+        _require_shape(group, arity, table.shape)
+        rows = (np.remainder(row, den, dtype=np.int64) for row in table)
+        self._adopt(group, arity, _stored(rows, table.shape, den), den)
 
-    def _adopt(
-        self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int, reduce=False
-    ):
-        """Take ownership of `table`, a fresh int64 array already reduced mod den
-        (with reduce=True, any int64 table, of which a reduced copy is taken):
-        check den, the shape and normalization, and freeze it, without a copy.
+    def _adopt(self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int):
+        """Take ownership of `table`, a fresh array of residues mod den in
+        `_storage_dtype(den)`: check den, the shape and normalization, and
+        freeze it, without a copy.
 
         Every cochain passes here, so this is where a denominator above 2^62 is
         refused, the bound of common_denominator: below it, numerators and sums
         of two of them fit in int64.
         """
         _require_denominator(den)
-        if reduce:
-            table = table % den
-        n = group.order
-        if table.shape != (n,) * arity:
-            raise CochainError(
-                f"table shape {table.shape} does not match arity {arity} over order {n}"
-            )
+        _require_shape(group, arity, table.shape)
         for axis in range(arity):
             sl = [slice(None)] * arity
             sl[axis] = 0
@@ -129,17 +157,16 @@ class CochainTable:
 
     def sheared_rows(self) -> Iterator[np.ndarray]:
         """c(w - y, y - z, z) over [y, z] for each w in index order, as an (n, n)
-        array of residues in [0, den) in an unsigned type: the rows in which
+        array of residues in [0, den) in an integer type: the rows in which
         the duality check (`crossed`) reads a 3-cochain. A plain table gathers
-        each row from its table; a `Tricharacter` builds them as a running sum
-        from its tensor, like its slabs, and forms no n^3 array. Each row is a
-        fresh array.
+        each row from its table, in the table's own type; a `Tricharacter`
+        builds them as a running sum from its tensor, like its slabs, and
+        forms no n^3 array. Each row is a fresh array.
         """
         n, sub = self.group.order, self.group.sub_table
         cells = sub * n + np.arange(n)  # (y - z, z) over [y, z], flat into n x n
         for w in range(n):  # one flat take: faster than indexing with three arrays
-            rows = self.table.take(sub[w, :, None] * (n * n) + cells)
-            yield rows.astype(np.min_scalar_type(self.den - 1))
+            yield self.table.take(sub[w, :, None] * (n * n) + cells)
 
     def _content_gcd(self) -> int:
         """gcd of den and every entry, read slab by slab."""
@@ -159,19 +186,23 @@ class CochainTable:
 
     def _combine(self, other: "CochainTable", sign: int) -> "CochainTable":
         """self + sign * other over the common denominator, built in one fresh
-        table from the two operands' slabs, so neither operand's whole table
-        is read and no second full-size temporary is formed."""
+        narrow table from the two operands' slabs, each pair summed in int64,
+        so neither operand's whole table is read and no full-size temporary
+        is formed."""
         if not isinstance(other, CochainTable) or other.arity != self.arity:
             raise CochainError("can only combine cochains of equal arity")
         self.group._require_same(other.group)
         d = common_denominator(self.den, other.den)
-        out = np.empty((self.group.order,) * self.arity, dtype=np.int64)
         scale, step = d // self.den, sign * (d // other.den)
-        for row, a, b in zip(out, self.slabs(), other.slabs()):
-            np.multiply(a, scale, out=row, dtype=np.int64)
-            row += np.multiply(b, step, dtype=np.int64)
-        np.remainder(out, d, out=out)
-        return type(self)._from_table(self.group, self.arity, out, d)
+
+        def rows():
+            for a, b in zip(self.slabs(), other.slabs()):
+                row = np.multiply(a, scale, dtype=np.int64)
+                row += np.multiply(b, step, dtype=np.int64)
+                yield np.remainder(row, d, out=row)
+
+        shape = (self.group.order,) * self.arity
+        return type(self)._from_table(self.group, self.arity, _stored(rows(), shape, d), d)
 
     def __add__(self, other: "CochainTable") -> "CochainTable":
         return self._combine(other, 1)
@@ -183,8 +214,8 @@ class CochainTable:
         return self._negated()
 
     def _negated(self) -> "CochainTable":
-        out = np.negative(self.table)
-        np.remainder(out, self.den, out=out)
+        rows = (np.remainder(np.negative(row, dtype=np.int64), self.den) for row in self.table)
+        out = _stored(rows, self.table.shape, self.den)
         return type(self)._from_table(self.group, self.arity, out, self.den)
 
     def __eq__(self, other) -> bool:
@@ -200,6 +231,8 @@ class CochainTable:
             g_a, g_b = self._content_gcd(), other._content_gcd()
             if self.den // g_a != other.den // g_b:
                 return False
+            if g_a == self.den:  # both zero; den itself may not fit the slabs' type
+                return True
         return all(
             np.array_equal(a // g_a, b // g_b) for a, b in zip(self.slabs(), other.slabs())
         )
@@ -209,8 +242,10 @@ class CochainTable:
     @classmethod
     def _from_table(cls, group, arity, table, den):
         """A cochain in lowest terms that takes ownership of `table`, a fresh
-        int64 array already reduced mod den."""
-        table, den = _lowest_terms(table, den)
+        array of residues mod den in `_storage_dtype(den)`: divided in place,
+        and narrowed when the lower denominator allows a narrower type."""
+        table, den = _lowest_terms(table, den, out=table)
+        table = table.astype(_storage_dtype(den), copy=False)
         if arity == 3 and issubclass(cls, Cochain3):
             kind = Cochain3
         elif arity == 2 and issubclass(cls, Cochain2):
@@ -228,10 +263,14 @@ class CochainTable:
         )
 
 
-def _lowest_terms(table: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """(table, den) divided by the gcd of den and every entry; entries in [0, den)."""
+def _lowest_terms(table: np.ndarray, den: int, out=None) -> tuple[np.ndarray, int]:
+    """(table, den) divided by the gcd of den and every entry; entries in [0, den),
+    divided into `out` when given. When that gcd is den every entry is zero
+    and the table is returned as it is, over 1: den itself may not fit its type."""
     g = gcd(int(np.gcd.reduce(table, axis=None)), den)
-    return (table // g, den // g) if g > 1 else (table, den)
+    if g == 1:
+        return table, den
+    return (table if g == den else np.floor_divide(table, g, out=out)), den // g
 
 
 def require_cochain(cochain, arity: int, group=None, name="phi", error=CochainError) -> None:
@@ -252,16 +291,23 @@ class _FixedArity(CochainTable):
         super().__init__(group, self.ARITY, table, den)
 
     @classmethod
+    def _adopted(cls, group: FiniteAbelianGroup, table: np.ndarray, den: int):
+        """A cochain that owns `table`, as `_adopt` takes it, with no copy."""
+        out = cls.__new__(cls)
+        out._adopt(group, cls.ARITY, table, den)
+        return out
+
+    @classmethod
     def from_function(cls, group: FiniteAbelianGroup, fn: Callable):
-        return cls(*_tabulate(group, cls.ARITY, fn))
+        return cls._adopted(group, *_tabulate(group, cls.ARITY, fn))
 
     @classmethod
     def from_entries(cls, group: FiniteAbelianGroup, entries: Mapping):
-        return cls(*_from_entries(group, cls.ARITY, entries))
+        return cls._adopted(group, *_from_entries(group, cls.ARITY, entries))
 
     @classmethod
     def zero(cls, group: FiniteAbelianGroup):
-        return cls(group, np.zeros((group.order,) * cls.ARITY, dtype=np.int64), 1)
+        return cls._adopted(group, np.zeros((group.order,) * cls.ARITY, dtype=np.uint8), 1)
 
 
 class Cochain2(_FixedArity):
@@ -272,15 +318,14 @@ class Cochain2(_FixedArity):
     @cached_property
     def coboundary(self) -> "Cochain3":
         """delta sigma (see coboundary2), in lowest terms, cached: the n^3 pass
-        (the narrow sweep's slabs, `_coboundary2_slice`, copied into one n^3
-        int64 table) runs once per cochain, and every later coboundary2 call,
-        cocycle check or twist built from it shares this one Cochain3.
+        (the narrow sweep's slabs, `_coboundary2_slice`, stored into one n^3
+        table, `_stored`) runs once per cochain, and every later coboundary2
+        call, cocycle check or twist built from it shares this one Cochain3.
         trivializing_cochain, which proves delta tau = phi for a `Tricharacter`
         phi, caches phi here in lowest terms instead, so no table is built.
         """
-        out = np.empty((self.group.order,) * 3, dtype=np.int64)
-        for row, slab in zip(out, _sweep(self, _coboundary2_slice)):
-            row[...] = slab
+        shape = (self.group.order,) * 3
+        out = _stored(_sweep(self, _coboundary2_slice), shape, self.den)
         return Cochain3._from_table(self.group, 3, out, self.den)
 
 
@@ -359,10 +404,10 @@ def _from_entries(group, arity, entries):
 
 
 def _exact_table(group, arity, cells, parse):
-    """(group, int64 table, den) from (index, value) cells, each value read by
-    `parse` into a Phase; cells not given are zero. A value that is no phase
-    raises CochainError, and so does the lcm denominator above 2^62, before
-    any numerator is written to int64."""
+    """(table, den) from (index, value) cells, each value read by `parse` into
+    a Phase, with the table in `_storage_dtype(den)`; cells not given are
+    zero. A value that is no phase raises CochainError, and so does the lcm
+    denominator above 2^62, before any numerator is written."""
     parsed = []
     den = 1
     for idx, value in cells:
@@ -373,10 +418,10 @@ def _exact_table(group, arity, cells, parse):
         parsed.append((idx, p))
         den = lcm(den, p.denominator)
     _require_denominator(den)
-    table = np.zeros((group.order,) * arity, dtype=np.int64)
+    table = np.zeros((group.order,) * arity, dtype=_storage_dtype(den))
     for idx, p in parsed:
         table[idx] = p.numerator * (den // p.denominator)
-    return group, table, den
+    return table, den
 
 
 def _stage_modulus(group: FiniteAbelianGroup, modulus: int | None) -> int:
@@ -463,14 +508,10 @@ class Tricharacter(Cochain3):
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The dense n^3 table, built one index at a time, reducing mod m
-        after each stage: Q[c,i,j] = sum_k c_k M[i,j,k], then
-        P[b,c,i] = sum_j b_j Q[c,i,j], then table[a,b,c] = sum_i a_i P[b,c,i].
-        That costs about n^3 k multiply-adds for rank k, against n^3 k^3 for
-        the direct sum; `_stage_modulus` keeps each stage inside int64."""
-        table = self.tensor
-        for _ in range(3):
-            table = _contract_last(self.group.coords, table, self.modulus)
+        """The dense n^3 table in `_storage_dtype(m)`, its slabs (`slabs`, a
+        running sum in a narrow type) stored one at a time, so no wider n^3
+        array is formed."""
+        table = _stored(self.slabs(), (self.group.order,) * 3, self.modulus)
         table.setflags(write=False)
         return table
 
@@ -650,9 +691,10 @@ def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
     """chunk(table, group, i) mod den for each index i of phi's first slot.
 
     The one driver of the exact sweeps: the n^4 cocycle sweeps of 3-cochains
-    and the n^3 coboundary of a 2-cochain. `table` is a copy of phi's table
-    in `_sweep_dtype(den)` (phi's own read-only table in the int64 case),
-    made here and dropped when the sweep ends, never cached on the cochain.
+    and the n^3 coboundary of a 2-cochain. `table` is phi's own read-only
+    table when its storage type is `_sweep_dtype(den)` (den dividing 256, or
+    past 2^32 with int64 enough), else a copy in that type, made here and
+    dropped when the sweep ends, never cached on the cochain.
     A chunk sums at most five signed entries of it and may be built in place;
     the driver reduces it mod den in place (for uint8, whose wraparound is
     already arithmetic mod 256, by masking).
@@ -690,10 +732,9 @@ def _coboundary3_slice(t: np.ndarray, group: FiniteAbelianGroup, w: int) -> np.n
 
 
 def coboundary3(phi: Cochain3) -> CochainTable:
-    """(delta phi)(w,x,y,z) with the alternating-sum convention; arity-4 int64 table."""
-    out = np.empty((phi.group.order,) * 4, dtype=np.int64)
-    for w, chunk in enumerate(_sweep(phi, _coboundary3_slice)):
-        out[w] = chunk
+    """(delta phi)(w,x,y,z) with the alternating-sum convention, as an arity-4
+    table stored narrow (`_stored`) from the sweep's chunks."""
+    out = _stored(_sweep(phi, _coboundary3_slice), (phi.group.order,) * 4, phi.den)
     return CochainTable._from_table(phi.group, 4, out, phi.den)
 
 

@@ -54,6 +54,7 @@ from .cochains import (
     Tricharacter,
     _coboundary2_mismatch,
     _lowest_terms,
+    _stored,
     coboundary2,
     exp_phases,
     require_cochain,
@@ -318,10 +319,24 @@ def _at(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return flat.take(cells, axis=-3)
 
 
-def _block_product(d: int):
-    """The product of stacked d x d blocks; elementwise when d = 1, where it is
-    much faster than matmul on 1 x 1 matrices."""
-    return np.multiply if d == 1 else np.matmul
+def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b on stacked d x d blocks (the last two axes, leading axes
+    broadcast), unrolled as sum_j a[..., :, j, None] b[..., None, j, :]: d
+    broadcast multiply-adds, far faster than stacked matmul on small blocks.
+    For d = 1 that is the product of the entries, taken without the slicing,
+    which costs as much as the multiply on a duality row's small arrays.
+    `out` may alias a or b: for d > 1 the sum is then formed apart and
+    copied in."""
+    d = a.shape[-1]
+    if d == 1:
+        return np.multiply(a, b, out=out)
+    if out is not None and (np.may_share_memory(out, a) or np.may_share_memory(out, b)):
+        out[...] = _block_product(a, b)
+        return out
+    acc = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
+    for j in range(1, d):
+        acc += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return acc
 
 
 def _diffs(g: FiniteAbelianGroup) -> np.ndarray:
@@ -334,12 +349,11 @@ def _transform_in_place(tw: TwistData, out: np.ndarray, u_out: np.ndarray | None
     """Turn out = a(w - z, z) over [w, z], of shape (..., n, n, d, d), into the
     duality transform of a, V_w^* a(w - z, z) u(w - z, z) V_w, in place;
     u_out is u(w - z, z) over [w, z], or None to drop the multiplier."""
-    block = _block_product(tw.dim)
     if u_out is not None:
-        block(out, u_out, out=out)
+        _block_product(out, u_out, out=out)
     v = tw.beta[:, None]  # V_w, constant along z
-    block(np.conj(v).swapaxes(-1, -2), out, out=out)
-    return block(out, v, out=out)
+    _block_product(np.conj(v).swapaxes(-1, -2), out, out=out)
+    return _block_product(out, v, out=out)
 
 
 def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.ndarray:
@@ -375,11 +389,12 @@ class _DualityRows:
     u(w - z, z) V_w, which does not depend on y and multiplies the summed
     row. Row w's exponents are the sheared rows of psi + phi: when both are
     tricharacters, of their sum as one, streamed from its tensor in O(n^2)
-    memory; with a plain operand, of the plain sum, gathered once per check
-    into one narrow n^3 table, after which the int64 sum is dropped. The
-    right side is the kernel product, read with the weight row
-    exp(2 pi i psi(w, ., .)) from psi's own slabs, so exp_phases sees psi's
-    numerators over psi.den, of transform(b) and row w of transform(a),
+    memory; with a plain operand, of the plain sum (itself a narrow table),
+    gathered once per check into one n^3 table of the same type, after
+    which the sum is dropped. The right side is the kernel product, read
+    with the weight row exp(2 pi i psi(w, ., .)) from psi's own slabs, so
+    exp_phases sees psi's numerators over psi.den, of transform(b) and row
+    w of transform(a),
     V_w^* a(w - z, z) u(w - z, z) V_w, which shares its gather with L(w, .).
     transform(b) is computed in place on a copy of the gather b(y - z, z)
     that the left side reads, and b itself is dropped. Pairs stacked along
@@ -395,22 +410,18 @@ class _DualityRows:
         g = tw.group
         n, d = g.order, tw.dim
         self.tw, self.psi = tw, psi
-        self.block = _block_product(d)
         self.sub, self.zi = g.sub_table, np.arange(n)
         self.diffs = _diffs(g)  # (y - z, z) over [y, z], flat into n x n
         self.beta_h = np.conj(tw.beta).transpose(0, 2, 1)
-        self.vu = self.block(self.beta_h[:, None], tw.u).reshape(n * n, d, d)  # V_t^* u(t, r)
+        self.vu = _block_product(self.beta_h[:, None], tw.u).reshape(n * n, d, d)  # V_t^* u(t, r)
         self.u_out = _at(tw.u, self.diffs) if include_multiplier else None  # u(w - z, z)
         u_out = np.eye(d) if self.u_out is None else self.u_out
-        self.right = self.block(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
+        self.right = _block_product(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
         self.tile = _pairs_per_tile(n, d)
         total = psi + tw.phi
         self.den, self.exponents = total.den, total.sheared_rows
         if not isinstance(total, Tricharacter):  # its rows once, as one narrow table
-            table = np.empty((n, n, n), dtype=np.min_scalar_type(total.den - 1))
-            for row, exponent in zip(table, total.sheared_rows()):
-                row[...] = exponent
-            self.exponents = partial(iter, table)
+            self.exponents = partial(iter, _stored(total.sheared_rows(), (n, n, n), total.den))
 
     def __call__(self, a: np.ndarray, b: np.ndarray):
         b_sub = _at(b, self.diffs)  # b(y - z, z) over [y, z]
@@ -431,7 +442,7 @@ class _DualityRows:
     def _row(self, w, exponent, psi_row, a, b_sub, tb, tiles):
         """(lhs, rhs) of row w; its slices of R and of the kernel weights are
         dropped on return, before the next row builds its own."""
-        tw, block, sub, zi = self.tw, self.block, self.sub, self.zi
+        tw, block, sub, zi = self.tw, _block_product, self.sub, self.zi
         n = tw.group.order
         t = sub[w]  # w - y over y
         pairs = (t * n)[:, None] + sub  # (w - y, y - z) over [y, z], flat into n x n

@@ -147,11 +147,12 @@ def check_gamma_relation(phi: Cochain3, omega, xi, kernel: TwistedKernel) -> flo
 
 def _combination_exponent(phi: Cochain3, i: int, j: int, k: int) -> np.ndarray:
     """The exact exponent of the multiplier combination at indices (i, j, k)
-    over x, reduced mod phi.den:
+    over x, reduced mod phi.den, summed in int64 (the table's own type may wrap):
         phi(xi, eta, x) + phi(xi+eta, zeta, x) - phi(xi, eta+zeta, x) - phi(eta, zeta, x-xi).
     """
     t, add, sub = phi.table, phi.group.add_table, phi.group.sub_table
-    return (t[i, j, :] + t[add[i, j], k, :] - t[i, add[j, k], :] - t[j, k, sub[:, i]]) % phi.den
+    total = t[i, j, :].astype(np.int64) + t[add[i, j], k, :]
+    return (total - t[i, add[j, k], :] - t[j, k, sub[:, i]]) % phi.den
 
 
 def multiplier_combination(phi: Cochain3, xi, eta, zeta) -> np.ndarray:

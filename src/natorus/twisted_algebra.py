@@ -79,8 +79,9 @@ class TwistedGroupAlgebra:
         return coboundary2(self.sigma).is_zero()
 
     def is_real(self) -> bool:
-        """True when every structure constant is +-1."""
-        return bool((2 * self.sigma.table % self.sigma.den == 0).all())
+        """True when every structure constant is +-1: 2 sigma = 0, doubled in
+        int64, since the table's own type may wrap."""
+        return not (2 * self.sigma.table.astype(np.int64) % self.sigma.den).any()
 
     # --------------------------------------------------------- left action
 

@@ -54,6 +54,16 @@ def test_sweep_ladder_runs_one_order():
     # median of 20 answers with no sweep stays below the swept one.
     assert set(point["certificate_s"]) == full
     assert all(0 <= point["certificate_s"][k] < point["sweep_s"][k] for k in full)
+    assert point["table_mb"] == 8**3 / 2**20  # one byte per entry over den 2
+    assert point["peak_rss_mb"] > 0
+
+
+def test_sweep_ladder_memory_rung_runs_the_witness_alone():
+    point = run_one_order("sweep_ladder.py", 256)
+    assert point["order"] == 256 and point["den"] == 4 and point["repeats"] == 0
+    assert set(point["sweep_s"]) == {"cocycle3_witness"} and point["sweep_s"]["cocycle3_witness"] > 0
+    assert "certificate_s" not in point and "ns_per_cell" not in point
+    assert point["table_mb"] == 16.0  # 256^3 entries of one byte
     assert point["peak_rss_mb"] > 0
 
 

@@ -42,7 +42,7 @@ from natorus import crossed
 from natorus.cochains import _lowest_terms, exp_phases
 from natorus.acceptance import criterion_fourier_evaluation
 from natorus.configs import load_config
-from natorus.crossed import _pairs_per_batch, _pairs_per_tile
+from natorus.crossed import _block_product, _pairs_per_batch, _pairs_per_tile
 from natorus.twisted_algebra import levi_civita
 from natorus.presets import (
     epsilon_tricharacter_z4,
@@ -682,3 +682,24 @@ def test_row_phases_are_the_phases_of_the_row_in_lowest_terms(den):
             np.min_scalar_type(den - 1)
         )
         assert np.array_equal(crossed._row_phases(row, den), exp_phases(*_lowest_terms(row, den)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_block_product_is_matmul_on_stacked_blocks(d):
+    """The unrolled block product equals np.matmul on broadcast stacks of
+    d x d blocks, also written in place over either operand."""
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((6, 4, 3, d, d)) + 1j * rng.standard_normal((6, 4, 3, d, d))
+    b = rng.standard_normal((4, 3, d, d)) + 1j * rng.standard_normal((4, 3, d, d))
+    expected = a @ b
+    assert np.abs(_block_product(a, b) - expected).max() <= 1e-13
+    assert np.abs(_block_product(a[0, 0], b[0]) - a[0, 0] @ b[0]).max() <= 1e-13
+    into = np.empty_like(expected)
+    assert _block_product(a, b, out=into) is into
+    assert np.abs(into - expected).max() <= 1e-13
+    left = a.copy()
+    assert _block_product(left, b, out=left) is left
+    assert np.abs(left - expected).max() <= 1e-13
+    right = np.broadcast_to(b, a.shape).copy()
+    assert _block_product(a, right, out=right) is right
+    assert np.abs(right - expected).max() <= 1e-13
