@@ -353,7 +353,7 @@ def _coboundary2_mismatch(sigma: Cochain2, phi: Cochain3) -> tuple | None:
             a, b = a.astype(np.int64) * (den // sigma.den), b.astype(np.int64) * (den // phi.den)
         bad = a != b
         if bad.any():
-            return (x, *(int(v) for v in np.argwhere(bad)[0]))
+            return (x, *map(int, np.unravel_index(bad.argmax(), bad.shape)))
     return None
 
 
@@ -711,10 +711,11 @@ def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
 
 
 def _sweep_witness(phi: CochainTable, chunk: Callable) -> tuple | None:
-    """(i, *index of the first nonzero entry in chunk i) over `_sweep`, or None."""
+    """(i, *index of the first nonzero entry in chunk i) over `_sweep`, or None;
+    the entry is found on a boolean mask, with no list of every nonzero index."""
     for i, out in enumerate(_sweep(phi, chunk)):
         if out.any():
-            return (i, *(int(v) for v in np.argwhere(out)[0]))
+            return (i, *map(int, np.unravel_index((out != 0).argmax(), out.shape)))
     return None
 
 

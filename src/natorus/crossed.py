@@ -10,7 +10,8 @@ a 3-cocycle phi, tied together by
 
 A scalar u is central and fixed by beta, so the first relation says that
 beta is a homomorphism up to scalars and the second that phi = delta sigma.
-TwistData.validate checks the first in floats and the second exactly.
+TwistData.validate checks the first in floats and the second exactly. The
+products below scale by u as sigma's (n, n) phase table, one scalar per cell.
 
 Crossed elements are B-valued functions on G with the twisted convolution;
 strictified elements carry an extra function leg and multiply with an
@@ -37,14 +38,14 @@ exponent psi + phi as the one cochain that `cochains` adds: a tricharacter
 when psi and phi are, and then the check holds no n^3 array at all.
 strictified_product and takai_transform compute by the definitions and are
 the route the tests compare against; strictified_product reads the sum's
-slabs and shares no other code with the check.
+slabs and shares only _row_phases and the twist's own tables with the check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -87,8 +88,8 @@ class TwistData:
             raise TwistDataError(f"dim must be at least 1, got {dim}")
         n = group.order
         if beta is None:
-            beta = np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy()
-        beta = np.asarray(beta, dtype=complex)
+            beta = np.broadcast_to(np.eye(dim), (n, dim, dim))
+        beta = np.array(beta, dtype=complex)  # a copy: the caller's array stays theirs
         if beta.shape != (n, dim, dim):
             raise TwistDataError(f"beta must have shape {(n, dim, dim)}, got {beta.shape}")
         if sigma is None:
@@ -113,18 +114,6 @@ class TwistData:
         """Trivial beta, u(x,y) = exp(2 pi i sigma(x,y)) 1_B, phi = delta sigma:
         sigma's cached coboundary, so validate needs no sweep for it."""
         return cls(group, dim, sigma=sigma)
-
-    # ------------------------------------------------------------- queries
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        """u(x, y) = exp(2 pi i sigma(x, y)) 1_B, read-only, shape (n, n, d, d)."""
-        u = self.sigma.complex_table[:, :, None, None] * np.eye(self.dim, dtype=complex)
-        u.setflags(write=False)
-        return u
-
-    def is_scalar(self) -> bool:
-        return self.dim == 1
 
     # ----------------------------------------------------------- validation
 
@@ -241,7 +230,7 @@ def lbs_product(a: CrossedElement, b: CrossedElement) -> CrossedElement:
         moved = np.einsum("ab,sbc,dc->sad", tw.beta[t], b.values, np.conj(tw.beta[t]))
         # index s: a(t) moved[s - t] u(t, s - t)
         rt = sub[:, t]
-        out += np.einsum("ab,sbc,scd->sad", a.values[t], moved[rt], tw.u[t][rt])
+        out += np.einsum("ab,sbc,s->sac", a.values[t], moved[rt], tw.sigma.complex_table[t, rt])
     return CrossedElement(tw, out)
 
 
@@ -251,9 +240,8 @@ def lbs_involution(a: CrossedElement) -> CrossedElement:
     g = tw.group
     neg = g.neg_table
     moved = np.einsum("xab,xbc,xdc->xad", tw.beta, a.values[neg], np.conj(tw.beta))
-    uinv = np.conj(tw.u[np.arange(g.order), neg].transpose(0, 2, 1))
-    out = np.einsum("xab,xcb->xac", uinv, np.conj(moved))
-    return CrossedElement(tw, out)
+    uinv = np.conj(tw.sigma.complex_table[np.arange(g.order), neg])
+    return CrossedElement(tw, np.einsum("x,xcb->xbc", uinv, np.conj(moved)))
 
 
 def dual_action(xi, a: CrossedElement) -> CrossedElement:
@@ -293,12 +281,13 @@ def strictified_product(
     require_cochain(psi, 3, tw.group, "psi")
     total = psi + tw.phi
     add = tw.group.add_table
+    phases = tw.sigma.complex_table  # u(t, r) = phases[t, r] 1_B
     out = np.zeros_like(a.values)
     for t, exponent in enumerate(total.slabs()):
         # index [r, x] with r = s - t
         moved = np.einsum("ab,rxbc,dc->rxad", tw.beta[t], b.values, np.conj(tw.beta[t]))
         w_t = _row_phases(exponent, total.den)
-        term = np.einsum("rx,rxab,rxbc,rcd->rxad", w_t, a.values[t][add], moved, tw.u[t])
+        term = np.einsum("rx,rxab,rxbc,r->rxac", w_t, a.values[t][add], moved, phases[t])
         out[add[t]] += term
     return StrictifiedElement(tw, out)
 
@@ -348,9 +337,10 @@ def _diffs(g: FiniteAbelianGroup) -> np.ndarray:
 def _transform_in_place(tw: TwistData, out: np.ndarray, u_out: np.ndarray | None) -> np.ndarray:
     """Turn out = a(w - z, z) over [w, z], of shape (..., n, n, d, d), into the
     duality transform of a, V_w^* a(w - z, z) u(w - z, z) V_w, in place;
-    u_out is u(w - z, z) over [w, z], or None to drop the multiplier."""
+    u_out is the scalar u(w - z, z) over [w, z], shape (n, n), or None to
+    drop the multiplier."""
     if u_out is not None:
-        _block_product(out, u_out, out=out)
+        np.multiply(out, u_out[:, :, None, None], out=out)
     v = tw.beta[:, None]  # V_w, constant along z
     _block_product(np.conj(v).swapaxes(-1, -2), out, out=out)
     return _block_product(out, v, out=out)
@@ -359,7 +349,8 @@ def _transform_in_place(tw: TwistData, out: np.ndarray, u_out: np.ndarray | None
 def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.ndarray:
     """The duality transform on value arrays of shape (..., n, n, d, d)."""
     cells = _diffs(tw.group)
-    return _transform_in_place(tw, _at(a, cells), _at(tw.u, cells) if include_multiplier else None)
+    u_out = tw.sigma.complex_table.take(cells) if include_multiplier else None
+    return _transform_in_place(tw, _at(a, cells), u_out)
 
 
 def _sum_over_y(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -385,24 +376,25 @@ class _DualityRows:
 
     The left side is the formula in the module docstring, with R(w, y, z)
     split as the slice exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^*
-    u(w - y, y - z), built for its row and dropped after it, times
-    u(w - z, z) V_w, which does not depend on y and multiplies the summed
-    row. Row w's exponents are the sheared rows of psi + phi: when both are
-    tricharacters, of their sum as one, streamed from its tensor in O(n^2)
-    memory; with a plain operand, of the plain sum (itself a narrow table),
-    gathered once per check into one n^3 table of the same type, after
-    which the sum is dropped. The right side is the kernel product, read
-    with the weight row exp(2 pi i psi(w, ., .)) from psi's own slabs, so
-    exp_phases sees psi's numerators over psi.den, of transform(b) and row
-    w of transform(a),
-    V_w^* a(w - z, z) u(w - z, z) V_w, which shares its gather with L(w, .).
-    transform(b) is computed in place on a copy of the gather b(y - z, z)
-    that the left side reads, and b itself is dropped. Pairs stacked along
-    one shared leading axis (random batches) run in tiles of
-    _pairs_per_tile(n, d) inside each row, so each row's slice of R and
-    kernel weights is built once and the weighted summands of one tile are
-    the only temporary of that size; other leading shapes run as one tile.
-    include_multiplier=False drops u(w - z, z) from R and from both
+    u(w - y, y - z), gathered for its row from the one array V_t^* u(t, r)
+    over [t, r] and dropped after it, times u(w - z, z) V_w, which does not
+    depend on y, multiplies the summed row and is formed per row from V_w
+    and the phases u(w - z, z) over z. Row w's exponents are the sheared
+    rows of psi + phi: when both are tricharacters, of their sum as one,
+    streamed from its tensor in O(n^2) memory; with a plain operand, of the
+    plain sum (itself a narrow table), gathered once per check into one n^3
+    table of the same type, after which the sum is dropped. The right side
+    is the kernel product, read with the weight row exp(2 pi i psi(w, ., .))
+    from psi's own slabs, so exp_phases sees psi's numerators over psi.den,
+    of transform(b) and row w of transform(a), V_w^* a(w - z, z) u(w - z, z)
+    V_w, which shares its gather with L(w, .) and its factor u(w - z, z) V_w
+    with the left side. transform(b) is computed in place on a copy of the
+    gather b(y - z, z) that the left side reads, and b itself is dropped.
+    Pairs stacked along one shared leading axis (random batches) run in
+    tiles of _pairs_per_tile(n, d) inside each row, so each row's slice of R
+    and kernel weights is built once and the weighted summands of one tile
+    are the only temporary of that size; other leading shapes run as one
+    tile. include_multiplier=False drops u(w - z, z) from R and from both
     transforms. No copy of psi and no n^3 complex array is formed.
     """
 
@@ -413,10 +405,10 @@ class _DualityRows:
         self.sub, self.zi = g.sub_table, np.arange(n)
         self.diffs = _diffs(g)  # (y - z, z) over [y, z], flat into n x n
         self.beta_h = np.conj(tw.beta).transpose(0, 2, 1)
-        self.vu = _block_product(self.beta_h[:, None], tw.u).reshape(n * n, d, d)  # V_t^* u(t, r)
-        self.u_out = _at(tw.u, self.diffs) if include_multiplier else None  # u(w - z, z)
-        u_out = np.eye(d) if self.u_out is None else self.u_out
-        self.right = _block_product(u_out, tw.beta[:, None])  # u(w - z, z) V_w over [w, z]
+        phases = tw.sigma.complex_table
+        # V_t^* u(t, r) over [t, r], flat into n x n
+        self.vu = (self.beta_h[:, None] * phases[..., None, None]).reshape(n * n, d, d)
+        self.u_out = phases.take(self.diffs) if include_multiplier else None  # u(w - z, z)
         self.tile = _pairs_per_tile(n, d)
         total = psi + tw.phi
         self.den, self.exponents = total.den, total.sheared_rows
@@ -453,10 +445,11 @@ class _DualityRows:
         # row w of transform(a) by u(w - y, y) V_w
         moved = block(self.beta_h[w], _at(a, t * n + zi))
         left = block(moved, tw.beta[t])
-        ta = block(moved, self.right[w])
+        right = tw.beta[w] if self.u_out is None else self.u_out[w][:, None, None] * tw.beta[w]
+        ta = block(moved, right)
         sides = [
             (
-                block(_sum_over_y(left[s], block(b_sub[s], weight, out=summands)), self.right[w]),
+                block(_sum_over_y(left[s], block(b_sub[s], weight, out=summands)), right),
                 _sum_over_y(ta[s], np.multiply(kernel_weight, tb[s], out=summands)),
             )
             for s, summands in tiles
@@ -494,9 +487,8 @@ def takai_inverse(kernel: TwistedKernel, tw: TwistData) -> StrictifiedElement:
     xi = np.arange(n)
     gathered = kernel.data[add, xi[None, :]]  # [t, x] -> a~(t + x, x)
     moved = np.einsum("txab,txbc,txdc->txad", tw.beta[add], gathered, np.conj(tw.beta[add]))
-    uinv = np.conj(tw.u.transpose(0, 1, 3, 2))
-    out = np.einsum("txab,txbc->txac", moved, uinv)
-    return StrictifiedElement(tw, out)
+    uinv = np.conj(tw.sigma.complex_table)
+    return StrictifiedElement(tw, np.einsum("txab,tx->txab", moved, uinv))
 
 
 def double_dual_action(v, kernel: TwistedKernel, alpha: np.ndarray | None = None) -> TwistedKernel:

@@ -53,14 +53,14 @@ def pauli_conjugators(group: FiniteAbelianGroup) -> np.ndarray:
 
 
 def pauli_m2_twist(shift: Cochain2 | None = None) -> TwistData:
-    """Twist datum with B = M_2: beta = Pauli conjugation, scalar u from the
-    octonion 2-cochain, phi the octonion tricharacter.
+    """Twist datum with B = M_2: beta = Pauli conjugation, sigma the octonion
+    2-cochain (so u = exp(2 pi i sigma) 1_B), phi the octonion tricharacter.
 
     The conjugations compose on the nose (Pauli products are scalar multiples
-    of Paulis), so any central u satisfies the composition relation; the
-    cocycle relation then pins u to a cochain with coboundary phi. An
-    optional bicharacter shift multiplies u without disturbing either
-    relation.
+    of Paulis), so the scalar u satisfies the composition relation for any
+    sigma; the cocycle relation then asks that delta sigma = phi. An
+    optional bicharacter shift is added to sigma; it is a 2-cocycle, so
+    neither relation is disturbed.
     """
     group = octonion_group()
     sigma = octonion_sigma(group)

@@ -104,7 +104,7 @@ class GAction:
     """An action of G on a matrix algebra by conjugation unitaries W_t."""
 
     def __init__(self, group: FiniteAbelianGroup, algebra: MatrixAlgebra, unitaries: np.ndarray):
-        unitaries = np.asarray(unitaries, dtype=complex)
+        unitaries = np.array(unitaries, dtype=complex)  # a copy: the caller's array stays theirs
         if unitaries.shape != (group.order, algebra.dim, algebra.dim):
             raise GradingError(
                 f"need one {algebra.dim}x{algebra.dim} unitary per group element, "

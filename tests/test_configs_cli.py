@@ -164,7 +164,7 @@ def test_parse_twist_preset_and_descriptor():
     tw = parse_twist("pauli-m2")
     assert tw.dim == 2
     scalar = parse_twist({"group": [2, 2, 2], "dim": 1, "sigma": "octonion"})
-    assert scalar.is_scalar()
+    assert scalar.dim == 1
     with pytest.raises(ConfigError):
         parse_twist({"group": [2, 2, 2], "dim": 1, "sigma": "octonion", "phi": "zero"})
 

@@ -74,7 +74,7 @@ def test_scalar_twist_phi_is_sigma_coboundary():
     g = octonion_group()
     tw = TwistData.scalar_from_sigma(g, octonion_sigma())
     assert tw.phi == coboundary2(octonion_sigma())
-    assert tw.is_scalar()
+    assert tw.dim == 1
 
 
 def test_bicharacter_twist_is_untwisted_up_to_phi(tw_shift):
@@ -90,12 +90,16 @@ def test_corrupted_multiplier_rejected(tw_m2):
         TwistData(g, dim=tw_m2.dim, beta=tw_m2.beta, sigma=corrupted, phi=tw_m2.phi)
 
 
-def test_u_is_the_read_only_scalar_multiplier_of_sigma(tw_m2):
-    u = tw_m2.u
-    assert np.array_equal(u, tw_m2.sigma.complex_table[:, :, None, None] * np.eye(2))
-    assert u is tw_m2.u and not u.flags.writeable
-    with pytest.raises(ValueError):
-        u[0, 0] = 0.0
+def test_twist_keeps_a_copy_of_beta(tw_m2):
+    """Writing to the caller's array after construction leaves the twist
+    valid, and the caller's view writable."""
+    base = tw_m2.beta.copy()
+    view = base[:]
+    tw = TwistData(tw_m2.group, 2, beta=view, sigma=tw_m2.sigma, phi=tw_m2.phi)
+    base[1] = 5
+    tw.validate()
+    assert np.array_equal(tw.beta, tw_m2.beta) and not tw.beta.flags.writeable
+    assert view.flags.writeable
 
 
 def test_crossed_unit_is_identity(tw_m2, rng):

@@ -12,6 +12,7 @@ from natorus import (
     Cochain2,
     Cochain3,
     CochainError,
+    CrossedElement,
     GAction,
     GradedElement,
     StrictifiedElement,
@@ -19,6 +20,7 @@ from natorus import (
     TwistData,
     TwistDataError,
     TwistedGroupAlgebra,
+    TwistedKernel,
     associativity_cocycle_sweep,
     bicharacter_from_matrix,
     check_multiplier_relation,
@@ -30,6 +32,8 @@ from natorus import (
     is_cocycle3,
     is_trivial_on,
     kernel_product,
+    lbs_involution,
+    lbs_product,
     make_group,
     represent,
     restrict,
@@ -373,7 +377,8 @@ def test_extract_sigma_is_the_exact_quotient(factors, m, dim, seed):
     tw2 = TwistData(group, dim, sigma=sigma1 + bichar)
     ex = extract_sigma(tw2, tw1)
     assert ex.passed and ex.witness is None and ex.sigma == bichar
-    quotient = tw2.u @ np.conj(tw1.u).swapaxes(-1, -2)
+    u1, u2 = (tw.sigma.complex_table[..., None, None] * np.eye(dim) for tw in (tw1, tw2))
+    quotient = u2 @ np.conj(u1).swapaxes(-1, -2)
     expected = np.exp(2j * np.pi * bichar.table / bichar.den)[:, :, None, None] * np.eye(dim)
     assert np.abs(quotient - expected).max() < 1e-12
 
@@ -633,7 +638,8 @@ def reference_duality_errors(tw, psi, a, b, include_multiplier):
     total, den = exponent_sum(psi, tw.phi)
     weight = np.exp(2j * np.pi * total.astype(float) / den)
     kernel_weight = np.exp(2j * np.pi * psi.table.astype(float) / psi.den)
-    v, vh, u = tw.beta, np.conj(tw.beta).swapaxes(-1, -2), tw.u
+    v, vh = tw.beta, np.conj(tw.beta).swapaxes(-1, -2)
+    u = tw.sigma.complex_table[..., None, None] * np.eye(tw.dim)  # u(t, r) as a d x d matrix
     # (a * b)(s, x) = sum_t w(t, s - t, x) a(t, (s - t) + x) v_t b(s - t, x) v_t^* u(t, s - t)
     product = np.zeros_like(a)
     for t, r in itertools.product(range(n), repeat=2):
@@ -702,6 +708,59 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
 
 
 SHEARED_MODULI = list(range(1, 49)) + [127, 128, 129, 130, 255, 256]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(factors=factor_lists(), d=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_products_match_the_definitions_with_a_matrix_multiplier(factors, d, seed):
+    """lbs_product, lbs_involution, strictified_product, takai_transform (with
+    and without the multiplier) and takai_inverse on a random twist (unitary
+    beta with beta_0 = 1, random sigma and psi, not validated), against
+    per-term loops that multiply u(x, y) = exp(2 pi i sigma(x, y)) 1_d as a
+    d x d matrix."""
+    group = make_group(factors)
+    n, add, sub, neg = group.order, group.add_table, group.sub_table, group.neg_table
+    rng = np.random.default_rng(seed)
+    beta = random_unitaries(rng, (n,), d)
+    beta[0] = np.eye(d)
+    sigma = random_sigma(group, rng, den=int(rng.choice([4, 6, 12])))
+    psi = random_cochain3(group, rng)
+    tw = TwistData(group, d, beta=beta, sigma=sigma, validate=False)
+    u = np.exp(2j * np.pi * sigma.table / sigma.den)[..., None, None] * np.eye(d)
+    total, den = exponent_sum(psi, tw.phi)
+    weight = np.exp(2j * np.pi * total.astype(float) / den)
+    vh = np.conj(beta).swapaxes(-1, -2)
+    pairs = list(itertools.product(range(n), repeat=2))
+
+    def moved(t, m):  # beta_t[m]
+        return beta[t] @ m @ vh[t]
+
+    a, b = CrossedElement.random(tw, rng), CrossedElement.random(tw, rng)
+    product = np.zeros_like(a.values)
+    for s, t in pairs:  # (a * b)(s) = sum_t a(t) beta_t[b(s - t)] u(t, s - t)
+        product[s] += a.values[t] @ moved(t, b.values[sub[s, t]]) @ u[t, sub[s, t]]
+    assert_relatively_close(lbs_product(a, b).values, product)
+    star = [np.linalg.inv(u[x, neg[x]]) @ moved(x, a.values[neg[x]]).conj().T for x in range(n)]
+    assert_relatively_close(lbs_involution(a).values, np.array(star))
+
+    sa, sb = StrictifiedElement.random(tw, rng), StrictifiedElement.random(tw, rng)
+    product = np.zeros_like(sa.values)
+    for (t, r), x in itertools.product(pairs, range(n)):
+        term = sa.values[t, add[r, x]] @ moved(t, sb.values[r, x]) @ u[t, r]
+        product[add[t, r], x] += weight[t, r, x] * term
+    assert_relatively_close(strictified_product(sa, sb, psi).values, product)
+    for include_multiplier in (True, False):
+        transform = np.empty_like(sa.values)
+        for w, z in pairs:  # beta_w^-1[a(w - z, z) u(w - z, z)]
+            m = sa.values[sub[w, z], z] @ (u[sub[w, z], z] if include_multiplier else np.eye(d))
+            transform[w, z] = vh[w] @ m @ beta[w]
+        got = takai_transform(sa, psi, include_multiplier)
+        assert_relatively_close(got.data, transform)
+    kernel = TwistedKernel(group, psi, StrictifiedElement.random(tw, rng).values)
+    inverse = np.empty_like(kernel.data)
+    for t, x in pairs:  # beta_{t+x}[a~(t + x, x)] u(t, x)^-1
+        inverse[t, x] = moved(add[t, x], kernel.data[add[t, x], x]) @ np.linalg.inv(u[t, x])
+    assert_relatively_close(takai_inverse(kernel, tw).values, inverse)
 
 
 def tricharacter_reference(tri):

@@ -53,6 +53,18 @@ def test_bundled_actions_validate(trans4, conj4):
     assert grading_check(conj4).passed
 
 
+def test_action_keeps_a_copy_of_its_unitaries(conj4):
+    """Writing to the caller's array after construction leaves the action
+    valid, and the caller's view writable."""
+    base = conj4.unitaries.copy()
+    view = base[:]
+    action = GAction(conj4.group, conj4.algebra, view)
+    base[1] = 5
+    action.validate()
+    assert np.array_equal(action.unitaries, conj4.unitaries)
+    assert not action.unitaries.flags.writeable and view.flags.writeable
+
+
 def test_translation_action_permutes_points(trans4):
     g = trans4.group
     f = np.diag([1.0, 2.0, 3.0, 4.0])

@@ -36,7 +36,12 @@ from natorus import (
 from natorus.kernels import _combination_exponent
 from natorus.phases import Phase
 from natorus.twisted_algebra import levi_civita
-from test_properties import factor_lists, reference_tables, sheared_reference
+from test_properties import (
+    factor_lists,
+    random_normalized_table,
+    reference_tables,
+    sheared_reference,
+)
 
 DENS = [1, 2, 3, 6, 12, 255, 256, 257, 65537, 2**31 + 11, 2**62]
 
@@ -250,3 +255,41 @@ def test_building_a_plain_table_and_a_sum_holds_no_wide_copy():
         tracemalloc.stop()
     assert plain.table.dtype == total.table.dtype == np.uint8
     assert built < 2 * n**3 and summed < 2 * n**3
+
+
+@pytest.mark.parametrize("den, bound", [(4, 8), (2**31 + 11, 40)])
+def test_the_witness_search_lists_no_nonzero_cells(den, bound):
+    """coboundary_witness on a random plain 3-cochain at |G| = 64 peaks below
+    `bound` n^3 bytes under tracemalloc: the sweep's table copy, chunk and
+    temporaries (about 3 n^3 at den = 4, 32 n^3 at 2^31 + 11), plus one
+    boolean mask to find the first nonzero cell. Listing every nonzero cell,
+    as np.argwhere does at 24 bytes each, would take about 35 and 62 n^3."""
+    group = make_group([4, 4, 4])
+    n = group.order
+    rng = np.random.default_rng(0)
+    phi = Cochain3(group, random_normalized_table(group, den, 3, rng), den)
+    tracemalloc.start()
+    try:
+        witness = phi.coboundary_witness
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is not None and peak < bound * n**3
+
+
+@pytest.mark.parametrize("den", [257, 2**31 + 11])
+def test_the_witness_is_the_first_nonzero_cell_not_the_largest(den):
+    """On a random plain 3-cochain, coboundary_witness and cocycle3_witness
+    name the first nonzero cell of delta phi in index order, from the
+    Python-integer table; in that cell's chunk a larger residue comes later,
+    so the largest residue is not the witness."""
+    group = make_group([2, 6])
+    n = group.order
+    phi = Cochain3(group, random_normalized_table(group, den, 3, np.random.default_rng(1)), den)
+    delta = reference_tables(phi)[0]
+    first = tuple(int(v) for v in np.argwhere(delta)[0])
+    chunk = delta[first[0]]
+    largest = tuple(int(v) for v in np.unravel_index(int(chunk.argmax()), chunk.shape))
+    assert largest != first[1:]
+    assert phi.coboundary_witness == first
+    assert cocycle3_witness(phi) == tuple(group.elements[i] for i in first)
