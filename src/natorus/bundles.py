@@ -22,7 +22,6 @@ from .cochains import (
     Cochain2,
     Cochain3,
     _coboundary2_mismatch,
-    _cocycle2_witness,
     is_cocycle2,
     require_cochain,
     trivializing_cochain,
@@ -208,4 +207,4 @@ def extract_sigma(tw1: TwistData, tw2: TwistData) -> SigmaExtraction:
     if tw1.group != tw2.group or tw1.dim != tw2.dim:
         raise IncompatibleGroupsError("twist data are incompatible")
     sigma = tw1.sigma - tw2.sigma
-    return SigmaExtraction(sigma, _cocycle2_witness(sigma))
+    return SigmaExtraction(sigma, sigma.coboundary_witness)

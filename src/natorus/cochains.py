@@ -8,6 +8,11 @@ table holds its residues in [0, den) in the narrowest type that holds den - 1
 2^32); every sum, difference, negation or multiple of entries widens them to
 int64 first, or runs in the exact sweep type (`_sweep_dtype`).
 
+delta has one chunk for every arity (`_coboundary_chunk`), whose k + 2 terms
+bound its sweep type. Arities 2 and 3 each have one plain class (`Cochain2`,
+`Cochain3`): sums, coboundaries and constructors return it, and
+`require_cochain` admits no other.
+
 A k-cochain here is always normalized: it vanishes whenever any argument is
 the identity. Tricharacters (multilinear phase forms built from an integer
 3-tensor mod m) are the cocycles of interest for the twisted-kernel and
@@ -84,8 +89,8 @@ def _stored(rows: Iterable[np.ndarray], shape: tuple, den: int) -> np.ndarray:
     are `rows`, residues in [0, den) of any integer type, written one at a
     time: no full-size wider array is formed."""
     table = np.empty(shape, dtype=_storage_dtype(den))
-    for out, row in zip(table, rows):
-        out[...] = row
+    for i, row in enumerate(rows):  # by index: a 1-D table's items are scalars
+        table[i] = row
     return table
 
 
@@ -243,15 +248,11 @@ class CochainTable:
     def _from_table(cls, group, arity, table, den):
         """A cochain in lowest terms that takes ownership of `table`, a fresh
         array of residues mod den in `_storage_dtype(den)`: divided in place,
-        and narrowed when the lower denominator allows a narrower type."""
+        and narrowed when the lower denominator allows a narrower type. It is
+        of the plain class of its arity (`_KINDS`), whatever `cls` is."""
         table, den = _lowest_terms(table, den, out=table)
         table = table.astype(_storage_dtype(den), copy=False)
-        if arity == 3 and issubclass(cls, Cochain3):
-            kind = Cochain3
-        elif arity == 2 and issubclass(cls, Cochain2):
-            kind = Cochain2
-        else:
-            kind = CochainTable
+        kind = _KINDS.get(arity, CochainTable)
         out = kind.__new__(kind)
         out._adopt(group, arity, table, den)
         return out
@@ -275,15 +276,17 @@ def _lowest_terms(table: np.ndarray, den: int, out=None) -> tuple[np.ndarray, in
 
 def require_cochain(cochain, arity: int, group=None, name="phi", error=CochainError) -> None:
     """Refuse, before any work, a `name` that is not a cochain of `arity`
-    (raising `error`) or, when `group` is given, one on another group."""
-    if not isinstance(cochain, CochainTable) or cochain.arity != arity:
+    (raising `error`) or, when `group` is given, one on another group. At
+    arity 2 or 3 the cochain must be of that arity's class (`_KINDS`): a bare
+    `CochainTable` there has no coboundary and no witness."""
+    if not isinstance(cochain, _KINDS.get(arity, CochainTable)) or cochain.arity != arity:
         raise error(f"{name} must be a {arity}-cochain, got {cochain!r}")
     if group is not None and cochain.group != group:
         raise IncompatibleGroupsError(f"{name} lives on a different group")
 
 
 class _FixedArity(CochainTable):
-    """The constructors shared by Cochain2 and Cochain3, whose arity is ARITY."""
+    """What Cochain2 and Cochain3, of arity ARITY, share: constructors, witness."""
 
     ARITY: int
 
@@ -292,8 +295,10 @@ class _FixedArity(CochainTable):
 
     @classmethod
     def _adopted(cls, group: FiniteAbelianGroup, table: np.ndarray, den: int):
-        """A cochain that owns `table`, as `_adopt` takes it, with no copy."""
-        out = cls.__new__(cls)
+        """A plain cochain of arity ARITY (`_KINDS`, never a tensorless
+        `Tricharacter`) that owns `table`, as `_adopt` takes it, with no copy."""
+        kind = _KINDS[cls.ARITY]
+        out = kind.__new__(kind)
         out._adopt(group, cls.ARITY, table, den)
         return out
 
@@ -309,6 +314,18 @@ class _FixedArity(CochainTable):
     def zero(cls, group: FiniteAbelianGroup):
         return cls._adopted(group, np.zeros((group.order,) * cls.ARITY, dtype=np.uint8), 1)
 
+    @cached_property
+    def coboundary_witness(self) -> tuple | None:
+        """First index tuple where delta of this cochain is nonzero, or None.
+
+        The table is read-only, so the n^(k+1) sweep (`_sweep`, one first-slot
+        index at a time in the narrowest exact type) runs once per cochain and
+        every cocycle check on it, check_multiplier_relation and extract_sigma
+        included, reads this cached answer. A `Tricharacter` answers None
+        without a sweep.
+        """
+        return _sweep_witness(self, _coboundary_chunk)
+
 
 class Cochain2(_FixedArity):
     """A normalized 2-cochain on G with values in Q/Z."""
@@ -318,26 +335,12 @@ class Cochain2(_FixedArity):
     @cached_property
     def coboundary(self) -> "Cochain3":
         """delta sigma (see coboundary2), in lowest terms, cached: the n^3 pass
-        (the narrow sweep's slabs, `_coboundary2_slice`, stored into one n^3
-        table, `_stored`) runs once per cochain, and every later coboundary2
-        call, cocycle check or twist built from it shares this one Cochain3.
+        (`_coboundary`) runs once per cochain, and every later coboundary2
+        call or twist built from it shares this one Cochain3.
         trivializing_cochain, which proves delta tau = phi for a `Tricharacter`
         phi, caches phi here in lowest terms instead, so no table is built.
         """
-        shape = (self.group.order,) * 3
-        out = _stored(_sweep(self, _coboundary2_slice), shape, self.den)
-        return Cochain3._from_table(self.group, 3, out, self.den)
-
-
-def _coboundary2_slice(t: np.ndarray, group: FiniteAbelianGroup, x: int) -> np.ndarray:
-    """(delta sigma)(x, ., .) before reduction (see coboundary2): a `_sweep`
-    chunk of four signed entries, built in place."""
-    add, tx = group.add_table, t[x]
-    out = tx.take(add)  # sigma(x, y+z), gathered faster by take than by indexing
-    out -= t[add[x]]
-    out += t
-    out -= tx[:, None]
-    return out
+        return _coboundary(self)
 
 
 def _coboundary2_mismatch(sigma: Cochain2, phi: Cochain3) -> tuple | None:
@@ -348,13 +351,11 @@ def _coboundary2_mismatch(sigma: Cochain2, phi: Cochain3) -> tuple | None:
     if phi is vars(sigma).get("coboundary"):
         return None
     den = common_denominator(sigma.den, phi.den)
-    for x, (a, b) in enumerate(zip(_sweep(sigma, _coboundary2_slice), phi.slabs())):
-        if sigma.den != phi.den:
-            a, b = a.astype(np.int64) * (den // sigma.den), b.astype(np.int64) * (den // phi.den)
-        bad = a != b
-        if bad.any():
-            return (x, *map(int, np.unravel_index(bad.argmax(), bad.shape)))
-    return None
+    pairs = zip(_sweep(sigma, _coboundary_chunk), phi.slabs())
+    if sigma.den != phi.den:
+        s, p = den // sigma.den, den // phi.den
+        pairs = ((a.astype(np.int64) * s, b.astype(np.int64) * p) for a, b in pairs)
+    return _first_nonzero(a != b for a, b in pairs)
 
 
 class Cochain3(_FixedArity):
@@ -365,23 +366,15 @@ class Cochain3(_FixedArity):
     # "certificate" from a tensor (Tricharacter). Reports carry it.
     cocycle_mode = "exhaustive"
 
-    @cached_property
-    def coboundary_witness(self) -> tuple | None:
-        """First (w,x,y,z) index tuple where delta phi != 0, or None.
-
-        The table is read-only, so the O(n^4) sweep (`_sweep`, one w-slice at
-        a time in the narrowest exact type) runs once per cochain and every
-        cocycle check on it, including check_multiplier_relation, reads this
-        cached answer. A `Tricharacter` answers None without a sweep.
-        """
-        return _sweep_witness(self, _coboundary3_slice)
-
     def is_alternating(self) -> bool:
         """True when the value dies on any repeated argument."""
         n = self.group.order
         r = np.arange(n)
         t = self.table
         return not (t[r, r, :].any() or t[r, :, r].any() or t[:, r, r].any())
+
+
+_KINDS = {2: Cochain2, 3: Cochain3}  # the one plain class of each fixed arity
 
 
 def _tabulate(group, arity, fn):
@@ -440,17 +433,28 @@ def _stage_modulus(group: FiniteAbelianGroup, modulus: int | None) -> int:
     return m
 
 
-def _incompatible_slot(residues: np.ndarray, factors, m: int) -> int | None:
-    """First slot whose factor n the residue tensor does not respect (m must
-    divide every entry times n), else None. Tested as entry mod m / gcd(m, n),
-    which forms no product."""
-    periods = m // np.gcd(np.array(factors, dtype=np.int64), m)
-    for axis in range(residues.ndim):
-        shape = [1] * residues.ndim
+def _form_residues(group: FiniteAbelianGroup, array, arity: int, modulus, name: str):
+    """(array mod m, m) for the integer coefficients of a coordinate form of
+    `arity` slots (a bicharacter's matrix, a tricharacter's tensor), m from
+    `_stage_modulus`. Raises TensorShapeError unless the array is rank^arity
+    and respects every slot's factor n: m must divide every entry times n,
+    tested as entry mod m / gcd(m, n), which forms no product."""
+    array = np.asarray(array, dtype=np.int64)
+    k = group.rank
+    if array.shape != (k,) * arity:
+        raise TensorShapeError(f"{name} shape {array.shape} does not match group rank {k}")
+    m = _stage_modulus(group, modulus)
+    array = array % m  # only the residues matter
+    periods = m // np.gcd(np.array(group.factors, dtype=np.int64), m)
+    for axis in range(arity):
+        shape = [1] * arity
         shape[axis] = -1
-        if (residues % periods.reshape(shape)).any():
-            return axis
-    return None
+        if (array % periods.reshape(shape)).any():
+            raise TensorShapeError(
+                f"{name} is incompatible with the factors in slot {axis}: "
+                f"need modulus {m} to divide every entry times the slot factor"
+            )
+    return array, m
 
 
 def _contract_last(coords: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:
@@ -480,25 +484,14 @@ class Tricharacter(Cochain3):
     on plain copies, restrict, complex_table, digests) and then cached.
     Sums, differences and negations of tricharacters are tricharacters,
     formed on the tensors (`_combine`); with a plain operand they are plain.
+    A table has no tensor, so `from_entries`, `from_function` and `zero`
+    build the plain `Cochain3`, which is swept like any other.
     """
 
     cocycle_mode = "certificate"  # see coboundary_witness
 
     def __init__(self, group: FiniteAbelianGroup, tensor, modulus: int | None = None):
-        tensor = np.asarray(tensor, dtype=np.int64)
-        k = group.rank
-        if tensor.shape != (k, k, k):
-            raise TensorShapeError(
-                f"tensor shape {tensor.shape} does not match group rank {k}"
-            )
-        m = _stage_modulus(group, modulus)
-        tensor = tensor % m  # only the residues matter
-        axis = _incompatible_slot(tensor, group.factors, m)
-        if axis is not None:
-            raise TensorShapeError(
-                f"tensor is incompatible with the factors in slot {axis}: "
-                f"need modulus {m} to divide every entry times the slot factor"
-            )
+        tensor, m = _form_residues(group, tensor, 3, modulus, "tensor")
         tensor.setflags(write=False)
         self.group = group
         self.arity = 3
@@ -637,19 +630,10 @@ def bicharacter_from_matrix(
 ) -> Cochain2:
     """sigma(a,b) = (1/m) sum_ij B[i,j] a_i b_j; bilinear, hence a 2-cocycle.
 
-    Built in two stages as in `Tricharacter`, with the same int64 bound on m.
+    Validated (`_form_residues`) and built in two stages as in `Tricharacter`,
+    with the same int64 bound on m.
     """
-    matrix = np.asarray(matrix, dtype=np.int64)
-    k = group.rank
-    if matrix.shape != (k, k):
-        raise TensorShapeError(f"matrix shape {matrix.shape} does not match group rank {k}")
-    m = _stage_modulus(group, modulus)
-    matrix = matrix % m  # only the residues matter
-    if _incompatible_slot(matrix, group.factors, m) is not None:
-        raise TensorShapeError(
-            f"matrix is incompatible with the factors: need modulus {m} to divide "
-            "every entry times the slot factor"
-        )
+    matrix, m = _form_residues(group, matrix, 2, modulus, "matrix")
     table = _contract_last(group.coords, _contract_last(group.coords, matrix, m), m)
     return Cochain2(group, table, m)
 
@@ -667,22 +651,19 @@ def coboundary2(sigma: Cochain2) -> Cochain3:
     return sigma.coboundary
 
 
-_SWEEP_TERMS = 5  # a step of an exact sweep sums at most five signed residues
-
-
-def _sweep_dtype(den: int) -> np.dtype:
-    """The narrowest integer type in which every partial sum of up to five
+def _sweep_dtype(den: int, terms: int) -> np.dtype:
+    """The narrowest integer type in which every partial sum of up to `terms`
     signed residues in [0, den) is exact mod den.
 
     uint8 when den divides 256: its wraparound is arithmetic mod 256, which is
     exact mod den. Otherwise the first of int16, int32 and int64 whose range
-    holds 5 * (den - 1), so no partial sum wraps. Otherwise Python integers
-    (object), which never wrap.
+    holds terms * (den - 1), so no partial sum wraps. Otherwise Python
+    integers (object), which never wrap.
     """
     if 256 % den == 0:
         return np.dtype(np.uint8)
     for dtype in (np.int16, np.int32, np.int64):
-        if _SWEEP_TERMS * (den - 1) <= np.iinfo(dtype).max:
+        if terms * (den - 1) <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     return np.dtype(object)
 
@@ -690,17 +671,17 @@ def _sweep_dtype(den: int) -> np.dtype:
 def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
     """chunk(table, group, i) mod den for each index i of phi's first slot.
 
-    The one driver of the exact sweeps: the n^4 cocycle sweeps of 3-cochains
-    and the n^3 coboundary of a 2-cochain. `table` is phi's own read-only
-    table when its storage type is `_sweep_dtype(den)` (den dividing 256, or
-    past 2^32 with int64 enough), else a copy in that type, made here and
-    dropped when the sweep ends, never cached on the cochain.
-    A chunk sums at most five signed entries of it and may be built in place;
-    the driver reduces it mod den in place (for uint8, whose wraparound is
-    already arithmetic mod 256, by masking).
+    The one loop of the exact sweeps: delta of a k-cochain, k + 2 terms
+    (`_coboundary_chunk`), and the multiplier combination of a 3-cochain
+    (`kernels`). A chunk sums at most phi.arity + 2 signed entries of `table`,
+    the term bound of `_sweep_dtype`, and may be built in place. `table` is
+    phi's own read-only table when it is stored in that type, else a copy in
+    it, made here and dropped when the sweep ends, never cached on the
+    cochain. Each chunk is reduced mod den here, in place (for uint8, whose
+    wraparound is already arithmetic mod 256, by masking).
     """
     den = phi.den
-    table = phi.table.astype(_sweep_dtype(den), copy=False)
+    table = phi.table.astype(_sweep_dtype(den, phi.arity + 2), copy=False)
     for i in range(phi.group.order):
         out = chunk(table, phi.group, i)
         if out.dtype != np.uint8:
@@ -710,45 +691,58 @@ def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
         yield out
 
 
-def _sweep_witness(phi: CochainTable, chunk: Callable) -> tuple | None:
-    """(i, *index of the first nonzero entry in chunk i) over `_sweep`, or None;
-    the entry is found on a boolean mask, with no list of every nonzero index."""
-    for i, out in enumerate(_sweep(phi, chunk)):
+def _first_nonzero(chunks: Iterable[np.ndarray]) -> tuple | None:
+    """(i, *index of the first nonzero entry in chunk i), or None; the entry is
+    found on a boolean mask, with no list of every nonzero index."""
+    for i, out in enumerate(chunks):
         if out.any():
             return (i, *map(int, np.unravel_index((out != 0).argmax(), out.shape)))
     return None
 
 
-def _coboundary3_slice(t: np.ndarray, group: FiniteAbelianGroup, w: int) -> np.ndarray:
-    """(delta phi)(w, x, y, z) over all (x, y, z) before reduction, for one
-    index w: a `_sweep` chunk, built in place and indexed [x, y, z]."""
-    add = group.add_table
-    tw = t[w]
-    out = tw[add]  # phi(w, x+y, z)
-    out -= t[add[w]]  # phi(w+x, y, z)
-    out += t  # phi(x, y, z)
-    out -= tw[:, add]  # phi(w, x, y+z)
-    out += tw[:, :, None]  # phi(w, x, y)
+def _sweep_witness(phi: CochainTable, chunk: Callable) -> tuple | None:
+    """The first nonzero cell of the sweep of `chunk` over phi (`_sweep`), or None."""
+    return _first_nonzero(_sweep(phi, chunk))
+
+
+def _coboundary_chunk(t: np.ndarray, group: FiniteAbelianGroup, x: int) -> np.ndarray:
+    """(delta c)(x, x1, ..., xk) over all (x1, ..., xk) before reduction, for a
+    table t of any arity k and one index x: a `_sweep` chunk of the k + 2
+    terms of
+        c(x1, ..., xk) - c(x + x1, x2, ...) + c(x, x1 + x2, ...) - ...
+            + (-1)^(k+1) c(x, x1, ..., x(k-1)),
+    built in place and indexed [x1, ..., xk]. Each sum slot is one `take`
+    along one axis, faster than fancy indexing."""
+    add, tx, k = group.add_table, t[x], t.ndim  # tx: c(x, ...), arity k - 1
+    # c(x, x1 + x2, ...) in a fresh array (c(x1) itself at arity 1): no negation pass
+    out = tx.take(add, axis=0) if k > 1 else t.copy()
+    out -= t.take(add[x], axis=0)  # c(x + x1, x2, ...)
+    for axis in range(1, k - 1):  # c(x, x1, ..., x(axis+1) + x(axis+2), ...)
+        (np.subtract if axis % 2 else np.add)(out, tx.take(add, axis=axis), out=out)
+    if k > 1:
+        out += t  # c(x1, ..., xk)
+    (np.add if k % 2 else np.subtract)(out, t[x, ..., None], out=out)  # c(x, x1, ..., x(k-1))
     return out
+
+
+def _coboundary(c: CochainTable) -> CochainTable:
+    """delta c, of arity k + 1, in lowest terms: the sweep's chunks
+    (`_coboundary_chunk`) stored narrow (`_stored`) one at a time."""
+    arity = c.arity + 1
+    out = _stored(_sweep(c, _coboundary_chunk), (c.group.order,) * arity, c.den)
+    return CochainTable._from_table(c.group, arity, out, c.den)
 
 
 def coboundary3(phi: Cochain3) -> CochainTable:
     """(delta phi)(w,x,y,z) with the alternating-sum convention, as an arity-4
-    table stored narrow (`_stored`) from the sweep's chunks."""
-    out = _stored(_sweep(phi, _coboundary3_slice), (phi.group.order,) * 4, phi.den)
-    return CochainTable._from_table(phi.group, 4, out, phi.den)
-
-
-def _cocycle2_witness(sigma: Cochain2) -> tuple | None:
-    """The first (x, y, z) index triple where delta sigma != 0, or None,
-    from the narrow sweep (`_sweep`): no n^3 array, and nothing cached."""
-    return _sweep_witness(sigma, _coboundary2_slice)
+    table (`_coboundary`), not cached."""
+    return _coboundary(phi)
 
 
 def is_cocycle2(sigma: Cochain2) -> bool:
-    """delta sigma = 0, decided by the narrow sweep, which builds no n^3 table."""
+    """delta sigma = 0, by the cached narrow sweep (`coboundary_witness`)."""
     require_cochain(sigma, 2, name="sigma")
-    return _cocycle2_witness(sigma) is None
+    return sigma.coboundary_witness is None
 
 
 def _witness(phi: Cochain3) -> tuple | None:

@@ -126,6 +126,7 @@ def gamma_multiplier(phi: Cochain3, omega, xi) -> np.ndarray:
     Entries u(omega, xi)(x) = exp(2 pi i phi(omega, xi, x)); the relation
     holds when phi is an alternating tricharacter.
     """
+    require_cochain(phi, 3)
     g = phi.group
     io = g.element(omega).index
     ix = g.element(xi).index
@@ -165,6 +166,7 @@ def multiplier_combination(phi: Cochain3, xi, eta, zeta) -> np.ndarray:
     `associativity_cocycle_sweep`): the failure of the multiplier to be a
     2-cocycle is the twist itself.
     """
+    require_cochain(phi, 3)
     g = phi.group
     indices = (g.element(v).index for v in (xi, eta, zeta))
     return exp_phases(_combination_exponent(phi, *indices), phi.den)
@@ -194,6 +196,7 @@ def associativity_cocycle(phi: Cochain3, xi, eta, zeta) -> Phase:
     is not pointwise constant. For a tricharacter the value is
     phi(eta, zeta, xi).
     """
+    require_cochain(phi, 3)
     g = phi.group
     vals = _combination_exponent(phi, *(g.element(v).index for v in (xi, eta, zeta)))
     if not (vals == vals[0]).all():
@@ -222,6 +225,7 @@ def associativity_cocycle_sweep(phi: Cochain3):
     never materialized, in exact residue arithmetic in the narrowest safe
     type (see `cochains._sweep`).
     """
+    require_cochain(phi, 3)
     if isinstance(phi, Tricharacter):
         return None
     return _sweep_witness(phi, _combination_defect_chunk)

@@ -9,6 +9,7 @@ from natorus import (
     Cochain2,
     Cochain3,
     CochainError,
+    CochainTable,
     GAction,
     GradedElement,
     HALF_PHASE,
@@ -314,17 +315,54 @@ def test_cocycle_sweeps_past_int64_stay_exact():
     assert coboundary3(phi).value(*[(1,)] * 4) == Phase(228, den)
 
 
+def test_an_arity_one_cochain_has_a_coboundary():
+    """A 1-D table is stored one entry at a time, and its coboundary (the
+    one chunk at arity 1) is (delta f)(x, y) = f(y) - f(x + y) + f(x)."""
+    g = make_group([3, 4])
+    f = CochainTable(g, 1, np.arange(g.order) * 5, 12)
+    assert f.table.dtype == np.uint8 and f.value((1, 1)) == Phase(25, 12)
+    df = cochains._coboundary(f)
+    assert df.arity == 2 and type(df) is Cochain2
+    for x, y in itertools.product(g.elements, repeat=2):
+        assert df.value(x, y) == f(y) - f(x + y) + f(x)
+
+
+def test_tricharacter_table_constructors_build_a_plain_cochain3():
+    """A table has no tensor, so Tricharacter.from_entries, from_function and
+    zero build the plain Cochain3, which is swept: criterion 9's non-cocycle
+    is not certified."""
+    g = make_group([2, 2, 2])
+    entries = [(((1, 0, 0), (0, 1, 0), (1, 1, 0)), "1/2")]
+    bad = Tricharacter.from_entries(g, entries)
+    assert type(bad) is Cochain3 and bad.cocycle_mode == "exhaustive"
+    assert not is_cocycle3(bad)
+    assert bad.coboundary_witness == Cochain3.from_entries(g, entries).coboundary_witness
+    for plain in (Tricharacter.zero(g), Tricharacter.from_function(g, lambda a, b, c: ZERO_PHASE)):
+        assert type(plain) is Cochain3 and is_cocycle3(plain)
+
+
+def test_arithmetic_on_bare_tables_gives_the_class_of_the_arity(rng):
+    g = make_group([2, 3])
+    for arity, kind in ((2, Cochain2), (3, Cochain3), (4, CochainTable)):
+        table = rng.integers(0, 6, size=(g.order,) * arity)
+        for axis in range(arity):
+            np.moveaxis(table, axis, 0)[0] = 0
+        a, b = CochainTable(g, arity, table, 6), CochainTable(g, arity, 2 * table, 6)
+        assert type(a) is CochainTable
+        assert type(a + b) is type(a - b) is type(-a) is kind
+
+
 def test_multiplier_relation_runs_the_cocycle_sweep_once(monkeypatch):
     """check_multiplier_relation on a fresh cochain runs the cached cocycle
     sweep; is_cocycle3, cocycle3_witness and require_cocycle3 then reuse it."""
     swept = []
-    slice_of = cochains._coboundary3_slice
+    chunk_of = cochains._coboundary_chunk
 
     def counted(t, group, w):
         swept.append(w)
-        return slice_of(t, group, w)
+        return chunk_of(t, group, w)
 
-    monkeypatch.setattr(cochains, "_coboundary3_slice", counted)
+    monkeypatch.setattr(cochains, "_coboundary_chunk", counted)
     oct_phi = octonion_associator_tricharacter()
     good = Cochain3(oct_phi.group, oct_phi.table, oct_phi.den)
     table = oct_phi.table.copy()
@@ -504,6 +542,14 @@ def _graded_pair(g):
     return (GradedElement.from_matrix(action, np.eye(g.order)),) * 2
 
 
+def _bare(g, arity):
+    """A CochainTable of `arity` that is not of the arity's class: it has no
+    coboundary and no witness."""
+    table = np.zeros((g.order,) * arity, dtype=np.int64)
+    table[(1,) * arity] = 1
+    return CochainTable(g, arity, table, 2)
+
+
 WRONG_KIND = {  # each call, with the argument it must name
     "kernel phi None": (lambda g: TwistedKernel(g, None, np.zeros((4, 4))), "phi", 3),
     "kernel phi 2-cochain": (
@@ -520,6 +566,15 @@ WRONG_KIND = {  # each call, with the argument it must name
     ),
     "is_cocycle3 on a 2-cochain": (lambda g: is_cocycle3(Cochain2.zero(g)), "phi", 3),
     "bundle phi 2-cochain": (lambda g: build_nap_bundle(["p"], g, Cochain2.zero(g)), "phi", 3),
+    "is_cocycle2 on a bare table": (lambda g: is_cocycle2(_bare(g, 2)), "sigma", 2),
+    "coboundary2 on a bare table": (lambda g: coboundary2(_bare(g, 2)), "sigma", 2),
+    "is_cocycle3 on a bare table": (lambda g: is_cocycle3(_bare(g, 3)), "phi", 3),
+    "cocycle3_witness on a bare table": (lambda g: cocycle3_witness(_bare(g, 3)), "phi", 3),
+    "multiplier relation on a bare table": (
+        lambda g: check_multiplier_relation(_bare(g, 3)), "phi", 3
+    ),
+    "twist sigma bare table": (lambda g: TwistData(g, sigma=_bare(g, 2)), "sigma", 2),
+    "group algebra sigma bare table": (lambda g: TwistedGroupAlgebra(g, _bare(g, 2)), "sigma", 2),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from natorus import (
     Cochain2,
     Cochain3,
+    CochainError,
     IncompatibleGroupsError,
     TwistedKernel,
     associativity_cocycle,
@@ -108,6 +109,24 @@ def test_sweep_flags_corrupted_cochain(phi):
     bad = Cochain3(phi.group, table, phi.den)
     witness = associativity_cocycle_sweep(bad)
     assert witness is not None and len(witness) == 4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        associativity_cocycle_sweep,
+        lambda phi: associativity_cocycle(phi, (0, 0), (0, 0), (0, 0)),
+        lambda phi: multiplier_combination(phi, (0, 0), (0, 0), (0, 0)),
+        lambda phi: gamma_multiplier(phi, (0, 0), (0, 0)),
+    ],
+    ids=["associativity_cocycle_sweep", "associativity_cocycle", "multiplier_combination",
+         "gamma_multiplier"],
+)
+@pytest.mark.parametrize("not_phi", [Cochain2.zero(make_group([2, 2])), "phi", None],
+                         ids=["2-cochain", "string", "None"])
+def test_kernel_cocycle_functions_refuse_what_is_not_a_3_cochain(call, not_phi):
+    with pytest.raises(CochainError, match="^phi must be a 3-cochain"):
+        call(not_phi)
 
 
 def test_kernel_linear_ops(phi, rng):

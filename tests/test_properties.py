@@ -12,6 +12,7 @@ from natorus import (
     Cochain2,
     Cochain3,
     CochainError,
+    CochainTable,
     CrossedElement,
     GAction,
     GradedElement,
@@ -43,7 +44,7 @@ from natorus import (
     trivializing_cochain,
     verify_duality,
 )
-from natorus.cochains import _storage_dtype, _sweep_dtype
+from natorus.cochains import _coboundary, _coboundary_chunk, _storage_dtype, _sweep, _sweep_dtype
 from natorus.crossed import _DualityRows
 from natorus.groups import subgroup_elements
 from natorus.presets import m4_conjugation_action, pauli_m2_twist
@@ -449,18 +450,83 @@ SWEEP_DENS = [
 ]
 
 
+def integer_edges(terms):
+    """Both sides of the int16 and int32 edges of sums of `terms` residues:
+    the largest den with terms * (den - 1) in range, and the next."""
+    e16, e32 = 32767 // terms + 1, (2**31 - 1) // terms + 1
+    return [(terms, e16, np.int16), (terms, e16 + 1, np.int32),
+            (terms, e32, np.int32), (terms, e32 + 1, np.int64)]
+
+
 @pytest.mark.parametrize(
-    "den, dtype",
+    "terms, den, dtype",
     [
-        (1, np.uint8), (2, np.uint8), (128, np.uint8), (256, np.uint8),
-        (3, np.int16), (6, np.int16), (255, np.int16), (257, np.int16), (512, np.int16),
-        (INT16_EDGE, np.int16), (INT16_EDGE + 1, np.int32),
-        (INT32_EDGE, np.int32), (INT32_EDGE + 1, np.int64),
-        (2**40, np.int64), (INT64_EDGE, np.int64), (INT64_EDGE + 1, object),
+        (5, 1, np.uint8), (5, 2, np.uint8), (5, 128, np.uint8), (5, 256, np.uint8),
+        (5, 3, np.int16), (5, 6, np.int16), (5, 255, np.int16), (5, 257, np.int16),
+        (5, 512, np.int16),
+        (5, INT16_EDGE, np.int16), (5, INT16_EDGE + 1, np.int32),
+        (5, INT32_EDGE, np.int32), (5, INT32_EDGE + 1, np.int64),
+        (5, 2**40, np.int64), (5, INT64_EDGE, np.int64), (5, INT64_EDGE + 1, object),
+    ] + integer_edges(4) + integer_edges(6),
+)
+def test_sweep_dtype_at_each_boundary(terms, den, dtype):
+    """The sweep type holds every partial sum of `terms` residues: a 3-cochain's
+    delta has 5 terms, a 2-cochain's 4 and a 4-cochain's 6."""
+    assert _sweep_dtype(den, terms) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize(
+    "arity, den, dtype",
+    [
+        (1, 32767 // 3 + 1, np.int16),  # 3 terms fit int16; 5 would not
+        (2, 32767 // 4 + 1, np.int16),  # 4 terms fit int16; 5 would not
+        (3, INT16_EDGE + 1, np.int32),
+        (4, 32767 // 6 + 2, np.int32),  # 5 terms would fit int16; 6 do not
     ],
 )
-def test_sweep_dtype_at_each_boundary(den, dtype):
-    assert _sweep_dtype(den) == np.dtype(dtype)
+def test_the_sweep_type_follows_the_arity(arity, den, dtype):
+    """delta of a k-cochain sums k + 2 terms, and its sweep runs in the type
+    that bound gives, not in a fixed five-term one."""
+    g = make_group([2])
+    c = CochainTable(g, arity, np.zeros((2,) * arity, dtype=np.int64), den)
+    assert all(chunk.dtype == dtype for chunk in _sweep(c, _coboundary_chunk))
+
+
+def coboundary_reference(table, group):
+    """delta of a k-cochain's table, cell by cell and term by term in Python
+    integers, unreduced:
+        c(x1, ..., xk) + sum_i (-1)^i c(x0, ..., x(i-1) + xi, ..., xk)
+            + (-1)^(k+1) c(x0, ..., x(k-1))."""
+    k, add = table.ndim, group.add_table
+    out = np.empty((group.order,) * (k + 1), dtype=object)
+    for xs in itertools.product(range(group.order), repeat=k + 1):
+        total = int(table[xs[1:]]) + (-1) ** (k + 1) * int(table[xs[:-1]])
+        for i in range(1, k + 1):
+            merged = xs[: i - 1] + (int(add[xs[i - 1], xs[i]]),) + xs[i + 1 :]
+            total += (-1) ** i * int(table[merged])
+        out[xs] = total
+    return out
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+@pytest.mark.parametrize("den", [2, 12, 255, 2**31 + 11, 2**62 - 57])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_the_coboundary_chunk_is_the_definition_and_squares_to_zero(arity, den, data, seed):
+    """The one chunk against the per-term definition at arities 1-4 (|G| <= 12,
+    and <= 6 at arity 4), in every sweep type (uint8, int16, int64, Python
+    integers), and delta delta = 0 at arities 1-3."""
+    small = arity == 4
+    group = make_group(data.draw(factor_lists(6 if small else 12, 2 if small else 3)))
+    table = np.random.default_rng(seed).integers(0, den, size=(group.order,) * arity)
+    for axis in range(arity):
+        np.moveaxis(table, axis, 0)[0] = 0
+    c = CochainTable(group, arity, table, den)
+    reference = coboundary_reference(c.table, group) % den
+    for x, chunk in enumerate(_sweep(c, _coboundary_chunk)):
+        assert np.array_equal(chunk.astype(object), reference[x])
+    if arity <= 3:
+        assert _coboundary(_coboundary(c)).is_zero()
 
 
 def random_normalized_cocycle_or_mutant(group, den, rng):
