@@ -677,18 +677,19 @@ def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
     the term bound of `_sweep_dtype`, and may be built in place. `table` is
     phi's own read-only table when it is stored in that type, else a copy in
     it, made here and dropped when the sweep ends, never cached on the
-    cochain. Each chunk is reduced mod den here, in place (for uint8, whose
-    wraparound is already arithmetic mod 256, by masking).
+    cochain. Each chunk is reduced mod den here, in place (`_reduce`).
     """
-    den = phi.den
-    table = phi.table.astype(_sweep_dtype(den, phi.arity + 2), copy=False)
+    table = phi.table.astype(_sweep_dtype(phi.den, phi.arity + 2), copy=False)
     for i in range(phi.group.order):
-        out = chunk(table, phi.group, i)
-        if out.dtype != np.uint8:
-            np.remainder(out, den, out=out)
-        elif den != 256:
-            np.bitwise_and(out, den - 1, out=out)
-        yield out
+        yield _reduce(chunk(table, phi.group, i), phi.den)
+
+
+def _reduce(out: np.ndarray, den: int) -> np.ndarray:
+    """out mod den, in place, for an array in a `_sweep_dtype`: uint8, whose
+    wraparound is already arithmetic mod 256, by masking."""
+    if out.dtype != np.uint8:
+        return np.remainder(out, den, out=out)
+    return out if den == 256 else np.bitwise_and(out, den - 1, out=out)
 
 
 def _first_nonzero(chunks: Iterable[np.ndarray]) -> tuple | None:

@@ -23,29 +23,30 @@ carries the strictified product to the psi-twisted kernel product of block
 kernels, which is the duality statement this module exists to check: the
 crossed product by the dual action is B tensor twisted compacts.
 
-The check computes the left side in the transform's own coordinates:
-substituting t = w - y in the strictified product gives
+The check compares both sides in the transform's own coordinates. With
+e(x) = exp(2 pi i x), V_t the conjugator implementing beta_t and t = w - y
+substituted in the strictified product,
 
-    (a * b)~(w, z) = sum_y L(w, y) b(y - z, z) R(w, y, z),
-    L(w, y) = V_w^* a(w - y, y) V_{w-y},
-    R(w, y, z) = exp(2 pi i (psi + phi)(w - y, y - z, z))
-                 V_{w-y}^* u(w - y, y - z) u(w - z, z) V_w,
+    (a * b)~(w, z) = sum_y V_w^* a(w - y, y) V_{w-y} b(y - z, z) V_{w-y}^* V_w e(E_L),
+    (a~ * b~)(w, z) = sum_y V_w^* a(w - y, y) V_w V_y^* b(y - z, z) V_y e(E_R),
+    E_L(w, y, z) = (psi + phi)(w - y, y - z, z) + sigma(w - y, y - z) + sigma(w - z, z),
+    E_R(w, y, z) = psi(w, y, z) + sigma(w - y, y) + sigma(y - z, z).
 
-with V_t the conjugator implementing beta_t. R depends only on the twist
-and psi, but as a whole it is an n^3 d^2 complex array, so verify_duality
-streams it one w-slice at a time (_DualityRows). Both routes read the
-exponent psi + phi as the one cochain that `cochains` adds: a tricharacter
-when psi and phi are, and then the check holds no n^3 array at all.
-strictified_product and takai_transform compute by the definitions and are
-the route the tests compare against; strictified_product reads the sum's
-slabs and shares only _row_phases and the twist's own tables with the check.
+Every scalar factor is in an exponent, exact in Q/Z; verify_duality
+(_DualityRows) makes each side's integer row E(w, ., .) into phases once.
+For d = 1 the V's cancel, the sides differ only in that row, and E_L - E_R
+is the exact defect. strictified_product and takai_transform compute by
+the definitions, the route the tests compare against, and share only
+_row_phases and the twist's own tables with the check.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from math import lcm
 
 import numpy as np
 
@@ -55,7 +56,9 @@ from .cochains import (
     Tricharacter,
     _coboundary2_mismatch,
     _lowest_terms,
+    _reduce,
     _stored,
+    _sweep_dtype,
     coboundary2,
     exp_phases,
     require_cochain,
@@ -311,11 +314,9 @@ def _at(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b on stacked d x d blocks (the last two axes, leading axes
     broadcast), unrolled as sum_j a[..., :, j, None] b[..., None, j, :]: d
-    broadcast multiply-adds, far faster than stacked matmul on small blocks.
-    For d = 1 that is the product of the entries, taken without the slicing,
-    which costs as much as the multiply on a duality row's small arrays.
-    `out` may alias a or b: for d > 1 the sum is then formed apart and
-    copied in."""
+    broadcast multiply-adds, far faster than stacked matmul on small blocks;
+    for d = 1, the product of the entries, without the slicing. `out` may
+    alias a or b: for d > 1 the sum is then formed apart and copied in."""
     d = a.shape[-1]
     if d == 1:
         return np.multiply(a, b, out=out)
@@ -334,31 +335,23 @@ def _diffs(g: FiniteAbelianGroup) -> np.ndarray:
     return g.sub_table * g.order + np.arange(g.order)
 
 
-def _transform_in_place(tw: TwistData, out: np.ndarray, u_out: np.ndarray | None) -> np.ndarray:
-    """Turn out = a(w - z, z) over [w, z], of shape (..., n, n, d, d), into the
-    duality transform of a, V_w^* a(w - z, z) u(w - z, z) V_w, in place;
-    u_out is the scalar u(w - z, z) over [w, z], shape (n, n), or None to
-    drop the multiplier."""
-    if u_out is not None:
-        np.multiply(out, u_out[:, :, None, None], out=out)
+def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.ndarray:
+    """The duality transform on value arrays of shape (..., n, n, d, d):
+    V_w^* a(w - z, z) u(w - z, z) V_w over [w, z], formed in place on the
+    gather; include_multiplier=False drops u."""
+    cells = _diffs(tw.group)
+    out = _at(a, cells)
+    if include_multiplier:
+        np.multiply(out, tw.sigma.complex_table.take(cells)[:, :, None, None], out=out)
     v = tw.beta[:, None]  # V_w, constant along z
     _block_product(np.conj(v).swapaxes(-1, -2), out, out=out)
     return _block_product(out, v, out=out)
 
 
-def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.ndarray:
-    """The duality transform on value arrays of shape (..., n, n, d, d)."""
-    cells = _diffs(tw.group)
-    u_out = tw.sigma.complex_table.take(cells) if include_multiplier else None
-    return _transform_in_place(tw, _at(a, cells), u_out)
-
-
 def _sum_over_y(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """out[..., z] = sum_y x[..., y] m[..., y, z] on d x d blocks.
-
-    x has shape (..., n, d, d) and m (..., n, n, d, d), with leading axes
-    that broadcast; the sum over y and the inner block index is one matmul.
-    """
+    """out[..., z] = sum_y x[..., y] m[..., y, z] on d x d blocks, for x of
+    shape (..., n, d, d) and m (..., n, n, d, d), leading axes broadcast:
+    one matmul over y and the inner block index."""
     n, d = x.shape[-3], x.shape[-1]
     rows = x.swapaxes(-3, -2).reshape(x.shape[:-3] + (d, n * d))
     cols = m.swapaxes(-3, -2).reshape(m.shape[:-4] + (n * d, n * d))
@@ -366,97 +359,114 @@ def _sum_over_y(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-1] + (n, d)).swapaxes(-3, -2)
 
 
+def _exponent_sum(terms: list) -> tuple[np.ndarray, int] | None:
+    """(sum of the terms mod den, den) for terms (residues, den_k) that
+    broadcast, the first full-size, over den = lcm of the den_k, or None
+    past 2^62. It runs in the narrowest exact type (`_sweep_dtype`), else in
+    int64 reduced after each term: two scaled terms, each below den, fit."""
+    den = lcm(*(d for _, d in terms))
+    if den > 2**62:
+        return None
+    wraps = (dtype := _sweep_dtype(den, len(terms))) == object
+    dtype = np.dtype(np.int64) if wraps else dtype
+    # a scale below den fits the type; a term over 1 is zero and scaled by 0
+    rows = (np.multiply(row, den // d % den, dtype=dtype) for row, d in terms)
+    total = next(rows)
+    for row in rows:
+        total += row
+        if wraps:
+            _reduce(total, den)
+    return _reduce(total, den), den
+
+
+def _weighted_sum(x, m, terms, tiles, v=None) -> np.ndarray:
+    """sum_y x[..., y] m[..., y, z] v[y] e(E(y, z)) over z, tile by tile (see
+    _DualityRows), with v's d x d blocks over y (None: the identity) and E
+    the exact sum of the terms (_exponent_sum) made one phase row; past
+    2^62, e(E) is the product of each term's phase row instead."""
+    summed = _exponent_sum(terms)
+    phases = reduce(np.multiply, (_row_phases(*t) for t in ([summed] if summed else terms)))
+    sums = []
+    for s, summands in tiles:
+        product = m[s] if v is None else _block_product(m[s], v, out=summands)
+        np.multiply(product, phases[:, :, None, None], out=summands)
+        sums.append(_sum_over_y(x[s], summands))
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
+
+
 class _DualityRows:
     """Both sides of the duality identity for one (twist, psi), one row at a time.
 
-    Calling it on value arrays a and b of shape (..., n, n, d, d), whose
-    leading axes broadcast against each other, yields (w, lhs, rhs) for w in
+    `rows(a, b_sub)` takes value arrays a and b(y - z, z) of shape (..., n,
+    n, d, d), whose leading axes broadcast, and yields (w, lhs, rhs) for w in
     G: row w of transform(a * b) and of transform(a) * transform(b)
-    (psi-twisted kernels), each of shape (..., n, d, d).
-
-    The left side is the formula in the module docstring, with R(w, y, z)
-    split as the slice exp(2 pi i (psi + phi)(w - y, y - z, z)) V_{w-y}^*
-    u(w - y, y - z), gathered for its row from the one array V_t^* u(t, r)
-    over [t, r] and dropped after it, times u(w - z, z) V_w, which does not
-    depend on y, multiplies the summed row and is formed per row from V_w
-    and the phases u(w - z, z) over z. Row w's exponents are the sheared
-    rows of psi + phi: when both are tricharacters, of their sum as one,
-    streamed from its tensor in O(n^2) memory; with a plain operand, of the
-    plain sum (itself a narrow table), gathered once per check into one n^3
-    table of the same type, after which the sum is dropped. The right side
-    is the kernel product, read with the weight row exp(2 pi i psi(w, ., .))
-    from psi's own slabs, so exp_phases sees psi's numerators over psi.den,
-    of transform(b) and row w of transform(a), V_w^* a(w - z, z) u(w - z, z)
-    V_w, which shares its gather with L(w, .) and its factor u(w - z, z) V_w
-    with the left side. transform(b) is computed in place on a copy of the
-    gather b(y - z, z) that the left side reads, and b itself is dropped.
-    Pairs stacked along one shared leading axis (random batches) run in
-    tiles of _pairs_per_tile(n, d) inside each row, so each row's slice of R
-    and kernel weights is built once and the weighted summands of one tile
-    are the only temporary of that size; other leading shapes run as one
-    tile. include_multiplier=False drops u(w - z, z) from R and from both
-    transforms. No copy of psi and no n^3 complex array is formed.
+    (psi-twisted kernels), each of shape (..., n, d, d); called on a and b,
+    it gathers b(y - z, z) first. A side's exponent row (module docstring)
+    is summed exactly from integer rows (`exponent_rows`: the sheared row
+    of psi + phi, streamed from a tricharacter sum or read from a plain
+    sum's rows, stored once per check in one narrow n^3 table; psi's slab;
+    sigma's residues). include_multiplier=False drops sigma(w - z, z) from
+    E_L and both sigma terms from E_R. For d > 1, b_sub is overwritten per
+    batch with V_y^* b(y - z, z) V_y, which the left side reads through
+    P(y) = V_{w-y} V_y as V_w^* (a(w - y, y) P) (. P^*) V_w. A row's phases
+    serve the batch; stacked pairs form their weighted summands in tiles of
+    _pairs_per_tile(n, d). No n^3 complex array is formed.
     """
 
     def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
-        g = tw.group
-        n, d = g.order, tw.dim
-        self.tw, self.psi = tw, psi
-        self.sub, self.zi = g.sub_table, np.arange(n)
-        self.diffs = _diffs(g)  # (y - z, z) over [y, z], flat into n x n
-        self.beta_h = np.conj(tw.beta).transpose(0, 2, 1)
-        phases = tw.sigma.complex_table
-        # V_t^* u(t, r) over [t, r], flat into n x n
-        self.vu = (self.beta_h[:, None] * phases[..., None, None]).reshape(n * n, d, d)
-        self.u_out = phases.take(self.diffs) if include_multiplier else None  # u(w - z, z)
-        self.tile = _pairs_per_tile(n, d)
+        n = tw.group.order
+        self.tw, self.psi, self.include_multiplier = tw, psi, include_multiplier
+        self.sub, self.zi = tw.group.sub_table, np.arange(n)
+        self.diffs = _diffs(tw.group)  # (y - z, z) over [y, z], flat into n x n
+        self.tile = _pairs_per_tile(n, tw.dim)
         total = psi + tw.phi
         self.den, self.exponents = total.den, total.sheared_rows
         if not isinstance(total, Tricharacter):  # its rows once, as one narrow table
             self.exponents = partial(iter, _stored(total.sheared_rows(), (n, n, n), total.den))
 
+    def exponent_rows(self):
+        """(w, E_L, E_R) for w in G, each side as a list of (residues, den)
+        terms that broadcast to [y, z], the full-size one first."""
+        n, sub, psi = len(self.zi), self.sub, self.psi
+        sigma, s = self.tw.sigma.table, self.tw.sigma.den
+        sigma_diffs = sigma.take(self.diffs)  # sigma(y - z, z) over [y, z]
+        for w, sheared, psi_row in zip(range(n), self.exponents(), psi.slabs()):
+            back = sigma.take(self.diffs[w])  # sigma(w - y, y) over y: sigma(w - z, z) over z
+            left = [(sheared, self.den), (sigma.take((sub[w] * n)[:, None] + sub), s)]
+            right = [(psi_row, psi.den)]
+            if self.include_multiplier:
+                left.append((back[None, :], s))
+                right += [(back[:, None], s), (sigma_diffs, s)]
+            yield w, left, right
+
     def __call__(self, a: np.ndarray, b: np.ndarray):
-        b_sub = _at(b, self.diffs)  # b(y - z, z) over [y, z]
-        del b  # a batch's b is held here alone (see verify_duality); only b_sub is read
-        tb = _transform_in_place(self.tw, b_sub.copy(), self.u_out)
-        if a.ndim == 5 and a.shape[:1] == b_sub.shape[:1]:
-            # each tile's pairs, with the buffer their summands are weighted in
-            weighted = np.empty((min(self.tile, len(a)),) + b_sub.shape[1:], dtype=complex)
-            tiles = [
-                (slice(i, i + self.tile), weighted[: min(self.tile, len(a) - i)])
-                for i in range(0, len(a), self.tile)
-            ]
+        return self.rows(a, _at(b, self.diffs))
+
+    def rows(self, a: np.ndarray, b_sub: np.ndarray):
+        n, block, v = len(self.zi), _block_product, self.tw.beta
+        if self.tw.dim > 1:  # V_y^* b(y - z, z) V_y, pair by pair, in place
+            vh = np.conj(v).swapaxes(-1, -2)
+            for pair in b_sub.reshape((-1,) + b_sub.shape[-4:]):
+                pair[...] = block(block(vh[:, None], pair), v[:, None])
+        if a.ndim == 5 and a.shape[:1] == b_sub.shape[:1]:  # tiles share one buffer
+            k = self.tile
+            buffer = np.empty((min(k, len(a)),) + b_sub.shape[1:], dtype=complex)
+            tiles = [(slice(i, i + k), buffer[: len(a) - i]) for i in range(0, len(a), k)]
         else:
             tiles = [(slice(None), np.empty_like(b_sub))]
-        for w, exponent, psi_row in zip(range(len(self.zi)), self.exponents(), self.psi.slabs()):
-            yield (w, *self._row(w, exponent, psi_row, a, b_sub, tb, tiles))
-
-    def _row(self, w, exponent, psi_row, a, b_sub, tb, tiles):
-        """(lhs, rhs) of row w; its slices of R and of the kernel weights are
-        dropped on return, before the next row builds its own."""
-        tw, block, sub, zi = self.tw, _block_product, self.sub, self.zi
-        n = tw.group.order
-        t = sub[w]  # w - y over y
-        pairs = (t * n)[:, None] + sub  # (w - y, y - z) over [y, z], flat into n x n
-        weight = self.vu.take(pairs, axis=0)  # R(w) without u(w - z, z) V_w, once phased
-        np.multiply(_row_phases(exponent, self.den)[:, :, None, None], weight, out=weight)
-        kernel_weight = exp_phases(psi_row, self.psi.den)[:, :, None, None]
-        # V_w^* a(w - y, y) over y, completed to L(w, y) by V_{w-y} and to
-        # row w of transform(a) by u(w - y, y) V_w
-        moved = block(self.beta_h[w], _at(a, t * n + zi))
-        left = block(moved, tw.beta[t])
-        right = tw.beta[w] if self.u_out is None else self.u_out[w][:, None, None] * tw.beta[w]
-        ta = block(moved, right)
-        sides = [
-            (
-                block(_sum_over_y(left[s], block(b_sub[s], weight, out=summands)), right),
-                _sum_over_y(ta[s], np.multiply(kernel_weight, tb[s], out=summands)),
-            )
-            for s, summands in tiles
-        ]
-        if len(sides) == 1:
-            return sides[0]
-        return tuple(np.concatenate(side) for side in zip(*sides))
+        for w, left, right in self.exponent_rows():
+            t = self.sub[w]  # w - y over y
+            x_left = x_right = _at(a, t * n + self.zi)  # a(w - y, y) over y
+            weight = None
+            if self.tw.dim > 1:
+                p = block(v[t], v)  # V_{w-y} V_y over y
+                moved = block(vh[w], x_left)
+                x_left, x_right = block(moved, p), block(moved, v[w])
+                weight = np.conj(p).swapaxes(-1, -2)[:, None]
+            # one side's phase row at a time, dropped when its sum is formed
+            lhs = _weighted_sum(x_left, b_sub, left, tiles, weight)
+            rhs = _weighted_sum(x_right, b_sub, right, tiles)
+            yield w, (lhs if weight is None else block(lhs, v[w])), rhs
 
 
 def takai_transform(
@@ -522,25 +532,36 @@ _ENTRY_BUDGET = 2**15  # complex entries (512 KB) of one batch array or one tile
 
 
 def _pairs_per_batch(n: int, d: int) -> int:
-    """Random pairs that verify_duality runs through one pass over the R slices.
+    """Random pairs that verify_duality runs through one pass over the rows.
 
-    At least 8, so that a pass's per-row set-up (phases, the V^* u gather and
-    the kernel weight rows) is shared by 8 pairs; more while one batch array
-    (n^2 d^2 complex entries per pair) stays within _ENTRY_BUDGET, which
-    keeps small groups from paying the per-row overhead pair by pair. While
-    its rows run, a batch holds three such arrays (a, b(y - z, z) and
-    transform(b)); the weighted summands, the one temporary of that size
-    per pair, are formed a tile at a time (_pairs_per_tile).
+    At least 8, so that a row's exponents and phases serve 8 pairs; more
+    while one batch array (n^2 d^2 complex entries per pair) stays within
+    _ENTRY_BUDGET, so small groups do not pay the per-row overhead pair by
+    pair. A batch holds two such arrays, a and b(y - z, z) (_draw_batch),
+    and forms its weighted summands a tile at a time (_pairs_per_tile).
     """
     return max(8, _ENTRY_BUDGET // (n * n * d * d))
 
 
 def _pairs_per_tile(n: int, d: int) -> int:
-    """Pairs whose weighted summands _DualityRows forms at once inside a row:
-    as many as fit in _ENTRY_BUDGET, at least one. That is the whole batch
-    up to |G| = 64 (d = 1) and 2 pairs at |G| = 128; the per-pair float
-    operations do not depend on it."""
+    """Pairs whose weighted summands _DualityRows forms at once in a row: as
+    many as fit in _ENTRY_BUDGET, at least one (the whole batch up to
+    |G| = 64, 2 pairs at |G| = 128, d = 1); no float result depends on it."""
     return max(1, _ENTRY_BUDGET // (n * n * d * d))
+
+
+def _draw_batch(tw: TwistData, rng: np.random.Generator, size: int):
+    """`size` random pairs (a, b(y - z, z)), drawn a then b, pair by pair, as
+    StrictifiedElement.random draws them; each b passes through one scratch."""
+    n, d = tw.group.order, tw.dim
+    a, b_sub = np.empty((2, size, n, n, d, d), dtype=complex)
+    scratch, diffs = np.empty((n * n, d, d), dtype=complex), _diffs(tw.group)
+    for i in range(size):
+        for out in (a[i], scratch):
+            out.real = rng.standard_normal(out.shape)
+            out.imag = rng.standard_normal(out.shape)
+        scratch.take(diffs, axis=0, out=b_sub[i], mode="clip")  # in range; "raise" buffers
+    return a, b_sub
 
 
 def verify_duality(
@@ -554,24 +575,31 @@ def verify_duality(
     """Check transform(a * b) = transform(a) * transform(b) (psi-twisted kernels).
 
     Exhaustive over basis pairs when |G|^2 dim(B)^2 <= 64 (trials is then
-    ignored), else `trials` seeded random pairs; fewer than one is refused
-    with ConfigError. Both sides are computed row by row in the transform's
-    coordinates (module docstring, _DualityRows), so R is never stored
-    whole. Random pairs are drawn a then b, pair by pair, in batches of
-    _pairs_per_batch(n, d); the two sides stay separate products of the same
-    pair, and each pair keeps the largest error over its rows. Both sides are
-    bilinear, so the exhaustive mode compares the two structure tensors: the
-    basis is stacked along two broadcast axes and every pair comes out of the
-    same row loop. The witness is the first pair in (a, b) order, or the
-    first trial, with the largest error. include_multiplier=False drops
-    u(w - z, z) from both the transform and R and should make the check fail
-    loudly. A psi that is not a 3-cochain is refused with CochainError before
-    any work.
+    ignored), else `trials` seeded random pairs, drawn a then b, pair by
+    pair, in batches of _pairs_per_batch(n, d). Refused before any work: a
+    psi that is not a 3-cochain (CochainError); a trials or seed that is not
+    an integer (a bool included), a negative seed, a tol that is not a
+    number >= 0 (NaN included), and fewer than one trial in random mode
+    (ConfigError). Both sides are computed row by row, each from its exact
+    exponent row (module docstring, _DualityRows), and each pair keeps its
+    largest error over the rows. The exhaustive mode stacks the basis along
+    two broadcast axes, so every pair comes out of the same row loop. The
+    witness is the first pair in (a, b) order, or the first trial, with the
+    largest error. include_multiplier=False drops u(w - z, z) from the
+    transform and should make the check fail loudly.
     """
     g = tw.group
     require_cochain(psi, 3, g, "psi")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} {value!r} is not an integer")
+    if seed < 0:
+        raise ConfigError(f"seed {seed!r} is negative")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ConfigError(f"tol {tol!r} must be a non-negative number")
     n, d = g.order, tw.dim
-
+    if trials < 1 and n * n * d * d > 64:
+        raise ConfigError(f"trials {trials!r} must be a positive integer in random mode")
     check = _DualityRows(tw, psi, include_multiplier)
 
     def max_errors(rows):
@@ -587,25 +615,13 @@ def verify_duality(
         errors = max_errors(check(basis[:, None], basis[None, :]))
     else:
         mode = "random"
-        if trials < 1:
-            raise ConfigError(f"trials {trials!r} must be a positive integer in random mode")
         rng = np.random.default_rng(seed)
-
-        def draw(size):
-            """`size` random pairs, drawn a then b, pair by pair."""
-            a = np.empty((size, n, n, d, d), dtype=complex)
-            b = np.empty_like(a)
-            for i in range(size):
-                a[i] = StrictifiedElement.random(tw, rng).values
-                b[i] = StrictifiedElement.random(tw, rng).values
-            return a, b
-
         batch = _pairs_per_batch(n, d)
         errors = np.zeros(trials)
         for start in range(0, trials, batch):
             stop = min(start + batch, trials)
-            # the rows generator is the only holder of the batch, so it can drop b
-            errors[start:stop] = max_errors(check(*draw(stop - start)))
+            # the rows generator is the only holder of the batch
+            errors[start:stop] = max_errors(check.rows(*_draw_batch(tw, rng, stop - start)))
     trials = errors.size
     max_error = float(errors.max(initial=0.0))
     passed = max_error <= tol

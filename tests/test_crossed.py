@@ -29,6 +29,7 @@ from natorus import (
     lbs_involution,
     lbs_product,
     make_group,
+    nap_condition_check,
     octonion_associator_tricharacter,
     octonion_group,
     octonion_sigma,
@@ -46,6 +47,7 @@ from natorus.crossed import _block_product, _pairs_per_batch, _pairs_per_tile
 from natorus.twisted_algebra import levi_civita
 from natorus.presets import (
     epsilon_tricharacter_z4,
+    octonion_bundle,
     pauli_conjugators,
     pauli_m2_twist,
     shift_bicharacter,
@@ -707,3 +709,121 @@ def test_block_product_is_matmul_on_stacked_blocks(d):
     right = np.broadcast_to(b, a.shape).copy()
     assert _block_product(a, right, out=right) is right
     assert np.abs(right - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda **kw: verify_duality(z4_scalar_twist(), epsilon_tricharacter_z4(), **kw),
+        lambda **kw: nap_condition_check(octonion_bundle(), **kw),
+    ],
+    ids=["verify_duality", "nap_condition_check"],
+)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": "5"}, "trials '5' is not an integer"),
+        ({"trials": 2.5}, "trials 2.5 is not an integer"),
+        ({"trials": True}, "trials True is not an integer"),
+        ({"seed": -1}, "seed -1 is negative"),
+        ({"seed": 1.0}, "seed 1.0 is not an integer"),
+        ({"tol": float("nan")}, "tol nan must be a non-negative number"),
+        ({"tol": -1}, "tol -1 must be a non-negative number"),
+        ({"tol": "1e-10"}, "tol '1e-10' must be a non-negative number"),
+    ],
+)
+def test_duality_refuses_malformed_arguments_with_a_typed_error(check, kwargs, message):
+    # trials "5", 2.5 or True raised a bare TypeError, seed -1 numpy's
+    # ValueError, and tol nan or -1 returned a failing report with no witness
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        check(**kwargs)
+
+
+@pytest.mark.parametrize("twist", [z4_scalar_twist, pauli_m2_twist], ids=["d1", "d2"])
+def test_a_batch_is_drawn_as_strictified_elements_a_then_b(twist):
+    """_draw_batch fills a and b(y - z, z) with the values that
+    StrictifiedElement.random draws, a then b, pair by pair, bit for bit."""
+    tw = twist()
+    a, b_sub = crossed._draw_batch(tw, np.random.default_rng(11), 3)
+    rng = np.random.default_rng(11)
+    for i in range(3):
+        assert np.array_equal(a[i], StrictifiedElement.random(tw, rng).values)
+        b = StrictifiedElement.random(tw, rng).values
+        assert np.array_equal(b_sub[i], crossed._at(b, crossed._diffs(tw.group)))
+
+
+def test_the_duality_check_holds_two_batch_arrays():
+    """At |G| = 128 (the duality_large inputs) with one batch of 8 pairs, the
+    check's traced peak stays below its two batch arrays (a and b(y - z, z)),
+    one tile of weighted summands and four n^2 complex rows."""
+    group = make_group([2, 4, 4, 4])
+    eps = levi_civita(group.rank)
+    tw = TwistData.scalar_from_sigma(group, trivializing_cochain(Tricharacter(group, eps, 2)))
+    psi = Tricharacter(group, eps, 4)
+    n = group.order
+    batch, tile = _pairs_per_batch(n, 1), _pairs_per_tile(n, 1)
+    assert (batch, tile) == (8, 2)
+    verify_duality(tw, psi, trials=1)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        report = verify_duality(tw, psi, trials=batch, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == batch
+    assert peak < (2 * batch + tile + 4) * n * n * 16
+
+
+def shear_invariant_cochain(group, den, rng):
+    """A plain 3-cochain c over den with c(w - y, y - z, z) = c(w, y, z): one
+    random value on each orbit of (a, b, c) -> (a + b + c, b + c, c) that
+    avoids the identity in every slot, zero on the others."""
+    n, add = group.order, group.add_table
+    table = np.zeros((n, n, n), dtype=np.int64)
+    seen = np.zeros((n, n, n), dtype=bool)
+    for start in itertools.product(range(n), repeat=3):
+        if seen[start]:
+            continue
+        orbit, cell = [], start
+        while not seen[cell]:
+            seen[cell] = True
+            orbit.append(cell)
+            a, b, c = cell
+            cell = (add[add[a, b], c], add[b, c], c)
+        value = 0 if any(0 in cell for cell in orbit) else int(rng.integers(1, den))
+        for cell in orbit:
+            table[cell] = value
+    return Cochain3(group, table, den)
+
+
+def test_duality_past_the_common_denominator_bound_multiplies_phase_rows():
+    """sigma over 4 (2^31 + 11), with delta sigma = delta tau over 4, and a
+    shear-invariant psi over 2^31 - 1: both sides' exponents need a common
+    denominator past 2^62, so their phase rows are multiplied term by term.
+    The parent accepts this validated twist; the check passes, and without
+    the multiplier it fails at the per-pair reference's witness."""
+    group = make_group([4, 4])
+    n, add = group.order, group.add_table
+    rng = np.random.default_rng(23)
+    big, other = 2**31 + 11, 2**31 - 1
+    f = rng.integers(0, big, size=n)
+    f[0] = 0
+    df = (f[None, :] - f[add] + f[:, None]) % big  # delta f(x, y), a 2-cocycle
+    t = rng.integers(0, 4, size=(n, n))
+    t[0] = t[:, 0] = 0
+    tau = Cochain2(group, t, 4)
+    sigma = tau + Cochain2(group, df, big)
+    tw = TwistData.scalar_from_sigma(group, sigma)
+    assert tw.phi == coboundary2(tau) and tw.phi.den <= 4 and sigma.den == 4 * big
+    psi = shear_invariant_cochain(group, other, rng)
+    assert psi.den == other
+    for include_multiplier in (True, False):
+        rows = crossed._DualityRows(tw, psi, include_multiplier).exponent_rows()
+        _, left, right = next(rows)
+        assert crossed._exponent_sum(left) is None
+        assert (crossed._exponent_sum(right) is None) == include_multiplier
+    assert verify_duality(tw, psi, trials=4, seed=2).passed
+    report = verify_duality(tw, psi, trials=4, seed=2, include_multiplier=False)
+    mode, trials, max_error, witness = per_pair_duality(tw, psi, 4, 2, False)
+    assert (report.mode, report.trials, report.witness) == (mode, trials, witness)
+    assert not report.passed and abs(report.max_error - max_error) <= 1e-9 * max_error

@@ -45,8 +45,9 @@ from natorus import (
     verify_duality,
 )
 from natorus.cochains import _coboundary, _coboundary_chunk, _storage_dtype, _sweep, _sweep_dtype
-from natorus.crossed import _DualityRows
+from natorus.crossed import _DualityRows, _exponent_sum
 from natorus.groups import subgroup_elements
+from natorus.kernels import _combination_defect_chunk
 from natorus.presets import m4_conjugation_action, pauli_m2_twist
 from test_crossed import float_twist_witness
 from test_quantization import (
@@ -529,6 +530,23 @@ def test_the_coboundary_chunk_is_the_definition_and_squares_to_zero(arity, den, 
         assert _coboundary(_coboundary(c)).is_zero()
 
 
+
+@pytest.mark.parametrize("den", [2, 12, 2**31 + 11])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(factors=factor_lists(12), seed=st.integers(0, 2**32 - 1))
+def test_the_combination_chunk_is_the_fancy_index_form(den, factors, seed):
+    """The multiplier-combination chunk, gathered with `take`, equals its
+    fancy-index form on a random table in the sweep type, bit for bit."""
+    group = make_group(factors)
+    add, sub = group.add_table, group.sub_table
+    table = random_normalized_table(group, den, 3, np.random.default_rng(seed))
+    t = table.astype(_sweep_dtype(den, 5))
+    for ix in range(group.order):
+        ti = t[ix]
+        expected = t[add[ix]] + ti[:, None, :] - ti[add] - t[:, :, sub[:, ix]]
+        expected -= t[:, :, ix][:, :, None]
+        assert np.array_equal(_combination_defect_chunk(t, group, ix), expected)
+
 def random_normalized_cocycle_or_mutant(group, den, rng):
     """delta sigma for a random normalized sigma over `den`, with zero or one
     entry replaced by a random residue; the table keeps the denominator `den`."""
@@ -772,6 +790,67 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
         k = keys.index(report.witness[0]) * len(keys) + keys.index(report.witness[1])
     assert errors[k] >= worst * (1 - 1e-9)
 
+
+
+@pytest.mark.parametrize("include_multiplier", [True, False])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    factors=factor_lists(max_order=16),
+    dens=st.tuples(*[st.sampled_from([2, 12, 2**31 + 11])] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_duality_exponent_rows_are_the_python_integer_sums(
+    include_multiplier, factors, dens, seed
+):
+    """E_L and E_R as the check sums them (`exponent_rows`, `_exponent_sum`)
+    for plain random psi, phi and sigma, against the definition summed in
+    Python integers over the lcm of their denominators:
+        E_L = (psi + phi)(w - y, y - z, z) + sigma(w - y, y - z) + sigma(w - z, z),
+        E_R = psi(w, y, z) + sigma(w - y, y) + sigma(y - z, z),
+    with the sigma(w - z, z) term of E_L and both of E_R dropped without the
+    multiplier."""
+    group = make_group(factors)
+    n, sub = group.order, group.sub_table
+    rng = np.random.default_rng(seed)
+    psi, phi = (Cochain3(group, random_normalized_table(group, d, 3, rng), d) for d in dens[:2])
+    sigma = Cochain2(group, random_normalized_table(group, dens[2], 2, rng), dens[2])
+    tw = TwistData(group, sigma=sigma, phi=phi, validate=False)
+    common = lcm(*dens)
+
+    def value(c, *cell):
+        return int(c.table[cell]) * (common // c.den)
+
+    for w, left, right in _DualityRows(tw, psi, include_multiplier).exponent_rows():
+        (e_left, den_left), (e_right, den_right) = _exponent_sum(left), _exponent_sum(right)
+        for y, z in itertools.product(range(n), repeat=2):
+            t, r = sub[w, y], sub[y, z]
+            expected_left = value(psi, t, r, z) + value(phi, t, r, z) + value(sigma, t, r)
+            expected_right = value(psi, w, y, z)
+            if include_multiplier:
+                expected_left += value(sigma, sub[w, z], z)
+                expected_right += value(sigma, t, y) + value(sigma, r, z)
+            assert int(e_left[y, z]) * (common // den_left) == expected_left % common
+            assert int(e_right[y, z]) * (common // den_right) == expected_right % common
+
+
+@pytest.mark.parametrize(
+    "dens", [(2**62 - 57,) * 3, (256, 1, 128), (255, 5, 3)], ids=["int64-wrap", "uint8", "int16"]
+)
+def test_exponent_sums_are_exact_in_each_type(dens):
+    """_exponent_sum on three broadcast rows of residues near each den, in
+    the type a table over it is stored in: past int64 (three terms over
+    2^62 - 57 would wrap), in uint8 with a term over 1 (whose scale, 256,
+    does not fit uint8) and in int16, against Python integers."""
+    rng = np.random.default_rng(len(dens))
+    shapes = [(5, 5), (1, 5), (5, 1)]
+    rows = [
+        rng.integers(max(d - 9, 0), d, size=shape).astype(_storage_dtype(d))
+        for d, shape in zip(dens, shapes)
+    ]
+    total, den = _exponent_sum(list(zip(rows, dens)))
+    assert den == lcm(*dens)
+    expected = sum(row.astype(object) * (den // d) for row, d in zip(rows, dens)) % den
+    assert np.array_equal(total.astype(object), expected)
 
 SHEARED_MODULI = list(range(1, 49)) + [127, 128, 129, 130, 255, 256]
 
