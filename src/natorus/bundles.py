@@ -26,7 +26,7 @@ from .cochains import (
     require_cochain,
     trivializing_cochain,
 )
-from .crossed import DualityReport, TwistData, verify_duality
+from .crossed import DualityReport, TwistData, _require_duality_arguments, verify_duality
 from .errors import BundleConstructionError, CochainError, IncompatibleGroupsError
 from .groups import FiniteAbelianGroup
 from .phases import Report
@@ -168,18 +168,16 @@ def nap_condition_check(
     table; the duality transform must carry its crossed product onto
     (-phi)-twisted kernels, so for a tricharacter phi the check streams.
     Exhaustive over basis pairs for scalar fibers of small order, so a pass
-    is a structure-constant match, not a sample.
+    is a structure-constant match, not a sample. Malformed arguments are
+    refused as verify_duality refuses them, before any fiber is built.
     """
+    _require_duality_arguments(trials, seed, tol, bundle.group.order**2)
     reports = {}
-    max_error = 0.0
     for x in bundle.base:
-        alg = bundle.fiber(x)
-        tw = TwistData(bundle.group, sigma=alg.sigma, phi=bundle.phi)
-        psi = -tw.phi
-        reports[x] = verify_duality(tw, psi, trials=trials, seed=seed, tol=tol)
-        max_error = max(max_error, reports[x].max_error)
-    passed = all(r.passed for r in reports.values())
-    return NAPReport(passed, max_error, tol, reports)
+        tw = TwistData(bundle.group, sigma=bundle.fiber(x).sigma, phi=bundle.phi)
+        reports[x] = verify_duality(tw, -tw.phi, trials=trials, seed=seed, tol=tol)
+    max_error = max(r.max_error for r in reports.values())
+    return NAPReport(all(r.passed for r in reports.values()), max_error, tol, reports)
 
 
 # ------------------------------------------------------------ sigma recovery

@@ -22,7 +22,7 @@ that require antisymmetry check for it rather than assume it.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -39,6 +39,7 @@ from .phases import Phase
 
 
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+_QUARTER_DIFFERENCES = np.subtract.outer(_QUARTER_TURNS, _QUARTER_TURNS).ravel()  # at 4 j + k
 
 
 def common_denominator(den_a: int, den_b: int) -> int:
@@ -53,15 +54,16 @@ def common_denominator(den_a: int, den_b: int) -> int:
     return d
 
 
-def exp_phases(table: np.ndarray, den: int) -> np.ndarray:
-    """exp(2 pi i table / den) for an integer array.
+def exp_phases(table: np.ndarray, den: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2 pi i table / den) for an integer array, formed in `out` if given.
 
     Quarter-turn denominators give exact +-1 and +-i entries, so sign
     tables like the octonion structure constants carry no roundoff.
     """
     if den in (1, 2, 4):
-        return _QUARTER_TURNS.take(table if den == 4 else table * (4 // den), mode="wrap")
-    return np.exp(2j * np.pi * table / den)
+        return _QUARTER_TURNS.take(table if den == 4 else table * (4 // den), mode="wrap", out=out)
+    out = np.multiply(table, 2j * np.pi, out=out)  # in place from here: no temporaries
+    return np.exp(np.divide(out, den, out=out), out=out)
 
 
 def _require_denominator(den: int) -> None:
@@ -523,15 +525,17 @@ class Tricharacter(Cochain3):
         c(s, y - z, z) with s = w - (w - 1), and c(s, y - z, z) = c(s, y, z) -
         c(s, z, z) is s's slab minus its diagonal along z. Row 0 is
         c(-y, y - z, z) = c(y, z, z) - c(y, y, z) by linearity in the first two
-        slots, built from the tensor in n^2 k steps for rank k, each stage
-        inside the bound of `_stage_modulus`. O(n^2) memory and no gather.
+        slots, built from the tensor in n^2 k steps for rank k, a block of y at
+        a time, each stage inside the bound of `_stage_modulus`. No gather.
         """
         g, m, t = self.group, self.modulus, self.tensor
-        coords = g.coords
+        coords, n = g.coords, g.order
         yy = np.einsum("yj,yjk->yk", coords, np.tensordot(coords, t, axes=1) % m) % m
         zz = np.einsum("zj,zij->zi", coords, _contract_last(coords, t, m)) % m
         # yy[y, k] = c(y, y, e_k) and zz[z, i] = c(e_i, z, z)
-        first = (coords @ zz.T - yy @ coords.T) % m
+        first = np.empty((n, n), _storage_dtype(m))
+        for y in range(0, n, rows := max(1, 2**10 // n)):
+            first[y : y + rows] = (coords[y : y + rows] @ zz.T - yy[y : y + rows] @ coords.T) % m
 
         def step(s):
             slab = self._step_slab(s)
@@ -674,14 +678,24 @@ def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
     The one loop of the exact sweeps: delta of a k-cochain, k + 2 terms
     (`_coboundary_chunk`), and the multiplier combination of a 3-cochain
     (`kernels`). A chunk sums at most phi.arity + 2 signed entries of `table`,
-    the term bound of `_sweep_dtype`, and may be built in place. `table` is
-    phi's own read-only table when it is stored in that type, else a copy in
-    it, made here and dropped when the sweep ends, never cached on the
-    cochain. Each chunk is reduced mod den here, in place (`_reduce`).
+    the term bound of `_sweep_dtype`, in buffers made once per sweep
+    (`_SweepTable`): every index yields one array. `table` is phi's own table
+    when stored in that type, else a copy in it, made here and dropped when
+    the sweep ends, never cached. Each chunk is reduced mod den here, in place.
     """
-    table = phi.table.astype(_sweep_dtype(phi.den, phi.arity + 2), copy=False)
+    table = phi.table.astype(_sweep_dtype(phi.den, phi.arity + 2), copy=False).view(_SweepTable)
+    table.buffers = tuple(np.empty((2,) + table.shape, table.dtype))
     for i in range(phi.group.order):
         yield _reduce(chunk(table, phi.group, i), phi.den)
+
+
+class _SweepTable(np.ndarray):
+    """A sweep's table, with the (out, scratch) `buffers` its chunks are built in."""
+
+
+def _chunk_buffers(t: np.ndarray) -> tuple:
+    """t's sweep buffers (`_SweepTable`), else two fresh arrays of its shape and type."""
+    return getattr(t, "buffers", None) or tuple(np.empty((2,) + t.shape, t.dtype))
 
 
 def _reduce(out: np.ndarray, den: int) -> np.ndarray:
@@ -715,11 +729,12 @@ def _coboundary_chunk(t: np.ndarray, group: FiniteAbelianGroup, x: int) -> np.nd
     built in place and indexed [x1, ..., xk]. Each sum slot is one `take`
     along one axis, faster than fancy indexing."""
     add, tx, k = group.add_table, t[x], t.ndim  # tx: c(x, ...), arity k - 1
-    # c(x, x1 + x2, ...) in a fresh array (c(x1) itself at arity 1): no negation pass
-    out = tx.take(add, axis=0) if k > 1 else t.copy()
-    out -= t.take(add[x], axis=0)  # c(x + x1, x2, ...)
+    (out, scratch), take = _chunk_buffers(t), partial(np.take, mode="clip")  # in range
+    # c(x, x1 + x2, ...) written first (c(x1) itself at arity 1): no negation pass
+    take(tx, add, axis=0, out=out) if k > 1 else np.copyto(out, t)
+    out -= take(t, add[x], axis=0, out=scratch)  # c(x + x1, x2, ...)
     for axis in range(1, k - 1):  # c(x, x1, ..., x(axis+1) + x(axis+2), ...)
-        (np.subtract if axis % 2 else np.add)(out, tx.take(add, axis=axis), out=out)
+        (np.subtract if axis % 2 else np.add)(out, take(tx, add, axis=axis, out=scratch), out=out)
     if k > 1:
         out += t  # c(x1, ..., xk)
     (np.add if k % 2 else np.subtract)(out, t[x, ..., None], out=out)  # c(x, x1, ..., x(k-1))

@@ -33,11 +33,13 @@ substituted in the strictified product,
     E_R(w, y, z) = psi(w, y, z) + sigma(w - y, y) + sigma(y - z, z).
 
 Every scalar factor is in an exponent, exact in Q/Z; verify_duality
-(_DualityRows) makes each side's integer row E(w, ., .) into phases once.
-For d = 1 the V's cancel, the sides differ only in that row, and E_L - E_R
-is the exact defect. strictified_product and takai_transform compute by
-the definitions, the route the tests compare against, and share only
-_row_phases and the twist's own tables with the check.
+(_DualityRows) sums each side's integer row E(w, ., .) exactly. For d = 1
+the V's cancel and one weighted sum of e(E_L) - e(E_R), zero bit for bit
+where the rows agree, is the defect; for d > 1 the V's around b(y - z, z)
+differ (V_{w-y} against V_y), so each side forms its own sum.
+strictified_product and takai_transform compute by the definitions, the
+route the tests compare against, and share only _row_phases and the
+twist's own tables with the check.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from math import lcm
 import numpy as np
 
 from .cochains import (
+    _QUARTER_DIFFERENCES,
     Cochain2,
     Cochain3,
     Tricharacter,
@@ -295,11 +298,11 @@ def strictified_product(
     return StrictifiedElement(tw, out)
 
 
-def _row_phases(exponent: np.ndarray, den: int) -> np.ndarray:
-    """exp(2 pi i exponent / den) for one row of exponents, put in lowest
-    terms over the row (`_lowest_terms`) so that quarter turns take exact
-    roots; a quarter-turn den is exact as it is and skips the gcd pass."""
-    return exp_phases(exponent, den) if 4 % den == 0 else exp_phases(*_lowest_terms(exponent, den))
+def _row_phases(exponent: np.ndarray, den: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2 pi i exponent / den) for one row of exponents, into `out` if given,
+    put in lowest terms over the row (`_lowest_terms`) so that quarter turns
+    take exact roots; a quarter-turn den is exact as it is and skips the gcd."""
+    return exp_phases(*((exponent, den) if 4 % den == 0 else _lowest_terms(exponent, den)), out=out)
 
 
 def _at(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -362,30 +365,46 @@ def _sum_over_y(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _exponent_sum(terms: list) -> tuple[np.ndarray, int] | None:
     """(sum of the terms mod den, den) for terms (residues, den_k) that
     broadcast, the first full-size, over den = lcm of the den_k, or None
-    past 2^62. It runs in the narrowest exact type (`_sweep_dtype`), else in
-    int64 reduced after each term: two scaled terms, each below den, fit."""
+    past 2^62. It sums in place in the narrowest exact type (`_sweep_dtype`),
+    else in int64 reduced after each term: two scaled terms, each below den, fit."""
     den = lcm(*(d for _, d in terms))
     if den > 2**62:
         return None
     wraps = (dtype := _sweep_dtype(den, len(terms))) == object
     dtype = np.dtype(np.int64) if wraps else dtype
     # a scale below den fits the type; a term over 1 is zero and scaled by 0
-    rows = (np.multiply(row, den // d % den, dtype=dtype) for row, d in terms)
-    total = next(rows)
+    rows = (row if d == den else np.multiply(row, den // d % den, dtype=dtype) for row, d in terms)
+    total = next(rows).astype(dtype)
     for row in rows:
-        total += row
+        np.add(total, row, out=total, dtype=dtype)
         if wraps:
             _reduce(total, den)
     return _reduce(total, den), den
 
 
-def _weighted_sum(x, m, terms, tiles, v=None) -> np.ndarray:
-    """sum_y x[..., y] m[..., y, z] v[y] e(E(y, z)) over z, tile by tile (see
-    _DualityRows), with v's d x d blocks over y (None: the identity) and E
-    the exact sum of the terms (_exponent_sum) made one phase row; past
-    2^62, e(E) is the product of each term's phase row instead."""
-    summed = _exponent_sum(terms)
-    phases = reduce(np.multiply, (_row_phases(*t) for t in ([summed] if summed else terms)))
+def _phases(terms: list, out: np.ndarray | None = None, summed=None) -> np.ndarray:
+    """e(E) for E the exact sum of the terms (`_exponent_sum`, or `summed`), into
+    `out` if given; past 2^62, the product of each term's phase row."""
+    if (summed := summed or _exponent_sum(terms)) is None:
+        return reduce(np.multiply, (_row_phases(*t) for t in terms))
+    return _row_phases(*summed, out=out)
+
+
+def _phase_difference(left: list, right: list, spare: np.ndarray) -> np.ndarray:
+    """D = e(E_L) - e(E_R), zero bit for bit where the exact sums agree: one take of
+    i^j - i^k for two quarter-turn sums, else e(E_L) less e(E_R) formed in `spare`."""
+    summed = _exponent_sum(left), _exponent_sum(right)
+    if all(s is not None and 4 % s[1] == 0 for s in summed):
+        index = sum(np.multiply(e, k // d, dtype=np.uint8) for (e, d), k in zip(summed, (16, 4)))
+        return _QUARTER_DIFFERENCES.take(index)
+    phases = _phases(left, summed=summed[0])
+    phases -= _phases(right, spare, summed[1])
+    return phases
+
+
+def _weighted_sum(x, m, phases, tiles, v=None) -> np.ndarray:
+    """sum_y x[..., y] m[..., y, z] v[y] phases[y, z] over z, tile by tile
+    (see _DualityRows), with v's d x d blocks over y (None: the identity)."""
     sums = []
     for s, summands in tiles:
         product = m[s] if v is None else _block_product(m[s], v, out=summands)
@@ -395,29 +414,29 @@ def _weighted_sum(x, m, terms, tiles, v=None) -> np.ndarray:
 
 
 class _DualityRows:
-    """Both sides of the duality identity for one (twist, psi), one row at a time.
+    """The defect of the duality identity for one (twist, psi), row by row.
 
     `rows(a, b_sub)` takes value arrays a and b(y - z, z) of shape (..., n,
-    n, d, d), whose leading axes broadcast, and yields (w, lhs, rhs) for w in
-    G: row w of transform(a * b) and of transform(a) * transform(b)
-    (psi-twisted kernels), each of shape (..., n, d, d); called on a and b,
-    it gathers b(y - z, z) first. A side's exponent row (module docstring)
-    is summed exactly from integer rows (`exponent_rows`: the sheared row
-    of psi + phi, streamed from a tricharacter sum or read from a plain
-    sum's rows, stored once per check in one narrow n^3 table; psi's slab;
-    sigma's residues). include_multiplier=False drops sigma(w - z, z) from
-    E_L and both sigma terms from E_R. For d > 1, b_sub is overwritten per
-    batch with V_y^* b(y - z, z) V_y, which the left side reads through
-    P(y) = V_{w-y} V_y as V_w^* (a(w - y, y) P) (. P^*) V_w. A row's phases
-    serve the batch; stacked pairs form their weighted summands in tiles of
-    _pairs_per_tile(n, d). No n^3 complex array is formed.
+    n, d, d), whose leading axes broadcast, and yields (w, defect) for w in
+    G: row w of transform(a * b) - transform(a) * transform(b), of shape
+    (..., n, d, d); called on a and b, it gathers b(y - z, z) first. Each
+    side's exponent row (module docstring) is summed exactly from integer
+    rows (`exponent_rows`: the sheared row of psi + phi, streamed from a
+    tricharacter sum or read from a plain sum's rows, stored once per check
+    in one narrow n^3 table; psi's slab; sigma's residues). For d = 1 a row
+    is one weighted sum of e(E_L) - e(E_R) (`_phase_difference`). For d > 1,
+    b_sub is overwritten per batch with V_y^* b(y - z, z) V_y, which the left
+    side reads through P(y) = V_{w-y} V_y as V_w^* (a(w - y, y) P) (. P^*) V_w.
+    A row's phases serve the batch; stacked pairs form their weighted
+    summands in tiles of _pairs_per_tile(n, d). No n^3 complex array is
+    formed. include_multiplier=False drops sigma(w - z, z) from E_L and both
+    sigma terms from E_R.
     """
 
     def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
         n = tw.group.order
         self.tw, self.psi, self.include_multiplier = tw, psi, include_multiplier
         self.sub, self.zi = tw.group.sub_table, np.arange(n)
-        self.diffs = _diffs(tw.group)  # (y - z, z) over [y, z], flat into n x n
         self.tile = _pairs_per_tile(n, tw.dim)
         total = psi + tw.phi
         self.den, self.exponents = total.den, total.sheared_rows
@@ -427,12 +446,14 @@ class _DualityRows:
     def exponent_rows(self):
         """(w, E_L, E_R) for w in G, each side as a list of (residues, den)
         terms that broadcast to [y, z], the full-size one first."""
-        n, sub, psi = len(self.zi), self.sub, self.psi
+        n, sub, zi, psi = len(self.zi), self.sub, self.zi, self.psi
         sigma, s = self.tw.sigma.table, self.tw.sigma.den
-        sigma_diffs = sigma.take(self.diffs)  # sigma(y - z, z) over [y, z]
+        sigma_diffs = sigma.take(_diffs(self.tw.group))  # sigma(y - z, z) over [y, z]
+        skew = sigma.take((zi * n)[:, None] + sub.T)  # sigma(t, v - t) over [t, v]
         for w, sheared, psi_row in zip(range(n), self.exponents(), psi.slabs()):
-            back = sigma.take(self.diffs[w])  # sigma(w - y, y) over y: sigma(w - z, z) over z
-            left = [(sheared, self.den), (sigma.take((sub[w] * n)[:, None] + sub), s)]
+            rows = skew.take(sub[w], axis=0)  # at [y, w - z]: sigma(w - y, y - z)
+            back = rows[:, w]  # sigma(w - y, y) over y: sigma(w - z, z) over z
+            left = [(sheared, self.den), (rows[:, sub[w]], s)]
             right = [(psi_row, psi.den)]
             if self.include_multiplier:
                 left.append((back[None, :], s))
@@ -440,7 +461,7 @@ class _DualityRows:
             yield w, left, right
 
     def __call__(self, a: np.ndarray, b: np.ndarray):
-        return self.rows(a, _at(b, self.diffs))
+        return self.rows(a, _at(b, _diffs(self.tw.group)))
 
     def rows(self, a: np.ndarray, b_sub: np.ndarray):
         n, block, v = len(self.zi), _block_product, self.tw.beta
@@ -453,20 +474,21 @@ class _DualityRows:
             buffer = np.empty((min(k, len(a)),) + b_sub.shape[1:], dtype=complex)
             tiles = [(slice(i, i + k), buffer[: len(a) - i]) for i in range(0, len(a), k)]
         else:
-            tiles = [(slice(None), np.empty_like(b_sub))]
+            tiles = [(slice(None), buffer := np.empty_like(b_sub))]
+        spare = buffer.reshape(-1)[: n * n].reshape(n, n)  # e(E_R) until a tile overwrites it
         for w, left, right in self.exponent_rows():
             t = self.sub[w]  # w - y over y
-            x_left = x_right = _at(a, t * n + self.zi)  # a(w - y, y) over y
-            weight = None
-            if self.tw.dim > 1:
-                p = block(v[t], v)  # V_{w-y} V_y over y
-                moved = block(vh[w], x_left)
-                x_left, x_right = block(moved, p), block(moved, v[w])
-                weight = np.conj(p).swapaxes(-1, -2)[:, None]
+            x = _at(a, t * n + self.zi)  # a(w - y, y) over y
+            if self.tw.dim == 1:  # one sum, of D = e(E_L) - e(E_R)
+                yield w, _weighted_sum(x, b_sub, _phase_difference(left, right, spare), tiles)
+                continue
+            p = block(v[t], v)  # V_{w-y} V_y over y
+            moved = block(vh[w], x)
+            weight = np.conj(p).swapaxes(-1, -2)[:, None]
             # one side's phase row at a time, dropped when its sum is formed
-            lhs = _weighted_sum(x_left, b_sub, left, tiles, weight)
-            rhs = _weighted_sum(x_right, b_sub, right, tiles)
-            yield w, (lhs if weight is None else block(lhs, v[w])), rhs
+            lhs = _weighted_sum(block(moved, p), b_sub, _phases(left), tiles, weight)
+            rhs = _weighted_sum(block(moved, v[w]), b_sub, _phases(right), tiles)
+            yield w, block(lhs, v[w]) - rhs
 
 
 def takai_transform(
@@ -564,6 +586,21 @@ def _draw_batch(tw: TwistData, rng: np.random.Generator, size: int):
     return a, b_sub
 
 
+def _require_duality_arguments(trials, seed, tol, cells: int) -> None:
+    """Refuse, with ConfigError, a trials or seed that is not an integer (a
+    bool included), a negative seed, a tol that is not a number >= 0 (NaN
+    included), and fewer than one trial in random mode (cells n^2 d^2 > 64)."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} {value!r} is not an integer")
+    if seed < 0:
+        raise ConfigError(f"seed {seed!r} is negative")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ConfigError(f"tol {tol!r} must be a non-negative number")
+    if trials < 1 and cells > 64:
+        raise ConfigError(f"trials {trials!r} must be a positive integer in random mode")
+
+
 def verify_duality(
     tw: TwistData,
     psi: Cochain3,
@@ -577,37 +614,25 @@ def verify_duality(
     Exhaustive over basis pairs when |G|^2 dim(B)^2 <= 64 (trials is then
     ignored), else `trials` seeded random pairs, drawn a then b, pair by
     pair, in batches of _pairs_per_batch(n, d). Refused before any work: a
-    psi that is not a 3-cochain (CochainError); a trials or seed that is not
-    an integer (a bool included), a negative seed, a tol that is not a
-    number >= 0 (NaN included), and fewer than one trial in random mode
-    (ConfigError). Both sides are computed row by row, each from its exact
-    exponent row (module docstring, _DualityRows), and each pair keeps its
-    largest error over the rows. The exhaustive mode stacks the basis along
-    two broadcast axes, so every pair comes out of the same row loop. The
-    witness is the first pair in (a, b) order, or the first trial, with the
-    largest error. include_multiplier=False drops u(w - z, z) from the
-    transform and should make the check fail loudly.
+    psi that is not a 3-cochain (CochainError) and a malformed trials, seed
+    or tol (`_require_duality_arguments`). The defect is formed row by row
+    from exact exponent rows (_DualityRows: for d = 1 one weighted sum of
+    e(E_L) - e(E_R)), and each pair keeps its largest |defect| over the
+    rows. The exhaustive mode stacks the basis along two broadcast axes,
+    so every pair comes out of the same row loop. The witness is the first
+    pair in (a, b) order, or the first trial, with the largest error.
+    include_multiplier=False drops u(w - z, z) from the transform and
+    should make the check fail loudly.
     """
     g = tw.group
     require_cochain(psi, 3, g, "psi")
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} {value!r} is not an integer")
-    if seed < 0:
-        raise ConfigError(f"seed {seed!r} is negative")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise ConfigError(f"tol {tol!r} must be a non-negative number")
     n, d = g.order, tw.dim
-    if trials < 1 and n * n * d * d > 64:
-        raise ConfigError(f"trials {trials!r} must be a positive integer in random mode")
+    _require_duality_arguments(trials, seed, tol, n * n * d * d)
     check = _DualityRows(tw, psi, include_multiplier)
 
     def max_errors(rows):
         """max |transform(a * b) - transform(a) * transform(b)| per pair, over rows."""
-        errors = 0.0
-        for _, lhs, rhs in rows:
-            errors = np.maximum(errors, np.abs(lhs - rhs).max(axis=(-3, -2, -1)))
-        return errors
+        return reduce(np.maximum, (np.abs(defect).max(axis=(-3, -2, -1)) for _, defect in rows))
 
     if n * n * d * d <= 64:
         mode = "exhaustive"

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain3, Tricharacter, _sweep_witness, exp_phases, require_cochain
+from .cochains import Cochain3, Tricharacter, _chunk_buffers, _sweep_witness, exp_phases
+from .cochains import require_cochain
 from .elements import ArrayElement
 from .errors import CochainError, NotACocycleError
 from .groups import FiniteAbelianGroup
@@ -181,11 +182,11 @@ def _combination_defect_chunk(t: np.ndarray, group: FiniteAbelianGroup, ix: int)
     each gather is one `take` along one axis, faster than fancy indexing.
     """
     add, sub = group.add_table, group.sub_table
-    ti = t[ix]
-    out = t.take(add[ix], axis=0)  # t[xi+eta, zeta, x]
+    (out, scratch), ti = _chunk_buffers(t), t[ix]
+    t.take(add[ix], axis=0, out=out, mode="clip")  # t[xi+eta, zeta, x]; indices in range
     out += ti[:, None, :]  # t[xi, eta, x]
-    out -= ti.take(add, axis=0)  # t[xi, eta+zeta, x]
-    out -= t.take(sub[:, ix], axis=2)  # t[eta, zeta, x-xi]
+    out -= ti.take(add, axis=0, out=scratch, mode="clip")  # t[xi, eta+zeta, x]
+    out -= t.take(sub[:, ix], axis=2, out=scratch, mode="clip")  # t[eta, zeta, x-xi]
     out -= t[:, :, ix][:, :, None]  # phi(eta, zeta, xi)
     return out
 

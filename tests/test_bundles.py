@@ -11,6 +11,7 @@ from natorus import (
     BundleConstructionError,
     Cochain2,
     Cochain3,
+    ConfigError,
     IncompatibleGroupsError,
     Tricharacter,
     TwistData,
@@ -23,6 +24,7 @@ from natorus import (
     octonion_group,
     octonion_sigma,
 )
+from natorus import bundles
 from natorus.twisted_algebra import levi_civita
 from natorus.presets import (
     epsilon_tricharacter_z4,
@@ -31,6 +33,7 @@ from natorus.presets import (
     shift_bicharacter,
     two_point_bundle,
 )
+import test_crossed
 from test_crossed import first_mismatch
 
 
@@ -243,3 +246,25 @@ def test_a_wrong_trivializer_is_refused_with_its_first_witness():
     with pytest.raises(BundleConstructionError, match=re.escape(f"at indices {witness}")):
         build_nap_bundle(("p",), g, phi, {}, trivializer=tau)
     assert "coboundary" not in vars(tau)
+
+
+MALFORMED = next(
+    mark.args[1]
+    for mark in test_crossed.test_duality_refuses_malformed_arguments_with_a_typed_error.pytestmark
+    if mark.args[0] == "kwargs, message"
+)
+
+
+@pytest.mark.parametrize("kwargs, message", MALFORMED)
+def test_the_nap_check_refuses_malformed_arguments_before_any_fiber(kwargs, message, monkeypatch):
+    """The eight malformed trials, seed and tol of verify_duality's refusal
+    test are refused by nap_condition_check before it builds a fiber's twist."""
+
+    def no_twist(*args, **kwargs):
+        raise AssertionError("a fiber's twist was built before the arguments were checked")
+
+    bundle = octonion_bundle()
+    monkeypatch.setattr(bundles, "TwistData", no_twist)
+    assert len(MALFORMED) == 8
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        nap_condition_check(bundle, **kwargs)

@@ -827,3 +827,22 @@ def test_duality_past_the_common_denominator_bound_multiplies_phase_rows():
     mode, trials, max_error, witness = per_pair_duality(tw, psi, 4, 2, False)
     assert (report.mode, report.trials, report.witness) == (mode, trials, witness)
     assert not report.passed and abs(report.max_error - max_error) <= 1e-9 * max_error
+
+
+@pytest.mark.parametrize(
+    "setup, sums", [(z4_with_epsilon_psi, 1), (m2_with_octonion_psi, 2)], ids=["d1", "d2"]
+)
+def test_a_row_makes_one_sum_per_tile_for_a_scalar_twist(setup, sums, monkeypatch):
+    """With the entry budget cut to 3 pairs a tile, a batch of 8 pairs runs
+    3 tiles a row: a d = 1 row forms one weighted sum per tile (of
+    e(E_L) - e(E_R)), a d = 2 row two, one per side."""
+    tw, psi = setup()
+    n, d = tw.group.order, tw.dim
+    monkeypatch.setattr(crossed, "_ENTRY_BUDGET", 3 * n * n * d * d)
+    calls = []
+    sum_over_y = crossed._sum_over_y
+    monkeypatch.setattr(crossed, "_sum_over_y", lambda *args: calls.append(1) or sum_over_y(*args))
+    batch = crossed._draw_batch(tw, np.random.default_rng(0), 8)
+    rows = list(crossed._DualityRows(tw, psi, True).rows(*batch))
+    assert len(rows) == n and all(defect.shape == (8, n, d, d) for _, defect in rows)
+    assert len(calls) == sums * 3 * n

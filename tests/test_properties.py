@@ -49,7 +49,7 @@ from natorus.crossed import _DualityRows, _exponent_sum
 from natorus.groups import subgroup_elements
 from natorus.kernels import _combination_defect_chunk
 from natorus.presets import m4_conjugation_action, pauli_m2_twist
-from test_crossed import float_twist_witness
+from test_crossed import float_twist_witness, per_pair_duality, shear_invariant_cochain
 from test_quantization import (
     deformed_product_reference,
     dense_blocks,
@@ -117,18 +117,17 @@ def test_scalar_twist_duality_and_transform_roundtrip(factors, seed):
 
 
 def assert_transformed_product_is_the_definition(tw, psi, include_multiplier, rng):
-    """The streamed rows of both sides of verify_duality, stacked, against the
-    definitions: transform(a * b) and transform(a) * transform(b)."""
+    """The streamed defect rows of verify_duality, stacked, against the
+    definitions' difference: transform(a * b) - transform(a) * transform(b)."""
     a = StrictifiedElement.random(tw, rng)
     b = StrictifiedElement.random(tw, rng)
     rows = list(_DualityRows(tw, psi, include_multiplier)(a.values, b.values))
-    assert [w for w, _, _ in rows] == list(range(tw.group.order))
+    assert [w for w, _ in rows] == list(range(tw.group.order))
     bound = 1e-12 * a.norm() * b.norm()
-    expected = takai_transform(strictified_product(a, b, psi), psi, include_multiplier).data
-    assert np.max(np.abs(np.stack([lhs for _, lhs, _ in rows]) - expected)) <= bound
     ta, tb = (takai_transform(x, psi, include_multiplier) for x in (a, b))
-    expected = kernel_product(ta, tb).data
-    assert np.max(np.abs(np.stack([rhs for _, _, rhs in rows]) - expected)) <= bound
+    product = takai_transform(strictified_product(a, b, psi), psi, include_multiplier)
+    expected = product.data - kernel_product(ta, tb).data
+    assert np.max(np.abs(np.stack([defect for _, defect in rows]) - expected)) <= bound
 
 
 @pytest.mark.parametrize("include_multiplier", [True, False])
@@ -831,6 +830,55 @@ def test_duality_exponent_rows_are_the_python_integer_sums(
                 expected_right += value(sigma, t, y) + value(sigma, r, z)
             assert int(e_left[y, z]) * (common // den_left) == expected_left % common
             assert int(e_right[y, z]) * (common // den_right) == expected_right % common
+
+
+@pytest.mark.parametrize("include_multiplier", [True, False])
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(
+    factors=factor_lists(max_order=16),
+    dens=st.tuples(*[st.sampled_from([2, 12, 2**31 + 11])] * 2),
+    invariant=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_scalar_duality_defect_is_the_per_pair_definition(
+    include_multiplier, factors, dens, invariant, seed
+):
+    """verify_duality on a scalar twist, whose rows are one weighted sum of
+    e(E_L) - e(E_R), against the per-pair definitions route, for random sigma
+    and psi over each den, exhaustive for |G| <= 8 and random above: the same
+    mode, trials and witness, max_error within 1e-13 relative, and a pass
+    reports exactly 0. A shear-invariant psi, c(w - y, y - z, z) = c(w, y, z),
+    makes the two exponent rows equal with the multiplier, so the check passes."""
+    group = make_group(factors)
+    rng = np.random.default_rng(seed)
+    sigma = Cochain2(group, random_normalized_table(group, dens[0], 2, rng), dens[0])
+    if invariant:
+        psi = shear_invariant_cochain(group, dens[1], rng)
+    else:
+        psi = Cochain3(group, random_normalized_table(group, dens[1], 3, rng), dens[1])
+    tw = TwistData.scalar_from_sigma(group, sigma)
+    report = verify_duality(tw, psi, trials=3, seed=seed, include_multiplier=include_multiplier)
+    mode, trials, max_error, witness = per_pair_duality(tw, psi, 3, seed, include_multiplier)
+    assert (report.mode, report.trials) == (mode, trials)
+    assert mode == ("exhaustive" if group.order <= 8 else "random")
+    assert abs(report.max_error - max_error) <= 1e-13 * max(max_error, 1.0)
+    assert report.passed == (max_error < 1e-10)
+    assert report.passed or not (invariant and include_multiplier)
+    if report.passed:
+        assert report.max_error == 0.0 and report.witness is None
+    elif report.witness != witness:  # pairs of equal error, ordered apart by roundoff
+        assert mode == "exhaustive"
+        tied = definition_error(tw, psi, report.witness, include_multiplier)
+        assert abs(tied - max_error) <= 1e-13 * max_error
+
+
+def definition_error(tw, psi, key, include_multiplier):
+    """max |transform(a * b) - transform(a) * transform(b)| by the definitions
+    for the scalar basis pair (a, b) named by an exhaustive witness key."""
+    a, b = (StrictifiedElement.delta(tw, t, x) for t, x, _, _ in key)
+    ta, tb = (takai_transform(c, psi, include_multiplier) for c in (a, b))
+    product = takai_transform(strictified_product(a, b, psi), psi, include_multiplier)
+    return float(np.abs(product.data - kernel_product(ta, tb).data).max())
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,8 @@ from natorus import (
     make_group,
     multiplier_combination,
 )
-from natorus.kernels import _combination_exponent
+from natorus.cochains import _coboundary_chunk, _reduce, _sweep, _sweep_dtype
+from natorus.kernels import _combination_defect_chunk, _combination_exponent
 from natorus.phases import Phase
 from natorus.twisted_algebra import levi_civita
 from test_properties import (
@@ -293,3 +294,37 @@ def test_the_witness_is_the_first_nonzero_cell_not_the_largest(den):
     assert largest != first[1:]
     assert phi.coboundary_witness == first
     assert cocycle3_witness(phi) == tuple(group.elements[i] for i in first)
+
+
+def test_the_first_sheared_row_holds_no_int64_square():
+    """Row 0 of the sheared rows of the duality_large psi (epsilon mod 4 on
+    Z/2 x Z/4^3, |G| = 128) is built a block of y at a time in its narrow
+    type: next(sheared_rows()) peaks below one n^2 int64 array under
+    tracemalloc (the whole-square build peaked at 0.47 MiB, 3.8 n^2 8 bytes)."""
+    group = make_group([2, 4, 4, 4])
+    n = group.order
+    psi = Tricharacter(group, levi_civita(group.rank), 4)
+    group.coords, group.sub_table  # the group's lazy tables, outside the measurement
+    tracemalloc.start()
+    try:
+        row = next(psi.sheared_rows())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.dtype == np.uint8 and row.shape == (n, n)
+    assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("den", [4, 12, 2**31 + 11])
+@pytest.mark.parametrize("chunk", [_coboundary_chunk, _combination_defect_chunk])
+def test_a_sweep_builds_every_chunk_in_one_buffer(chunk, den):
+    """_sweep yields the same array at every index, built in buffers made
+    once per sweep, equal bit for bit to the chunk built in fresh arrays."""
+    group = make_group([2, 6])
+    phi = Cochain3(group, random_normalized_table(group, den, 3, np.random.default_rng(2)), den)
+    table = phi.table.astype(_sweep_dtype(den, 5))
+    swept = []
+    for i, out in enumerate(_sweep(phi, chunk)):
+        assert np.array_equal(out, _reduce(chunk(table, group, i), den))
+        swept.append(out)
+    assert len(swept) == group.order and all(out is swept[0] for out in swept)
