@@ -394,7 +394,7 @@ def _phase_difference(left: list, right: list, spare: np.ndarray) -> np.ndarray:
     """D = e(E_L) - e(E_R), zero bit for bit where the exact sums agree: one take of
     i^j - i^k for two quarter-turn sums, else e(E_L) less e(E_R) formed in `spare`."""
     summed = _exponent_sum(left), _exponent_sum(right)
-    if all(s is not None and 4 % s[1] == 0 for s in summed):
+    if all(s is not None and 4 % s[1] == 0 for s in summed):  # turns j, k: at 4 j + k
         index = sum(np.multiply(e, k // d, dtype=np.uint8) for (e, d), k in zip(summed, (16, 4)))
         return _QUARTER_DIFFERENCES.take(index)
     phases = _phases(left, summed=summed[0])
