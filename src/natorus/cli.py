@@ -340,11 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("group", help="group descriptor info", parents=[common])
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("group", cmd_group, "group descriptor info")
     p.add_argument("action", choices=["info"])
     p.add_argument("--group", help="factors as comma-separated integers, e.g. 2,2,2")
 
-    p = sub.add_parser("cocycle", help="verify or restrict a 3-cochain", parents=[common])
+    p = command("cocycle", cmd_cocycle, "verify or restrict a 3-cochain")
     p.add_argument("action", choices=["verify", "restrict"])
     p.add_argument(
         "--subgroup",
@@ -352,43 +357,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="subgroup generator as comma-separated coordinates; repeatable",
     )
 
-    p = sub.add_parser("tga", help="twisted group algebra operations", parents=[common])
+    p = command("tga", cmd_tga, "twisted group algebra operations")
     p.add_argument("action", choices=["mul"])
 
-    p = sub.add_parser("oct", help="octonion tables", parents=[common])
+    p = command("oct", cmd_oct, "octonion tables")
     p.add_argument("action", choices=["table"])
 
-    p = sub.add_parser("kernels", help="twisted kernel checks", parents=[common])
+    p = command("kernels", cmd_kernels, "twisted kernel checks")
     p.add_argument("action", choices=["assoc-cocycle"])
     p.add_argument("--group", help="factors as comma-separated integers")
     p.add_argument("--phi", help="3-cochain preset name, e.g. octonion")
 
-    p = sub.add_parser("quantize", help="graded deformed products", parents=[common])
+    p = command("quantize", cmd_quantize, "graded deformed products")
     p.add_argument("action", choices=["product", "associator-table", "norm"])
 
-    p = sub.add_parser("duality", help="crossed-product duality check", parents=[common])
+    p = command("duality", cmd_duality, "crossed-product duality check")
     p.add_argument("action", choices=["check"])
 
-    p = sub.add_parser("bundle", help="bundle construction and checks", parents=[common])
+    p = command("bundle", cmd_bundle, "bundle construction and checks")
     p.add_argument("action", choices=["build", "check", "fiber"])
     p.add_argument("--point", help="base point label for 'fiber'")
     p.add_argument("--emit-table", action="store_true", help="emit structure constants")
 
-    sub.add_parser("verify-all", help="run the full verification suite", parents=[common])
+    command("verify-all", cmd_verify_all, "run the full verification suite")
     return parser
-
-
-HANDLERS = {
-    "group": cmd_group,
-    "cocycle": cmd_cocycle,
-    "tga": cmd_tga,
-    "oct": cmd_oct,
-    "kernels": cmd_kernels,
-    "quantize": cmd_quantize,
-    "duality": cmd_duality,
-    "bundle": cmd_bundle,
-    "verify-all": cmd_verify_all,
-}
 
 
 def main(argv=None) -> int:
@@ -405,7 +397,7 @@ def main(argv=None) -> int:
             tolerance=args.tolerance,
             format=getattr(args, "format", None),
         )
-        return HANDLERS[args.command](cfg, args)
+        return args.handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

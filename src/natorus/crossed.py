@@ -8,8 +8,10 @@ a 3-cocycle phi, tied together by
     beta_x beta_y = ad(u(x,y)) beta_{x+y}
     exp(2 pi i phi(x,y,z)) u(x,y) u(x+y,z) = beta_x[u(y,z)] u(x,y+z).
 
-A scalar u is central and fixed by beta, so the first relation says that
-beta is a homomorphism up to scalars and the second that phi = delta sigma.
+beta_x acts on a block b as elements.conjugate(V_x, b) = V_x b V_x^*, the same
+conjugation by which the action's W_t acts in `quantization`. A scalar u is
+central and fixed by beta, so the first relation says that beta is a
+homomorphism up to scalars and the second that phi = delta sigma.
 TwistData.validate checks the first in floats and the second exactly. The
 products below scale by u as sigma's (n, n) phase table, one scalar per cell.
 
@@ -66,7 +68,7 @@ from .cochains import (
     exp_phases,
     require_cochain,
 )
-from .elements import ArrayElement
+from .elements import ArrayElement, _block_product, conjugate, unitarity_defect
 from .errors import ConfigError, IncompatibleGroupsError, TwistDataError
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel
@@ -136,7 +138,7 @@ class TwistData:
         """
         n, d, v = self.group.order, self.dim, self.beta
         eye = np.eye(d)
-        verr = np.max(np.abs(np.einsum("tab,tcb->tac", v, np.conj(v)) - eye[None]))
+        verr = unitarity_defect(v)
         if verr > tol:
             raise TwistDataError(f"beta conjugators are not unitary (defect {verr:.3e})")
         if np.max(np.abs(v[0] - eye)) > tol:
@@ -233,7 +235,7 @@ def lbs_product(a: CrossedElement, b: CrossedElement) -> CrossedElement:
     sub = g.sub_table
     out = np.zeros_like(a.values)
     for t in range(n):
-        moved = np.einsum("ab,sbc,dc->sad", tw.beta[t], b.values, np.conj(tw.beta[t]))
+        moved = conjugate(tw.beta[t], b.values)
         # index s: a(t) moved[s - t] u(t, s - t)
         rt = sub[:, t]
         out += np.einsum("ab,sbc,s->sac", a.values[t], moved[rt], tw.sigma.complex_table[t, rt])
@@ -245,7 +247,7 @@ def lbs_involution(a: CrossedElement) -> CrossedElement:
     tw = a.twist
     g = tw.group
     neg = g.neg_table
-    moved = np.einsum("xab,xbc,xdc->xad", tw.beta, a.values[neg], np.conj(tw.beta))
+    moved = conjugate(tw.beta, a.values[neg])
     uinv = np.conj(tw.sigma.complex_table[np.arange(g.order), neg])
     return CrossedElement(tw, np.einsum("x,xcb->xbc", uinv, np.conj(moved)))
 
@@ -291,7 +293,7 @@ def strictified_product(
     out = np.zeros_like(a.values)
     for t, exponent in enumerate(total.slabs()):
         # index [r, x] with r = s - t
-        moved = np.einsum("ab,rxbc,dc->rxad", tw.beta[t], b.values, np.conj(tw.beta[t]))
+        moved = conjugate(tw.beta[t], b.values)
         w_t = _row_phases(exponent, total.den)
         term = np.einsum("rx,rxab,rxbc,r->rxac", w_t, a.values[t][add], moved, phases[t])
         out[add[t]] += term
@@ -314,24 +316,6 @@ def _at(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return flat.take(cells, axis=-3)
 
 
-def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b on stacked d x d blocks (the last two axes, leading axes
-    broadcast), unrolled as sum_j a[..., :, j, None] b[..., None, j, :]: d
-    broadcast multiply-adds, far faster than stacked matmul on small blocks;
-    for d = 1, the product of the entries, without the slicing. `out` may
-    alias a or b: for d > 1 the sum is then formed apart and copied in."""
-    d = a.shape[-1]
-    if d == 1:
-        return np.multiply(a, b, out=out)
-    if out is not None and (np.may_share_memory(out, a) or np.may_share_memory(out, b)):
-        out[...] = _block_product(a, b)
-        return out
-    acc = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
-    for j in range(1, d):
-        acc += a[..., :, j : j + 1] * b[..., j : j + 1, :]
-    return acc
-
-
 def _diffs(g: FiniteAbelianGroup) -> np.ndarray:
     """(x - z, z) over [x, z], as flat indices into n x n: the cells the
     transform gathers, a(w - z, z) over [w, z]."""
@@ -346,9 +330,8 @@ def _takai_values(tw: TwistData, a: np.ndarray, include_multiplier: bool) -> np.
     out = _at(a, cells)
     if include_multiplier:
         np.multiply(out, tw.sigma.complex_table.take(cells)[:, :, None, None], out=out)
-    v = tw.beta[:, None]  # V_w, constant along z
-    _block_product(np.conj(v).swapaxes(-1, -2), out, out=out)
-    return _block_product(out, v, out=out)
+    vh = np.conj(tw.beta[:, None]).swapaxes(-1, -2)  # V_w^*, constant along z
+    return conjugate(vh, out, out=out)
 
 
 def _sum_over_y(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -468,7 +451,7 @@ class _DualityRows:
         if self.tw.dim > 1:  # V_y^* b(y - z, z) V_y, pair by pair, in place
             vh = np.conj(v).swapaxes(-1, -2)
             for pair in b_sub.reshape((-1,) + b_sub.shape[-4:]):
-                pair[...] = block(block(vh[:, None], pair), v[:, None])
+                conjugate(vh[:, None], pair, out=pair)
         if a.ndim == 5 and a.shape[:1] == b_sub.shape[:1]:  # tiles share one buffer
             k = self.tile
             buffer = np.empty((min(k, len(a)),) + b_sub.shape[1:], dtype=complex)
@@ -518,7 +501,7 @@ def takai_inverse(kernel: TwistedKernel, tw: TwistData) -> StrictifiedElement:
     add = g.add_table
     xi = np.arange(n)
     gathered = kernel.data[add, xi[None, :]]  # [t, x] -> a~(t + x, x)
-    moved = np.einsum("txab,txbc,txdc->txad", tw.beta[add], gathered, np.conj(tw.beta[add]))
+    moved = conjugate(tw.beta[add], gathered)
     uinv = np.conj(tw.sigma.complex_table)
     return StrictifiedElement(tw, np.einsum("txab,tx->txab", moved, uinv))
 
@@ -533,7 +516,7 @@ def double_dual_action(v, kernel: TwistedKernel, alpha: np.ndarray | None = None
         w = np.asarray(alpha, dtype=complex)[iv]
         if kernel.block_dim == 1:
             raise TwistDataError("coefficient action needs block kernels")
-        data = np.einsum("ab,xzbc,dc->xzad", w, data, np.conj(w))
+        data = conjugate(w, data)
     return TwistedKernel(g, kernel.phi, data)
 
 

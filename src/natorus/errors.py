@@ -2,7 +2,14 @@
 
 
 class NatorusError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Carries the offending argument tuple in ``witness`` when available.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InvalidGroupError(NatorusError):
@@ -22,34 +29,17 @@ class CochainError(NatorusError):
 
 
 class NotACocycleError(CochainError):
-    """Raised when an operation requires a cocycle and the input fails delta = 0.
-
-    Carries the first failing argument tuple in ``witness`` when available.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """Raised when an operation requires a cocycle and the input fails delta = 0;
+    ``witness`` is the first failing argument tuple."""
 
 
 class GradingError(NatorusError):
     """Raised when blocks fed to a graded element are not isotypic, or when
-    an action fails to be a homomorphism by *-automorphisms.
-
-    Carries the offending tuple in ``witness`` when available.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    an action fails to be a homomorphism by *-automorphisms."""
 
 
 class TwistDataError(NatorusError):
     """Raised when (beta, u, phi) fail the crossed-product compatibility relations."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class BundleConstructionError(NatorusError):

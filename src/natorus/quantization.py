@@ -3,7 +3,8 @@ phi-deformed product on graded elements.
 
 A finite abelian group acts on a unital *-subalgebra A of d x d matrices by
 conjugation with unitaries W_t (coordinate permutations enter as permutation
-matrices). Averaging against characters splits every element into isotypic
+matrices), alpha_t(a) = elements.conjugate(W_t, a), the same conjugation by
+which beta acts in `crossed`. Averaging against characters splits every element into isotypic
 components a = sum_chi a_chi with alpha_t(a_chi) = exp(2 pi i <chi,t>) a_chi.
 
 A 3-cocycle phi on the dual group deforms the product degreewise:
@@ -27,12 +28,12 @@ matrix, build one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .cochains import Cochain3, require_cochain, require_cocycle3
-from .elements import ArrayElement
+from .elements import ArrayElement, conjugate, unitarity_defect
 from .errors import GradingError
 from .groups import FiniteAbelianGroup
 from .phases import Phase, Report
@@ -67,12 +68,11 @@ class MatrixAlgebra:
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
-    def member_defect(self, mat: np.ndarray) -> float:
-        """Distance from the algebra as max modulus of the discarded entries."""
-        if self.kind == "matrix":
-            return 0.0
-        off = mat - np.diag(np.diag(mat))
-        return float(np.max(np.abs(off))) if off.size else 0.0
+    def member_defect(self, mat: np.ndarray):
+        """Distance from the algebra as max modulus of the discarded entries,
+        one per matrix of a stack (the last two axes)."""
+        kept = np.eye(self.dim) if self.kind == "functions" else np.ones((self.dim, self.dim))
+        return np.max(np.abs(mat) * (1 - kept), axis=(-2, -1))
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         n = len(self.basis)
@@ -126,85 +126,62 @@ class GAction:
             raise GradingError(
                 f"need one generator unitary per factor, got {len(gens)} for rank {group.rank}"
             )
-        d = algebra.dim
-        powers = []
-        for u, n in zip(gens, group.factors):
-            p = [np.eye(d, dtype=complex)]
-            for _ in range(n - 1):
-                p.append(p[-1] @ u)
-            powers.append(p)
-        ws = np.empty((group.order, d, d), dtype=complex)
-        for i, row in enumerate(group.coords):
-            w = np.eye(d, dtype=complex)
-            for axis, c in enumerate(row):
-                w = w @ powers[axis][c]
-            ws[i] = w
+        ws = [reduce(np.matmul, map(np.linalg.matrix_power, gens, row)) for row in group.coords]
         return cls(group, algebra, ws)
 
     @classmethod
     def from_permutation_generators(cls, group, npoints: int, perms) -> "GAction":
         """Generators given as permutations of range(npoints); A = functions."""
-        mats = []
-        for perm in perms:
-            perm = list(perm)
+        mats = np.zeros((len(perms), npoints, npoints), dtype=complex)
+        for m, perm in zip(mats, map(list, perms)):
             if sorted(perm) != list(range(npoints)):
                 raise GradingError(f"not a permutation of range({npoints}): {perm}")
-            m = np.zeros((npoints, npoints), dtype=complex)
             m[perm, np.arange(npoints)] = 1.0
-            mats.append(m)
         return cls.from_unitary_generators(group, functions_algebra(npoints), mats)
 
     @classmethod
     def translation(cls, group) -> "GAction":
-        """G acting on functions-on-G by translation; the canonical example."""
-        elems = group.elements
-        perms = []
-        for axis in range(group.rank):
-            gen = group.element([1 if i == axis else 0 for i in range(group.rank)])
-            perms.append([(g + gen).index for g in elems])
-        return cls.from_permutation_generators(group, group.order, perms)
+        """G acting on functions-on-G by translation, W_t e_x = e_(x+t); the
+        canonical example."""
+        n = group.order
+        ws = np.zeros((n, n, n), dtype=complex)
+        ws[np.arange(n)[:, None], group.add_table.T, np.arange(n)] = 1.0
+        return cls(group, functions_algebra(n), ws)
 
     # ------------------------------------------------------------- action
 
     def apply(self, t, mat: np.ndarray) -> np.ndarray:
         w = self.unitaries[self.group.element(t).index]
-        return w @ mat @ w.conj().T
+        return conjugate(w, np.asarray(mat, dtype=complex))
 
     @cached_property
     def _basis_orbit(self) -> np.ndarray:
         """alpha_t(b) for every t and basis element b: shape (|G|, nb, d, d)."""
-        w = self.unitaries
-        return np.einsum("tip,bpq,tjq->tbij", w, self.algebra.basis, np.conj(w))
+        return conjugate(self.unitaries[:, None], self.algebra.basis)
 
     def validate(self, tol: float = 1e-10) -> None:
         """Unitarity, closure, and the homomorphism law, exhaustively."""
-        w = self.unitaries
-        d = self.dim
-        eye = np.eye(d)
-        uerr = np.max(np.abs(np.einsum("tip,tjp->tij", w, np.conj(w)) - eye[None]))
+        uerr = unitarity_defect(self.unitaries)
         if uerr > tol:
             raise GradingError(f"conjugators are not unitary (defect {uerr:.3e})")
         orbit = self._basis_orbit
-        for t in range(self.group.order):
-            for b in range(orbit.shape[1]):
-                defect = self.algebra.member_defect(orbit[t, b])
-                if defect > tol:
-                    raise GradingError(
-                        f"action leaves the algebra at t index {t}, basis {b} "
-                        f"(defect {defect:.3e})",
-                        witness=(t, b),
-                    )
+        defects = self.algebra.member_defect(orbit)  # [t, b]
+        outside = np.argwhere(defects > tol)
+        if outside.size:
+            t, b = (int(i) for i in outside[0])
+            raise GradingError(
+                f"action leaves the algebra at t index {t}, basis {b} "
+                f"(defect {defects[t, b]:.3e})",
+                witness=(t, b),
+            )
         id_err = np.max(np.abs(orbit[0] - self.algebra.basis))
         if id_err > tol:
             raise GradingError(f"alpha_0 is not the identity (defect {id_err:.3e})")
         add = self.group.add_table
         # alpha_s(alpha_t(b)) vs alpha_{s+t}(b), all pairs
         for s in range(self.group.order):
-            ws = w[s]
-            lhs = np.einsum("ip,bpq,jq->bij", ws, orbit.reshape(-1, d, d), np.conj(ws))
-            lhs = lhs.reshape(self.group.order, -1, d, d)
-            rhs = orbit[add[s]]
-            err = np.max(np.abs(lhs - rhs), axis=(1, 2, 3))
+            lhs = conjugate(self.unitaries[s], orbit)
+            err = np.max(np.abs(lhs - orbit[add[s]]), axis=(1, 2, 3))
             bad = np.nonzero(err > tol)[0]
             if bad.size:
                 t = int(bad[0])
@@ -221,18 +198,15 @@ class GAction:
         """exp(-2 pi i <chi, t>) indexed [chi, t]."""
         return np.conj(self.group.character_matrix)
 
-    def isotypic_projection(self, mat: np.ndarray, chi) -> np.ndarray:
-        """P_chi(a) = |G|^-1 sum_t exp(-2 pi i <chi,t>) alpha_t(a)."""
-        i = self.group.element(chi).index
-        w = self.unitaries
-        orbit = np.einsum("tip,pq,tjq->tij", w, np.asarray(mat, dtype=complex), np.conj(w))
-        return np.tensordot(self._conj_characters[i], orbit, axes=1) / self.group.order
-
     def isotypic_components(self, mat: np.ndarray) -> np.ndarray:
-        """All projections at once: shape (|Ghat|, d, d), indexed by chi."""
-        w = self.unitaries
-        orbit = np.einsum("tip,pq,tjq->tij", w, np.asarray(mat, dtype=complex), np.conj(w))
+        """P_chi(a) = |G|^-1 sum_t exp(-2 pi i <chi,t>) alpha_t(a) for every chi:
+        shape (|Ghat|, d, d), indexed by chi."""
+        orbit = conjugate(self.unitaries, np.asarray(mat, dtype=complex))
         return np.tensordot(self._conj_characters, orbit, axes=1) / self.group.order
+
+    def isotypic_projection(self, mat: np.ndarray, chi) -> np.ndarray:
+        """P_chi(a), one of the isotypic components."""
+        return self.isotypic_components(mat)[self.group.element(chi).index]
 
     def random_homogeneous(self, chi, rng: np.random.Generator) -> np.ndarray:
         """A generic element of A_chi (zero matrix when the component is empty)."""
@@ -278,8 +252,7 @@ def grading_check(action: GAction, tol: float = 1e-10) -> GradingReport:
     cc = action._conj_characters
     # components[b, chi] = P_chi(basis_b); translated[t, b, chi] = alpha_t(P_chi(basis_b))
     comps = np.einsum("xt,tbij->bxij", cc, orbit) / n
-    w = action.unitaries
-    translated = np.einsum("tip,bxpq,tjq->tbxij", w, comps, np.conj(w))
+    translated = conjugate(action.unitaries[:, None, None], comps)
     add = g.add_table
     # projected product acc[a,x,b,y] = P_{x+y}(P_x(a) P_y(b)), accumulated over t
     acc = np.zeros((nb, n, nb, n, d, d), dtype=complex)
@@ -373,13 +346,13 @@ class GradedElement(ArrayElement):
     def validate_grading(self, tol: float = 1e-10) -> None:
         """Check alpha_t (x) 1 rescales each block by its character, all t."""
         g = self.action.group
-        w = self.action.unitaries
+        w = self.action.unitaries[:, None]
         chars = g.character_matrix  # [chi, t]
         for i in range(g.order):
             blk = self.blocks[i]
             if not blk.any():
                 continue
-            moved = np.einsum("tip,rpq,tjq->trij", w, blk, np.conj(w))
+            moved = conjugate(w, blk)
             expected = chars[i][:, None, None, None] * blk[None]
             err = np.max(np.abs(moved - expected))
             if err > tol:
@@ -486,16 +459,34 @@ def deformed_product(a: GradedElement, b: GradedElement, phi: Cochain3) -> Grade
     return GradedElement(a.action, out)
 
 
-def _shifted_sum(a: GradedElement, point_matrices) -> np.ndarray:
-    """sum_chi X_chi (1 (x) rho(chi)) over the nonzero degrees of a, as one
+def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
+    """Phi(a) = sum_chi a_chi (1 (x) rho(chi)) as a matrix on the full space,
+    which is represent(a).
+
+    For phi = 0 this intertwines the deformed product with the ordinary one:
+    Phi(a * b) = Phi(a) Phi(b).
+    """
+    return represent(a)
+
+
+def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
+    """The star-action of a on graded vectors of H1 (x) l2(Ghat), as a
     (d nm) x (d nm) matrix with row index (i, p).
 
-    X_chi is diagonal on the operator leg, with point_matrices(i, sigma)[p]
-    at point p (chi at index i, sigma its _rho_permutation). Right
-    multiplication by rho(chi) puts point p's matrix in column block
-    sigma(p), so each degree fills nm disjoint d x d blocks.
+    R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1)) (1 (x) u(chi1, chi2)) P_chi2
+    with P_chi the spectral projections of t -> W_t (x) 1. The sum over
+    chi2 folds into one matrix per point, M_chi1(alpha) = sum_chi2
+    u(alpha, chi1, chi2) P_chi2, so R(a) places a_chi1[p] M_chi1(sigma(p)) in
+    column block sigma(p) of row block p: n nm d^3 work. phi must be a
+    3-cocycle on the dual group; None means the zero cocycle, for which the
+    M's are 1, the blocks are placed as they are and R(a) is the intertwiner.
     """
     g = a.action.group
+    if phi is not None:
+        _require_phi_on(g, phi)
+        # spectral projections of the unitary rep on the H1 leg
+        projs = np.einsum("xt,tip->xip", np.conj(g.character_matrix), a.action.unitaries) / g.order
+        wtable = phi.complex_table
     nm, d = a.blocks.shape[1:3]
     out = np.zeros((d * nm, d * nm), dtype=complex)
     grid = out.reshape(d, nm, d, nm)  # a view: [i, p, j, q]
@@ -503,43 +494,11 @@ def _shifted_sum(a: GradedElement, point_matrices) -> np.ndarray:
     for i in range(g.order):
         if a.blocks[i].any():
             sigma = _rho_permutation(g, i)
-            grid[:, points, :, sigma] += point_matrices(i, sigma)
+            blocks = a.blocks[i]
+            if phi is not None:
+                blocks = blocks @ np.tensordot(wtable[:, i], projs, axes=1)[sigma]
+            grid[:, points, :, sigma] += blocks
     return out
-
-
-def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
-    """Phi(a) = sum_chi a_chi (1 (x) rho(chi)) as a matrix on the full space.
-
-    For phi = 0 this intertwines the deformed product with the ordinary one:
-    Phi(a * b) = Phi(a) Phi(b).
-    """
-    return _shifted_sum(a, lambda i, sigma: a.blocks[i])
-
-
-def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
-    """The star-action of a on graded vectors of H1 (x) l2(Ghat).
-
-    R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1)) (1 (x) u(chi1, chi2)) P_chi2
-    with P_chi the spectral projections of t -> W_t (x) 1. The sum over
-    chi2 folds into one matrix per point, M_chi1(alpha) = sum_chi2
-    u(alpha, chi1, chi2) P_chi2, so R(a) places a_chi1[p] M_chi1(sigma(p)) in
-    column block sigma(p) of row block p: n nm d^3 work. phi must be a
-    3-cocycle on the dual group; None means the zero cocycle, for which R(a)
-    is the intertwiner above.
-    """
-    g = a.action.group
-    if phi is None:
-        phi = Cochain3.zero(g)
-    _require_phi_on(g, phi)
-    # spectral projections of the unitary rep on the H1 leg
-    projs = np.einsum("xt,tip->xip", np.conj(g.character_matrix), a.action.unitaries) / g.order
-    wtable = phi.complex_table
-
-    def point_matrices(i1, sigma):
-        folded = np.tensordot(wtable[:, i1], projs, axes=1)  # [alpha, i, j]
-        return a.blocks[i1] @ folded[sigma]
-
-    return _shifted_sum(a, point_matrices)
 
 
 def deformed_norm(a: GradedElement, phi: Cochain3 | None = None) -> float:

@@ -75,6 +75,21 @@ def test_translation_action_permutes_points(trans4):
     assert np.allclose(trans4.apply(g.identity, f), f)
 
 
+@pytest.mark.parametrize("factors", [[2], [4], [2, 2], [2, 2, 2], [3, 4], [2, 3, 2]])
+def test_translation_equals_its_generator_product(factors):
+    # reference: one permutation generator per factor, W_t their product
+    g = make_group(factors)
+    perms = []
+    for axis in range(g.rank):
+        gen = g.element([int(i == axis) for i in range(g.rank)])
+        perms.append([(x + gen).index for x in g.elements])
+    reference = GAction.from_permutation_generators(g, g.order, perms)
+    action = GAction.translation(g)
+    assert np.array_equal(action.unitaries, reference.unitaries)
+    assert action.unitaries.flags.c_contiguous
+    assert action == reference
+
+
 def test_action_is_homomorphism(trans4, conj4, rng):
     for action in (trans4, conj4):
         g = action.group
@@ -397,3 +412,25 @@ def test_deformed_norm_is_a_norm(trans4, rng):
     na, nb = deformed_norm(a, phi), deformed_norm(b, phi)
     assert deformed_norm(a + b, phi) <= na + nb + 1e-10
     assert abs(deformed_norm(2.0 * a, phi) - 2.0 * na) < 1e-10
+
+
+def test_represent_without_phi_places_the_blocks_and_builds_no_cochain(
+    trans4, conj4, rng, monkeypatch
+):
+    zeros = {id(action): Cochain3.zero(action.group.dual) for action in (trans4, conj4)}
+
+    def refuse(*args):
+        raise AssertionError("represent(a) built a zero cochain")
+
+    monkeypatch.setattr(Cochain3, "zero", refuse)
+    for action in (trans4, conj4):
+        for blocks in (
+            random_point_blocks(action, rng),
+            GradedElement.from_matrix(action, action.algebra.random_element(rng)).blocks,
+        ):
+            a = GradedElement(action, blocks)
+            op = represent(a)
+            assert np.array_equal(op, phi_zero_intertwiner(a))
+            # the weighted route with explicit zero phi: the same up to rounding
+            weighted = represent(a, zeros[id(action)])
+            assert np.allclose(op, weighted, rtol=0.0, atol=1e-12)
