@@ -132,8 +132,9 @@ class GAction:
     @classmethod
     def from_permutation_generators(cls, group, npoints: int, perms) -> "GAction":
         """Generators given as permutations of range(npoints); A = functions."""
+        perms = [list(perm) for perm in perms]
         mats = np.zeros((len(perms), npoints, npoints), dtype=complex)
-        for m, perm in zip(mats, map(list, perms)):
+        for m, perm in zip(mats, perms):
             if sorted(perm) != list(range(npoints)):
                 raise GradingError(f"not a permutation of range({npoints}): {perm}")
             m[perm, np.arange(npoints)] = 1.0
