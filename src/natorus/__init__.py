@@ -65,20 +65,17 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     fourier,
-    inverse_fourier,
     make_group,
     pairing,
     subgroup_elements,
 )
 from .kernels import (
     TwistedKernel,
-    associativity_cocycle,
     associativity_cocycle_sweep,
     check_gamma_relation,
     gamma_action,
     gamma_multiplier,
     kernel_product,
-    multiplier_combination,
 )
 from .phases import HALF_PHASE, ZERO_PHASE, Phase
 from .quantization import (

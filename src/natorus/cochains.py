@@ -10,8 +10,8 @@ int64 first, or runs in the exact sweep type (`_sweep_dtype`).
 
 delta has one chunk for every arity (`_coboundary_chunk`), whose k + 2 terms
 bound its sweep type. Arities 2 and 3 each have one plain class (`Cochain2`,
-`Cochain3`): sums, coboundaries and constructors return it, and
-`require_cochain` admits no other.
+`Cochain3`): sums, coboundaries and constructors return it, and a bare
+`CochainTable` of those arities is refused.
 
 A k-cochain here is always normalized: it vanishes whenever any argument is
 the identity. Tricharacters (multilinear phase forms built from an integer
@@ -107,7 +107,11 @@ class CochainTable:
 
     def __init__(self, group: FiniteAbelianGroup, arity: int, table: np.ndarray, den: int):
         """Any integer table, of which a reduced copy mod den is stored, one
-        leading slice at a time, widened to int64 only while it is reduced."""
+        leading slice at a time, widened to int64 only while it is reduced.
+        Arities 2 and 3 are built through their class (`_KINDS`) alone."""
+        if type(self) is CochainTable and arity in _KINDS:
+            kind = _KINDS[arity].__name__
+            raise CochainError(f"a {arity}-cochain is built as {kind}, not as a bare CochainTable")
         table = np.asarray(table)
         if table.dtype.kind not in "iu":
             table = table.astype(np.int64)
@@ -206,7 +210,8 @@ class CochainTable:
             for a, b in zip(self.slabs(), other.slabs()):
                 row = np.multiply(a, scale, dtype=np.int64)
                 row += np.multiply(b, step, dtype=np.int64)
-                yield np.remainder(row, d, out=row)
+                row %= d  # in place; a 1-cochain's rows are scalars, rebound
+                yield row
 
         shape = (self.group.order,) * self.arity
         return type(self)._from_table(self.group, self.arity, _stored(rows(), shape, d), d)
@@ -278,10 +283,8 @@ def _lowest_terms(table: np.ndarray, den: int, out=None) -> tuple[np.ndarray, in
 
 def require_cochain(cochain, arity: int, group=None, name="phi", error=CochainError) -> None:
     """Refuse, before any work, a `name` that is not a cochain of `arity`
-    (raising `error`) or, when `group` is given, one on another group. At
-    arity 2 or 3 the cochain must be of that arity's class (`_KINDS`): a bare
-    `CochainTable` there has no coboundary and no witness."""
-    if not isinstance(cochain, _KINDS.get(arity, CochainTable)) or cochain.arity != arity:
+    (raising `error`) or, when `group` is given, one on another group."""
+    if not isinstance(cochain, CochainTable) or cochain.arity != arity:
         raise error(f"{name} must be a {arity}-cochain, got {cochain!r}")
     if group is not None and cochain.group != group:
         raise IncompatibleGroupsError(f"{name} lives on a different group")
@@ -296,25 +299,17 @@ class _FixedArity(CochainTable):
         super().__init__(group, self.ARITY, table, den)
 
     @classmethod
-    def _adopted(cls, group: FiniteAbelianGroup, table: np.ndarray, den: int):
-        """A plain cochain of arity ARITY (`_KINDS`, never a tensorless
-        `Tricharacter`) that owns `table`, as `_adopt` takes it, with no copy."""
-        kind = _KINDS[cls.ARITY]
-        out = kind.__new__(kind)
-        out._adopt(group, cls.ARITY, table, den)
-        return out
-
-    @classmethod
     def from_function(cls, group: FiniteAbelianGroup, fn: Callable):
-        return cls._adopted(group, *_tabulate(group, cls.ARITY, fn))
+        return cls._from_table(group, cls.ARITY, *_tabulate(group, cls.ARITY, fn))
 
     @classmethod
     def from_entries(cls, group: FiniteAbelianGroup, entries: Mapping):
-        return cls._adopted(group, *_from_entries(group, cls.ARITY, entries))
+        return cls._from_table(group, cls.ARITY, *_from_entries(group, cls.ARITY, entries))
 
     @classmethod
     def zero(cls, group: FiniteAbelianGroup):
-        return cls._adopted(group, np.zeros((group.order,) * cls.ARITY, dtype=np.uint8), 1)
+        table = np.zeros((group.order,) * cls.ARITY, dtype=np.uint8)
+        return cls._from_table(group, cls.ARITY, table, 1)
 
     @cached_property
     def coboundary_witness(self) -> tuple | None:

