@@ -136,6 +136,7 @@ def gamma_multiplier(phi: Cochain3, omega, xi) -> np.ndarray:
 
 def check_gamma_relation(phi: Cochain3, omega, xi, kernel: TwistedKernel) -> float:
     """Max deviation of gamma_omega(gamma_xi K) from ad(u(omega,xi)) gamma_{omega+xi} K."""
+    require_cochain(phi, 3, kernel.group)
     g = phi.group
     lhs = gamma_action(omega, gamma_action(xi, kernel)).data
     shifted = gamma_action(g.element(omega) + g.element(xi), kernel).data

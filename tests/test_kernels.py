@@ -102,13 +102,21 @@ def test_sweep_flags_corrupted_cochain(phi):
     assert witness is not None and len(witness) == 4
 
 
+def _zero_kernel():
+    g = make_group([2, 2])
+    return TwistedKernel(g, Cochain3.zero(g), np.zeros((g.order, g.order)))
+
+
 @pytest.mark.parametrize(
     "call",
     [
         associativity_cocycle_sweep,
         lambda phi: gamma_multiplier(phi, (0, 0), (0, 0)),
+        lambda phi: check_gamma_relation(phi, (0, 0), (0, 0), _zero_kernel()),
+        lambda phi: TwistedKernel(make_group([2, 2]), phi, np.zeros((4, 4))),
     ],
-    ids=["associativity_cocycle_sweep", "gamma_multiplier"],
+    ids=["associativity_cocycle_sweep", "gamma_multiplier", "check_gamma_relation",
+         "TwistedKernel"],
 )
 @pytest.mark.parametrize("not_phi", [Cochain2.zero(make_group([2, 2])), "phi", None],
                          ids=["2-cochain", "string", "None"])
