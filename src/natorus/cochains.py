@@ -35,10 +35,9 @@ from .errors import (
     TensorShapeError,
 )
 from .groups import FiniteAbelianGroup, GroupElement, subgroup_elements
-from .phases import Phase
+from .phases import _QUARTER_TURNS, Phase, exp_phases
 
 
-_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 _QUARTER_DIFFERENCES = np.subtract.outer(_QUARTER_TURNS, _QUARTER_TURNS).ravel()  # at 4 j + k
 
 
@@ -52,18 +51,6 @@ def common_denominator(den_a: int, den_b: int) -> int:
             "sums of its numerators would not fit in int64"
         )
     return d
-
-
-def exp_phases(table: np.ndarray, den: int, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(2 pi i table / den) for an integer array, formed in `out` if given.
-
-    Quarter-turn denominators give exact +-1 and +-i entries, so sign
-    tables like the octonion structure constants carry no roundoff.
-    """
-    if den in (1, 2, 4):
-        return _QUARTER_TURNS.take(table if den == 4 else table * (4 // den), mode="wrap", out=out)
-    out = np.multiply(table, 2j * np.pi, out=out)  # in place from here: no temporaries
-    return np.exp(np.divide(out, den, out=out), out=out)
 
 
 def _require_denominator(den: int) -> None:

@@ -65,14 +65,13 @@ from .cochains import (
     _stored,
     _sweep_dtype,
     coboundary2,
-    exp_phases,
     require_cochain,
 )
 from .elements import ArrayElement, _block_product, conjugate, unitarity_defect
-from .errors import ConfigError, IncompatibleGroupsError, TwistDataError
+from .errors import ConfigError, IncompatibleGroupsError, TwistDataError, require_tol
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel
-from .phases import Report
+from .phases import Report, exp_phases
 
 
 class TwistData:
@@ -571,15 +570,14 @@ def _draw_batch(tw: TwistData, rng: np.random.Generator, size: int):
 
 def _require_duality_arguments(trials, seed, tol, cells: int) -> None:
     """Refuse, with ConfigError, a trials or seed that is not an integer (a
-    bool included), a negative seed, a tol that is not a number >= 0 (NaN
-    included), and fewer than one trial in random mode (cells n^2 d^2 > 64)."""
+    bool included), a negative seed, a tol that `require_tol` refuses, and
+    fewer than one trial in random mode (cells n^2 d^2 > 64)."""
     for name, value in (("trials", trials), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} {value!r} is not an integer")
     if seed < 0:
         raise ConfigError(f"seed {seed!r} is negative")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise ConfigError(f"tol {tol!r} must be a non-negative number")
+    require_tol(tol)
     if trials < 1 and cells > 64:
         raise ConfigError(f"trials {trials!r} must be a positive integer in random mode")
 
@@ -602,8 +600,8 @@ def verify_duality(
     from exact exponent rows (_DualityRows: for d = 1 one weighted sum of
     e(E_L) - e(E_R)), and each pair keeps its largest |defect| over the
     rows. The exhaustive mode stacks the basis along two broadcast axes,
-    so every pair comes out of the same row loop. The witness is the first
-    pair in (a, b) order, or the first trial, with the largest error.
+    so every pair comes out of the same row loop. An exhaustive check names
+    its first failing pair in (a, b) order, a random one its worst trial.
     include_multiplier=False drops u(w - z, z) from the transform and
     should make the check fail loudly.
     """
@@ -635,12 +633,12 @@ def verify_duality(
     passed = max_error <= tol
     witness = None
     if max_error > 0.0 and not passed:
-        k = int(errors.argmax())
         if mode == "random":
-            witness = ("trial", k)
+            witness = ("trial", int(errors.argmax()))
         else:
             keys = list(itertools.product(range(n), range(n), range(d), range(d)))
-            witness = tuple(keys[i] for i in np.unravel_index(k, errors.shape))
+            first = int(np.argmax(errors > tol))
+            witness = tuple(keys[i] for i in np.unravel_index(first, errors.shape))
     return DualityReport(passed, max_error, tol, trials, mode, witness)
 
 

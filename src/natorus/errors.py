@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the verifiers' one
+check of a tolerance argument."""
+
+import numbers
 
 
 class NatorusError(Exception):
@@ -48,3 +51,9 @@ class BundleConstructionError(NatorusError):
 
 class ConfigError(NatorusError):
     """Raised for malformed JSON configuration input (CLI exit code 2)."""
+
+
+def require_tol(tol) -> None:
+    """Refuse a tol that is not a number >= 0 (NaN, a bool) with ConfigError."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ConfigError(f"tol {tol!r} must be a non-negative number")

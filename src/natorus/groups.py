@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import IncompatibleGroupsError, InvalidGroupError
-from .phases import Phase
+from .phases import Phase, exp_phases
 
 
 class FiniteAbelianGroup:
@@ -127,8 +127,8 @@ class FiniteAbelianGroup:
 
     @cached_property
     def character_matrix(self) -> np.ndarray:
-        """Complex (order, order) matrix exp(2 pi i <chi, g>)."""
-        return np.exp(2j * np.pi * self.pairing_numerators / self.exponent)
+        """Complex (order, order) matrix exp(2 pi i <chi, g>), by exp_phases."""
+        return exp_phases(self.pairing_numerators, self.exponent)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain3, Tricharacter, _chunk_buffers, _sweep_witness, exp_phases
-from .cochains import require_cochain
+from .cochains import Cochain3, Tricharacter, _chunk_buffers, _sweep_witness, require_cochain
 from .elements import ArrayElement
 from .errors import CochainError
 from .groups import FiniteAbelianGroup
+from .phases import exp_phases
 
 
 class TwistedKernel(ArrayElement):

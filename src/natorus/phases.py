@@ -10,9 +10,25 @@ package as plain data through `Report.as_dict`, with each phase as 'p/q'.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+
+import numpy as np
+
+
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def exp_phases(table: np.ndarray, den: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2 pi i table / den) for an integer array, formed in `out` if given.
+
+    Quarter-turn denominators give exact +-1 and +-i entries, so sign
+    tables like the octonion structure constants carry no roundoff.
+    """
+    if den in (1, 2, 4):
+        return _QUARTER_TURNS.take(table if den == 4 else table * (4 // den), mode="wrap", out=out)
+    out = np.multiply(table, 2j * np.pi, out=out)  # in place from here: no temporaries
+    return np.exp(np.divide(out, den, out=out), out=out)
 
 
 class Phase:
@@ -72,18 +88,8 @@ class Phase:
         return hash(self._frac)
 
     def to_complex(self) -> complex:
-        """exp(2 pi i value); exact for quarter turns, cmath elsewhere."""
-        f = self._frac
-        # Quarter turns come out as exact +-1 / +-1j so that real twisted
-        # group algebras (all denominators dividing 2) never leak epsilon
-        # imaginary parts into structure constants.
-        if f.denominator == 1:
-            return 1 + 0j
-        if f.denominator == 2:
-            return -1 + 0j
-        if f.denominator == 4:
-            return 1j if f.numerator == 1 else -1j
-        return cmath.exp(2j * cmath.pi * float(f))
+        """exp(2 pi i value) by exp_phases: exact for quarter turns."""
+        return complex(exp_phases(np.array([self.numerator]), self.denominator)[0])
 
     def __repr__(self) -> str:
         return f"Phase({self._frac.numerator}/{self._frac.denominator})"

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cochains import Cochain3, require_cochain, require_cocycle3
 from .elements import ArrayElement, conjugate, unitarity_defect
-from .errors import GradingError
+from .errors import ConfigError, GradingError, require_tol
 from .groups import FiniteAbelianGroup
 from .phases import Phase, Report
 
@@ -248,44 +248,37 @@ class GradingReport(Report):
 def grading_check(action: GAction, tol: float = 1e-10) -> GradingReport:
     """Verify A_chi A_eta inside A_(chi+eta) and A_chi* = A_(-chi) on the basis.
 
-    Both inclusions are tested literally: project the product (or adjoint)
-    onto the expected degree and compare. A non-homomorphic action shows up
-    as a located witness (chi, a, eta, b) or (chi, a).
+    One array, twisted[t, b, chi] = conj(chi(t)) alpha_t(P_chi(e_b)), serves
+    both tests. Characters multiply and alpha_t is multiplicative, so
+    P_(chi+eta)(P_chi(a) P_eta(b)) is the mean over t of twisted[t, a, chi]
+    twisted[t, b, eta], one tensordot per basis element a. alpha_t commutes
+    with the adjoint, so P_(-chi)(P_chi(b)*) is the adjoint of P_chi(P_chi(b)),
+    the mean over t of twisted[t, b, chi]. A malformed tol is refused before
+    any work (`require_tol`). The witness is the first failing cell:
+    (chi, a, eta, b) in (a, chi, b, eta) order, else (chi, b) in (b, chi) order.
     """
-    g = action.group
-    n, d = g.order, action.dim
-    orbit = action._basis_orbit  # [t, b, i, j]
-    nb = orbit.shape[1]
-    cc = action._conj_characters
-    # components[b, chi] = P_chi(basis_b); translated[t, b, chi] = alpha_t(P_chi(basis_b))
-    comps = np.einsum("xt,tbij->bxij", cc, orbit) / n
-    translated = conjugate(action.unitaries[:, None, None], comps)
-    add = g.add_table
-    diff = np.empty((nb, n, nb, n))
+    require_tol(tol)
+    n = action.group.order
+    cc = action._conj_characters  # [chi, t]
+    comps = np.einsum("xt,tbij->bxij", cc, action._basis_orbit) / n  # P_chi(e_b) at [b, chi]
+    nb = comps.shape[0]
+    twisted = conjugate(action.unitaries[:, None, None], comps)  # [t, b, chi]
+    twisted *= cc.T[:, None, :, None, None]
+    diff = np.empty((nb, n, nb, n))  # [a, chi, b, eta]
     for a in range(nb):  # one basis element at a time: no n^6 array
-        # projected product acc[x,b,y] = P_{x+y}(P_x(a) P_y(b)), accumulated over t
-        acc = np.zeros((n, nb, n, d, d), dtype=complex)
-        for t in range(n):
-            prods = np.einsum("xij,byjk->xbyik", translated[t, a], translated[t])
-            acc += cc[add, t][:, None, :, None, None] * prods
-        acc /= n
-        raw = np.einsum("xij,byjk->xbyik", comps[a], comps)
-        diff[a] = np.abs(acc - raw).max(axis=(3, 4))
-    max_product_error = float(diff.max())
+        # P_(chi+eta)(P_chi(a) P_eta(b)) - P_chi(a) P_eta(b) at [chi, i, b, eta, k]
+        defect = np.tensordot(twisted[:, a] / n, twisted, axes=([0, 3], [0, 3]))
+        defect -= np.tensordot(comps[a], comps, axes=([2], [2]))
+        diff[a] = np.abs(defect).max(axis=(1, 4))
+    star = np.abs(twisted.mean(axis=0) - comps).max(axis=(2, 3))  # [b, chi]
+    max_product_error, max_star_error = float(diff.max()), float(star.max())
     witness = None
     if max_product_error > tol:
-        a, x, b, y = np.unravel_index(int(diff.argmax()), diff.shape)
-        witness = (int(x), int(a), int(y), int(b))
-    # star: P_{-chi}(P_chi(a)^*) vs P_chi(a)^*
-    adj = np.conj(comps.transpose(0, 1, 3, 2))
-    adj_translated = np.conj(translated.transpose(0, 1, 2, 4, 3))
-    neg = g.neg_table
-    proj_adj = np.einsum("xt,tbxij->bxij", cc[neg], adj_translated) / n
-    star_diff = np.abs(proj_adj - adj).max(axis=(2, 3))
-    max_star_error = float(star_diff.max())
-    if witness is None and max_star_error > tol:
-        b, x = np.unravel_index(int(star_diff.argmax()), star_diff.shape)
-        witness = (int(x), int(b))
+        a, x, b, y = (int(i) for i in np.unravel_index(int(np.argmax(diff > tol)), diff.shape))
+        witness = (x, a, y, b)
+    elif max_star_error > tol:
+        b, x = (int(i) for i in np.unravel_index(int(np.argmax(star > tol)), star.shape))
+        witness = (x, b)
     passed = max_product_error <= tol and max_star_error <= tol
     return GradingReport(passed, max_product_error, max_star_error, tol, witness)
 
@@ -548,13 +541,17 @@ def associator_table(
     (a * b) * c = P[xi, eta] * H_: are two _homogeneous_products calls, and
     the relative Frobenius deviations come from those two stacks. Only P
     (k^2 nm d^2 entries) and one chunk's stacks are held at a time, so memory
-    does not grow with the k^3 triples.
+    does not grow with the k^3 triples. A malformed tol (`require_tol`) and
+    an rng that is not a numpy Generator are refused before any work.
     """
+    require_tol(tol)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"rng {rng!r} is not a numpy Generator")
     g = action.group
     _require_phi_on(g, phi)
     nm = g.order
-    if rng is None:
-        rng = np.random.default_rng(0)
     drawn = np.array([action.random_homogeneous(chi, rng) for chi in g.elements])
     degrees = np.nonzero(np.abs(drawn).max(axis=(1, 2)) > 1e-12)[0]
     k, d = degrees.size, action.dim
@@ -576,8 +573,8 @@ def associator_table(
             lhs = products(ops[x], xi, table[e], add[eta, degrees])
             rhs = products(table[x, e], add[xi, eta], ops, degrees)
             expected = [Phase(int(phi.table[xi, eta, zeta]), phi.den) for zeta in degrees]
-            scale = np.array([p.to_complex() for p in expected])
-            dev = np.linalg.norm((lhs - rhs * scale[:, None, None, None]).reshape(k, -1), axis=1)
+            scale = wtable[xi, eta, degrees][:, None, None, None]  # e(phi(xi, eta, zeta))
+            dev = np.linalg.norm((lhs - rhs * scale).reshape(k, -1), axis=1)
             dev /= np.maximum(np.linalg.norm(rhs.reshape(k, -1), axis=1), 1e-30)
             entries.extend(
                 AssociatorEntry((coords[x], coords[e], coords[z]), expected[z], float(dev[z]))

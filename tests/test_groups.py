@@ -101,6 +101,20 @@ def test_character_orthogonality():
         assert abs(total - expected) < 1e-10
 
 
+@pytest.mark.parametrize("factors", [[2], [4], [2, 4], [2, 2, 2], [3, 4]])
+def test_character_matrix_is_the_pairing_through_exp_phases(factors):
+    """One e(p/q): each entry is pairing(chi, x).to_complex(), and tables of
+    exponent 2 or 4 hold exact +-1 and +-i (Z/4's e(1/4) was 6.1e-17 + 1j)."""
+    g = make_group(factors)
+    chars = g.character_matrix
+    expected = np.array(
+        [[pairing(chi, x).to_complex() for x in g.elements] for chi in g.dual.elements]
+    )
+    assert np.abs(chars - expected).max() <= 1e-15
+    if g.exponent in (2, 4):
+        assert np.array_equal(chars, expected) and np.array_equal(chars, chars.round())
+
+
 @pytest.mark.parametrize("factors", [[4], [2, 2, 2], [3, 5]])
 def test_fourier_twice_is_order_times_reflection(factors, rng):
     """The transform inverts itself up to |G| and x -> -x: the character

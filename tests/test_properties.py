@@ -789,12 +789,12 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
     worst = errors.max()
     assert worst > 1e-3 and not report.passed
     assert abs(report.max_error - worst) <= 1e-9 * worst
-    if mode == "random":
-        k = report.witness[1]
-    else:
+    if mode == "random":  # the worst trial
+        assert errors[report.witness[1]] >= worst * (1 - 1e-9)
+    else:  # the first failing pair
         keys = list(itertools.product(range(n), range(n), range(d), range(d)))
         k = keys.index(report.witness[0]) * len(keys) + keys.index(report.witness[1])
-    assert errors[k] >= worst * (1 - 1e-9)
+        assert k == np.argmax(errors > 1e-10)
 
 
 
@@ -872,20 +872,8 @@ def test_scalar_duality_defect_is_the_per_pair_definition(
     assert report.passed == (max_error < 1e-10)
     assert report.passed or not (invariant and include_multiplier)
     if report.passed:
-        assert report.max_error == 0.0 and report.witness is None
-    elif report.witness != witness:  # pairs of equal error, ordered apart by roundoff
-        assert mode == "exhaustive"
-        tied = definition_error(tw, psi, report.witness, include_multiplier)
-        assert abs(tied - max_error) <= 1e-13 * max_error
-
-
-def definition_error(tw, psi, key, include_multiplier):
-    """max |transform(a * b) - transform(a) * transform(b)| by the definitions
-    for the scalar basis pair (a, b) named by an exhaustive witness key."""
-    a, b = (StrictifiedElement.delta(tw, t, x) for t, x, _, _ in key)
-    ta, tb = (takai_transform(c, psi, include_multiplier) for c in (a, b))
-    product = takai_transform(strictified_product(a, b, psi), psi, include_multiplier)
-    return float(np.abs(product.data - kernel_product(ta, tb).data).max())
+        assert report.max_error == 0.0
+    assert report.witness == witness
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Group actions, isotypic gradings, and deformed products."""
 
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from natorus import (
     Cochain3,
+    ConfigError,
     GAction,
     GradedElement,
     GradingError,
@@ -102,10 +105,15 @@ def test_action_is_homomorphism(trans4, conj4, rng):
             assert np.allclose(lhs, action.apply(s + t, m), atol=1e-12)
 
 
+def swapped(action, i, j):
+    """The action with its unitaries W_i and W_j exchanged."""
+    w = action.unitaries.copy()
+    w[[i, j]] = w[[j, i]]
+    return GAction(action.group, action.algebra, w)
+
+
 def test_non_homomorphic_action_fails_grading(conj4):
-    w = conj4.unitaries.copy()
-    w[[2, 3]] = w[[3, 2]]
-    broken = GAction(conj4.group, conj4.algebra, w)
+    broken = swapped(conj4, 2, 3)
     report = grading_check(broken)
     assert not report.passed
     assert report.witness is not None
@@ -126,6 +134,82 @@ def test_grading_check_holds_no_n6_array():
     finally:
         tracemalloc.stop()
     assert report.passed and peak < 6 * 2**20
+
+
+SWAPS = [
+    # (action, swapped pair, witness): each witness is the first failing cell
+    # in (a, chi, b, eta) order, reported as (chi, a, eta, b)
+    (lambda: GAction.translation(make_group([4])), (2, 3), (0, 0, 1, 0)),  # criterion 9
+    (m4_conjugation_action, (2, 3), (0, 0, 1, 1)),
+    (m4_conjugation_action, (1, 2), (0, 0, 1, 1)),
+    # W_3 = W_1^*, so the swap is t -> -t: still an action, and it passes
+    (m4_conjugation_action, (1, 3), None),
+    (lambda: GAction.translation(make_group([2, 4])), (1, 5), (0, 0, 4, 0)),
+    (lambda: GAction.translation(make_group([8])), (3, 6), (0, 0, 1, 0)),
+    (lambda: GAction.translation(make_group([3, 3])), (2, 7), (0, 0, 1, 0)),
+]
+SWAP_IDS = ["z4-2-3", "m4-2-3", "m4-1-2", "m4-1-3", "z2z4-1-5", "z8-3-6", "z3z3-2-7"]
+
+
+@pytest.mark.parametrize("make, pair, witness", SWAPS, ids=SWAP_IDS)
+def test_grading_witness_is_the_first_failing_cell(make, pair, witness):
+    """The witness does not depend on summation order: it is the first cell
+    whose error exceeds tol, not the cell of largest error."""
+    report = grading_check(swapped(make(), *pair))
+    assert report.witness == witness and report.passed == (witness is None)
+
+
+def literal_grading_errors(action):
+    """(max product error, max star error) of grading_check by its definition:
+    each P_chi(a) P_eta(b) and each P_chi(b)^* projected through
+    isotypic_components onto its expected degree and compared."""
+    g = action.group
+    add, neg = g.add_table, g.neg_table
+    comps = [action.isotypic_components(e) for e in action.algebra.basis]  # [b][chi]
+    product = star = 0.0
+    for ca, cb in itertools.product(comps, repeat=2):
+        for x, y in itertools.product(range(g.order), repeat=2):
+            c = ca[x] @ cb[y]
+            product = max(product, np.abs(action.isotypic_components(c)[add[x, y]] - c).max())
+    for cb in comps:
+        for x in range(g.order):
+            c = np.conj(cb[x]).T
+            star = max(star, np.abs(action.isotypic_components(c)[neg[x]] - c).max())
+    return product, star
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["action", "swapped"])
+@pytest.mark.parametrize("make, pair, witness", SWAPS, ids=SWAP_IDS)
+def test_grading_errors_are_the_literal_projections(make, pair, witness, broken):
+    action = swapped(make(), *pair) if broken else make()
+    report = grading_check(action)
+    product, star = literal_grading_errors(action)
+    assert abs(report.max_product_error - product) <= 1e-12
+    assert abs(report.max_star_error - star) <= 1e-12
+    assert report.passed == (max(product, star) <= report.tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1, "1e-10", True])
+@pytest.mark.parametrize("check", ["grading_check", "associator_table"])
+def test_verifiers_refuse_a_malformed_tol_before_any_work(check, tol):
+    # nan used to fail with no witness, -1 to fail a good action, and
+    # "1e-10" to raise a bare TypeError after the whole check
+    action = GAction.translation(make_group([4]))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    message = f"^tol {re.escape(repr(tol))} must be a non-negative number$"
+    with pytest.raises(ConfigError, match=message):
+        if check == "grading_check":
+            grading_check(action, tol=tol)
+        else:
+            associator_table(action, Cochain3.zero(action.group.dual), rng, tol=tol)
+    assert "_basis_orbit" not in vars(action) and rng.bit_generator.state == state
+
+
+def test_associator_table_refuses_an_rng_that_is_not_a_generator(trans4):
+    # an integer seed used to end in AttributeError after the cocycle check
+    with pytest.raises(ConfigError, match="^rng 0 is not a numpy Generator$"):
+        associator_table(trans4, Cochain3.zero(trans4.group.dual), 0)
 
 
 def test_isotypic_projections_resolve_identity(trans4, conj4, rng):
