@@ -59,7 +59,7 @@ class CriterionResult(Report):
 
 
 def _result(number, name, t0, passed, detail, **data) -> CriterionResult:
-    return CriterionResult(number, name, bool(passed), time.time() - t0, detail, data)
+    return CriterionResult(number, name, bool(passed), time.perf_counter() - t0, detail, data)
 
 
 def _random_cochain2(group, rng, den: int = 8) -> Cochain2:
@@ -85,7 +85,7 @@ def criterion_cocycle_substrate(tolerance=1e-10, trials=100, seed=0) -> Criterio
     """delta phi = 0 exhaustively for both bundled tricharacters, swept on
     plain-table copies and matched against their tensor certificates; delta
     of a coboundary vanishes for random 2-cochains."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     oct_ok, oct_agree = _swept(is_cocycle3, octonion_associator_tricharacter())
     eps_ok, eps_agree = _swept(is_cocycle3, presets.epsilon_tricharacter_z4())
@@ -106,7 +106,7 @@ def criterion_multiplier_relation(tolerance=1e-10, trials=100, seed=0) -> Criter
     """The diagonal multiplier from phi satisfies its defining relation on
     all 512 triples of Z/2^3, exactly: swept on a plain-table copy and
     matched against the tensor certificate."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     witness, agree = _swept(check_multiplier_relation, octonion_associator_tricharacter())
     detail = "all 512 triples exact" if witness is None else f"failed at {witness}"
     passed = witness is None and agree
@@ -118,7 +118,7 @@ def criterion_associativity_cocycle(tolerance=1e-10, trials=100, seed=0) -> Crit
     phi(eta, zeta, xi) for every triple, on both bundled tricharacters (swept
     on plain-table copies and matched against their tensor certificates);
     restricting phi to a trivializing subgroup kills it."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     phi_oct = octonion_associator_tricharacter()
     phi_z4 = presets.epsilon_tricharacter_z4()
     oct_fail, oct_agree = _swept(associativity_cocycle_sweep, phi_oct)
@@ -138,7 +138,7 @@ def criterion_associativity_cocycle(tolerance=1e-10, trials=100, seed=0) -> Crit
 def criterion_fourier_evaluation(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
     """Fourier-side convolution equals the shifted-evaluation product for
     scalar and 2x2-block coefficients on Z/4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     group = make_group([4])
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -162,7 +162,7 @@ def criterion_duality(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
     is run both there and on the Z/4^3 scalar configuration, where a
     tricharacter distinct from 0 and +-phi exists (eps mod 4).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     tw = presets.pauli_m2_twist()
     g = tw.group
     regimes = [
@@ -192,7 +192,7 @@ def criterion_deformation_consistency(tolerance=1e-10, trials=100, seed=0) -> Cr
     """With phi = 0 the block intertwiner is multiplicative for both bundled
     actions; with the octonion phi the homogeneous associator phase is
     exactly phi on every character triple."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for action in (GAction.translation(make_group([4])), presets.m4_conjugation_action()):
@@ -221,7 +221,7 @@ def criterion_deformation_consistency(tolerance=1e-10, trials=100, seed=0) -> Cr
 def criterion_octonion_suite(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
     """Norm multiplicativity, alternativity, unit squares, the associator
     cross-product formula, and the over-a-point bundle condition."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     alg = octonion_algebra()
     g = alg.group
     rng = np.random.default_rng(seed)
@@ -267,7 +267,7 @@ def criterion_bundle_construction(tolerance=1e-10, trials=100, seed=0) -> Criter
     """A two-point bundle with distinct sigma passes the crossed-product
     condition fiberwise, and the multiplier quotient recovers the injected
     bicharacter exactly, as a certified 2-cocycle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bundle = presets.two_point_bundle()
     nap = nap_condition_check(bundle, trials=trials, seed=seed, tol=tolerance)
     shift = presets.shift_bicharacter(bundle.group)
@@ -288,7 +288,7 @@ def criterion_negative_controls(tolerance=1e-10, trials=100, seed=0) -> Criterio
     """Corrupted inputs must fail loudly: a non-cocycle phi with a witness
     quadruple, a non-homomorphic action with a grading witness, and the
     duality check without its multiplier factor."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = octonion_group()
     bad_phi = Cochain3.from_entries(g, [(((1, 0, 0), (0, 1, 0), (1, 1, 0)), "1/2")])
     w = cocycle3_witness(bad_phi)

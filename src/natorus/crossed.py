@@ -10,9 +10,9 @@ a 3-cocycle phi, tied together by
 
 beta_x acts on a block b as elements.conjugate(V_x, b) = V_x b V_x^*, the same
 conjugation by which the action's W_t acts in `quantization`. A scalar u is
-central and fixed by beta, so the first relation says that beta is a
-homomorphism up to scalars and the second that phi = delta sigma.
-TwistData.validate checks the first in floats and the second exactly. The
+central and fixed by beta, so the first relation says that beta is an action
+of G on M_d and the second that phi = delta sigma. TwistData.validate checks
+the first as a `quantization.GAction`, in floats, and the second exactly. The
 products below scale by u as sigma's (n, n) phase table, one scalar per cell.
 
 Crossed elements are B-valued functions on G with the twisted convolution;
@@ -67,11 +67,12 @@ from .cochains import (
     coboundary2,
     require_cochain,
 )
-from .elements import ArrayElement, _block_product, conjugate, unitarity_defect
-from .errors import ConfigError, IncompatibleGroupsError, TwistDataError, require_tol
+from .elements import ArrayElement, _block_product, conjugate
+from .errors import ConfigError, GradingError, IncompatibleGroupsError, TwistDataError, require_tol
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel
 from .phases import Report, exp_phases
+from .quantization import GAction, full_matrix_algebra
 
 
 class TwistData:
@@ -127,32 +128,21 @@ class TwistData:
     def validate(self, tol: float = 1e-10) -> None:
         """Exhaustive check of beta and of both relations.
 
-        beta is checked in floats within tol: unitary conjugators, beta_0 = 1
-        and, for d > 1 (1 x 1 blocks are central), composition, n^2 d^3 work.
-        u = exp(2 pi i sigma) 1_B is unitary and normalized by construction,
-        drops out of composition and is fixed by beta, so the phase relation
-        is phi = delta sigma, checked exactly (`_coboundary2_mismatch`): slab
-        by slab with no n^3 array, and at once when phi is sigma's cached
-        coboundary. Its failure names the first (x, y, z) in index order.
+        A scalar u is central, so the first relation says beta_x beta_y =
+        beta_{x+y}: after beta_0 = 1, beta is validated as a `GAction` on M_d
+        within tol (unitarity and the homomorphism law, n^2 d^3 work, none at
+        d = 1), naming the first failing (x, y) in index order. u is unitary,
+        normalized and fixed by beta, so the phase relation is phi = delta
+        sigma, checked exactly (`_coboundary2_mismatch`): slab by slab with no
+        n^3 array, and at once when phi is sigma's cached coboundary. Its
+        failure names the first (x, y, z) in index order.
         """
-        n, d, v = self.group.order, self.dim, self.beta
-        eye = np.eye(d)
-        verr = unitarity_defect(v)
-        if verr > tol:
-            raise TwistDataError(f"beta conjugators are not unitary (defect {verr:.3e})")
-        if np.max(np.abs(v[0] - eye)) > tol:
+        if np.max(np.abs(self.beta[0] - np.eye(self.dim))) > tol:
             raise TwistDataError("beta_0 is not the identity")
-        if d > 1:  # beta_x beta_y = ad(u(x,y)) beta_{x+y}: V_x V_y V_{x+y}^H central
-            prod = np.einsum("xab,ybc->xyac", v, v)
-            c = np.einsum("xyab,xycb->xyac", prod, np.conj(v[self.group.add_table]))
-            trace = np.einsum("xyaa->xy", c) / d
-            central_defect = np.abs(c - trace[:, :, None, None] * eye[None, None])
-            if central_defect.max() > tol:
-                x, y = np.unravel_index(int(central_defect.max(axis=(2, 3)).argmax()), (n, n))
-                raise TwistDataError(
-                    f"beta_x beta_y != ad(u) beta_(x+y) at indices ({x}, {y})",
-                    witness=(int(x), int(y)),
-                )
+        try:
+            GAction(self.group, full_matrix_algebra(self.dim), self.beta).validate(tol)
+        except GradingError as exc:
+            raise TwistDataError(f"beta {exc}", witness=exc.witness) from None
         bad = _coboundary2_mismatch(self.sigma, self.phi)
         if bad is not None:
             raise TwistDataError(f"multiplier relation fails at indices {bad}", witness=bad)

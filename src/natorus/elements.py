@@ -42,12 +42,6 @@ def conjugate(u: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np
     return _block_product(_block_product(u, x, out=out), np.conj(u).swapaxes(-1, -2), out=out)
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """max |u u^* - 1| over a stack of square matrices."""
-    eye = np.eye(u.shape[-1])
-    return float(np.abs(_block_product(u, np.conj(u).swapaxes(-1, -2)) - eye).max())
-
-
 class ArrayElement:
     """An element stored as one complex array over a space."""
 

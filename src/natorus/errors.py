@@ -2,6 +2,7 @@
 check of a tolerance argument."""
 
 import numbers
+import sys
 
 
 class NatorusError(Exception):
@@ -54,6 +55,8 @@ class ConfigError(NatorusError):
 
 
 def require_tol(tol) -> None:
-    """Refuse a tol that is not a number >= 0 (NaN, a bool) with ConfigError."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise ConfigError(f"tol {tol!r} must be a non-negative number")
+    """Refuse a tol outside [0, sys.float_info.max] (NaN, inf, a bool) with
+    ConfigError: an infinite tol would pass every float verdict."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and 0 <= tol <= sys.float_info.max):
+        raise ConfigError(f"tol {tol!r} must be a finite non-negative number")

@@ -257,7 +257,7 @@ MALFORMED = next(
 
 @pytest.mark.parametrize("kwargs, message", MALFORMED)
 def test_the_nap_check_refuses_malformed_arguments_before_any_fiber(kwargs, message, monkeypatch):
-    """The eight malformed trials, seed and tol of verify_duality's refusal
+    """The ten malformed trials, seed and tol of verify_duality's refusal
     test are refused by nap_condition_check before it builds a fiber's twist."""
 
     def no_twist(*args, **kwargs):
@@ -265,6 +265,6 @@ def test_the_nap_check_refuses_malformed_arguments_before_any_fiber(kwargs, mess
 
     bundle = octonion_bundle()
     monkeypatch.setattr(bundles, "TwistData", no_twist)
-    assert len(MALFORMED) == 8
+    assert len(MALFORMED) == 10
     with pytest.raises(ConfigError, match=f"^{message}$"):
         nap_condition_check(bundle, **kwargs)

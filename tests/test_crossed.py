@@ -604,20 +604,29 @@ def test_phi_off_delta_sigma_is_refused_with_the_first_float_witness():
         assert float_twist_witness(unchecked) == ("phase", exact.value.witness)
 
 
-def test_non_projective_beta_is_refused():
+@pytest.mark.parametrize(
+    "k, times, witness",
+    [(1, True, (1, 2)), (2, True, (1, 2)), (5, True, (1, 4)), (6, True, (1, 6)), (3, False, (1, 2))],
+    ids=["k1-times-H", "k2-times-H", "k5-times-H", "k6-times-H", "k3-is-H"],
+)
+def test_non_projective_beta_is_refused(k, times, witness):
+    """beta_k H (or H in place of beta_3) is unitary but not a Pauli up to a
+    phase. The twist names the first failing (x, y) in index order, as the
+    float reference does, not the cell of largest defect."""
     g = octonion_group()
     sigma, phi = octonion_sigma(g), octonion_associator_tricharacter(g)
     beta = pauli_conjugators(g).copy()
-    beta[3] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)  # unitary, but not a Pauli
-    with pytest.raises(TwistDataError, match=r"beta_x beta_y != ad\(u\)") as exact:
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    beta[k] = beta[k] @ hadamard if times else hadamard
+    message = (
+        r"^beta action is not a homomorphism: alpha_s alpha_t != alpha_\(s\+t\) "
+        rf"at s index {witness[0]}, t index {witness[1]} \(defect 7\.071e-01\)$"
+    )
+    with pytest.raises(TwistDataError, match=message) as exact:
         TwistData(g, 2, beta, sigma, phi)
     unchecked = TwistData(g, 2, beta, sigma, phi, validate=False)
-    kind, first = float_twist_witness(unchecked)
-
-    def meets_3(pair):  # x, y or x + y is the altered element
-        return 3 in (*pair, g.add_table[pair])
-
-    assert kind == "composition" and meets_3(first) and meets_3(exact.value.witness)
+    assert exact.value.witness == witness
+    assert float_twist_witness(unchecked) == ("composition", witness)
 
 
 def test_sigma_on_another_group_is_refused():
@@ -730,14 +739,21 @@ def test_block_product_is_matmul_on_stacked_blocks(d):
         ({"trials": True}, "trials True is not an integer"),
         ({"seed": -1}, "seed -1 is negative"),
         ({"seed": 1.0}, "seed 1.0 is not an integer"),
-        ({"tol": float("nan")}, "tol nan must be a non-negative number"),
-        ({"tol": -1}, "tol -1 must be a non-negative number"),
-        ({"tol": "1e-10"}, "tol '1e-10' must be a non-negative number"),
+        ({"tol": float("nan")}, "tol nan must be a finite non-negative number"),
+        ({"tol": -1}, "tol -1 must be a finite non-negative number"),
+        ({"tol": "1e-10"}, "tol '1e-10' must be a finite non-negative number"),
+        ({"tol": float("inf")}, "tol inf must be a finite non-negative number"),
+        pytest.param(
+            {"tol": 10**400},
+            f"tol {10**400} must be a finite non-negative number",
+            id="kwargs9-tol 10**400 must be a finite non-negative number",
+        ),
     ],
 )
 def test_duality_refuses_malformed_arguments_with_a_typed_error(check, kwargs, message):
     # trials "5", 2.5 or True raised a bare TypeError, seed -1 numpy's
-    # ValueError, and tol nan or -1 returned a failing report with no witness
+    # ValueError, tol nan or -1 returned a failing report with no witness, and
+    # tol inf or 10**400 passed every float verdict
     with pytest.raises(ConfigError, match=f"^{message}$"):
         check(**kwargs)
 

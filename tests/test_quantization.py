@@ -29,6 +29,7 @@ from natorus import (
     phi_zero_intertwiner,
     represent,
 )
+from natorus.elements import conjugate
 from natorus.presets import m4_conjugation_action
 
 
@@ -49,6 +50,10 @@ def test_algebra_membership():
     full = full_matrix_algebra(3)
     assert full.member_defect(np.ones((3, 3))) == 0.0
     assert np.array_equal(funcs.identity, np.eye(3))
+    # the commutant: diagonals for functions, scalars for the full algebra
+    assert funcs.commutant_defect(np.diag([1.0, 2.0, 3.0])) == 0.0
+    assert full.commutant_defect(np.diag([1.0, 2.0, 3.0])) == 1.0
+    assert np.array_equal(full.commutant_defect(np.array([2j * np.eye(3), np.ones((3, 3))])), [0, 1])
 
 
 def test_bundled_actions_validate(trans4, conj4):
@@ -159,6 +164,42 @@ def test_grading_witness_is_the_first_failing_cell(make, pair, witness):
     assert report.witness == witness and report.passed == (witness is None)
 
 
+def literal_homomorphism_witness(action, tol=1e-10):
+    """The first (s, t) in index order where alpha_s(alpha_t(b)) differs from
+    alpha_(s+t)(b) on some basis element b, by conjugating the basis orbit
+    once per s, else None."""
+    orbit = conjugate(action.unitaries[:, None], action.algebra.basis)  # [t, b]
+    add = action.group.add_table
+    for s in range(action.group.order):
+        err = np.abs(conjugate(action.unitaries[s], orbit) - orbit[add[s]]).max(axis=(1, 2, 3))
+        bad = np.nonzero(err > tol)[0]
+        if bad.size:
+            return s, int(bad[0])
+    return None
+
+
+HOMOMORPHISM_WITNESSES = [(1, 1), (1, 1), (1, 1), None, (1, 2), (1, 2), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "make, pair, witness",
+    [(make, pair, w) for (make, pair, _), w in zip(SWAPS, HOMOMORPHISM_WITNESSES)],
+    ids=SWAP_IDS,
+)
+def test_validate_decides_the_law_as_the_literal_orbit_route(make, pair, witness):
+    """validate reads the law off W_s W_t W_(s+t)^* and refuses or accepts
+    each swapped action as conjugating the basis orbit does, naming the same
+    first failing (s, t)."""
+    action = swapped(make(), *pair)
+    assert literal_homomorphism_witness(action) == witness
+    if witness is None:
+        action.validate()
+        return
+    with pytest.raises(GradingError, match="^action is not a homomorphism: ") as caught:
+        action.validate()
+    assert caught.value.witness == witness
+
+
 def literal_grading_errors(action):
     """(max product error, max star error) of grading_check by its definition:
     each P_chi(a) P_eta(b) and each P_chi(b)^* projected through
@@ -189,15 +230,18 @@ def test_grading_errors_are_the_literal_projections(make, pair, witness, broken)
     assert report.passed == (max(product, star) <= report.tol)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1, "1e-10", True])
+@pytest.mark.parametrize(
+    "tol", [float("nan"), -1, "1e-10", True, float("inf"), pytest.param(10**400, id="10**400")]
+)
 @pytest.mark.parametrize("check", ["grading_check", "associator_table"])
 def test_verifiers_refuse_a_malformed_tol_before_any_work(check, tol):
-    # nan used to fail with no witness, -1 to fail a good action, and
-    # "1e-10" to raise a bare TypeError after the whole check
+    # nan used to fail with no witness, -1 to fail a good action, "1e-10" to
+    # raise a bare TypeError after the whole check, and inf or 10**400 to pass
+    # every float verdict
     action = GAction.translation(make_group([4]))
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    message = f"^tol {re.escape(repr(tol))} must be a non-negative number$"
+    message = f"^tol {re.escape(repr(tol))} must be a finite non-negative number$"
     with pytest.raises(ConfigError, match=message):
         if check == "grading_check":
             grading_check(action, tol=tol)
