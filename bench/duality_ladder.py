@@ -21,6 +21,12 @@ is the mod-2 tricharacter itself (trivializing_cochain leaves it as
 delta tau) and psi is a tricharacter too, so neither set-up nor the check
 builds an n^3 table. The top rungs are |G| = 512 (Z/2 x Z/4^4, 2 pairs) and
 |G| = 1024 (Z/4^5, 1 pair).
+
+Every rung from |G| = 16 up is a scalar twist with a passing psi, which
+verify_duality decides by its exact pass over the rows, with no pair drawn.
+There call_setup_s is that pass, and per_trial_s is a difference of two
+nearly equal timings: near 0, and it may come out slightly negative. The
+|G| = 8 rung (d = 2) still times its pairs.
 """
 
 import time

@@ -396,7 +396,9 @@ class _DualityRows:
     rows (`exponent_rows`: the sheared row of psi + phi, streamed from a
     tricharacter sum or read from a plain sum's rows, stored once per check
     in one narrow n^3 table; psi's slab; sigma's residues). For d = 1 a row
-    is one weighted sum of e(E_L) - e(E_R) (`_phase_difference`). For d > 1,
+    is one weighted sum of e(E_L) - e(E_R) (`_phase_difference`), and when
+    every row's exact sums agree (`rows_agree`) every pair's defect is
+    exactly 0, so verify_duality forms no pair. For d > 1,
     b_sub is overwritten per batch with V_y^* b(y - z, z) V_y, which the left
     side reads through P(y) = V_{w-y} V_y as V_w^* (a(w - y, y) P) (. P^*) V_w.
     A row's phases serve the batch; stacked pairs form their weighted
@@ -431,6 +433,22 @@ class _DualityRows:
                 left.append((back[None, :], s))
                 right += [(back[:, None], s), (sigma_diffs, s)]
             yield w, left, right
+
+    def rows_agree(self) -> bool:
+        """For d = 1, whether every row's exact sums E_L and E_R agree as
+        residues over their lcm, in one pass that stops at the first row that
+        differs or has no exact sum (past 2^62): then every pair's defect is
+        a sum of D = 0 (`_phase_difference`), exactly 0. False for d > 1."""
+        if self.tw.dim > 1:
+            return False
+        for _, left, right in self.exponent_rows():
+            sums = _exponent_sum(left), _exponent_sum(right)
+            if None in sums or (den := lcm(sums[0][1], sums[1][1])) > 2**62:
+                return False
+            scaled = (e if d == den else np.multiply(e, den // d, dtype=np.int64) for e, d in sums)
+            if not np.array_equal(*scaled):
+                return False
+        return True
 
     def __call__(self, a: np.ndarray, b: np.ndarray):
         return self.rows(a, _at(b, _diffs(self.tw.group)))
@@ -594,23 +612,29 @@ def verify_duality(
     its first failing pair in (a, b) order, a random one its worst trial.
     include_multiplier=False drops u(w - z, z) from the transform and
     should make the check fail loudly.
+
+    For d = 1, when every row's exact exponent sums agree
+    (`_DualityRows.rows_agree`), every pair's defect is exactly 0, so no
+    pair is formed or drawn and every error is 0.0.
     """
     g = tw.group
     require_cochain(psi, 3, g, "psi")
     n, d = g.order, tw.dim
-    _require_duality_arguments(trials, seed, tol, n * n * d * d)
+    cells = n * n * d * d
+    _require_duality_arguments(trials, seed, tol, cells)
     check = _DualityRows(tw, psi, include_multiplier)
 
     def max_errors(rows):
         """max |transform(a * b) - transform(a) * transform(b)| per pair, over rows."""
         return reduce(np.maximum, (np.abs(defect).max(axis=(-3, -2, -1)) for _, defect in rows))
 
-    if n * n * d * d <= 64:
-        mode = "exhaustive"
-        basis = np.eye(n * n * d * d, dtype=complex).reshape(-1, n, n, d, d)
+    mode = "exhaustive" if cells <= 64 else "random"
+    if check.rows_agree():  # every pair's defect is exactly 0: no pair is formed
+        errors = np.zeros((cells, cells) if mode == "exhaustive" else trials)
+    elif mode == "exhaustive":
+        basis = np.eye(cells, dtype=complex).reshape(-1, n, n, d, d)
         errors = max_errors(check(basis[:, None], basis[None, :]))
     else:
-        mode = "random"
         rng = np.random.default_rng(seed)
         batch = _pairs_per_batch(n, d)
         errors = np.zeros(trials)

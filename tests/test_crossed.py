@@ -51,6 +51,7 @@ from natorus.presets import (
     pauli_conjugators,
     pauli_m2_twist,
     shift_bicharacter,
+    two_point_bundle,
     z4_scalar_twist,
 )
 
@@ -865,3 +866,101 @@ def test_a_row_makes_one_sum_per_tile_for_a_scalar_twist(setup, sums, monkeypatc
     rows = list(crossed._DualityRows(tw, psi, True).rows(*batch))
     assert len(rows) == n and all(defect.shape == (8, n, d, d) for _, defect in rows)
     assert len(calls) == sums * 3 * n
+
+
+def exact_and_float_reports(check, *args, **kwargs):
+    """check(*args, **kwargs).as_dict() as it stands, the answers of
+    _DualityRows.rows_agree in that call, and the report again with every
+    rows_agree answering "not decided", which runs the float rows on every
+    pair."""
+    answers, rows_agree = [], crossed._DualityRows.rows_agree
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(crossed._DualityRows, "rows_agree", lambda s: answers.append(rows_agree(s)) or answers[-1])
+        exact = check(*args, **kwargs).as_dict()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(crossed._DualityRows, "rows_agree", lambda s: False)
+        floats = check(*args, **kwargs).as_dict()
+    return exact, answers, floats
+
+
+def one_slot_psi(tw):
+    """The tricharacter with one nonzero tensor entry mod 4: not alternating,
+    so not shear-invariant, and the duality check fails."""
+    tensor = np.zeros((3, 3, 3), dtype=np.int64)
+    tensor[0, 1, 2] = 1
+    return Tricharacter(tw.group, tensor, 4)
+
+
+@pytest.mark.parametrize(
+    "setup, psi, decided",
+    [
+        (pauli_m2_twist, lambda tw: Cochain3.zero(tw.group), False),
+        (pauli_m2_twist, lambda tw: -tw.phi, False),
+        (pauli_m2_twist, lambda tw: octonion_associator_tricharacter(tw.group), False),
+        (z4_scalar_twist, lambda tw: Cochain3.zero(tw.group), True),
+        (z4_scalar_twist, lambda tw: -tw.phi, True),
+        (z4_scalar_twist, lambda tw: epsilon_tricharacter_z4(), True),
+    ],
+    ids=["m2-zero", "m2-minus-phi", "m2-tricharacter", "z4-zero", "z4-minus-phi", "z4-generic"],
+)
+def test_criterion_5_reports_are_those_of_the_float_rows(setup, psi, decided):
+    """Criterion 5's six regimes: a scalar twist is decided by its exact rows
+    alone, a d = 2 twist never is, and either way the report is the one the
+    float rows give on every pair, bit for bit."""
+    tw = setup()
+    exact, answers, floats = exact_and_float_reports(verify_duality, tw, psi(tw), trials=100)
+    assert exact == floats and answers == [decided]
+    assert exact["passed"] and exact["max_error"] == 0.0 and exact["witness"] is None
+
+
+@pytest.mark.parametrize("bundle", [octonion_bundle, two_point_bundle])
+def test_nap_condition_reports_are_those_of_the_float_rows(bundle):
+    """Every fiber of a bundled NAP bundle is a scalar twist that its exact
+    rows decide, with the float rows' report."""
+    built = bundle()
+    exact, answers, floats = exact_and_float_reports(nap_condition_check, built)
+    assert exact == floats and exact["passed"]
+    assert answers == [True] * len(built.base)
+
+
+@pytest.mark.parametrize("control", ["one_slot_psi", "without_multiplier"])
+def test_failing_scalar_checks_keep_the_float_rows_report(control):
+    """A psi that is not shear-invariant and a check without the multiplier
+    differ at an exact row, so every pair runs through the float rows and
+    the failure keeps its error and worst-trial witness."""
+    tw = z4_scalar_twist()
+    if control == "one_slot_psi":
+        args, kwargs = (tw, one_slot_psi(tw)), {}
+    else:
+        args, kwargs = (tw, epsilon_tricharacter_z4()), {"include_multiplier": False}
+    exact, answers, floats = exact_and_float_reports(verify_duality, *args, trials=20, seed=3, **kwargs)
+    assert exact == floats and answers == [False]
+    assert not exact["passed"] and exact["witness"][0] == "trial"
+
+
+def test_a_scalar_check_that_its_rows_decide_draws_no_pair(monkeypatch):
+    """A passing scalar check never reaches _draw_batch; the same check
+    without the multiplier fails at an exact row and draws its pairs."""
+
+    def refuse(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(crossed, "_draw_batch", refuse)
+    tw, psi = z4_scalar_twist(), epsilon_tricharacter_z4()
+    report = verify_duality(tw, psi, trials=100)
+    assert report.passed and report.trials == 100 and report.mode == "random"
+    with pytest.raises(AssertionError, match="a batch was drawn"):
+        verify_duality(tw, psi, trials=100, include_multiplier=False)
+
+
+def test_rows_that_differ_only_after_the_first_are_not_decided():
+    """A one-entry psi at (a, b, c) enters E_R only in row w = a and E_L only
+    in row w = a + b + c; with a != 0 row 0 agrees, and the check still runs
+    the float rows and fails, with their report."""
+    tw = z4_scalar_twist()
+    psi = Cochain3.from_entries(tw.group, {((1, 0, 0), (0, 1, 0), (0, 0, 1)): "1/4"})
+    _, left, right = next(crossed._DualityRows(tw, psi, True).exponent_rows())
+    (e_left, den_left), (e_right, den_right) = crossed._exponent_sum(left), crossed._exponent_sum(right)
+    assert den_left == den_right and np.array_equal(e_left, e_right)
+    exact, answers, floats = exact_and_float_reports(verify_duality, tw, psi, trials=8, seed=3)
+    assert exact == floats and answers == [False] and not exact["passed"]

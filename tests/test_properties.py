@@ -49,7 +49,12 @@ from natorus.crossed import _DualityRows, _exponent_sum
 from natorus.groups import subgroup_elements
 from natorus.kernels import _combination_defect_chunk
 from natorus.presets import m4_conjugation_action, pauli_m2_twist
-from test_crossed import float_twist_witness, per_pair_duality, shear_invariant_cochain
+from test_crossed import (
+    exact_and_float_reports,
+    float_twist_witness,
+    per_pair_duality,
+    shear_invariant_cochain,
+)
 from test_quantization import (
     deformed_product_reference,
     dense_blocks,
@@ -874,6 +879,52 @@ def test_scalar_duality_defect_is_the_per_pair_definition(
     if report.passed:
         assert report.max_error == 0.0
     assert report.witness == witness
+
+
+@pytest.mark.parametrize("include_multiplier", [True, False])
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(
+    factors=factor_lists(max_order=16),
+    dens=st.tuples(*[st.sampled_from([2, 12, 2**31 + 11])] * 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_a_shear_invariant_psi_is_decided_by_the_exact_rows(include_multiplier, factors, dens, seed):
+    """With phi = delta sigma and a shear-invariant psi, every exact row of a
+    scalar twist agrees, so the check forms no pair; without the multiplier
+    it runs the float rows. Either way the report, exhaustive for |G| <= 8
+    and random above, is the one the float rows give on every pair."""
+    group = make_group(factors)
+    rng = np.random.default_rng(seed)
+    sigma = Cochain2(group, random_normalized_table(group, dens[0], 2, rng), dens[0])
+    tw = TwistData.scalar_from_sigma(group, sigma)
+    psi = shear_invariant_cochain(group, dens[1], rng)
+    exact, answers, floats = exact_and_float_reports(
+        verify_duality, tw, psi, trials=3, seed=seed, include_multiplier=include_multiplier
+    )
+    assert exact == floats
+    assert exact["mode"] == ("exhaustive" if group.order <= 8 else "random")
+    if include_multiplier:
+        assert answers == [True] and exact["passed"] and exact["max_error"] == 0.0
+
+
+def test_exponent_sums_past_the_bound_leave_the_check_to_the_float_rows():
+    """sigma over 2^31 - 1 and phi, psi over 2^31 + 11 on Z/2 x Z/2: psi + phi
+    has an exact sum, but each side with sigma needs a denominator past 2^62,
+    so no row has an exact sum, the exact rows decide nothing and the report
+    is the float rows'."""
+    group = make_group([2, 2])
+    rng = np.random.default_rng(29)
+    small, big = 2**31 - 1, 2**31 + 11
+    sigma = Cochain2(group, random_normalized_table(group, small, 2, rng), small)
+    phi = Cochain3(group, random_normalized_table(group, big, 3, rng), big)
+    psi = Cochain3(group, random_normalized_table(group, big, 3, rng), big)
+    tw = TwistData(group, sigma=sigma, phi=phi, validate=False)
+    rows = list(_DualityRows(tw, psi, True).exponent_rows())
+    assert len(rows) == 4
+    assert all(_exponent_sum(left) is None and _exponent_sum(right) is None for _, left, right in rows)
+    exact, answers, floats = exact_and_float_reports(verify_duality, tw, psi)
+    assert exact == floats and answers == [False]
+    assert exact["mode"] == "exhaustive"
 
 
 @pytest.mark.parametrize(
