@@ -22,11 +22,17 @@ delta tau) and psi is a tricharacter too, so neither set-up nor the check
 builds an n^3 table. The top rungs are |G| = 512 (Z/2 x Z/4^4, 2 pairs) and
 |G| = 1024 (Z/4^5, 1 pair).
 
-Every rung from |G| = 16 up is a scalar twist with a passing psi, which
-verify_duality decides by its exact pass over the rows, with no pair drawn.
-There call_setup_s is that pass, and per_trial_s is a difference of two
-nearly equal timings: near 0, and it may come out slightly negative. The
-|G| = 8 rung (d = 2) still times its pairs.
+Every rung passes, and verify_duality decides it by its exact pass over the
+rows, with no pair drawn: the |G| = 8 rung (d = 2, whose beta is a G-action)
+as the scalar rungs from |G| = 16 up. So call_setup_s is that pass, and
+per_trial_s is a difference of two nearly equal timings: near 0, and it may
+come out slightly negative. The float rows are timed by a control: the
+rung's pairs again with include_multiplier=False, whose exact rows differ at
+row 0, so every pair runs through the float rows and the check fails.
+control_per_trial_s is its time per trial, taken as per_trial_s is: after a
+first one-pair call that fills its caches, from a one-pair and a
+`trials`-pair call (the second one-pair call whole on a one-pair rung);
+peak_rss_mb includes the control's calls.
 """
 
 import time
@@ -81,24 +87,38 @@ def point(order, seed):
     trials = LADDER[order]
     tw, psi, setup_s = setup(order)
     setup_peak = ladder.peak_rss_mb()
-    times = []
-    # the first call also fills the caches later calls read
-    for k in (1, 1, trials) if trials > 1 else (1, 1):
+
+    def call(k, include_multiplier):
+        """Seconds of one check of k pairs, which must pass with the
+        multiplier and fail without it, and its report."""
         start = time.perf_counter()
-        report = nt.verify_duality(tw, psi, trials=k, seed=seed)
-        times.append(time.perf_counter() - start)
-        if not report.passed or report.mode != "random":
+        report = nt.verify_duality(tw, psi, trials=k, seed=seed, include_multiplier=include_multiplier)
+        elapsed = time.perf_counter() - start
+        if report.passed != include_multiplier or report.mode != "random":
             raise SystemExit(f"order {order}: unexpected report {report.as_dict()}")
-    first, one = times[:2]
-    per_trial = (times[2] - one) / (trials - 1) if trials > 1 else one
+        return elapsed, report
+
+    def per_trial(include_multiplier):
+        """(seconds of a one-pair call, seconds per pair, the last report)."""
+        one, report = call(1, include_multiplier)
+        if trials == 1:
+            return one, one, report
+        many, report = call(trials, include_multiplier)
+        return one, (many - one) / (trials - 1), report
+
+    # each setting's first call also fills the caches later calls read
+    first, _ = call(1, True)
+    one, per_trial_s, report = per_trial(True)
+    call(1, False)
     return {
         "order": order,
         "dim": tw.dim,
         "trials": trials,
         "setup_s": setup_s,
         "first_call_s": first,
-        "per_trial_s": per_trial,
-        "call_setup_s": one - per_trial if trials > 1 else None,
+        "per_trial_s": per_trial_s,
+        "call_setup_s": one - per_trial_s if trials > 1 else None,
+        "control_per_trial_s": per_trial(False)[1],
         "setup_peak_rss_mb": setup_peak,
         "peak_rss_mb": ladder.peak_rss_mb(),
         "max_error": report.max_error,

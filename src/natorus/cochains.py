@@ -33,6 +33,7 @@ from .errors import (
     IncompatibleGroupsError,
     NotACocycleError,
     TensorShapeError,
+    require_int,
 )
 from .groups import FiniteAbelianGroup, GroupElement, subgroup_elements
 from .phases import _QUARTER_TURNS, Phase, exp_phases
@@ -54,10 +55,10 @@ def common_denominator(den_a: int, den_b: int) -> int:
 
 
 def _require_denominator(den: int) -> None:
-    """Refuse a denominator below 1 or above 2^62, the bound of
-    common_denominator: below it, numerators and sums of two of them fit in
-    int64."""
-    if den < 1:
+    """Refuse a denominator that is not an integer (`require_int`), below 1
+    or above 2^62, the bound of common_denominator: below it, numerators and
+    sums of two of them fit in int64."""
+    if require_int(den, "denominator", error=CochainError) < 1:
         raise CochainError(f"denominator must be positive, got {den}")
     if den > 2**62:
         raise CochainError(
@@ -406,9 +407,7 @@ def _stage_modulus(group: FiniteAbelianGroup, modulus: int | None) -> int:
     the staged build (`_contract_last`) could leave int64: a stage sums `rank`
     products of a coordinate (at most max factor - 1) and a residue (at most
     m - 1)."""
-    m = group.exponent if modulus is None else int(modulus)
-    if m < 1:
-        raise CochainError(f"modulus must be positive, got {m}")
+    m = group.exponent if modulus is None else require_int(modulus, "modulus", 1, CochainError)
     if m >= 2**63 or group.rank * (max(group.factors) - 1) * (m - 1) >= 2**63:
         raise CochainError(
             f"modulus {m} is too large for factors {group.factors}: a stage sum of "

@@ -41,7 +41,7 @@ from . import presets
 from .bundles import NAPBundle, build_nap_bundle
 from .cochains import Cochain2, Cochain3, Tricharacter, bicharacter_from_matrix
 from .crossed import TwistData
-from .errors import ConfigError, NatorusError
+from .errors import ConfigError, NatorusError, require_int
 from .groups import FiniteAbelianGroup, make_group
 from .quantization import GAction, MatrixAlgebra, full_matrix_algebra, functions_algebra
 from .twisted_algebra import octonion_associator_tricharacter, octonion_sigma
@@ -110,14 +110,10 @@ def _named(kind: str, name, group: FiniteAbelianGroup | None = None):
 
 
 def _integer(v, what: str, minimum: int | None = None) -> int:
-    """v as an int: an integer, not a boolean, inside int64 and >= minimum."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ConfigError(f"{what} {v!r} is not an integer")
-    if not -(2**63) <= v < 2**63:
-        raise ConfigError(f"{what} {v!r} does not fit in int64")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{what} {v!r} is below {minimum}")
-    return int(v)
+    """v as an int (`require_int`, so not a boolean, and >= minimum) inside int64."""
+    if not -(2**63) <= (v := require_int(v, what, minimum)) < 2**63:
+        raise ConfigError(f"{what} {v} does not fit in int64")
+    return v
 
 
 def parse_coords(group: FiniteAbelianGroup, obj, what: str) -> tuple:

@@ -35,10 +35,13 @@ substituted in the strictified product,
     E_R(w, y, z) = psi(w, y, z) + sigma(w - y, y) + sigma(y - z, z).
 
 Every scalar factor is in an exponent, exact in Q/Z; verify_duality
-(_DualityRows) sums each side's integer row E(w, ., .) exactly. For d = 1
-the V's cancel and one weighted sum of e(E_L) - e(E_R), zero bit for bit
-where the rows agree, is the defect; for d > 1 the V's around b(y - z, z)
-differ (V_{w-y} against V_y), so each side forms its own sum.
+(_DualityRows) sums each side's integer row E(w, ., .) exactly. The V's
+around b(y - z, z) differ (V_{w-y} against V_y), but beta is a G-action
+(TwistData.validate), so P = V_{w-y} V_y = c V_w with |c| = 1 and, with
+b'(y, z) = V_y^* b(y - z, z) V_y, P b' P^* = V_w b' V_w^*. Both sides then
+share the factor (V_w^* a(w - y, y) V_w) b'(y, z), and row w of the defect
+is one weighted sum of it by e(E_L) - e(E_R), zero bit for bit where the
+rows agree; at d = 1 the conjugations are the identity.
 strictified_product and takai_transform compute by the definitions, the
 route the tests compare against, and share only _row_phases and the
 twist's own tables with the check.
@@ -47,7 +50,6 @@ twist's own tables with the check.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from functools import partial, reduce
 from math import lcm
@@ -67,8 +69,9 @@ from .cochains import (
     coboundary2,
     require_cochain,
 )
-from .elements import ArrayElement, _block_product, conjugate
-from .errors import ConfigError, GradingError, IncompatibleGroupsError, TwistDataError, require_tol
+from .elements import ArrayElement, conjugate
+from .errors import ConfigError, GradingError, IncompatibleGroupsError, TwistDataError
+from .errors import require_int, require_tol
 from .groups import FiniteAbelianGroup
 from .kernels import TwistedKernel
 from .phases import Report, exp_phases
@@ -92,7 +95,7 @@ class TwistData:
         validate: bool = True,
         tol: float = 1e-10,
     ):
-        if dim < 1:
+        if require_int(dim, "dim", error=TwistDataError) < 1:
             raise TwistDataError(f"dim must be at least 1, got {dim}")
         n = group.order
         if beta is None:
@@ -374,13 +377,12 @@ def _phase_difference(left: list, right: list, spare: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _weighted_sum(x, m, phases, tiles, v=None) -> np.ndarray:
-    """sum_y x[..., y] m[..., y, z] v[y] phases[y, z] over z, tile by tile
-    (see _DualityRows), with v's d x d blocks over y (None: the identity)."""
+def _weighted_sum(x, m, phases, tiles) -> np.ndarray:
+    """sum_y x[..., y] m[..., y, z] phases[y, z] over z, tile by tile (see
+    _DualityRows)."""
     sums = []
     for s, summands in tiles:
-        product = m[s] if v is None else _block_product(m[s], v, out=summands)
-        np.multiply(product, phases[:, :, None, None], out=summands)
+        np.multiply(m[s], phases[:, :, None, None], out=summands)
         sums.append(_sum_over_y(x[s], summands))
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
@@ -395,16 +397,16 @@ class _DualityRows:
     side's exponent row (module docstring) is summed exactly from integer
     rows (`exponent_rows`: the sheared row of psi + phi, streamed from a
     tricharacter sum or read from a plain sum's rows, stored once per check
-    in one narrow n^3 table; psi's slab; sigma's residues). For d = 1 a row
-    is one weighted sum of e(E_L) - e(E_R) (`_phase_difference`), and when
+    in one narrow n^3 table; psi's slab; sigma's residues). A row is one
+    weighted sum of e(E_L) - e(E_R) (`_phase_difference`) over y of
+    V_w^* a(w - y, y) V_w times b'(y, z) = V_y^* b(y - z, z) V_y (module
+    docstring; for d > 1, b_sub is overwritten with b' per batch), and when
     every row's exact sums agree (`rows_agree`) every pair's defect is
-    exactly 0, so verify_duality forms no pair. For d > 1,
-    b_sub is overwritten per batch with V_y^* b(y - z, z) V_y, which the left
-    side reads through P(y) = V_{w-y} V_y as V_w^* (a(w - y, y) P) (. P^*) V_w.
-    A row's phases serve the batch; stacked pairs form their weighted
-    summands in tiles of _pairs_per_tile(n, d). No n^3 complex array is
-    formed. include_multiplier=False drops sigma(w - z, z) from E_L and both
-    sigma terms from E_R.
+    exactly 0, so verify_duality forms no pair. A row's phases serve the
+    batch; stacked pairs form their weighted summands in tiles of
+    _pairs_per_tile(n, d). No n^3 complex array is formed.
+    include_multiplier=False drops sigma(w - z, z) from E_L and both sigma
+    terms from E_R.
     """
 
     def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
@@ -435,12 +437,10 @@ class _DualityRows:
             yield w, left, right
 
     def rows_agree(self) -> bool:
-        """For d = 1, whether every row's exact sums E_L and E_R agree as
-        residues over their lcm, in one pass that stops at the first row that
-        differs or has no exact sum (past 2^62): then every pair's defect is
-        a sum of D = 0 (`_phase_difference`), exactly 0. False for d > 1."""
-        if self.tw.dim > 1:
-            return False
+        """Whether every row's exact sums E_L and E_R agree as residues over
+        their lcm, in one pass that stops at the first row that differs or
+        has no exact sum (past 2^62): then every pair's defect is a sum of
+        D = 0 (`_phase_difference`), exactly 0."""
         for _, left, right in self.exponent_rows():
             sums = _exponent_sum(left), _exponent_sum(right)
             if None in sums or (den := lcm(sums[0][1], sums[1][1])) > 2**62:
@@ -454,9 +454,9 @@ class _DualityRows:
         return self.rows(a, _at(b, _diffs(self.tw.group)))
 
     def rows(self, a: np.ndarray, b_sub: np.ndarray):
-        n, block, v = len(self.zi), _block_product, self.tw.beta
-        if self.tw.dim > 1:  # V_y^* b(y - z, z) V_y, pair by pair, in place
-            vh = np.conj(v).swapaxes(-1, -2)
+        n, d = len(self.zi), self.tw.dim
+        if d > 1:  # V_y^* b(y - z, z) V_y, pair by pair, in place
+            vh = np.conj(self.tw.beta).swapaxes(-1, -2)
             for pair in b_sub.reshape((-1,) + b_sub.shape[-4:]):
                 conjugate(vh[:, None], pair, out=pair)
         if a.ndim == 5 and a.shape[:1] == b_sub.shape[:1]:  # tiles share one buffer
@@ -467,18 +467,10 @@ class _DualityRows:
             tiles = [(slice(None), buffer := np.empty_like(b_sub))]
         spare = buffer.reshape(-1)[: n * n].reshape(n, n)  # e(E_R) until a tile overwrites it
         for w, left, right in self.exponent_rows():
-            t = self.sub[w]  # w - y over y
-            x = _at(a, t * n + self.zi)  # a(w - y, y) over y
-            if self.tw.dim == 1:  # one sum, of D = e(E_L) - e(E_R)
-                yield w, _weighted_sum(x, b_sub, _phase_difference(left, right, spare), tiles)
-                continue
-            p = block(v[t], v)  # V_{w-y} V_y over y
-            moved = block(vh[w], x)
-            weight = np.conj(p).swapaxes(-1, -2)[:, None]
-            # one side's phase row at a time, dropped when its sum is formed
-            lhs = _weighted_sum(block(moved, p), b_sub, _phases(left), tiles, weight)
-            rhs = _weighted_sum(block(moved, v[w]), b_sub, _phases(right), tiles)
-            yield w, block(lhs, v[w]) - rhs
+            x = _at(a, self.sub[w] * n + self.zi)  # a(w - y, y) over y
+            if d > 1:  # V_w^* a(w - y, y) V_w
+                x = conjugate(vh[w], x)
+            yield w, _weighted_sum(x, b_sub, _phase_difference(left, right, spare), tiles)
 
 
 def takai_transform(
@@ -580,10 +572,8 @@ def _require_duality_arguments(trials, seed, tol, cells: int) -> None:
     """Refuse, with ConfigError, a trials or seed that is not an integer (a
     bool included), a negative seed, a tol that `require_tol` refuses, and
     fewer than one trial in random mode (cells n^2 d^2 > 64)."""
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} {value!r} is not an integer")
-    if seed < 0:
+    require_int(trials, "trials")
+    if require_int(seed, "seed") < 0:
         raise ConfigError(f"seed {seed!r} is negative")
     require_tol(tol)
     if trials < 1 and cells > 64:
@@ -605,7 +595,7 @@ def verify_duality(
     pair, in batches of _pairs_per_batch(n, d). Refused before any work: a
     psi that is not a 3-cochain (CochainError) and a malformed trials, seed
     or tol (`_require_duality_arguments`). The defect is formed row by row
-    from exact exponent rows (_DualityRows: for d = 1 one weighted sum of
+    from exact exponent rows (_DualityRows: one weighted sum of
     e(E_L) - e(E_R)), and each pair keeps its largest |defect| over the
     rows. The exhaustive mode stacks the basis along two broadcast axes,
     so every pair comes out of the same row loop. An exhaustive check names
@@ -613,9 +603,14 @@ def verify_duality(
     include_multiplier=False drops u(w - z, z) from the transform and
     should make the check fail loudly.
 
-    For d = 1, when every row's exact exponent sums agree
-    (`_DualityRows.rows_agree`), every pair's defect is exactly 0, so no
-    pair is formed or drawn and every error is 0.0.
+    When every row's exact exponent sums agree (`_DualityRows.rows_agree`),
+    every pair's defect is exactly 0, so no pair is formed or drawn and every
+    error is 0.0.
+
+    The contract: beta is a G-action on M_d, V_x V_y = c(x, y) V_{x+y} with
+    |c| = 1, which `TwistData.validate` decides at construction; the rows
+    rest on it. A twist built with validate=False whose beta is not one is
+    outside the check's contract.
     """
     g = tw.group
     require_cochain(psi, 3, g, "psi")

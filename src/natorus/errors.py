@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the verifiers' one
-check of a tolerance argument."""
+"""Exception hierarchy shared across the package, the one rule for an
+integer argument, and the verifiers' one check of a tolerance argument."""
 
 import numbers
 import sys
@@ -52,6 +52,18 @@ class BundleConstructionError(NatorusError):
 
 class ConfigError(NatorusError):
     """Raised for malformed JSON configuration input (CLI exit code 2)."""
+
+
+def require_int(value, what: str, minimum: int | None = None, error=ConfigError) -> int:
+    """value as an int, refused with `error` when it is a bool or not an
+    integer (`numbers.Integral`: a float or a string is refused, a numpy
+    integer is not), or when it is below minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} {value!r} is not an integer")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise error(f"{what} {value} is below {minimum}")
+    return value
 
 
 def require_tol(tol) -> None:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleGroupsError, InvalidGroupError
+from .errors import IncompatibleGroupsError, InvalidGroupError, require_int
 from .phases import Phase, exp_phases
 
 
@@ -27,12 +27,9 @@ class FiniteAbelianGroup:
     """Z/n_1 x ... x Z/n_k with lexicographic element enumeration."""
 
     def __init__(self, factors: Sequence[int]):
-        factors = tuple(int(n) for n in factors)
+        factors = tuple(require_int(n, "factor", 2, InvalidGroupError) for n in factors)
         if len(factors) == 0:
             raise InvalidGroupError("factor list must be nonempty")
-        for n in factors:
-            if n < 2:
-                raise InvalidGroupError(f"factor {n} is below 2")
         self.factors = factors
         self.rank = len(factors)
         self.order = prod(factors)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cochains import Cochain3, require_cochain, require_cocycle3
 from .elements import ArrayElement, conjugate
-from .errors import ConfigError, GradingError, require_tol
+from .errors import ConfigError, GradingError, require_int, require_tol
 from .groups import FiniteAbelianGroup
 from .phases import Phase, Report
 
@@ -45,7 +45,7 @@ class MatrixAlgebra:
     def __init__(self, kind: str, dim: int):
         if kind not in ("functions", "matrix"):
             raise GradingError(f"unknown algebra kind {kind!r}, use 'functions' or 'matrix'")
-        if dim < 1:
+        if require_int(dim, "algebra dimension", error=GradingError) < 1:
             raise GradingError(f"algebra dimension must be positive, got {dim}")
         self.kind = kind
         self.dim = dim

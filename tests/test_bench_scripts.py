@@ -36,6 +36,8 @@ def test_duality_ladder_runs_one_order():
         assert 0 < point["setup_peak_rss_mb"] <= point["peak_rss_mb"]
         # Differences of two timings, so only their presence is checked.
         assert {"per_trial_s", "call_setup_s"} <= set(point)
+        # The multiplier-free control runs its 100 pairs through the float rows.
+        assert point["control_per_trial_s"] > 0
 
 
 def test_sweep_ladder_runs_one_order():

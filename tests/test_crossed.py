@@ -43,7 +43,8 @@ from natorus import crossed
 from natorus.cochains import _lowest_terms, exp_phases
 from natorus.acceptance import criterion_fourier_evaluation
 from natorus.configs import load_config
-from natorus.crossed import _block_product, _pairs_per_batch, _pairs_per_tile
+from natorus.crossed import _pairs_per_batch, _pairs_per_tile
+from natorus.elements import _block_product
 from natorus.twisted_algebra import levi_civita
 from natorus.presets import (
     epsilon_tricharacter_z4,
@@ -849,13 +850,11 @@ def test_duality_past_the_common_denominator_bound_multiplies_phase_rows():
     assert not report.passed and abs(report.max_error - max_error) <= 1e-9 * max_error
 
 
-@pytest.mark.parametrize(
-    "setup, sums", [(z4_with_epsilon_psi, 1), (m2_with_octonion_psi, 2)], ids=["d1", "d2"]
-)
-def test_a_row_makes_one_sum_per_tile_for_a_scalar_twist(setup, sums, monkeypatch):
+@pytest.mark.parametrize("setup", [z4_with_epsilon_psi, m2_with_octonion_psi], ids=["d1", "d2"])
+def test_a_row_makes_one_sum_per_tile(setup, monkeypatch):
     """With the entry budget cut to 3 pairs a tile, a batch of 8 pairs runs
-    3 tiles a row: a d = 1 row forms one weighted sum per tile (of
-    e(E_L) - e(E_R)), a d = 2 row two, one per side."""
+    3 tiles a row, and a row forms one weighted sum of e(E_L) - e(E_R) per
+    tile, for d = 2 as for d = 1."""
     tw, psi = setup()
     n, d = tw.group.order, tw.dim
     monkeypatch.setattr(crossed, "_ENTRY_BUDGET", 3 * n * n * d * d)
@@ -865,7 +864,7 @@ def test_a_row_makes_one_sum_per_tile_for_a_scalar_twist(setup, sums, monkeypatc
     batch = crossed._draw_batch(tw, np.random.default_rng(0), 8)
     rows = list(crossed._DualityRows(tw, psi, True).rows(*batch))
     assert len(rows) == n and all(defect.shape == (8, n, d, d) for _, defect in rows)
-    assert len(calls) == sums * 3 * n
+    assert len(calls) == 3 * n
 
 
 def exact_and_float_reports(check, *args, **kwargs):
@@ -892,24 +891,24 @@ def one_slot_psi(tw):
 
 
 @pytest.mark.parametrize(
-    "setup, psi, decided",
+    "setup, psi",
     [
-        (pauli_m2_twist, lambda tw: Cochain3.zero(tw.group), False),
-        (pauli_m2_twist, lambda tw: -tw.phi, False),
-        (pauli_m2_twist, lambda tw: octonion_associator_tricharacter(tw.group), False),
-        (z4_scalar_twist, lambda tw: Cochain3.zero(tw.group), True),
-        (z4_scalar_twist, lambda tw: -tw.phi, True),
-        (z4_scalar_twist, lambda tw: epsilon_tricharacter_z4(), True),
+        (pauli_m2_twist, lambda tw: Cochain3.zero(tw.group)),
+        (pauli_m2_twist, lambda tw: -tw.phi),
+        (pauli_m2_twist, lambda tw: octonion_associator_tricharacter(tw.group)),
+        (z4_scalar_twist, lambda tw: Cochain3.zero(tw.group)),
+        (z4_scalar_twist, lambda tw: -tw.phi),
+        (z4_scalar_twist, lambda tw: epsilon_tricharacter_z4()),
     ],
     ids=["m2-zero", "m2-minus-phi", "m2-tricharacter", "z4-zero", "z4-minus-phi", "z4-generic"],
 )
-def test_criterion_5_reports_are_those_of_the_float_rows(setup, psi, decided):
-    """Criterion 5's six regimes: a scalar twist is decided by its exact rows
-    alone, a d = 2 twist never is, and either way the report is the one the
-    float rows give on every pair, bit for bit."""
+def test_criterion_5_reports_are_those_of_the_float_rows(setup, psi):
+    """Criterion 5's six regimes, the d = 2 Pauli twist as the scalar one,
+    are each decided by their exact rows alone, and the report is the one
+    the float rows give on every pair, bit for bit."""
     tw = setup()
     exact, answers, floats = exact_and_float_reports(verify_duality, tw, psi(tw), trials=100)
-    assert exact == floats and answers == [decided]
+    assert exact == floats and answers == [True]
     assert exact["passed"] and exact["max_error"] == 0.0 and exact["witness"] is None
 
 

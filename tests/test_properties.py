@@ -45,6 +45,7 @@ from natorus import (
     verify_duality,
 )
 from natorus.cochains import _coboundary, _coboundary_chunk, _storage_dtype, _sweep, _sweep_dtype
+from natorus import crossed
 from natorus.crossed import _DualityRows, _exponent_sum
 from natorus.groups import subgroup_elements
 from natorus.kernels import _combination_defect_chunk
@@ -709,6 +710,34 @@ def random_unitaries(rng, shape, d):
     return np.linalg.qr(z)[0]
 
 
+def random_g_action(group, d, rng):
+    """beta_x = c_x Q diag(chi_1(x), ..., chi_d(x)) Q^* for d random characters
+    chi_j, a random unitary Q and random unit scalars c_x with c_0 = 1: a
+    G-action on M_d whose conjugators compose only up to a phase, and which
+    TwistData validates as one."""
+    q = random_unitaries(rng, (), d)
+    characters = group.character_matrix[rng.integers(0, group.order, size=d)].T  # [x, j]
+    scalars = np.exp(2j * np.pi * rng.random(group.order))
+    scalars[0] = 1.0
+    beta = scalars[:, None, None] * (q * characters[:, None, :]) @ np.conj(q).T
+    TwistData(group, d, beta=beta)
+    return beta
+
+
+def clock_and_shift(m, rng):
+    """Z/m x Z/m acting on M_m through X^a Z^b (X the cyclic shift, Z the
+    clock diag(e(j / m))), conjugated by a random unitary: a projective,
+    non-monomial G-action that TwistData validates."""
+    group = make_group([m, m])
+    shift = np.roll(np.eye(m), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
+    q = random_unitaries(rng, (), m)
+    power = np.linalg.matrix_power
+    beta = np.array([q @ power(shift, a) @ power(clock, b) @ np.conj(q).T for a, b in group.coords])
+    TwistData(group, m, beta=beta)
+    return group, beta
+
+
 def exponent_sum(psi, phi):
     """((psi + phi) mod den, den) from the two tables, in Python integers."""
     den = lcm(psi.den, phi.den)
@@ -753,36 +782,15 @@ def reference_duality_errors(tw, psi, a, b, include_multiplier):
     return np.abs(transform(product) - rhs).max(axis=(1, 2, 3, 4))
 
 
-@pytest.mark.parametrize("include_multiplier", [True, False])
-@pytest.mark.parametrize("factors, d, mode", DUALITY_SHAPES)
-@pytest.mark.parametrize("psi_den, phi_den", DUALITY_DENS)
-def test_duality_check_matches_the_definitions_over_each_denominator(
-    psi_den, phi_den, factors, d, mode, include_multiplier
-):
-    """verify_duality on plain random psi and phi (no cocycles, so the identity
-    fails by O(1) and every phase shows in the errors) against the definitions,
-    and the exponent rows of the plain sum psi + phi, its sheared rows and its
-    slabs, exactly, against the Python-integer sum."""
-    group = make_group(factors)
-    n = group.order
-    rng = np.random.default_rng([psi_den % 2**32, n, d])
-    psi = Cochain3(group, random_normalized_table(group, psi_den, 3, rng), psi_den)
-    phi = Cochain3(group, random_normalized_table(group, phi_den, 3, rng), phi_den)
-    beta = random_unitaries(rng, (n,), d)
-    sigma = Cochain2(group, random_normalized_table(group, psi_den, 2, rng), psi_den)
-    tw = TwistData(group, d, beta=beta, sigma=sigma, phi=phi, validate=False)
-
-    total, den = exponent_sum(psi, phi)
-    summed = psi + phi
-    assert type(summed) is Cochain3 and _DualityRows(tw, psi, include_multiplier).den == summed.den
-    assert_exponent_rows_match(summed, den, total)
-
-    trials, seed = 5, 7
-    report = verify_duality(
-        tw, psi, trials=trials, seed=seed, include_multiplier=include_multiplier
-    )
-    assert report.mode == mode
-    if mode == "exhaustive":
+def assert_report_follows_the_definitions(tw, psi, trials, seed, include_multiplier):
+    """verify_duality(tw, psi, trials, seed) fails, its max_error within 1e-9
+    relative of reference_duality_errors over the same pairs (the basis pairs
+    in exhaustive mode, else the trials drawn a then b, pair by pair), and its
+    witness is that reference's: the first failing pair, or the worst trial.
+    Returns the report's mode."""
+    n, d = tw.group.order, tw.dim
+    report = verify_duality(tw, psi, trials=trials, seed=seed, include_multiplier=include_multiplier)
+    if report.mode == "exhaustive":
         basis = np.eye(n * n * d * d, dtype=complex).reshape(-1, n, n, d, d)
         a, b = np.repeat(basis, len(basis), axis=0), np.tile(basis, (len(basis), 1, 1, 1, 1))
     else:
@@ -794,12 +802,78 @@ def test_duality_check_matches_the_definitions_over_each_denominator(
     worst = errors.max()
     assert worst > 1e-3 and not report.passed
     assert abs(report.max_error - worst) <= 1e-9 * worst
-    if mode == "random":  # the worst trial
+    if report.mode == "random":  # the worst trial
         assert errors[report.witness[1]] >= worst * (1 - 1e-9)
     else:  # the first failing pair
         keys = list(itertools.product(range(n), range(n), range(d), range(d)))
         k = keys.index(report.witness[0]) * len(keys) + keys.index(report.witness[1])
         assert k == np.argmax(errors > 1e-10)
+    return report.mode
+
+
+@pytest.mark.parametrize("include_multiplier", [True, False])
+@pytest.mark.parametrize("factors, d, mode", DUALITY_SHAPES)
+@pytest.mark.parametrize("psi_den, phi_den", DUALITY_DENS)
+def test_duality_check_matches_the_definitions_over_each_denominator(
+    psi_den, phi_den, factors, d, mode, include_multiplier
+):
+    """verify_duality on plain random psi and phi (no cocycles, so the identity
+    fails by O(1) and every phase shows in the errors) and a random G-action
+    beta (the check's contract) against the definitions, and the exponent rows
+    of the plain sum psi + phi, its sheared rows and its slabs, exactly,
+    against the Python-integer sum."""
+    group = make_group(factors)
+    n = group.order
+    rng = np.random.default_rng([psi_den % 2**32, n, d])
+    psi = Cochain3(group, random_normalized_table(group, psi_den, 3, rng), psi_den)
+    phi = Cochain3(group, random_normalized_table(group, phi_den, 3, rng), phi_den)
+    beta = random_g_action(group, d, rng)
+    sigma = Cochain2(group, random_normalized_table(group, psi_den, 2, rng), psi_den)
+    tw = TwistData(group, d, beta=beta, sigma=sigma, phi=phi, validate=False)
+
+    total, den = exponent_sum(psi, phi)
+    summed = psi + phi
+    assert type(summed) is Cochain3 and _DualityRows(tw, psi, include_multiplier).den == summed.den
+    assert_exponent_rows_match(summed, den, total)
+
+    assert assert_report_follows_the_definitions(tw, psi, 5, 7, include_multiplier) == mode
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    factors=factor_lists(max_order=16),
+    d=st.sampled_from([2, 3]),
+    clock=st.booleans(),
+    den=st.sampled_from([4, 6, 12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_projective_beta_is_decided_by_the_exact_rows(factors, d, clock, den, seed):
+    """A validated d > 1 twist, its beta a random G-action or clock and shift
+    on Z/d x Z/d, conjugated by a random unitary (so in general not
+    monomial), with a random sigma and phi = delta sigma. With a shear-invariant psi every exact
+    row agrees, so the check draws no pair and passes with max_error exactly
+    0; with a plain random psi it fails, with and without the multiplier, at
+    the definitions' errors and witness."""
+    rng = np.random.default_rng(seed)
+    if clock:
+        group, beta = clock_and_shift(d, rng)
+    else:
+        group = make_group(factors)
+        beta = random_g_action(group, d, rng)
+    tw = TwistData(group, d, beta=beta, sigma=random_sigma(group, rng, den))
+    psi = shear_invariant_cochain(group, den, rng)
+    assert _DualityRows(tw, psi, True).rows_agree()
+
+    def refuse(*args):
+        raise AssertionError("a batch was drawn")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(crossed, "_draw_batch", refuse)
+        report = verify_duality(tw, psi, trials=3, seed=seed)
+    assert report.passed and report.max_error == 0.0 and report.witness is None
+    psi = Cochain3(group, random_normalized_table(group, den, 3, rng), den)
+    for include_multiplier in (True, False):
+        assert_report_follows_the_definitions(tw, psi, 3, seed, include_multiplier)
 
 
 

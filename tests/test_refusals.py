@@ -1,6 +1,6 @@
-"""Refusals of malformed twists, actions and config spellings, each with its
-typed error, its message and its witness; and the operator spellings of the
-crossed and kernel products."""
+"""Refusals of malformed twists, actions, sizes and config spellings, each
+with its typed error, its message and its witness; and the operator
+spellings of the crossed and kernel products."""
 
 import re
 
@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from natorus import (
+    Cochain2,
+    CochainError,
     ConfigError,
     CrossedElement,
     GAction,
     GradingError,
+    InvalidGroupError,
+    Tricharacter,
     TwistData,
     TwistDataError,
     TwistedKernel,
@@ -147,6 +151,27 @@ def test_action_refuses_alpha_0_other_than_the_identity():
         GradingError, "alpha_0 is not the identity (defect 1.000e+00)", action.validate
     )
     assert no_witness(exc)
+
+
+# -------------------------------------------------------------- integer sizes
+
+
+@pytest.mark.parametrize(
+    "error, message, call, args",
+    [
+        (InvalidGroupError, "factor 2.5 is not an integer", make_group, ([2.5, 3],)),
+        (InvalidGroupError, "factor '4' is not an integer", make_group, (["4"],)),
+        (CochainError, "modulus 2.5 is not an integer", Tricharacter, (Z2, np.ones((1, 1, 1), int), 2.5)),
+        (TwistDataError, "dim 2.0 is not an integer", TwistData, (Z2, 2.0)),
+        (GradingError, "algebra dimension 2.5 is not an integer", functions_algebra, (2.5,)),
+        (CochainError, "denominator 2.5 is not an integer", Cochain2, (Z2, np.zeros((2, 2), int), 2.5)),
+    ],
+    ids=["group-float", "group-string", "tricharacter", "twist", "algebra", "cochain"],
+)
+def test_a_size_that_is_not_an_integer_is_refused(error, message, call, args):
+    # make_group truncated 2.5 to 2 and took "4", Tricharacter truncated its
+    # modulus, and the others let a bare TypeError or numpy's UFuncTypeError out
+    assert no_witness(refused(error, message, call, *args))
 
 
 # ------------------------------------------------------------ config spellings
