@@ -62,6 +62,16 @@ def _result(number, name, t0, passed, detail, **data) -> CriterionResult:
     return CriterionResult(number, name, bool(passed), time.perf_counter() - t0, detail, data)
 
 
+_CHUNK_BYTES = 1 << 20  # what the arrays of one chunk of sampled pairs may hold
+
+
+def _chunks(pairs: int, element_bytes: int) -> list[int]:
+    """Sizes of the chunks stacking `pairs` sampled pairs, one kernel call each: a
+    pair holds about ten arrays of `element_bytes`, a chunk about _CHUNK_BYTES."""
+    size = max(1, _CHUNK_BYTES // (10 * element_bytes))
+    return [min(size, pairs - start) for start in range(0, pairs, size)]
+
+
 def _random_cochain2(group, rng, den: int = 8) -> Cochain2:
     table = rng.integers(0, den, size=(group.order,) * 2)
     table[0, :] = 0
@@ -137,16 +147,15 @@ def criterion_associativity_cocycle(tolerance=1e-10, trials=100, seed=0) -> Crit
 
 def criterion_fourier_evaluation(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
     """Fourier-side convolution equals the shifted-evaluation product for
-    scalar and 2x2-block coefficients on Z/4."""
+    scalar (d = 1) and 2x2-block coefficients on Z/4, one call per chunk of pairs."""
     t0 = time.perf_counter()
     group = make_group([4])
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dim in (1, 2):
-        shape = (4, 4) if dim == 1 else (4, 4, dim, dim)
-        for _ in range(trials):
-            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for size in _chunks(trials, 256 * dim * dim):
+            x = rng.standard_normal((size, 2, 2, 4, 4, dim, dim))
+            a, b = np.moveaxis(x[:, :, 0] + 1j * x[:, :, 1], 1, 0)
             diff = evaluation_side_product(group, a, b) - fourier_side_product(group, a, b)
             worst = max(worst, float(np.abs(diff).max()))
     detail = f"max error {worst:.3e} over {2 * trials} pairs (scalar and M2 blocks)"
@@ -190,16 +199,16 @@ def criterion_duality(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
 
 def criterion_deformation_consistency(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
     """With phi = 0 the block intertwiner is multiplicative for both bundled
-    actions; with the octonion phi the homogeneous associator phase is
-    exactly phi on every character triple."""
+    actions (stacked pairs); with the octonion phi the homogeneous associator
+    phase is exactly phi on every character triple."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for action in (GAction.translation(make_group([4])), presets.m4_conjugation_action()):
         phi0 = Cochain3.zero(action.group)
-        for _ in range(trials):
-            a = GradedElement.from_matrix(action, action.algebra.random_element(rng))
-            b = GradedElement.from_matrix(action, action.algebra.random_element(rng))
+        for size in _chunks(trials, 16 * (action.group.order * action.dim) ** 2):
+            mats = action.algebra.random_element(rng, (size, 2))
+            a, b = (GradedElement.from_matrix(action, mats[:, i]) for i in (0, 1))
             lhs = phi_zero_intertwiner(deformed_product(a, b, phi0))
             rhs = phi_zero_intertwiner(a) @ phi_zero_intertwiner(b)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
@@ -215,7 +224,9 @@ def criterion_deformation_consistency(tolerance=1e-10, trials=100, seed=0) -> Cr
         f"flat intertwiner max error {worst:.3e} over {2 * trials} pairs; "
         f"associator orientation on all {len(rep.entries)} triples: max {rep.max_error:.3e}"
     )
-    return _result(6, "flat intertwiner and associator orientation", t0, passed, detail)
+    return _result(
+        6, "flat intertwiner and associator orientation", t0, passed, detail, max_error=worst
+    )
 
 
 def criterion_octonion_suite(tolerance=1e-10, trials=100, seed=0) -> CriterionResult:
@@ -226,27 +237,21 @@ def criterion_octonion_suite(tolerance=1e-10, trials=100, seed=0) -> CriterionRe
     g = alg.group
     rng = np.random.default_rng(seed)
     norm_worst = 0.0
-    for _ in range(1000):
-        a = alg.element(rng.standard_normal(8))
-        b = alg.element(rng.standard_normal(8))
-        ab = a * b
-        norm_worst = max(norm_worst, abs(ab.norm() - a.norm() * b.norm()) / (a.norm() * b.norm()))
+    for size in _chunks(1000, 16 * alg.dim**2):
+        a, b = (alg.element(x) for x in np.moveaxis(rng.standard_normal((size, 2, alg.dim)), 1, 0))
+        na, nb, nab = (  # one per member, formed as ArrayElement.norm forms one: BLAS dots
+            np.sqrt(sum(p[..., None, :] @ p[..., :, None] for p in (c.real, c.imag))[..., 0, 0])
+            for c in (a.coeffs, b.coeffs, (a * b).coeffs)
+        )
+        norm_worst = max(norm_worst, float(np.max(np.abs(nab - na * nb) / (na * nb))))
     norm_ok = norm_worst < 1e-12
-    basis = alg.basis
-    alt_ok = True
-    for ea in basis:
-        aa = ea * ea
-        for eb in basis:
-            left = ea * (ea * eb)
-            right = (ea * ea) * eb
-            alt_ok = alt_ok and np.array_equal(left.coeffs, right.coeffs)
-            left = (eb * ea) * ea
-            right = eb * aa
-            alt_ok = alt_ok and np.array_equal(left.coeffs, right.coeffs)
-    unit = basis[0]
-    sq_ok = all(
-        np.array_equal((e * e).coeffs, -unit.coeffs) for e in basis[1:]
+    eye = np.eye(alg.dim)
+    x, y = alg.element(eye[:, None]), alg.element(eye[None])  # every basis pair, one stack
+    xx = x * x
+    alt_ok = np.array_equal((x * (x * y)).coeffs, (xx * y).coeffs) and np.array_equal(
+        ((y * x) * x).coeffs, (y * xx).coeffs
     )
+    sq_ok = bool((xx.coeffs[1:, 0] == -eye[0]).all())
     assoc_ok = True
     for a in g.elements:
         for b in g.elements:

@@ -655,16 +655,17 @@ def verify_duality(
 
 
 def evaluation_side_product(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c(x, g) = a(x + g, g) b(x, g): the evaluation form of the convolution."""
+    """c(x, g) = a(x + g, g) b(x, g): the evaluation form of the convolution, on
+    an (n, n) scalar pair or on (..., n, n, d, d) blocks with stack axes."""
     a, b, scalar = _as_blocks(group, a, b)
     add = group.add_table
     gi = np.arange(group.order)
-    c = np.einsum("xgab,xgbc->xgac", a[add, gi[None, :]], b)
+    c = np.einsum("...xgab,...xgbc->...xgac", a[..., add, gi[None, :], :, :], b)
     return c[:, :, 0, 0] if scalar else c
 
 
 def fourier_side_product(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The same product computed through the Fourier side.
+    """The same product computed through the Fourier side, on the same operands.
 
     a-hat(eta, g) = sum_x a(x, g) exp(2 pi i <eta, x>); the convolution
     c-hat(xi, g) = |G|^-1 sum_eta a-hat(eta, g) exp(-2 pi i <eta, g>)
@@ -673,12 +674,11 @@ def fourier_side_product(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray
     a, b, scalar = _as_blocks(group, a, b)
     n = group.order
     ch = group.character_matrix  # [eta, x]
-    ahat = np.einsum("ex,xgab->egab", ch, a)
-    bhat = np.einsum("ex,xgab->egab", ch, b)
+    ahat, bhat = (np.einsum("ex,...xgab->...egab", ch, x) for x in (a, b))
     sub = group.sub_table
     cc = np.conj(ch)
-    chat = np.einsum("eg,egab,segbc->sgac", cc, ahat, bhat[sub]) / n
-    c = np.einsum("sx,sgab->xgab", cc, chat) / n
+    chat = np.einsum("eg,...egab,...segbc->...sgac", cc, ahat, bhat[..., sub, :, :, :]) / n
+    c = np.einsum("sx,...sgab->...xgab", cc, chat) / n
     return c[:, :, 0, 0] if scalar else c
 
 
@@ -688,8 +688,7 @@ def _as_blocks(group, a, b):
     b = np.asarray(b, dtype=complex)
     scalar = a.ndim == 2
     if scalar:
-        a = a[:, :, None, None]
-        b = b[:, :, None, None]
-    if a.shape[:2] != (n, n) or b.shape != a.shape:
-        raise TwistDataError(f"operands must be (n, n[, d, d]) with n = {n}")
+        a, b = a[:, :, None, None], b[:, :, None, None]
+    if a.shape[-4:-2] != (n, n) or b.shape != a.shape:
+        raise TwistDataError(f"operands must be (n, n) or (..., n, n, d, d) with n = {n}")
     return a, b, scalar

@@ -20,16 +20,19 @@ from .errors import IncompatibleGroupsError
 
 def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b on stacked d x d blocks (the last two axes, leading axes
-    broadcast), unrolled as sum_j a[..., :, j, None] b[..., None, j, :]: d
-    broadcast multiply-adds, far faster than stacked matmul on small blocks;
-    for d = 1, the product of the entries, without the slicing. `out` may
-    alias a or b: for d > 1 the sum is then formed apart and copied in."""
+    broadcast): up to d = 4 unrolled as sum_j a[..., :, j, None] b[..., None,
+    j, :], far faster than stacked matmul on small blocks, and stacked matmul
+    above (at d = 4 the two cost about the same); for d = 1, the product of
+    the entries. `out` may alias a or b: for d > 1 the product is then formed
+    apart and copied in."""
     d = a.shape[-1]
     if d == 1:
         return np.multiply(a, b, out=out)
     if out is not None and (np.may_share_memory(out, a) or np.may_share_memory(out, b)):
         out[...] = _block_product(a, b)
         return out
+    if d > 4:
+        return np.matmul(a, b, out=out)
     acc = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
     for j in range(1, d):
         acc += a[..., :, j : j + 1] * b[..., j : j + 1, :]

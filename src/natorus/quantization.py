@@ -23,12 +23,16 @@ rescales it point by point. So a graded element is stored point by point, one
 d x d matrix per degree and per point of l2(Ghat), nm = |Ghat| points, and
 only represent and the flat intertwiner, which return the (d nm) x (d nm)
 matrix, build one.
+
+The kernels (isotypic_components, from_matrix, deformed_product, represent,
+random_element) take leading stack axes, one call serving a whole stack: a
+single element is a stack with no leading axes, computed by the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -82,10 +86,11 @@ class MatrixAlgebra:
         scalar = np.trace(mat, axis1=-2, axis2=-1)[..., None, None] / self.dim
         return np.max(np.abs(mat - scalar * np.eye(self.dim)), axis=(-2, -1))
 
-    def random_element(self, rng: np.random.Generator) -> np.ndarray:
-        n = len(self.basis)
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return np.tensordot(c, self.basis, axes=1)
+    def random_element(self, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
+        """A generic element, or a stack of them of shape `size` (a tuple): each
+        draws its nb real parts, then its nb imaginary parts."""
+        x = rng.standard_normal(tuple(size) + (2, len(self.basis)))
+        return np.tensordot(x[..., 0, :] + 1j * x[..., 1, :], self.basis, axes=1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,9 +170,15 @@ class GAction:
 
     # ------------------------------------------------------------- action
 
+    def _matrices(self, mat) -> np.ndarray:
+        """mat as complex d x d matrices on its last two axes, or a GradingError."""
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape[-2:] != (self.dim, self.dim):
+            raise GradingError(f"need {self.dim}x{self.dim} matrices, got shape {mat.shape}")
+        return mat
+
     def apply(self, t, mat: np.ndarray) -> np.ndarray:
-        w = self.unitaries[self.group.element(t).index]
-        return conjugate(w, np.asarray(mat, dtype=complex))
+        return conjugate(self.unitaries[self.group.element(t).index], self._matrices(mat))
 
     @cached_property
     def _basis_orbit(self) -> np.ndarray:
@@ -220,17 +231,15 @@ class GAction:
 
     def isotypic_components(self, mat: np.ndarray) -> np.ndarray:
         """P_chi(a) = |G|^-1 sum_t exp(-2 pi i <chi,t>) alpha_t(a) for every chi:
-        shape (|Ghat|, d, d), indexed by chi."""
-        orbit = conjugate(self.unitaries, np.asarray(mat, dtype=complex))
-        return np.tensordot(self._conj_characters, orbit, axes=1) / self.group.order
+        shape (..., |Ghat|, d, d), indexed by chi, for a stack of shape (..., d, d)."""
+        mat = self._matrices(mat)
+        orbit = conjugate(self.unitaries, mat[..., None, :, :])  # [..., t, i, j]
+        flat = orbit.reshape(orbit.shape[:-2] + (-1,))
+        return (self._conj_characters @ flat).reshape(orbit.shape) / self.group.order
 
     def isotypic_projection(self, mat: np.ndarray, chi) -> np.ndarray:
         """P_chi(a), one of the isotypic components."""
-        return self.isotypic_components(mat)[self.group.element(chi).index]
-
-    def random_homogeneous(self, chi, rng: np.random.Generator) -> np.ndarray:
-        """A generic element of A_chi (zero matrix when the component is empty)."""
-        return self.isotypic_projection(self.algebra.random_element(rng), chi)
+        return self.isotypic_components(mat)[..., self.group.element(chi).index, :, :]
 
     def __eq__(self, other) -> bool:
         return (
@@ -305,6 +314,9 @@ class GradedElement(ArrayElement):
     The operator legs are diagonal (see the module docstring), so blocks are
     stored point by point, as an array of shape (|Ghat|, nm, d, d) with
     nm = |Ghat|: blocks[chi, p] is the algebra matrix at point p of l2(Ghat).
+    Leading axes before these make a stack of elements, which the products,
+    from_matrix and the queries serve in one call; a stack's degrees are
+    those nonzero in some member.
     """
 
     __slots__ = ("action", "blocks")
@@ -313,8 +325,8 @@ class GradedElement(ArrayElement):
     def __init__(self, action: GAction, blocks: np.ndarray):
         n, d = action.group.order, action.dim
         blocks = np.asarray(blocks, dtype=complex)
-        if blocks.shape != (n, n, d, d):
-            raise GradingError(f"blocks must have shape {(n, n, d, d)}, got {blocks.shape}")
+        if blocks.shape[-4:] != (n, n, d, d):
+            raise GradingError(f"blocks must end in shape {(n, n, d, d)}, got {blocks.shape}")
         self.action = action
         self.blocks = blocks
 
@@ -322,9 +334,10 @@ class GradedElement(ArrayElement):
 
     @classmethod
     def from_matrix(cls, action: GAction, mat) -> "GradedElement":
-        """Isotypically decompose a plain algebra element; operator legs = 1."""
-        comps = action.isotypic_components(np.asarray(mat, dtype=complex))
-        return cls(action, np.repeat(comps[:, None], action.group.order, axis=1))
+        """Isotypically decompose a plain algebra element, or a stack of them;
+        operator legs = 1."""
+        comps = action.isotypic_components(mat)
+        return cls(action, np.repeat(comps[..., None, :, :], action.group.order, axis=-3))
 
     @classmethod
     def from_blocks(
@@ -353,8 +366,7 @@ class GradedElement(ArrayElement):
     @classmethod
     def homogeneous(cls, action: GAction, chi, mat) -> "GradedElement":
         """The degree-chi part of a plain matrix, placed as a single block."""
-        comp = action.isotypic_projection(np.asarray(mat, dtype=complex), chi)
-        return cls.from_blocks(action, {chi: comp}, validate=False)
+        return cls.from_blocks(action, {chi: action.isotypic_projection(mat, chi)}, validate=False)
 
     # ------------------------------------------------------------- queries
 
@@ -364,11 +376,11 @@ class GradedElement(ArrayElement):
         w = self.action.unitaries[:, None]
         chars = g.character_matrix  # [chi, t]
         for i in range(g.order):
-            blk = self.blocks[i]
+            blk = self.blocks[..., None, i, :, :, :]  # [..., t, p, i, j], broadcast over t
             if not blk.any():
                 continue
             moved = conjugate(w, blk)
-            expected = chars[i][:, None, None, None] * blk[None]
+            expected = chars[i][:, None, None, None] * blk
             err = np.max(np.abs(moved - expected))
             if err > tol:
                 raise GradingError(
@@ -378,24 +390,23 @@ class GradedElement(ArrayElement):
 
     def degrees(self) -> tuple:
         g = self.action.group
-        return tuple(
-            g.elements[i] for i in range(g.order) if np.abs(self.blocks[i]).max() > 1e-14
-        )
+        nonzero = np.abs(self.blocks).max(axis=(-3, -2, -1)) > 1e-14  # [..., chi]
+        return tuple(g.elements[i] for i in np.flatnonzero(nonzero.reshape(-1, g.order).any(0)))
 
     def block(self, chi) -> np.ndarray:
-        return self.blocks[self.action.group.element(chi).index]
+        return self.blocks[..., self.action.group.element(chi).index, :, :, :]
 
     def total(self) -> np.ndarray:
-        """Sum of all blocks as an (nm, d, d) stack, one matrix per point."""
-        return self.blocks.sum(axis=0)
+        """Sum of all blocks as an (..., nm, d, d) array, one matrix per point."""
+        return self.blocks.sum(axis=-4)
 
     def underlying_matrix(self, tol: float = 1e-10) -> np.ndarray:
         """Recover the algebra element when every operator leg is scalar."""
         tot = self.total()
-        scalar = tot.mean(axis=0)
+        scalar = tot.mean(axis=-3, keepdims=True)
         if np.max(np.abs(tot - scalar)) > tol:
             raise GradingError("operator legs are not scalar; no underlying matrix")
-        return scalar
+        return scalar[..., 0, :, :]
 
     # ---------------------------------------------------------- arithmetic
 
@@ -417,10 +428,11 @@ def _homogeneous_products(
     rights: np.ndarray,
     i2: np.ndarray,
 ) -> np.ndarray:
-    """left xi_chi1[rights[k]] u(chi1, chi2[k]) for every k, as a (k, nm, d, d) stack.
+    """left xi_chi1[rights[k]] u(chi1, chi2[k]) for every k, as a (..., k, nm, d, d) stack.
 
-    `left` is one degree-chi1 block (chi1 at index i1) and `rights` a stack of
-    blocks of degrees chi2[k] (indices i2), all stored point by point.
+    `left` is a degree-chi1 block (chi1 at index i1) and `rights` blocks of
+    degrees chi2[k] (indices i2) on the axis before the points, all stored
+    point by point, with leading stack axes broadcast.
     xi_chi1 moves the matrix at point sigma(p) = p + chi1 to p, and
     u(chi1, chi2) scales point p by wtable[p, chi1, chi2] = exp(2 pi i
     phi(p, chi1, chi2)). So the product at p is left[p] rights[k][sigma(p)]
@@ -428,9 +440,9 @@ def _homogeneous_products(
     """
     sigma = group.add_table[:, i1]
     u = wtable[:, i1, np.asarray(i2)].T  # [k, p]
-    moved = rights[:, sigma]  # the gather copies, so it is scaled in place
+    moved = rights[..., sigma, :, :]  # the gather copies, so it is scaled in place
     moved *= u[:, :, None, None]
-    return left @ moved
+    return left[..., None, :, :, :] @ moved
 
 
 def _require_phi_on(group: FiniteAbelianGroup, phi: Cochain3) -> None:
@@ -439,27 +451,30 @@ def _require_phi_on(group: FiniteAbelianGroup, phi: Cochain3) -> None:
     require_cocycle3(phi)  # rejects non-cocycle phi before any arithmetic
 
 
+def _degrees(blocks: np.ndarray) -> np.ndarray:
+    """Indices of the degrees whose blocks are nonzero in some member of a stack."""
+    return np.flatnonzero(np.moveaxis(blocks, -4, 0).reshape(blocks.shape[-4], -1).any(axis=1))
+
+
 def deformed_product(a: GradedElement, b: GradedElement, phi: Cochain3) -> GradedElement:
     """(a * b)_chi = sum_{chi1+chi2=chi} a_chi1 xi_chi1[b_chi2] u(chi1, chi2).
 
     phi must be a 3-cocycle; the O(n^4) check runs once per cochain and is
     cached on it, so repeated products with one phi do not repeat it. Each
-    nonzero degree chi1 of a is one _homogeneous_products call against the
-    stack of b's nonzero blocks: a gather, a scale and a batched matmul of
-    d x d matrices, n nm d^3 work per call.
+    degree chi1 of a is one _homogeneous_products call against the stack of
+    b's blocks: a gather, a scale and a batched matmul of d x d matrices, n
+    nm d^3 work per member. Stacks of a and b are broadcast, and a degree is
+    skipped only when it is zero in every member.
     """
     a._check(b)
     g = a.action.group
     _require_phi_on(g, phi)
-    add = g.add_table
-    out = np.zeros_like(a.blocks)
-    wtable = phi.complex_table
-    nonzero_a = [i for i in range(g.order) if a.blocks[i].any()]
-    nonzero_b = np.array([i for i in range(g.order) if b.blocks[i].any()], dtype=np.int64)
-    rights = b.blocks[nonzero_b]
-    for i1 in nonzero_a:
-        out[add[i1, nonzero_b]] += _homogeneous_products(
-            g, wtable, a.blocks[i1], i1, rights, nonzero_b
+    out = np.zeros(np.broadcast_shapes(a.blocks.shape, b.blocks.shape), dtype=complex)
+    nonzero_b = _degrees(b.blocks)
+    rights = b.blocks[..., nonzero_b, :, :, :]
+    for i1 in _degrees(a.blocks):
+        out[..., g.add_table[i1, nonzero_b], :, :, :] += _homogeneous_products(
+            g, phi.complex_table, a.blocks[..., i1, :, :, :], i1, rights, nonzero_b
         )
     return GradedElement(a.action, out)
 
@@ -476,35 +491,30 @@ def phi_zero_intertwiner(a: GradedElement) -> np.ndarray:
 
 def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
     """The star-action of a on graded vectors of H1 (x) l2(Ghat), as a
-    (d nm) x (d nm) matrix with row index (i, p).
+    (d nm) x (d nm) matrix with row index (i, p), one per member of a stack.
 
     R(a) = sum_{chi1, chi2} a_chi1 (1 (x) rho(chi1)) (1 (x) u(chi1, chi2)) P_chi2
     with P_chi the spectral projections of t -> W_t (x) 1. The sum over
     chi2 folds into one matrix per point, M_chi1(alpha) = sum_chi2
     u(alpha, chi1, chi2) P_chi2, so R(a) places a_chi1[p] M_chi1(sigma(p)) in
-    column block sigma(p) = p + chi1 of row block p: n nm d^3 work. phi must
-    be a 3-cocycle on the dual group; None means the zero cocycle, for which
-    the M's are 1, the blocks are placed as they are and R(a) is the
-    intertwiner.
+    column block sigma(p) = p + chi1 of row block p. Each block (p, q) is so
+    filled by the one degree q - p: a gather, and a batched d x d matmul for
+    the M's, n nm d^3 work. phi must be a 3-cocycle on the dual group; None
+    means the zero cocycle, for which the M's are 1, the blocks are placed as
+    they are and R(a) is the intertwiner.
     """
     g = a.action.group
+    n = g.order
+    deg = g.sub_table.T  # [p, q] -> q - p
+    cells = a.blocks[..., deg, np.arange(n)[:, None], :, :]  # [..., p, q, i, j]
     if phi is not None:
         _require_phi_on(g, phi)
         # spectral projections of the unitary rep on the H1 leg
-        projs = np.einsum("xt,tip->xip", np.conj(g.character_matrix), a.action.unitaries) / g.order
-        wtable = phi.complex_table
-    nm, d = a.blocks.shape[1:3]
-    out = np.zeros((d * nm, d * nm), dtype=complex)
-    grid = out.reshape(d, nm, d, nm)  # a view: [i, p, j, q]
-    points = np.arange(nm)
-    for i in range(g.order):
-        if a.blocks[i].any():
-            sigma = g.add_table[:, i]
-            blocks = a.blocks[i]
-            if phi is not None:
-                blocks = blocks @ np.tensordot(wtable[:, i], projs, axes=1)[sigma]
-            grid[:, points, :, sigma] += blocks
-    return out
+        projs = np.einsum("xt,tip->xip", np.conj(g.character_matrix), a.action.unitaries) / n
+        m = np.tensordot(phi.complex_table, projs, axes=1)  # M_chi1(alpha) at [alpha, chi1]
+        cells = cells @ m[np.arange(n), deg]
+    grid = np.moveaxis(cells, (-2, -1), (-4, -2))  # [..., i, p, j, q]
+    return grid.reshape(grid.shape[:-4] + (a.action.dim * n,) * 2)
 
 
 def deformed_norm(a: GradedElement, phi: Cochain3 | None = None) -> float:
@@ -535,8 +545,9 @@ def associator_table(
 ) -> AssociatorReport:
     """Measure a_xi * (b_eta * c_zeta) against exp(2 pi i phi) (a_xi * b_eta) * c_zeta.
 
-    Runs over every character triple with generic homogeneous elements, drawn
-    from rng in character order; degrees with an empty isotypic component are
+    Runs over every character triple with generic homogeneous elements,
+    P_chi of the chi-th of a stack of generic matrices drawn from rng in
+    character order; degrees with an empty isotypic component are
     skipped. The k homogeneous elements are stacked point by point as H, one
     (nm, d, d) block each (the drawn matrix at every point, nm = |G|), and
     the product table P[eta, zeta] = H_eta * H_zeta is computed once, k
@@ -556,16 +567,15 @@ def associator_table(
     g = action.group
     _require_phi_on(g, phi)
     nm = g.order
-    drawn = np.array([action.random_homogeneous(chi, rng) for chi in g.elements])
+    drawn = action.isotypic_components(action.algebra.random_element(rng, (nm,)))
+    drawn = drawn[range(nm), range(nm)]  # P_chi of the chi-th draw
     degrees = np.nonzero(np.abs(drawn).max(axis=(1, 2)) > 1e-12)[0]
     k, d = degrees.size, action.dim
     # each homogeneous block carries the identity on its operator leg
     ops = np.broadcast_to(drawn[degrees][:, None], (k, nm, d, d))
     add = g.add_table
     wtable = phi.complex_table
-
-    def products(left, i1, rights, i2):
-        return _homogeneous_products(g, wtable, left, i1, rights, i2)
+    products = partial(_homogeneous_products, g, wtable)
 
     table = np.empty((k, k, nm, d, d), dtype=complex)  # P[eta, zeta]
     for e, eta in enumerate(degrees):

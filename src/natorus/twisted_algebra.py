@@ -10,6 +10,9 @@ exactly by the coboundary of sigma:
 The octonions arise this way from (Z/2)^3 with a specific mod-2 exponent; the
 classical multiplication is reproduced on the nose, which the tests pin
 against an independent Cayley table.
+
+Coefficients may carry leading stack axes before the one over G; `multiply`
+serves a whole stack in one call, by the code that multiplies one element.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ class TwistedGroupAlgebra:
     # ----------------------------------------------------------- elements
 
     def element(self, coeffs) -> "TGAElement":
+        """An element, or a stack of them: coefficients on the last axis."""
         c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (self.dim,):
+        if c.shape[-1:] != (self.dim,):
             raise CochainError(f"coefficient vector must have length {self.dim}")
         return TGAElement(self, c)
 
@@ -65,10 +69,12 @@ class TwistedGroupAlgebra:
     # ------------------------------------------------------------ product
 
     def multiply(self, x: "TGAElement", y: "TGAElement") -> "TGAElement":
-        outer = (x.coeffs[:, None] * y.coeffs[None, :]) * self._weights
-        out = np.zeros(self.dim, dtype=complex)
-        np.add.at(out, self.group.add_table, outer)
-        return TGAElement(self, out)
+        """(x y)_c = sum_a x_a y_(c-a) exp(2 pi i sigma(a, c - a)), summed in
+        the order of a, with the stack axes of x and y broadcast."""
+        sub = self.group.sub_table.T  # [a, c] -> c - a
+        weights = self._weights[np.arange(self.dim)[:, None], sub]
+        terms = x.coeffs[..., :, None] * y.coeffs[..., sub] * weights
+        return TGAElement(self, terms.sum(axis=-2))
 
     def associator_phase(self, a, b, c) -> Phase:
         """The exact phase by which e(a)(e(b)e(c)) differs from (e(a)e(b))e(c):
@@ -86,14 +92,10 @@ class TwistedGroupAlgebra:
     # --------------------------------------------------------- left action
 
     def left_regular_matrix(self, x: "TGAElement") -> np.ndarray:
-        """The matrix of left multiplication by x on the basis {e(b)}."""
-        n = self.dim
-        add = self.group.add_table
-        M = np.zeros((n, n), dtype=complex)
-        contrib = x.coeffs[:, None] * self._weights  # [a, b]
-        cols = np.broadcast_to(np.arange(n)[None, :], (n, n))
-        np.add.at(M, (add, cols), contrib)
-        return M
+        """The matrix of left multiplication by x on the basis {e(b)}, one per
+        member of a stack: column b is x e(b), one product with the basis."""
+        x = TGAElement(self, x.coeffs[..., None, :])
+        return self.multiply(x, TGAElement(self, np.eye(self.dim, dtype=complex))).coeffs.mT
 
     def __eq__(self, other) -> bool:
         return (

@@ -704,16 +704,19 @@ def test_row_phases_are_the_phases_of_the_row_in_lowest_terms(den):
         assert np.array_equal(crossed._row_phases(row, den), exp_phases(*_lowest_terms(row, den)))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
 def test_block_product_is_matmul_on_stacked_blocks(d):
-    """The unrolled block product equals np.matmul on broadcast stacks of
-    d x d blocks, also written in place over either operand."""
+    """The block product equals np.matmul on broadcast stacks of d x d
+    blocks, also written in place over either operand; above d = 4 it is
+    np.matmul, bit for bit."""
     rng = np.random.default_rng(d)
     a = rng.standard_normal((6, 4, 3, d, d)) + 1j * rng.standard_normal((6, 4, 3, d, d))
     b = rng.standard_normal((4, 3, d, d)) + 1j * rng.standard_normal((4, 3, d, d))
     expected = a @ b
     assert np.abs(_block_product(a, b) - expected).max() <= 1e-13
     assert np.abs(_block_product(a[0, 0], b[0]) - a[0, 0] @ b[0]).max() <= 1e-13
+    if d > 4:
+        assert np.array_equal(_block_product(a, b), expected)
     into = np.empty_like(expected)
     assert _block_product(a, b, out=into) is into
     assert np.abs(into - expected).max() <= 1e-13

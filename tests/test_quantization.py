@@ -277,7 +277,7 @@ def test_isotypic_projections_are_idempotent_and_orthogonal(trans4, rng):
 def test_homogeneous_elements_are_action_eigenvectors(conj4, rng):
     g = conj4.group
     for chi in g.dual.elements:
-        h = conj4.random_homogeneous(chi, rng)
+        h = conj4.isotypic_projection(conj4.algebra.random_element(rng), chi)
         for t in g.elements:
             expected = pairing(chi, t).to_complex() * h
             assert np.allclose(conj4.apply(t, h), expected, atol=1e-12)
@@ -305,7 +305,7 @@ def test_from_blocks_rejects_bad_shape(conj4):
 
 def test_from_blocks_takes_one_matrix_per_point(conj4, rng):
     chi = conj4.group.dual.elements[1]
-    points = np.array([conj4.random_homogeneous(chi, rng) for _ in range(conj4.group.order)])
+    points = conj4.isotypic_projection(conj4.algebra.random_element(rng, (conj4.group.order,)), chi)
     a = GradedElement.from_blocks(conj4, {chi: points})
     assert np.array_equal(a.block(chi), points) and a.degrees() == (chi,)
     with pytest.raises(GradingError, match="not scalar"):
@@ -475,7 +475,7 @@ def associator_table_reference(action, phi, rng):
     """(degrees, expected, deviation) per triple, one deformed_product per product."""
     homog = {}
     for chi in action.group.elements:
-        h = action.random_homogeneous(chi, rng)
+        h = action.isotypic_projection(action.algebra.random_element(rng), chi)
         if np.abs(h).max() > 1e-12:
             homog[chi] = GradedElement.homogeneous(action, chi, h)
     rows = []

@@ -13,6 +13,7 @@ from natorus import (
     ConfigError,
     CrossedElement,
     GAction,
+    GradedElement,
     GradingError,
     InvalidGroupError,
     Tricharacter,
@@ -150,6 +151,30 @@ def test_action_refuses_alpha_0_other_than_the_identity():
     exc = refused(
         GradingError, "alpha_0 is not the identity (defect 1.000e+00)", action.validate
     )
+    assert no_witness(exc)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 3), (4, 3, 4)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda action, mat: GradedElement.from_matrix(action, mat),
+        lambda action, mat: action.isotypic_components(mat),
+        lambda action, mat: action.apply(action.group.elements[1], mat),
+    ],
+    ids=["from_matrix", "isotypic_components", "apply"],
+)
+def test_action_refuses_matrices_that_are_not_d_by_d(monkeypatch, shape, call):
+    """A matrix, or a stack of them, whose last two axes are not d x d is
+    refused with a GradingError naming its shape, before any conjugation."""
+    from natorus import quantization
+
+    def no_arithmetic(*args, **kwargs):
+        raise AssertionError("conjugated a malformed matrix")
+
+    monkeypatch.setattr(quantization, "conjugate", no_arithmetic)
+    action = GAction.translation(make_group([4]))
+    exc = refused(GradingError, f"need 4x4 matrices, got shape {shape}", call, action, np.ones(shape))
     assert no_witness(exc)
 
 
