@@ -654,29 +654,21 @@ def _sweep_dtype(den: int, terms: int) -> np.dtype:
 
 
 def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
-    """chunk(table, group, i) mod den for each index i of phi's first slot.
+    """chunk(table, group, i, out, scratch) mod den, i over phi's first slot.
 
     The one loop of the exact sweeps: delta of a k-cochain, k + 2 terms
     (`_coboundary_chunk`), and the multiplier combination of a 3-cochain
     (`kernels`). A chunk sums at most phi.arity + 2 signed entries of `table`,
-    the term bound of `_sweep_dtype`, in buffers made once per sweep
-    (`_SweepTable`): every index yields one array. `table` is phi's own table
-    when stored in that type, else a copy in it, made here and dropped when
-    the sweep ends, never cached. Each chunk is reduced mod den here, in place.
+    the term bound of `_sweep_dtype`, in out, with scratch for its gathers:
+    two buffers of the table's shape and type, made once per sweep, so every
+    index yields one array. `table` is phi's own table when stored in that
+    type, else a copy in it, made here and dropped when the sweep ends, never
+    cached. Each chunk is reduced mod den here, in place.
     """
-    table = phi.table.astype(_sweep_dtype(phi.den, phi.arity + 2), copy=False).view(_SweepTable)
-    table.buffers = tuple(np.empty((2,) + table.shape, table.dtype))
+    table = phi.table.astype(_sweep_dtype(phi.den, phi.arity + 2), copy=False)
+    out, scratch = np.empty((2,) + table.shape, table.dtype)
     for i in range(phi.group.order):
-        yield _reduce(chunk(table, phi.group, i), phi.den)
-
-
-class _SweepTable(np.ndarray):
-    """A sweep's table, with the (out, scratch) `buffers` its chunks are built in."""
-
-
-def _chunk_buffers(t: np.ndarray) -> tuple:
-    """t's sweep buffers (`_SweepTable`), else two fresh arrays of its shape and type."""
-    return getattr(t, "buffers", None) or tuple(np.empty((2,) + t.shape, t.dtype))
+        yield _reduce(chunk(table, phi.group, i, out, scratch), phi.den)
 
 
 def _reduce(out: np.ndarray, den: int) -> np.ndarray:
@@ -701,16 +693,17 @@ def _sweep_witness(phi: CochainTable, chunk: Callable) -> tuple | None:
     return _first_nonzero(_sweep(phi, chunk))
 
 
-def _coboundary_chunk(t: np.ndarray, group: FiniteAbelianGroup, x: int) -> np.ndarray:
+def _coboundary_chunk(t: np.ndarray, group: FiniteAbelianGroup, x: int, out, scratch) -> np.ndarray:
     """(delta c)(x, x1, ..., xk) over all (x1, ..., xk) before reduction, for a
     table t of any arity k and one index x: a `_sweep` chunk of the k + 2
     terms of
         c(x1, ..., xk) - c(x + x1, x2, ...) + c(x, x1 + x2, ...) - ...
             + (-1)^(k+1) c(x, x1, ..., x(k-1)),
-    built in place and indexed [x1, ..., xk]. Each sum slot is one `take`
+    built in place in `out` and indexed [x1, ..., xk], with `scratch` (both
+    of t's shape and type) for the gathers. Each sum slot is one `take`
     along one axis, faster than fancy indexing."""
     add, tx, k = group.add_table, t[x], t.ndim  # tx: c(x, ...), arity k - 1
-    (out, scratch), take = _chunk_buffers(t), partial(np.take, mode="clip")  # in range
+    take = partial(np.take, mode="clip")  # indices in range
     # c(x, x1 + x2, ...) written first (c(x1) itself at arity 1): no negation pass
     take(tx, add, axis=0, out=out) if k > 1 else np.copyto(out, t)
     out -= take(t, add[x], axis=0, out=scratch)  # c(x + x1, x2, ...)

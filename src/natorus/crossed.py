@@ -11,9 +11,9 @@ a 3-cocycle phi, tied together by
 beta_x acts on a block b as elements.conjugate(V_x, b) = V_x b V_x^*, the same
 conjugation by which the action's W_t acts in `quantization`. A scalar u is
 central and fixed by beta, so the first relation says that beta is an action
-of G on M_d and the second that phi = delta sigma. TwistData.validate checks
-the first as a `quantization.GAction`, in floats, and the second exactly. The
-products below scale by u as sigma's (n, n) phase table, one scalar per cell.
+of G on M_d and the second that phi = delta sigma. A twist is proven when
+built (TwistData.validate): the first as a `quantization.GAction`, in floats,
+the second exactly. The products scale by u as sigma's (n, n) phase table.
 
 Crossed elements are B-valued functions on G with the twisted convolution;
 strictified elements carry an extra function leg and multiply with an
@@ -34,14 +34,14 @@ substituted in the strictified product,
     E_L(w, y, z) = (psi + phi)(w - y, y - z, z) + sigma(w - y, y - z) + sigma(w - z, z),
     E_R(w, y, z) = psi(w, y, z) + sigma(w - y, y) + sigma(y - z, z).
 
-Every scalar factor is in an exponent, exact in Q/Z; verify_duality
-(_DualityRows) sums each side's integer row E(w, ., .) exactly. The V's
-around b(y - z, z) differ (V_{w-y} against V_y), but beta is a G-action
-(TwistData.validate), so P = V_{w-y} V_y = c V_w with |c| = 1 and, with
-b'(y, z) = V_y^* b(y - z, z) V_y, P b' P^* = V_w b' V_w^*. Both sides then
-share the factor (V_w^* a(w - y, y) V_w) b'(y, z), and row w of the defect
-is one weighted sum of it by e(E_L) - e(E_R), zero bit for bit where the
-rows agree; at d = 1 the conjugations are the identity.
+Every scalar factor is in an exponent, exact in Q/Z. beta is a G-action, so
+P = V_{w-y} V_y = c V_w with |c| = 1 and, with b'(y, z) = V_y^* b(y - z, z)
+V_y, P b' P^* = V_w b' V_w^*: both sides share (V_w^* a(w - y, y) V_w)
+b'(y, z), and row w of the defect is one weighted sum of it by e(E_L) -
+e(E_R). phi = delta sigma, so with the multiplier E_L - E_R = psi(w - y,
+y - z, z) - psi(w, y, z): the identity holds iff psi is shear-invariant,
+which verify_duality decides from psi alone (_DualityRows.rows_agree). Any
+other check runs the float rows, which sum each side's row E(w, ., .) exactly.
 strictified_product and takai_transform compute by the definitions, the
 route the tests compare against, and share only _row_phases and the
 twist's own tables with the check.
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from math import lcm
 
 import numpy as np
@@ -79,7 +79,7 @@ from .quantization import GAction, full_matrix_algebra
 
 
 class TwistData:
-    """Coefficient algebra M_d with compatible (beta, sigma, phi).
+    """Coefficient algebra M_d with (beta, sigma, phi), proven compatible when built.
 
     The multiplier is u(x, y) = exp(2 pi i sigma(x, y)) 1_B for a 2-cochain
     sigma (default zero), and phi defaults to delta sigma.
@@ -92,8 +92,6 @@ class TwistData:
         beta: np.ndarray | None = None,
         sigma: Cochain2 | None = None,
         phi: Cochain3 | None = None,
-        validate: bool = True,
-        tol: float = 1e-10,
     ):
         if require_int(dim, "dim", error=TwistDataError) < 1:
             raise TwistDataError(f"dim must be at least 1, got {dim}")
@@ -115,8 +113,7 @@ class TwistData:
         self.beta = beta
         self.sigma = sigma
         self.phi = phi
-        if validate:
-            self.validate(tol)
+        self.validate()
 
     # -------------------------------------------------------- constructors
 
@@ -128,18 +125,19 @@ class TwistData:
 
     # ----------------------------------------------------------- validation
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Exhaustive check of beta and of both relations.
+    def validate(self) -> None:
+        """Exhaustive check of beta and of both relations, run on construction.
 
         A scalar u is central, so the first relation says beta_x beta_y =
         beta_{x+y}: after beta_0 = 1, beta is validated as a `GAction` on M_d
-        within tol (unitarity and the homomorphism law, n^2 d^3 work, none at
-        d = 1), naming the first failing (x, y) in index order. u is unitary,
+        within 1e-10 (unitarity and the homomorphism law, n^2 d^3 work, none
+        at d = 1), naming the first failing (x, y) in index order. u is unitary,
         normalized and fixed by beta, so the phase relation is phi = delta
         sigma, checked exactly (`_coboundary2_mismatch`): slab by slab with no
         n^3 array, and at once when phi is sigma's cached coboundary. Its
         failure names the first (x, y, z) in index order.
         """
+        tol = 1e-10
         if np.max(np.abs(self.beta[0] - np.eye(self.dim))) > tol:
             raise TwistDataError("beta_0 is not the identity")
         try:
@@ -395,18 +393,14 @@ class _DualityRows:
     G: row w of transform(a * b) - transform(a) * transform(b), of shape
     (..., n, d, d); called on a and b, it gathers b(y - z, z) first. Each
     side's exponent row (module docstring) is summed exactly from integer
-    rows (`exponent_rows`: the sheared row of psi + phi, streamed from a
-    tricharacter sum or read from a plain sum's rows, stored once per check
-    in one narrow n^3 table; psi's slab; sigma's residues). A row is one
-    weighted sum of e(E_L) - e(E_R) (`_phase_difference`) over y of
-    V_w^* a(w - y, y) V_w times b'(y, z) = V_y^* b(y - z, z) V_y (module
-    docstring; for d > 1, b_sub is overwritten with b' per batch), and when
-    every row's exact sums agree (`rows_agree`) every pair's defect is
-    exactly 0, so verify_duality forms no pair. A row's phases serve the
-    batch; stacked pairs form their weighted summands in tiles of
-    _pairs_per_tile(n, d). No n^3 complex array is formed.
-    include_multiplier=False drops sigma(w - z, z) from E_L and both sigma
-    terms from E_R.
+    rows (`exponent_rows`: the sheared row of psi + phi (`sheared`); psi's
+    slab; sigma's residues). A row is one weighted sum of e(E_L) - e(E_R)
+    (`_phase_difference`) over y of V_w^* a(w - y, y) V_w times b'(y, z) =
+    V_y^* b(y - z, z) V_y (module docstring; for d > 1, b_sub is overwritten
+    with b' per batch). A row's phases serve the batch; stacked pairs form
+    their weighted summands in tiles of _pairs_per_tile(n, d). No n^3
+    complex array is formed. include_multiplier=False drops sigma(w - z, z)
+    from E_L and both sigma terms from E_R.
     """
 
     def __init__(self, tw: TwistData, psi: Cochain3, include_multiplier: bool):
@@ -414,10 +408,16 @@ class _DualityRows:
         self.tw, self.psi, self.include_multiplier = tw, psi, include_multiplier
         self.sub, self.zi = tw.group.sub_table, np.arange(n)
         self.tile = _pairs_per_tile(n, tw.dim)
-        total = psi + tw.phi
-        self.den, self.exponents = total.den, total.sheared_rows
-        if not isinstance(total, Tricharacter):  # its rows once, as one narrow table
-            self.exponents = partial(iter, _stored(total.sheared_rows(), (n, n, n), total.den))
+
+    @cached_property
+    def sheared(self) -> tuple:
+        """(stream of the sheared rows of psi + phi, den), formed by the float
+        rows' first use: a plain sum's rows stored once in one narrow n^3 table."""
+        total = self.psi + self.tw.phi
+        if isinstance(total, Tricharacter):
+            return total.sheared_rows, total.den
+        n = len(self.zi)
+        return partial(iter, _stored(total.sheared_rows(), (n, n, n), total.den)), total.den
 
     def exponent_rows(self):
         """(w, E_L, E_R) for w in G, each side as a list of (residues, den)
@@ -426,10 +426,11 @@ class _DualityRows:
         sigma, s = self.tw.sigma.table, self.tw.sigma.den
         sigma_diffs = sigma.take(_diffs(self.tw.group))  # sigma(y - z, z) over [y, z]
         skew = sigma.take((zi * n)[:, None] + sub.T)  # sigma(t, v - t) over [t, v]
-        for w, sheared, psi_row in zip(range(n), self.exponents(), psi.slabs()):
+        exponents, den = self.sheared
+        for w, sheared, psi_row in zip(range(n), exponents(), psi.slabs()):
             rows = skew.take(sub[w], axis=0)  # at [y, w - z]: sigma(w - y, y - z)
             back = rows[:, w]  # sigma(w - y, y) over y: sigma(w - z, z) over z
-            left = [(sheared, self.den), (rows[:, sub[w]], s)]
+            left = [(sheared, den), (rows[:, sub[w]], s)]
             right = [(psi_row, psi.den)]
             if self.include_multiplier:
                 left.append((back[None, :], s))
@@ -437,18 +438,13 @@ class _DualityRows:
             yield w, left, right
 
     def rows_agree(self) -> bool:
-        """Whether every row's exact sums E_L and E_R agree as residues over
-        their lcm, in one pass that stops at the first row that differs or
-        has no exact sum (past 2^62): then every pair's defect is a sum of
-        D = 0 (`_phase_difference`), exactly 0."""
-        for _, left, right in self.exponent_rows():
-            sums = _exponent_sum(left), _exponent_sum(right)
-            if None in sums or (den := lcm(sums[0][1], sums[1][1])) > 2**62:
-                return False
-            scaled = (e if d == den else np.multiply(e, den // d, dtype=np.int64) for e, d in sums)
-            if not np.array_equal(*scaled):
-                return False
-        return True
+        """Whether every row's exact sums agree, read off psi alone: with the
+        multiplier E_L - E_R = psi(w - y, y - z, z) - psi(w, y, z) (module
+        docstring), so each sheared row of psi must equal its slab; then every
+        pair's defect is exactly 0. Without the multiplier: False, not decided."""
+        if not self.include_multiplier:
+            return False
+        return all(map(np.array_equal, self.psi.sheared_rows(), self.psi.slabs()))
 
     def __call__(self, a: np.ndarray, b: np.ndarray):
         return self.rows(a, _at(b, _diffs(self.tw.group)))
@@ -603,14 +599,9 @@ def verify_duality(
     include_multiplier=False drops u(w - z, z) from the transform and
     should make the check fail loudly.
 
-    When every row's exact exponent sums agree (`_DualityRows.rows_agree`),
-    every pair's defect is exactly 0, so no pair is formed or drawn and every
-    error is 0.0.
-
-    The contract: beta is a G-action on M_d, V_x V_y = c(x, y) V_{x+y} with
-    |c| = 1, which `TwistData.validate` decides at construction; the rows
-    rest on it. A twist built with validate=False whose beta is not one is
-    outside the check's contract.
+    With the multiplier and a shear-invariant psi (`_DualityRows.rows_agree`,
+    decided from psi alone), every pair's defect is exactly 0: no pair is
+    formed or drawn and every error is 0.0.
     """
     g = tw.group
     require_cochain(psi, 3, g, "psi")

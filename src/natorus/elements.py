@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IncompatibleGroupsError
+from .errors import IncompatibleGroupsError, TensorShapeError
 
 
 def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -50,6 +50,7 @@ class ArrayElement:
 
     __slots__ = ()
     _field: str  # name of the attribute holding the array
+    _ndim = 4  # axes of one element; leading axes before them make a stack
 
     def _same_space(self, other) -> bool:
         raise NotImplementedError
@@ -87,9 +88,16 @@ class ArrayElement:
 
     __rmul__ = __mul__
 
+    def _single(self, what: str) -> np.ndarray:
+        """The array of one element; a stack is refused with TensorShapeError."""
+        if (array := self._array).ndim > self._ndim:
+            shape = array.shape[: -self._ndim]
+            raise TensorShapeError(f"{what} takes one element, not a stack of shape {shape}")
+        return array
+
     def norm(self) -> float:
-        """Euclidean (Frobenius) norm of the whole array."""
-        return float(np.linalg.norm(self._array.ravel()))
+        """Euclidean (Frobenius) norm of one element's array (`_single`)."""
+        return float(np.linalg.norm(self._single("norm").ravel()))
 
     def isclose(self, other, tol: float = 1e-9) -> bool:
         self._check(other)

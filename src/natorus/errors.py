@@ -25,7 +25,8 @@ class IncompatibleGroupsError(NatorusError):
 
 
 class TensorShapeError(NatorusError):
-    """Raised when a tensor or matrix does not match the group's rank."""
+    """Raised when a tensor or matrix does not match the group's rank, or when
+    an operation on one element is given a stack of them."""
 
 
 class CochainError(NatorusError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain3, Tricharacter, _chunk_buffers, _sweep_witness, require_cochain
+from .cochains import Cochain3, Tricharacter, _sweep_witness, require_cochain
 from .elements import ArrayElement
 from .errors import CochainError
 from .groups import FiniteAbelianGroup
@@ -148,7 +148,9 @@ def check_gamma_relation(phi: Cochain3, omega, xi, kernel: TwistedKernel) -> flo
 # ------------------------------------------------ associativity cocycle
 
 
-def _combination_defect_chunk(t: np.ndarray, group: FiniteAbelianGroup, ix: int) -> np.ndarray:
+def _combination_defect_chunk(
+    t: np.ndarray, group: FiniteAbelianGroup, ix: int, out, scratch
+) -> np.ndarray:
     """Exponent of the multiplier combination
         u(xi,eta) u(xi+eta,zeta) u(xi,eta+zeta)^-1 gamma_xi[u(eta,zeta)]^-1
     minus phi(eta,zeta,xi), indexed [eta, zeta, x], with gamma_xi acting on a
@@ -156,11 +158,11 @@ def _combination_defect_chunk(t: np.ndarray, group: FiniteAbelianGroup, ix: int)
 
     With u(xi, eta)(x) = exp(2 pi i t[xi, eta, x]) the combination exponent is
         t[xi, eta, x] + t[xi+eta, zeta, x] - t[xi, eta+zeta, x] - t[eta, zeta, x-xi].
-    A `cochains._sweep` chunk for one xi, built in place before reduction;
+    A `cochains._sweep` chunk for one xi, built in place in `out` before
+    reduction, with `scratch` (both of t's shape and type) for the gathers;
     each gather is one `take` along one axis, faster than fancy indexing.
     """
-    add, sub = group.add_table, group.sub_table
-    (out, scratch), ti = _chunk_buffers(t), t[ix]
+    add, sub, ti = group.add_table, group.sub_table, t[ix]
     t.take(add[ix], axis=0, out=out, mode="clip")  # t[xi+eta, zeta, x]; indices in range
     out += ti[:, None, :]  # t[xi, eta, x]
     out -= ti.take(add, axis=0, out=scratch, mode="clip")  # t[xi, eta+zeta, x]

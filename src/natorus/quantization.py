@@ -518,7 +518,8 @@ def represent(a: GradedElement, phi: Cochain3 | None = None) -> np.ndarray:
 
 
 def deformed_norm(a: GradedElement, phi: Cochain3 | None = None) -> float:
-    """Operator norm of the representing matrix."""
+    """Operator norm of the representing matrix, of one element (`_single`)."""
+    a._single("deformed_norm")
     return float(np.linalg.norm(represent(a, phi), 2))
 
 

@@ -115,6 +115,7 @@ class TGAElement(ArrayElement):
 
     __slots__ = ("algebra", "coeffs")
     _field = "coeffs"
+    _ndim = 1
 
     def __init__(self, algebra: TwistedGroupAlgebra, coeffs: np.ndarray):
         self.algebra = algebra
@@ -133,20 +134,21 @@ class TGAElement(ArrayElement):
         return super().__mul__(other)
 
     def star(self) -> "TGAElement":
-        """e(a)* = e(a)^{-1} = exp(-2 pi i sigma(a, -a)) e(-a), extended antilinearly."""
+        """e(a)* = e(a)^{-1} = exp(-2 pi i sigma(a, -a)) e(-a), extended antilinearly:
+        one gather on the last axis, conj(x_(-b) e(sigma(-b, b))) at b, stacks included."""
         alg = self.algebra
         neg = alg.group.neg_table
-        n = alg.dim
-        inv_weight = np.conj(alg._weights[np.arange(n), neg])
-        out = np.zeros(n, dtype=complex)
-        out[neg] = np.conj(self.coeffs) * inv_weight
-        return TGAElement(alg, out)
+        inv_weight = np.conj(alg._weights[neg, np.arange(alg.dim)])
+        return TGAElement(alg, np.conj(self.coeffs[..., neg]) * inv_weight)
 
     def operator_norm(self) -> float:
-        """Norm of left multiplication acting on the coefficient space."""
+        """Norm of left multiplication on the coefficient space, of one element."""
+        self._single("operator_norm")
         return float(np.linalg.norm(self.algebra.left_regular_matrix(self), 2))
 
     def __repr__(self) -> str:
+        if self.coeffs.ndim > 1:  # a stack: its members' reprs
+            return "[" + ", ".join(repr(self._sibling(c)) for c in self.coeffs) + "]"
         terms = []
         for i, c in enumerate(self.coeffs):
             if abs(c) > 1e-12:

@@ -1,7 +1,10 @@
-"""Shared fixtures: small groups and the bundled twists used across tests."""
+"""Shared fixtures: small groups and the bundled twists used across tests,
+and the one hypothesis profile: derandomized, so every property test draws
+the same examples on every run, and with no deadline."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from natorus import (
     make_group,
@@ -9,6 +12,9 @@ from natorus import (
     octonion_associator_tricharacter,
     octonion_sigma,
 )
+
+settings.register_profile("natorus", derandomize=True, deadline=None)
+settings.load_profile("natorus")
 
 
 @pytest.fixture

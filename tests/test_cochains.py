@@ -368,9 +368,9 @@ def test_multiplier_relation_runs_the_cocycle_sweep_once(monkeypatch):
     swept = []
     chunk_of = cochains._coboundary_chunk
 
-    def counted(t, group, w):
+    def counted(t, group, w, out, scratch):
         swept.append(w)
-        return chunk_of(t, group, w)
+        return chunk_of(t, group, w, out, scratch)
 
     monkeypatch.setattr(cochains, "_coboundary_chunk", counted)
     oct_phi = octonion_associator_tricharacter()

@@ -1,5 +1,6 @@
 """Twisted crossed products, strictification, and the duality transform."""
 
+import inspect
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -531,21 +532,24 @@ def test_twist_constructors_refuse_dim_below_one(dim):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def float_twist_witness(tw, tol=1e-10):
-    """Both twist relations evaluated in floats from the tables of sigma and
-    phi, independently of TwistData.validate: ("composition", (x, y)) for
-    the first pair where V_x V_y (u(x,y) V_{x+y})^* is not a scalar, else
+def float_twist_witness(g, d, v, sigma, phi, tol=1e-10):
+    """Both twist relations evaluated in floats from the raw data (group g,
+    dim d, conjugators v, sigma and phi), independently of TwistData, which
+    refuses to build an unproven twist: ("composition", (x, y)) for the
+    first pair where V_x V_y (u(x,y) V_{x+y})^* is not a scalar, else
     ("phase", (x, y, z)) for the first triple, in index order, where
-    e(phi(x,y,z)) u(x,y) u(x+y,z) != beta_x[u(y,z)] u(x,y+z), else None."""
-    g, d, v = tw.group, tw.dim, tw.beta
+    e(phi(x,y,z)) u(x,y) u(x+y,z) != beta_x[u(y,z)] u(x,y+z), else None.
+    v = None is the trivial beta."""
+    if v is None:
+        v = np.broadcast_to(np.eye(d), (g.order, d, d))
     add = g.add_table
-    u = np.exp(2j * np.pi * tw.sigma.table / tw.sigma.den)[:, :, None, None] * np.eye(d)
+    u = np.exp(2j * np.pi * sigma.table / sigma.den)[:, :, None, None] * np.eye(d)
     c = v[:, None] @ v[None, :] @ np.conj(u @ v[add]).swapaxes(-1, -2)
     scalar = np.trace(c, axis1=-2, axis2=-1)[:, :, None, None] / d * np.eye(d)
     bad = np.abs(c - scalar).max(axis=(-2, -1)) > tol
     if bad.any():
         return "composition", tuple(int(i) for i in np.argwhere(bad)[0])
-    phase = np.exp(2j * np.pi * tw.phi.table / tw.phi.den)
+    phase = np.exp(2j * np.pi * phi.table / phi.den)
     for x in range(g.order):
         lhs = phase[x][:, :, None, None] * u[x][:, None] @ u[add[x]]
         rhs = v[x] @ u @ np.conj(v[x]).T @ u[x][add]
@@ -581,7 +585,7 @@ def test_bundled_twists_satisfy_both_relations_in_floats():
     twists = bundled_twists()
     assert len(twists) >= 7  # 4 presets, duality_m2's twist, two_point_bundle's 2 fibers
     for tw in twists:
-        assert float_twist_witness(tw) is None
+        assert float_twist_witness(tw.group, tw.dim, tw.beta, tw.sigma, tw.phi) is None
 
 
 def first_mismatch(sigma, phi):
@@ -602,8 +606,7 @@ def test_phi_off_delta_sigma_is_refused_with_the_first_float_witness():
             TwistData(g, 2, beta, sigma, bad)
         assert exact.value.witness == first_mismatch(sigma, bad)
         assert exact.value.witness == tuple(g.element(c).index for c in cell)
-        unchecked = TwistData(g, 2, beta, sigma, bad, validate=False)
-        assert float_twist_witness(unchecked) == ("phase", exact.value.witness)
+        assert float_twist_witness(g, 2, beta, sigma, bad) == ("phase", exact.value.witness)
 
 
 @pytest.mark.parametrize(
@@ -626,9 +629,30 @@ def test_non_projective_beta_is_refused(k, times, witness):
     )
     with pytest.raises(TwistDataError, match=message) as exact:
         TwistData(g, 2, beta, sigma, phi)
-    unchecked = TwistData(g, 2, beta, sigma, phi, validate=False)
     assert exact.value.witness == witness
-    assert float_twist_witness(unchecked) == ("composition", witness)
+    assert float_twist_witness(g, 2, beta, sigma, phi) == ("composition", witness)
+
+
+def test_an_unproven_twist_is_refused_on_construction_with_no_way_around_it():
+    """A beta that is not a G-action and a phi that is not delta sigma each
+    raise TwistDataError when the twist is built; the constructor has no
+    validate or tol knob to skip or loosen the proof, and validate takes no
+    tolerance."""
+    g = octonion_group()
+    sigma, beta, phi = octonion_sigma(g), pauli_conjugators(g), octonion_associator_tricharacter(g)
+    TwistData(g, 2, beta, sigma, phi)  # the proven Pauli twist
+    bent = beta.copy()
+    bent[1] = bent[1] @ np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    moved = phi + Cochain3.from_entries(g, [(((1, 0, 0), (0, 1, 0), (0, 0, 1)), "1/2")])
+    refused = (((bent, sigma, phi), "beta action"), ((beta, sigma, moved), "multiplier"))
+    for args, message in refused:
+        with pytest.raises(TwistDataError, match=message):
+            TwistData(g, 2, *args)
+        for knob in ({"validate": False}, {"tol": 1.0}):
+            with pytest.raises(TypeError):
+                TwistData(g, 2, *args, **knob)
+    assert {"validate", "tol"}.isdisjoint(inspect.signature(TwistData).parameters)
+    assert list(inspect.signature(TwistData.validate).parameters) == ["self"]
 
 
 def test_sigma_on_another_group_is_refused():
@@ -658,21 +682,26 @@ def test_exact_twist_check_on_a_plain_sigma_and_a_tricharacter_builds_no_n3_arra
 
 
 def test_plain_psi_rows_are_summed_once_per_check_and_reports_are_identical(monkeypatch):
-    """A plain psi's summed exponent rows, the sheared rows of the plain sum
-    psi + phi, are read once per verify_duality call, whatever the number of
-    batches, and the report is bit-identical to that of the tricharacter psi
-    with the same values, whose sum with phi is a tricharacter that streams."""
+    """Without the multiplier the float rows run over three batches and read
+    the sheared rows of the plain sum psi + phi once per verify_duality call;
+    with it, rows_agree reads psi's own sheared rows once and the sum is never
+    read. Each report is bit-identical to that of the tricharacter psi with
+    the same values, whose sum with phi is a tricharacter that streams."""
     tw = z4_scalar_twist()
     tri = Tricharacter(tw.group, levi_civita(), 4)
     plain = Cochain3(tw.group, tri.table, tri.den)
     calls, rows = [], CochainTable.sheared_rows
-    monkeypatch.setattr(CochainTable, "sheared_rows", lambda c: calls.append(type(c)) or rows(c))
+    monkeypatch.setattr(CochainTable, "sheared_rows", lambda c: calls.append(c) or rows(c))
     trials = 3 * _pairs_per_batch(tw.group.order, tw.dim)
-    report = verify_duality(tw, plain, trials=trials, seed=3)
-    assert calls == [Cochain3]
-    assert report.as_dict() == verify_duality(tw, tri, trials=trials, seed=3).as_dict()
-    assert calls == [Cochain3]  # tri + phi is a tricharacter, read by its own rows
-    assert report.passed and report.trials == trials
+    for include_multiplier in (False, True):
+        calls.clear()
+        kwargs = {"trials": trials, "seed": 3, "include_multiplier": include_multiplier}
+        report = verify_duality(tw, plain, **kwargs)
+        assert len(calls) == 1 and type(calls[0]) is Cochain3
+        assert (calls[0] is plain) == include_multiplier
+        assert report.as_dict() == verify_duality(tw, tri, **kwargs).as_dict()
+        assert len(calls) == 1  # tri and tri + phi are tricharacters, read by their own rows
+        assert report.passed == include_multiplier and report.trials == trials
 
 
 def test_a_verdict_passes_when_tol_equals_the_achieved_error():
@@ -820,16 +849,11 @@ def shear_invariant_cochain(group, den, rng):
     return Cochain3(group, table, den)
 
 
-def test_duality_past_the_common_denominator_bound_multiplies_phase_rows():
-    """sigma over 4 (2^31 + 11), with delta sigma = delta tau over 4, and a
-    shear-invariant psi over 2^31 - 1: both sides' exponents need a common
-    denominator past 2^62, so their phase rows are multiplied term by term.
-    The parent accepts this validated twist; the check passes, and without
-    the multiplier it fails at the per-pair reference's witness."""
-    group = make_group([4, 4])
-    n, add = group.order, group.add_table
-    rng = np.random.default_rng(23)
-    big, other = 2**31 + 11, 2**31 - 1
+def sigma_past_the_bound(group, rng):
+    """tau + delta f: a random 2-cochain tau over 4 plus the coboundary of a
+    random 1-cochain f over 2^31 + 11, so sigma is over 4 (2^31 + 11) while
+    delta sigma = delta tau is over 4."""
+    n, add, big = group.order, group.add_table, 2**31 + 11
     f = rng.integers(0, big, size=n)
     f[0] = 0
     df = (f[None, :] - f[add] + f[:, None]) % big  # delta f(x, y), a 2-cocycle
@@ -837,8 +861,41 @@ def test_duality_past_the_common_denominator_bound_multiplies_phase_rows():
     t[0] = t[:, 0] = 0
     tau = Cochain2(group, t, 4)
     sigma = tau + Cochain2(group, df, big)
-    tw = TwistData.scalar_from_sigma(group, sigma)
-    assert tw.phi == coboundary2(tau) and tw.phi.den <= 4 and sigma.den == 4 * big
+    assert coboundary2(sigma) == coboundary2(tau) and sigma.den == 4 * big
+    return sigma
+
+
+@pytest.mark.parametrize("twist", [z4_scalar_twist, pauli_m2_twist], ids=["d1", "d2"])
+def test_a_shear_invariant_psi_with_one_cell_moved_is_undecided_and_fails(twist):
+    """The mutation of the psi-only decision: a shear-invariant psi passes,
+    decided from psi alone; moved by 1/12 at one cell (1, 2, 3), whose orbit
+    under the shear has more than one cell, it is not decided and the check
+    fails by O(1)."""
+    tw = twist()
+    rng = np.random.default_rng(31)
+    psi = shear_invariant_cochain(tw.group, 12, rng)
+    assert crossed._DualityRows(tw, psi, True).rows_agree()
+    assert verify_duality(tw, psi, trials=20).passed
+    table = psi.table.astype(np.int64)
+    table[1, 2, 3] = (table[1, 2, 3] + 1) % 12
+    moved = Cochain3(tw.group, table, 12)
+    assert not crossed._DualityRows(tw, moved, True).rows_agree()
+    report = verify_duality(tw, moved, trials=20)
+    assert not report.passed and report.max_error > 1e-3
+
+
+def test_duality_past_the_common_denominator_bound_multiplies_phase_rows():
+    """sigma over 4 (2^31 + 11), with delta sigma over 4
+    (`sigma_past_the_bound`), and a shear-invariant psi over 2^31 - 1: both
+    sides' exponents need a common denominator past 2^62. The check passes,
+    decided from psi alone; without the multiplier the float rows multiply
+    E_L's phase rows term by term, and the check fails at the per-pair
+    reference's witness."""
+    group = make_group([4, 4])
+    rng = np.random.default_rng(23)
+    other = 2**31 - 1
+    tw = TwistData.scalar_from_sigma(group, sigma_past_the_bound(group, rng))
+    assert tw.phi.den <= 4
     psi = shear_invariant_cochain(group, other, rng)
     assert psi.den == other
     for include_multiplier in (True, False):
@@ -846,7 +903,8 @@ def test_duality_past_the_common_denominator_bound_multiplies_phase_rows():
         _, left, right = next(rows)
         assert crossed._exponent_sum(left) is None
         assert (crossed._exponent_sum(right) is None) == include_multiplier
-    assert verify_duality(tw, psi, trials=4, seed=2).passed
+    report = verify_duality(tw, psi, trials=4, seed=2)
+    assert report.passed and report.max_error == 0.0
     report = verify_duality(tw, psi, trials=4, seed=2, include_multiplier=False)
     mode, trials, max_error, witness = per_pair_duality(tw, psi, 4, 2, False)
     assert (report.mode, report.trials, report.witness) == (mode, trials, witness)

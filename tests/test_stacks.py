@@ -7,7 +7,8 @@ product and its left regular matrix, both side products, random_element),
 and so do the graded element's queries. The actions are translation on
 a drawn group and the two that criterion 6 checks, translation on Z/4 and Z/4
 conjugating M_4; the drawn groups give blocks on both sides of the unrolled
-block product's crossover.
+block product's crossover. A twisted group algebra element's star and repr
+serve a stack member by member; the norms, each of one element, refuse one.
 """
 
 import numpy as np
@@ -19,12 +20,15 @@ from natorus import (
     GAction,
     GradedElement,
     GradingError,
+    TensorShapeError,
     Tricharacter,
     TwistedGroupAlgebra,
+    deformed_norm,
     deformed_product,
     evaluation_side_product,
     fourier_side_product,
     make_group,
+    octonion_algebra,
     phi_zero_intertwiner,
     represent,
 )
@@ -66,7 +70,7 @@ def graded_stack(action, rng, k):
     return GradedElement(action, a.blocks * keep[:, :, None, None, None])
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(kind=ACTIONS, factors=factor_lists(), k=STACK, seed=st.integers(0, 2**32 - 1))
 def test_a_stack_of_draws_is_the_single_draws(kind, factors, k, seed):
     """random_element(rng, (k, 2)) draws what 2k single calls draw, in the
@@ -79,7 +83,7 @@ def test_a_stack_of_draws_is_the_single_draws(kind, factors, k, seed):
     assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(kind=ACTIONS, factors=factor_lists(), k=STACK, seed=st.integers(0, 2**32 - 1))
 def test_isotypic_components_and_from_matrix_of_a_stack(kind, factors, k, seed):
     action = make_action(kind, factors)
@@ -90,7 +94,7 @@ def test_isotypic_components_and_from_matrix_of_a_stack(kind, factors, k, seed):
     assert_bits_equal(graded.blocks, [GradedElement.from_matrix(action, m).blocks for m in mats])
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     kind=ACTIONS,
     factors=factor_lists(),
@@ -124,7 +128,7 @@ def test_deformed_product_and_represent_of_a_stack(kind, factors, k, zero_phi, s
     )
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(kind=ACTIONS, factors=factor_lists(), k=STACK, seed=st.integers(0, 2**32 - 1))
 def test_graded_queries_of_a_stack(kind, factors, k, seed):
     """block, total and underlying_matrix of a stack are the members' own;
@@ -150,7 +154,7 @@ def test_graded_queries_of_a_stack(kind, factors, k, seed):
     assert exc.value.witness == (i,)
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(factors=factor_lists(max_order=16, max_rank=4), k=STACK, seed=st.integers(0, 2**32 - 1))
 def test_twisted_group_algebra_product_of_a_stack(factors, k, seed):
     """The product of stacked coefficient vectors, stacked against stacked and
@@ -175,7 +179,7 @@ def test_twisted_group_algebra_product_of_a_stack(factors, k, seed):
     assert_bits_equal(alg.left_regular_matrix(x), [alg.left_regular_matrix(p) for p, _ in members])
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     factors=factor_lists(max_order=16, max_rank=4),
     dim=st.sampled_from([1, 2]),
@@ -196,3 +200,51 @@ def test_side_products_of_a_stack(factors, dim, k, seed):
         if dim == 1:
             scalars = [product(group, p[:, :, 0, 0], q[:, :, 0, 0]) for p, q in zip(a, b)]
             assert_bits_equal(np.ascontiguousarray(stacked[..., 0, 0]), scalars)
+
+
+def test_star_of_a_stack_is_the_members_stars():
+    """star serves a stack member by member, by one gather on the last axis,
+    and is the definition e(a)* = e(-sigma(a, -a)) e(-a), extended
+    antilinearly, for a sigma with sigma(a, -a) != sigma(-a, a)."""
+    group, rng = make_group([3, 4]), np.random.default_rng(5)
+    alg = TwistedGroupAlgebra(group, random_sigma(group, rng, 12))
+    x = alg.element(rng.standard_normal((3, 2, group.order)) * (1 + 2j))
+    singles = [[alg.element(c).star().coeffs for c in row] for row in x.coeffs]
+    assert_bits_equal(x.star().coeffs, singles)
+    neg, w = group.neg_table, alg.sigma.complex_table
+    expected = np.empty_like(x.coeffs)
+    for a in range(group.order):
+        expected[..., neg[a]] = np.conj(x.coeffs[..., a] * w[a, neg[a]])
+    assert np.allclose(x.star().coeffs, expected, atol=1e-15, rtol=0)
+
+
+def test_repr_of_a_stack_lists_the_members():
+    alg = octonion_algebra()
+    x = alg.element(np.random.default_rng(6).standard_normal((3, 8)))
+    assert repr(x) == "[" + ", ".join(repr(alg.element(c)) for c in x.coeffs) + "]"
+
+
+def stack_of_3(kind, rng):
+    """Three random elements of Z/4 translation as one graded element, or
+    three random octonions as one twisted group algebra element."""
+    if kind == "graded":
+        action = make_action("z4 translation", [4])
+        return GradedElement.from_matrix(action, action.algebra.random_element(rng, (3,)))
+    return octonion_algebra().element(rng.standard_normal((3, 8)))
+
+
+@pytest.mark.parametrize(
+    "operation, call",
+    [
+        ("norm", lambda rng: stack_of_3("graded", rng).norm()),
+        ("deformed_norm", lambda rng: deformed_norm(stack_of_3("graded", rng))),
+        ("operator_norm", lambda rng: stack_of_3("octonions", rng).operator_norm()),
+    ],
+    ids=["norm", "deformed_norm", "operator_norm"],
+)
+def test_a_norm_of_one_element_refuses_a_stack(operation, call):
+    """The norms are of one element: a stack of 3 is refused with a typed
+    error naming the operation and the stack's shape."""
+    message = rf"^{operation} takes one element, not a stack of shape \(3,\)$"
+    with pytest.raises(TensorShapeError, match=message):
+        call(np.random.default_rng(7))
