@@ -18,8 +18,11 @@ exhaustive sweep on its own fresh plain Cochain3 copy of phi's table:
 answers from its tensor without a sweep; the answers must equal the swept ones.
 `ns_per_cell` divides the three full sweeps of `sweep_s` by the n^4 cells each
 visits. `table_mb` is the size of one plain n^3 table over m, phi's (stored
-in the narrowest type that holds m - 1, as the plain copy is). `peak_rss_mb` is the
-process's peak RSS after the checks. One JSON line per order.
+in the narrowest type that holds m - 1, as the plain copy is). `buffer_mb` is
+what a full sweep holds beside it: its two block buffers (`cochains._sweep`,
+blocks of first-slot indices sized to `cochains._SWEEP_BYTES`) plus the
+combination sweep's transposed copy of the table, all in the sweep's type.
+`peak_rss_mb` is the process's peak RSS after the checks. One JSON line per order.
 
 The rungs with no repeats (|G| = 256 and 512) measure memory only: they build
 the plain copy and its sum with the bump once and run the early-exit
@@ -50,6 +53,7 @@ def timed(fn, arg):
 
 def point(order):
     import natorus as nt
+    from natorus.cochains import _SWEEP_BYTES, _sweep_dtype
     from natorus.twisted_algebra import levi_civita
 
     factors, m, repeats = LADDER[order]
@@ -62,6 +66,9 @@ def point(order):
 
     witness = tuple(units[-1:] + units[-3:])  # (c, a, b, c)
     table_mb = phi.table.nbytes / 2**20
+    swept_bytes = order**3 * _sweep_dtype(m, 5).itemsize  # one n^3 table in the sweep's type
+    blocks = min(max(1, _SWEEP_BYTES // swept_bytes), order - 1)
+    buffer_mb = (2 * blocks + 1) * swept_bytes / 2**20
     if not repeats:
         bumped = nt.Cochain3(group, phi.table, m) + bump
         result, seconds = timed(nt.cocycle3_witness, bumped)
@@ -75,6 +82,7 @@ def point(order):
             "setup_s": setup_s,
             "sweep_s": {"cocycle3_witness": seconds},
             "table_mb": table_mb,
+            "buffer_mb": buffer_mb,
             "peak_rss_mb": ladder.peak_rss_mb(),
         }
 
@@ -112,6 +120,7 @@ def point(order):
         "certificate_s": {name: statistics.median(v) for name, v in certified.items()},
         "ns_per_cell": {name: sweep_s[name] / order**4 * 1e9 for name in FULL_SWEEPS},
         "table_mb": table_mb,
+        "buffer_mb": buffer_mb,
         "peak_rss_mb": ladder.peak_rss_mb(),
     }
 

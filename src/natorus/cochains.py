@@ -23,6 +23,7 @@ that require antisymmetry check for it rather than assume it.
 from __future__ import annotations
 
 from functools import cached_property, partial, reduce
+from itertools import chain, islice
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -303,11 +304,13 @@ class _FixedArity(CochainTable):
     def coboundary_witness(self) -> tuple | None:
         """First index tuple where delta of this cochain is nonzero, or None.
 
-        The table is read-only, so the n^(k+1) sweep (`_sweep`, one first-slot
-        index at a time in the narrowest exact type) runs once per cochain and
+        The table is read-only, so the n^(k+1) sweep (`_sweep`, a block of
+        first-slot indices at a time in the narrowest exact type, from index 1:
+        delta of a normalized cochain is zero at 0) runs once per cochain and
         every cocycle check on it, check_multiplier_relation and extract_sigma
-        included, reads this cached answer. A `Tricharacter` answers None
-        without a sweep.
+        included, reads this cached answer; the search stops after the block
+        that holds the first witness. A `Tricharacter` answers None without a
+        sweep.
         """
         return _sweep_witness(self, _coboundary_chunk)
 
@@ -332,15 +335,17 @@ def _coboundary2_mismatch(sigma: Cochain2, phi: Cochain3) -> tuple | None:
     """The first (x, y, z) index triple, in index order, where delta sigma and
     phi differ, or None: exact, over their common denominator, and with no
     n^3 array. None at once when phi is sigma's cached coboundary; otherwise
-    delta sigma's slabs come from the narrow sweep (`_sweep`) and meet phi's."""
+    delta sigma's slabs come from the narrow sweep (`_sweep`) and meet phi's
+    from index 1: both are normalized, so zero at 0."""
     if phi is vars(sigma).get("coboundary"):
         return None
     den = common_denominator(sigma.den, phi.den)
-    pairs = zip(_sweep(sigma, _coboundary_chunk), phi.slabs())
+    swept = (a for _, block in _sweep(sigma, _coboundary_chunk) for a in block)
+    pairs = zip(swept, islice(phi.slabs(), 1, None))
     if sigma.den != phi.den:
         s, p = den // sigma.den, den // phi.den
         pairs = ((a.astype(np.int64) * s, b.astype(np.int64) * p) for a, b in pairs)
-    return _first_nonzero(a != b for a, b in pairs)
+    return _first_nonzero((x, (a != b)[None]) for x, (a, b) in enumerate(pairs, 1))
 
 
 class Cochain3(_FixedArity):
@@ -653,22 +658,32 @@ def _sweep_dtype(den: int, terms: int) -> np.dtype:
     return np.dtype(object)
 
 
-def _sweep(phi: CochainTable, chunk: Callable) -> Iterator[np.ndarray]:
-    """chunk(table, group, i, out, scratch) mod den, i over phi's first slot.
+_SWEEP_BYTES = 1 << 18  # what one sweep block may hold: one index at |G| = 64, arity 3, uint8
+
+
+def _sweep(phi: CochainTable, chunk: Callable, axes=None) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, chunk(table, group, slice(lo, hi), out, scratch) mod den) over
+    blocks of phi's first-slot indices from 1. Index 0 is skipped: `_adopt`
+    refuses a table that is not normalized, and on a normalized one both
+    sweeps are zero there (every term cancels or has an identity slot).
 
     The one loop of the exact sweeps: delta of a k-cochain, k + 2 terms
     (`_coboundary_chunk`), and the multiplier combination of a 3-cochain
     (`kernels`). A chunk sums at most phi.arity + 2 signed entries of `table`,
     the term bound of `_sweep_dtype`, in out, with scratch for its gathers:
-    two buffers of the table's shape and type, made once per sweep, so every
-    index yields one array. `table` is phi's own table when stored in that
-    type, else a copy in it, made here and dropped when the sweep ends, never
-    cached. Each chunk is reduced mod den here, in place.
+    two buffers of _SWEEP_BYTES (or of one index, when larger), made once per
+    sweep. `table` is phi's own table when stored in that type, else a copy
+    in it (transposed by `axes` when given), made here and dropped when the
+    sweep ends, never cached. Each block is reduced mod den here, in place.
     """
-    table = phi.table.astype(_sweep_dtype(phi.den, phi.arity + 2), copy=False)
-    out, scratch = np.empty((2,) + table.shape, table.dtype)
-    for i in range(phi.group.order):
-        yield _reduce(chunk(table, phi.group, i, out, scratch), phi.den)
+    t = phi.table if axes is None else phi.table.transpose(axes)
+    table = t.astype(_sweep_dtype(phi.den, phi.arity + 2), order="C", copy=False)
+    n = phi.group.order
+    size = max(1, _SWEEP_BYTES // table.nbytes)
+    out, scratch = np.empty((2, min(size, n - 1)) + table.shape, table.dtype)
+    for lo in range(1, n, size):
+        b = min(size, n - lo)
+        yield lo, _reduce(chunk(table, phi.group, slice(lo, lo + b), out[:b], scratch[:b]), phi.den)
 
 
 def _reduce(out: np.ndarray, den: int) -> np.ndarray:
@@ -679,47 +694,70 @@ def _reduce(out: np.ndarray, den: int) -> np.ndarray:
     return out if den == 256 else np.bitwise_and(out, den - 1, out=out)
 
 
-def _first_nonzero(chunks: Iterable[np.ndarray]) -> tuple | None:
-    """(i, *index of the first nonzero entry in chunk i), or None; the entry is
-    found on a boolean mask, with no list of every nonzero index."""
-    for i, out in enumerate(chunks):
-        if out.any():
-            return (i, *map(int, np.unravel_index((out != 0).argmax(), out.shape)))
+def _first_nonzero(blocks: Iterable[tuple[int, np.ndarray]]) -> tuple | None:
+    """(lo + i, *index) of the first nonzero entry, (i, *index) in the block
+    from lo, or None; found on a boolean mask, with no list of every nonzero index."""
+    for lo, block in blocks:
+        if block.any():
+            i, *rest = map(int, np.unravel_index((block != 0).argmax(), block.shape))
+            return (lo + i, *rest)
     return None
 
 
-def _sweep_witness(phi: CochainTable, chunk: Callable) -> tuple | None:
+def _sweep_witness(phi: CochainTable, chunk: Callable, axes=None) -> tuple | None:
     """The first nonzero cell of the sweep of `chunk` over phi (`_sweep`), or None."""
-    return _first_nonzero(_sweep(phi, chunk))
+    return _first_nonzero(_sweep(phi, chunk, axes))
 
 
-def _coboundary_chunk(t: np.ndarray, group: FiniteAbelianGroup, x: int, out, scratch) -> np.ndarray:
-    """(delta c)(x, x1, ..., xk) over all (x1, ..., xk) before reduction, for a
-    table t of any arity k and one index x: a `_sweep` chunk of the k + 2
+def _window_sum(s: np.ndarray, group: FiniteAbelianGroup, out: np.ndarray) -> np.ndarray:
+    """out[..., y, z] = s[..., y + z], for s whose last axis runs over G.
+
+    In lexicographic order y + z keeps its last coordinate inside one block of
+    n_k consecutive indices, that of y + (z_hi, 0), rotated by y's last
+    coordinate. So the n_k rotations of each block of s are built once, and
+    each (y, z_hi) gathers one whole n_k-entry window of them in one `take`."""
+    nk, lead, n = group.factors[-1], s.shape[:-1], group.order
+    turns = np.add.outer(np.arange(nk), np.arange(nk)) % nk
+    rotations = s.reshape(lead + (n // nk, nk)).take(turns, axis=-1, mode="clip")
+    windows = group.add_table[:, ::nk]  # index of y + (z_hi, 0) over [y, z_hi]
+    dest = out.reshape(lead + (n, n // nk, nk))
+    rotations.reshape(lead + (n, nk)).take(windows, axis=-2, out=dest, mode="clip")
+    return out
+
+
+def _coboundary_chunk(t: np.ndarray, group: FiniteAbelianGroup, xs: slice, out, scratch):
+    """(delta c)(x, x1, ..., xk) over x in xs and all (x1, ..., xk) before
+    reduction, for a table t of any arity k: a `_sweep` block of the k + 2
     terms of
         c(x1, ..., xk) - c(x + x1, x2, ...) + c(x, x1 + x2, ...) - ...
             + (-1)^(k+1) c(x, x1, ..., x(k-1)),
-    built in place in `out` and indexed [x1, ..., xk], with `scratch` (both
-    of t's shape and type) for the gathers. Each sum slot is one `take`
-    along one axis, faster than fancy indexing."""
-    add, tx, k = group.add_table, t[x], t.ndim  # tx: c(x, ...), arity k - 1
+    built in place in `out` and indexed [x, x1, ..., xk], with `scratch` (both
+    of that shape and t's type) for the gathers. Each sum slot is one `take`
+    of whole slabs or rows along one axis, the last one a window at a time
+    (`_window_sum`), faster than fancy indexing."""
+    add, tx, k = group.add_table, t[xs], t.ndim  # tx: c(x, ...) over [x, x1, ..., x(k-1)]
     take = partial(np.take, mode="clip")  # indices in range
+
+    def sum_slot(axis, dest):  # c(x, ..., x(axis+1) + x(axis+2), ...)
+        return _window_sum(tx, group, dest) if axis == k - 2 else take(tx, add, axis + 1, dest)
+
     # c(x, x1 + x2, ...) written first (c(x1) itself at arity 1): no negation pass
-    take(tx, add, axis=0, out=out) if k > 1 else np.copyto(out, t)
-    out -= take(t, add[x], axis=0, out=scratch)  # c(x + x1, x2, ...)
-    for axis in range(1, k - 1):  # c(x, x1, ..., x(axis+1) + x(axis+2), ...)
-        (np.subtract if axis % 2 else np.add)(out, take(tx, add, axis=axis, out=scratch), out=out)
+    sum_slot(0, out) if k > 1 else np.copyto(out, t)
+    out -= take(t, add[xs], axis=0, out=scratch)  # c(x + x1, x2, ...)
+    for axis in range(1, k - 1):
+        (np.subtract if axis % 2 else np.add)(out, sum_slot(axis, scratch), out=out)
     if k > 1:
         out += t  # c(x1, ..., xk)
-    (np.add if k % 2 else np.subtract)(out, t[x, ..., None], out=out)  # c(x, x1, ..., x(k-1))
+    (np.add if k % 2 else np.subtract)(out, tx[..., None], out=out)  # c(x, x1, ..., x(k-1))
     return out
 
 
 def _coboundary(c: CochainTable) -> CochainTable:
-    """delta c, of arity k + 1, in lowest terms: the sweep's chunks
-    (`_coboundary_chunk`) stored narrow (`_stored`) one at a time."""
+    """delta c, of arity k + 1, in lowest terms: zero at index 0, then the
+    sweep's slabs (`_coboundary_chunk`) stored narrow (`_stored`) one at a time."""
     arity = c.arity + 1
-    out = _stored(_sweep(c, _coboundary_chunk), (c.group.order,) * arity, c.den)
+    rows = (row for _, block in _sweep(c, _coboundary_chunk) for row in block)
+    out = _stored(chain([0], rows), (c.group.order,) * arity, c.den)
     return CochainTable._from_table(c.group, arity, out, c.den)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import Cochain3, Tricharacter, _sweep_witness, require_cochain
+from .cochains import Cochain3, Tricharacter, _sweep_witness, _window_sum, require_cochain
 from .elements import ArrayElement
 from .errors import CochainError
 from .groups import FiniteAbelianGroup
@@ -149,26 +149,30 @@ def check_gamma_relation(phi: Cochain3, omega, xi, kernel: TwistedKernel) -> flo
 
 
 def _combination_defect_chunk(
-    t: np.ndarray, group: FiniteAbelianGroup, ix: int, out, scratch
+    tt: np.ndarray, group: FiniteAbelianGroup, xis: slice, out, scratch
 ) -> np.ndarray:
     """Exponent of the multiplier combination
         u(xi,eta) u(xi+eta,zeta) u(xi,eta+zeta)^-1 gamma_xi[u(eta,zeta)]^-1
-    minus phi(eta,zeta,xi), indexed [eta, zeta, x], with gamma_xi acting on a
-    diagonal by translation.
+    minus phi(eta,zeta,xi), indexed [xi, eta, zeta, x], with gamma_xi acting on
+    a diagonal by translation.
 
     With u(xi, eta)(x) = exp(2 pi i t[xi, eta, x]) the combination exponent is
         t[xi, eta, x] + t[xi+eta, zeta, x] - t[xi, eta+zeta, x] - t[eta, zeta, x-xi].
-    A `cochains._sweep` chunk for one xi, built in place in `out` before
-    reduction, with `scratch` (both of t's shape and type) for the gathers;
-    each gather is one `take` along one axis, faster than fancy indexing.
+    A `cochains._sweep` block for xi in xis over tt, the table transposed to
+    [x, eta, zeta], built in place in `out` laid out [x, xi, eta, zeta], with
+    `scratch` for the gathers, and returned as the [xi, eta, zeta, x] view. In
+    that layout every term is a gather of whole slabs or rows, the sum slot
+    eta + zeta a window at a time (`cochains._window_sum`).
     """
-    add, sub, ti = group.add_table, group.sub_table, t[ix]
-    t.take(add[ix], axis=0, out=out, mode="clip")  # t[xi+eta, zeta, x]; indices in range
-    out += ti[:, None, :]  # t[xi, eta, x]
-    out -= ti.take(add, axis=0, out=scratch, mode="clip")  # t[xi, eta+zeta, x]
-    out -= t.take(sub[:, ix], axis=2, out=scratch, mode="clip")  # t[eta, zeta, x-xi]
-    out -= t[:, :, ix][:, :, None]  # phi(eta, zeta, xi)
-    return out
+    add, sub, n = group.add_table, group.sub_table, group.order
+    out, scratch = (a.reshape(n, -1, n, n) for a in (out, scratch))
+    slab = tt[:, xis]  # t[xi, eta, x] over [x, xi, eta]
+    tt.take(add[xis], axis=1, out=out, mode="clip")  # t[xi+eta, zeta, x]; indices in range
+    out += slab[..., None]  # t[xi, eta, x]
+    out -= _window_sum(slab, group, scratch)  # t[xi, eta+zeta, x]
+    out -= tt.take(sub[:, xis], axis=0, out=scratch, mode="clip")  # t[eta, zeta, x-xi]
+    out -= tt[xis]  # phi(eta, zeta, xi)
+    return out.transpose(1, 2, 3, 0)
 
 
 def associativity_cocycle_sweep(phi: Cochain3):
@@ -185,11 +189,14 @@ def associativity_cocycle_sweep(phi: Cochain3):
             - t(xi,eta,x) - t(xi,zeta,x) - t(eta,zeta,x) + t(eta,zeta,xi)
           = t(eta,zeta,xi)
     for every x, with no symmetry of the tensor used. Every other cochain is
-    swept exhaustively, chunked over xi so the full fourth-power table is
+    swept exhaustively, in blocks of xi so the full fourth-power table is
     never materialized, in exact residue arithmetic in the narrowest safe
-    type (see `cochains._sweep`).
+    type (see `cochains._sweep`), from xi = 1: at xi = 0 every term cancels
+    on a normalized phi. The sweep reads a copy of the table transposed to
+    [x, eta, zeta], made once and dropped after, in which each term is a
+    gather of whole slabs, rows or windows (`_combination_defect_chunk`).
     """
     require_cochain(phi, 3)
     if isinstance(phi, Tricharacter):
         return None
-    return _sweep_witness(phi, _combination_defect_chunk)
+    return _sweep_witness(phi, _combination_defect_chunk, axes=(2, 0, 1))

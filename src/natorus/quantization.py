@@ -38,7 +38,7 @@ import numpy as np
 
 from .cochains import Cochain3, require_cochain, require_cocycle3
 from .elements import ArrayElement, conjugate
-from .errors import ConfigError, GradingError, require_int, require_tol
+from .errors import ConfigError, GradingError, TensorShapeError, require_int, require_tol
 from .groups import FiniteAbelianGroup
 from .phases import Phase, Report
 
@@ -86,10 +86,13 @@ class MatrixAlgebra:
         scalar = np.trace(mat, axis1=-2, axis2=-1)[..., None, None] / self.dim
         return np.max(np.abs(mat - scalar * np.eye(self.dim)), axis=(-2, -1))
 
-    def random_element(self, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
-        """A generic element, or a stack of them of shape `size` (a tuple): each
-        draws its nb real parts, then its nb imaginary parts."""
-        x = rng.standard_normal(tuple(size) + (2, len(self.basis)))
+    def random_element(self, rng: np.random.Generator, size: int | tuple = ()) -> np.ndarray:
+        """A generic element, or a stack of them of shape `size` (an int or a
+        tuple, as numpy's): each draws its nb real parts, then its nb
+        imaginary parts."""
+        sizes = (size,) if np.ndim(size) == 0 else size
+        shape = tuple(require_int(s, "size", 0, TensorShapeError) for s in sizes)
+        x = rng.standard_normal(shape + (2, len(self.basis)))
         return np.tensordot(x[..., 0, :] + 1j * x[..., 1, :], self.basis, axes=1)
 
     def __eq__(self, other) -> bool:

@@ -57,6 +57,8 @@ def test_sweep_ladder_runs_one_order():
     assert set(point["certificate_s"]) == full
     assert all(0 <= point["certificate_s"][k] < point["sweep_s"][k] for k in full)
     assert point["table_mb"] == 8**3 / 2**20  # one byte per entry over den 2
+    # indices 1-7 in one block: two buffers of seven tables, and the transposed copy
+    assert point["buffer_mb"] == 15 * point["table_mb"]
     assert point["peak_rss_mb"] > 0
 
 
@@ -66,6 +68,7 @@ def test_sweep_ladder_memory_rung_runs_the_witness_alone():
     assert set(point["sweep_s"]) == {"cocycle3_witness"} and point["sweep_s"]["cocycle3_witness"] > 0
     assert "certificate_s" not in point and "ns_per_cell" not in point
     assert point["table_mb"] == 16.0  # 256^3 entries of one byte
+    assert point["buffer_mb"] == 48.0  # two one-index buffers and the transposed copy
     assert point["peak_rss_mb"] > 0
 
 

@@ -364,13 +364,14 @@ def test_a_bare_table_is_refused_at_the_arities_with_a_class(rng):
 
 def test_multiplier_relation_runs_the_cocycle_sweep_once(monkeypatch):
     """check_multiplier_relation on a fresh cochain runs the cached cocycle
-    sweep; is_cocycle3, cocycle3_witness and require_cocycle3 then reuse it."""
+    sweep; is_cocycle3, cocycle3_witness and require_cocycle3 then reuse it.
+    At |G| = 8 the sweep is one block, indices 1 to 7: index 0 is skipped."""
     swept = []
     chunk_of = cochains._coboundary_chunk
 
-    def counted(t, group, w, out, scratch):
-        swept.append(w)
-        return chunk_of(t, group, w, out, scratch)
+    def counted(t, group, xs, out, scratch):
+        swept.append(range(xs.start, xs.stop))
+        return chunk_of(t, group, xs, out, scratch)
 
     monkeypatch.setattr(cochains, "_coboundary_chunk", counted)
     oct_phi = octonion_associator_tricharacter()
@@ -381,21 +382,44 @@ def test_multiplier_relation_runs_the_cocycle_sweep_once(monkeypatch):
 
     assert check_multiplier_relation(good) is None
     assert "coboundary_witness" in vars(good)
-    assert swept == list(range(good.group.order))
+    assert swept == [range(1, good.group.order)]
     assert is_cocycle3(good) and cocycle3_witness(good) is None
     require_cocycle3(good)
-    assert swept == list(range(good.group.order))
+    assert swept == [range(1, good.group.order)]
 
     swept.clear()
     a, b, c, g = check_multiplier_relation(bad)
     assert bad.coboundary_witness == (g, a, b, c)
-    assert swept == list(range(g + 1))
+    assert swept == [range(1, bad.group.order)] and g in swept[0]
     assert not is_cocycle3(bad)
     assert tuple(e.index for e in cocycle3_witness(bad)) == (g, a, b, c)
     with pytest.raises(NotACocycleError) as caught:
         require_cocycle3(bad)
     assert caught.value.witness == cocycle3_witness(bad)
-    assert swept == list(range(g + 1))
+    assert swept == [range(1, bad.group.order)]
+
+
+def test_a_sweep_stops_at_the_block_of_its_witness(monkeypatch):
+    """With three indices per block (the budget of three (n, n, n) tables)
+    the sweep at |G| = 8 runs blocks 1-3, 4-6 and 7; the early-exit witness
+    search runs only the block that holds its witness's first index."""
+    swept = []
+    chunk_of = cochains._coboundary_chunk
+
+    def counted(t, group, xs, out, scratch):
+        swept.append(range(xs.start, xs.stop))
+        return chunk_of(t, group, xs, out, scratch)
+
+    monkeypatch.setattr(cochains, "_coboundary_chunk", counted)
+    oct_phi = octonion_associator_tricharacter()
+    monkeypatch.setattr(cochains, "_SWEEP_BYTES", 3 * oct_phi.table.nbytes)
+    assert Cochain3(oct_phi.group, oct_phi.table, oct_phi.den).coboundary_witness is None
+    assert swept == [range(1, 4), range(4, 7), range(7, 8)]
+    swept.clear()
+    table = oct_phi.table.copy()
+    table[3, 2, 1] = (table[3, 2, 1] + 1) % oct_phi.den
+    witness = Cochain3(oct_phi.group, table, oct_phi.den).coboundary_witness
+    assert witness[0] in swept[0] and swept == [range(1, 4)]
 
 
 def _no_sweep(*args):

@@ -144,8 +144,10 @@ def test_kernels_with_different_twists_do_not_mix(rng):
 
 
 def test_the_combination_sweep_is_the_product_of_the_four_multipliers(rng):
-    """On delta sigma, a cocycle that is no tricharacter, each chunk of the
-    associativity sweep plus phi(eta, zeta, xi) is the exponent of the product
+    """On delta sigma, a cocycle that is no tricharacter, each xi of the
+    associativity sweep's blocks (xi from 1; the sweep skips xi = 0, where the
+    combination is phi(eta, zeta, 0) = 0) plus phi(eta, zeta, xi) is the
+    exponent of the product
     u(xi,eta) u(xi+eta,zeta) u(xi,eta+zeta)^-1 gamma_xi[u(eta,zeta)]^-1 of
     gamma_multiplier values; plain copies of both bundled tricharacters,
     which the sweep does not certify from a tensor, sweep clean: the
@@ -154,7 +156,13 @@ def test_the_combination_sweep_is_the_product_of_the_four_multipliers(rng):
     table = rng.integers(0, 8, size=(g.order, g.order))
     table[0, :] = table[:, 0] = 0
     delta = coboundary2(Cochain2(g, table, 8))
-    for xi, chunk in zip(g.elements, _sweep(delta, _combination_defect_chunk)):
+    chunks = [  # copied: the sweep reuses its buffer from block to block
+        (g.elements[lo + i], chunk.copy())
+        for lo, block in _sweep(delta, _combination_defect_chunk, (2, 0, 1))
+        for i, chunk in enumerate(block)
+    ]
+    assert [xi.index for xi, _ in chunks] == list(range(1, g.order))
+    for xi, chunk in chunks:
         exponent = (chunk.astype(np.int64) + delta.table[:, :, xi.index, None]) % delta.den
         combination = exp_phases(exponent, delta.den)
         for eta, zeta in itertools.product(g.elements, repeat=2):

@@ -45,7 +45,15 @@ from natorus import (
     trivializing_cochain,
     verify_duality,
 )
-from natorus.cochains import _coboundary, _coboundary_chunk, _storage_dtype, _sweep, _sweep_dtype
+from natorus import cochains
+from natorus.cochains import (
+    _coboundary,
+    _coboundary_chunk,
+    _first_nonzero,
+    _storage_dtype,
+    _sweep,
+    _sweep_dtype,
+)
 from natorus import crossed
 from natorus.crossed import _DualityRows, _exponent_sum
 from natorus.groups import subgroup_elements
@@ -504,7 +512,7 @@ def test_the_sweep_type_follows_the_arity(arity, den, dtype):
     that bound gives, not in a fixed five-term one."""
     g = make_group([2])
     c = plain_cochain(g, arity, np.zeros((2,) * arity, dtype=np.int64), den)
-    assert all(chunk.dtype == dtype for chunk in _sweep(c, _coboundary_chunk))
+    assert all(block.dtype == dtype for _, block in _sweep(c, _coboundary_chunk))
 
 
 def coboundary_reference(table, group):
@@ -530,7 +538,8 @@ def coboundary_reference(table, group):
 def test_the_coboundary_chunk_is_the_definition_and_squares_to_zero(arity, den, data, seed):
     """The one chunk against the per-term definition at arities 1-4 (|G| <= 12,
     and <= 6 at arity 4), in every sweep type (uint8, int16, int64, Python
-    integers), and delta delta = 0 at arities 1-3."""
+    integers), block by block from index 1, where the definition is zero at
+    index 0; and delta delta = 0 at arities 1-3."""
     small = arity == 4
     group = make_group(data.draw(factor_lists(6 if small else 12, 2 if small else 3)))
     table = np.random.default_rng(seed).integers(0, den, size=(group.order,) * arity)
@@ -538,8 +547,9 @@ def test_the_coboundary_chunk_is_the_definition_and_squares_to_zero(arity, den, 
         np.moveaxis(table, axis, 0)[0] = 0
     c = plain_cochain(group, arity, table, den)
     reference = coboundary_reference(c.table, group) % den
-    for x, chunk in enumerate(_sweep(c, _coboundary_chunk)):
-        assert np.array_equal(chunk.astype(object), reference[x])
+    assert not reference[0].any()
+    for lo, block in _sweep(c, _coboundary_chunk):
+        assert np.array_equal(block.astype(object), reference[lo : lo + len(block)])
     if arity <= 3:
         assert _coboundary(_coboundary(c)).is_zero()
 
@@ -549,18 +559,164 @@ def test_the_coboundary_chunk_is_the_definition_and_squares_to_zero(arity, den, 
 @settings(max_examples=6)
 @given(factors=factor_lists(12), seed=st.integers(0, 2**32 - 1))
 def test_the_combination_chunk_is_the_fancy_index_form(den, factors, seed):
-    """The multiplier-combination chunk, gathered with `take`, equals its
-    fancy-index form on a random table in the sweep type, bit for bit."""
+    """The multiplier-combination chunk, gathered with `take` a block of xi at
+    a time on the table transposed to [x, eta, zeta], equals its fancy-index
+    form on the table in the sweep type, bit for bit, for every block."""
     group = make_group(factors)
-    add, sub = group.add_table, group.sub_table
+    n, add, sub = group.order, group.add_table, group.sub_table
     table = random_normalized_table(group, den, 3, np.random.default_rng(seed))
     t = table.astype(_sweep_dtype(den, 5))
-    for ix in range(group.order):
-        ti = t[ix]
-        expected = t[add[ix]] + ti[:, None, :] - ti[add] - t[:, :, sub[:, ix]]
-        expected -= t[:, :, ix][:, :, None]
-        buffers = np.empty((2,) + t.shape, t.dtype)
-        assert np.array_equal(_combination_defect_chunk(t, group, ix, *buffers), expected)
+    tt = np.ascontiguousarray(t.transpose(2, 0, 1))
+    for lo, hi in [(1, n), (0, n), *((x, x + 1) for x in range(n))]:
+        expected = np.array([
+            t[add[ix]] + t[ix][:, None, :] - t[ix][add] - t[:, :, sub[:, ix]]
+            - t[:, :, ix][:, :, None]
+            for ix in range(lo, hi)
+        ])
+        buffers = np.empty((2, hi - lo) + t.shape, t.dtype)
+        got = _combination_defect_chunk(tt, group, slice(lo, hi), *buffers)
+        assert np.array_equal(got, expected)
+
+
+@st.composite
+def window_factors(draw, max_order):
+    """Factor lists of order <= max_order whose last factor, the one the
+    windowed gather rotates, is 2-6: Z/5 and Z/3 x Z/6 among them."""
+    last = draw(st.integers(2, min(6, max_order)))
+    heads = ([], [2], [3], [4], [2, 2], [2, 3], [4, 4], [2, 2, 2])
+    heads = [h for h in heads if prod(h) * last <= max_order]
+    return draw(st.sampled_from(heads)) + [last]
+
+
+def literal_delta(table, group, x, den):
+    """(delta c)(x, x1, ..., xk) mod den over [x1, ..., xk], by the definition
+        c(x1, ..., xk) + sum_i (-1)^i c(x, ..., x(i-1) + xi, ...) + (-1)^(k+1) c(x, ..., x(k-1)),
+    each term gathered with open index grids and added in int64, reduced
+    after each one, so no sum passes 2^63 for den <= 2^62."""
+    k, add = table.ndim, group.add_table
+    xs = (x, *np.ogrid[(slice(0, group.order),) * k])
+    total = table[xs[1:]].astype(np.int64)
+    for i in range(1, k + 1):
+        merged = xs[: i - 1] + (add[xs[i - 1], xs[i]],) + xs[i + 1 :]
+        total = (total + (-1) ** i * table[merged].astype(np.int64)) % den
+    return (total + (-1) ** (k + 1) * table[xs[:-1]].astype(np.int64)) % den
+
+
+def literal_combination(t, group, xi, den):
+    """t[xi, eta, x] + t[xi+eta, zeta, x] - t[xi, eta+zeta, x] - t[eta, zeta, x-xi]
+    - t[eta, zeta, xi] mod den over [eta, zeta, x], term by term as in
+    literal_delta."""
+    add, sub = group.add_table, group.sub_table
+    eta, zeta, x = np.ogrid[: group.order, : group.order, : group.order]
+    terms = [(add[xi, eta], zeta, x), (xi, eta, x), (xi, add[eta, zeta], x)]
+    terms += [(eta, zeta, sub[x, xi]), (eta, zeta, xi)]
+    total = np.zeros((group.order,) * 3, np.int64)
+    for sign, idx in zip((1, 1, -1, -1, -1), terms):
+        total = (total + sign * t[idx].astype(np.int64)) % den
+    return total
+
+
+def literal_slice(kind, table, group, x, den):
+    """Index x of the sweep of `kind`: delta at the table's arity, or the
+    multiplier combination ("combination")."""
+    if kind == "combination":
+        return literal_combination(table, group, x, den)
+    return literal_delta(table, group, x, den)
+
+
+def sweep_of(kind, c):
+    """The sweep of `kind` over the cochain c (`_sweep`), each block copied
+    out of the buffer the sweep reuses."""
+    if kind == "combination":
+        chunk, axes = _combination_defect_chunk, (2, 0, 1)
+    else:
+        chunk, axes = _coboundary_chunk, None
+    return [(lo, block.copy()) for lo, block in _sweep(c, chunk, axes)]
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, "combination"])
+@pytest.mark.parametrize(
+    "den, dtype",
+    [(4, np.uint8), (256, np.uint8), (12, np.int16), (2**20 + 7, np.int32), (2**62 - 57, object)],
+)
+@settings(max_examples=8)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_blocks_and_windows_are_the_literal_definitions(kind, den, dtype, data, seed):
+    """Every block of delta at arities 1-3 and of the multiplier combination,
+    in each sweep type, equals the literal definition, for block sizes drawn
+    from 1 to n - 1 (set through the budget; most do not divide n), and the
+    first witness equals an index-order search of the definition.
+
+    The cochain is a cocycle (delta of a random cochain one arity down; zero
+    at arity 1) with zero to two cells moved, so witnesses fall anywhere.
+    |G| <= 64, and n^(k+1) <= 2^18 cells at arity k (2^14 in Python
+    integers), so the definition is evaluated in the time of a test."""
+    arity = 3 if kind == "combination" else kind
+    assert _sweep_dtype(den, arity + 2) == np.dtype(dtype)
+    cap = 2**14 if dtype is object else 2**18
+    max_order = max(n for n in range(2, 65) if n ** (arity + 1) <= cap)
+    group = make_group(data.draw(window_factors(max_order)))
+    n, rng = group.order, np.random.default_rng(seed)
+    if arity == 1:
+        table = np.zeros(n, np.int64)
+    else:
+        lower = random_normalized_table(group, den, arity - 1, rng)
+        table = np.array([literal_delta(lower, group, x, den) for x in range(n)])
+    for _ in range(rng.integers(0, 3)):
+        table[tuple(rng.integers(1, n, size=arity))] = rng.integers(0, den)
+    c = plain_cochain(group, arity, table, den)
+    reference = [literal_slice(kind, c.table, group, x, den) for x in range(n)]
+    size = data.draw(st.integers(1, n - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cochains, "_SWEEP_BYTES", size * n**arity * np.dtype(dtype).itemsize)
+        blocks = sweep_of(kind, c)
+        witness = _first_nonzero(blocks)
+        public = None if kind == 1 else (
+            associativity_cocycle_sweep(c) if kind == "combination" else c.coboundary_witness
+        )
+    assert [lo for lo, _ in blocks] == list(range(1, n, size))
+    for lo, block in blocks:
+        assert block.dtype == dtype
+        assert np.array_equal(block.astype(object), np.array(reference[lo : lo + len(block)]))
+    expected = first_nonzero(reference)
+    assert witness == expected and (kind == 1 or public == expected)
+
+
+@settings(max_examples=20)
+@given(
+    kind=st.sampled_from([1, 2, 3, "combination"]),
+    den=st.sampled_from([2, 12, 2**31 + 11, 2**62 - 57]),
+    factors=window_factors(16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_identity_slice_the_sweeps_skip_is_zero(kind, den, factors, seed):
+    """On a normalized cochain, index 0 of delta and of the multiplier
+    combination is zero by the literal definition, so every sweep starts at
+    index 1, and _coboundary writes zeros there."""
+    group = make_group(factors)
+    arity = 3 if kind == "combination" else kind
+    table = random_normalized_table(group, den, arity, np.random.default_rng(seed))
+    c = plain_cochain(group, arity, table, den)
+    assert not literal_slice(kind, c.table, group, 0, den).any()
+    if kind != "combination":
+        assert not _coboundary(c).table[0].any()
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_adopt_refuses_a_table_that_is_not_normalized(arity):
+    """The premise of the skipped identity slice: every cochain passes
+    `_adopt`, which refuses a nonzero value with the identity in any slot,
+    built through its class or adopted as it is (`_from_table`)."""
+    group = make_group([2, 3])
+    for axis in range(arity):
+        table = np.zeros((group.order,) * arity, np.uint8)
+        table[(1,) * axis + (0,) + (1,) * (arity - axis - 1)] = 1
+        message = f"^cochain is not normalized: nonzero value with identity in slot {axis}$"
+        with pytest.raises(CochainError, match=message):
+            plain_cochain(group, arity, table, 2)
+        with pytest.raises(CochainError, match=message):
+            CochainTable._from_table(group, arity, table.copy(), 3)
+
 
 def random_normalized_cocycle_or_mutant(group, den, rng):
     """delta sigma for a random normalized sigma over `den`, with zero or one

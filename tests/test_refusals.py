@@ -16,6 +16,7 @@ from natorus import (
     GradedElement,
     GradingError,
     InvalidGroupError,
+    TensorShapeError,
     Tricharacter,
     TwistData,
     TwistDataError,
@@ -197,6 +198,27 @@ def test_a_size_that_is_not_an_integer_is_refused(error, message, call, args):
     # make_group truncated 2.5 to 2 and took "4", Tricharacter truncated its
     # modulus, and the others let a bare TypeError or numpy's UFuncTypeError out
     assert no_witness(refused(error, message, call, *args))
+
+
+def test_a_random_element_takes_an_int_size_and_refuses_others():
+    """random_element reads an int size as numpy does (it raised a bare
+    TypeError from tuple(3)), and refuses a bool, float, string or negative
+    size with TensorShapeError."""
+    algebra = GAction.translation(make_group([4])).algebra
+
+    def draw(size):
+        return algebra.random_element(np.random.default_rng(0), size)
+
+    assert draw(3).shape == draw((3,)).shape == (3, 4, 4)
+    assert np.array_equal(draw(3), draw((3,))) and np.array_equal(draw([2, 3]), draw((2, 3)))
+    for size, message in [
+        (True, "size True is not an integer"),
+        (2.0, "size 2.0 is not an integer"),
+        ("3", "size '3' is not an integer"),
+        ((2, 1.5), "size 1.5 is not an integer"),
+        (-1, "size -1 is below 0"),
+    ]:
+        assert no_witness(refused(TensorShapeError, message, draw, size))
 
 
 # ------------------------------------------------------------ config spellings

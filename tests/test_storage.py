@@ -30,6 +30,7 @@ from natorus import (
     is_cocycle3,
     make_group,
 )
+from natorus import cochains
 from natorus.cochains import _coboundary_chunk, _reduce, _sweep, _sweep_dtype
 from natorus.kernels import _combination_defect_chunk
 from natorus.phases import Phase
@@ -189,8 +190,9 @@ def test_coboundaries_and_readers_of_sigma_follow_the_storage_rule(den, factors,
 @given(**draws(12, 3), mutate=st.booleans())
 def test_sweeps_on_narrow_tables_are_exact(den, factors, seed, mutate):
     """The cocycle sweeps, check_multiplier_relation, coboundary3 and every
-    chunk of the multiplier-combination sweep on delta sigma for sigma near
-    den - 1, with one entry moved or not, against the Python-integer tables."""
+    block of the multiplier-combination sweep (from xi = 1; the table is zero
+    at xi = 0) on delta sigma for sigma near den - 1, with one entry moved or
+    not, against the Python-integer tables."""
     group = make_group(factors)
     n = group.order
     rng = np.random.default_rng(seed)
@@ -207,8 +209,9 @@ def test_sweeps_on_narrow_tables_are_exact(den, factors, seed, mutate):
     assoc_first = next((tuple(int(v) for v in i) for i in np.argwhere(assoc)), None)
     assert associativity_cocycle_sweep(phi) == assoc_first
     assert_stored(coboundary3(phi), *lowest(delta, den))
-    for i, chunk in enumerate(_sweep(phi, _combination_defect_chunk)):
-        assert np.array_equal(chunk.astype(object), assoc[i])
+    assert not assoc[0].any()
+    for lo, block in _sweep(phi, _combination_defect_chunk, (2, 0, 1)):
+        assert np.array_equal(block.astype(object), assoc[lo : lo + len(block)])
 
 
 @pytest.mark.parametrize("modulus", [2, 4, 12, 255, 256, 257, 65537, 2**31 + 11])
@@ -308,15 +311,22 @@ def test_the_first_sheared_row_holds_no_int64_square():
 
 @pytest.mark.parametrize("den", [4, 12, 2**31 + 11])
 @pytest.mark.parametrize("chunk", [_coboundary_chunk, _combination_defect_chunk])
-def test_a_sweep_builds_every_chunk_in_one_buffer(chunk, den):
-    """_sweep yields the same array at every index, built in buffers made
-    once per sweep, equal bit for bit to the chunk built in fresh arrays."""
+def test_a_sweep_builds_every_chunk_in_one_buffer(monkeypatch, chunk, den):
+    """With the budget of five tables, _sweep at |G| = 12 yields the chunks
+    of indices 1-5, 6-10 and 11, each a view of one buffer made once per
+    sweep, equal bit for bit to the chunk built in fresh arrays (the
+    combination's on the table transposed to [x, eta, zeta])."""
+    axes = (2, 0, 1) if chunk is _combination_defect_chunk else None
     group = make_group([2, 6])
     phi = Cochain3(group, random_normalized_table(group, den, 3, np.random.default_rng(2)), den)
-    table = phi.table.astype(_sweep_dtype(den, 5))
+    t = phi.table if axes is None else phi.table.transpose(axes)
+    table = np.ascontiguousarray(t, _sweep_dtype(den, 5))
+    monkeypatch.setattr(cochains, "_SWEEP_BYTES", 5 * table.nbytes)
     swept = []
-    for i, out in enumerate(_sweep(phi, chunk)):
-        fresh = np.empty((2,) + table.shape, table.dtype)
-        assert np.array_equal(out, _reduce(chunk(table, group, i, *fresh), den))
-        swept.append(out)
-    assert len(swept) == group.order and all(out is swept[0] for out in swept)
+    for lo, out in _sweep(phi, chunk, axes):
+        fresh = np.empty((2, len(out)) + table.shape, table.dtype)
+        expected = _reduce(chunk(table, group, slice(lo, lo + len(out)), *fresh), den)
+        assert np.array_equal(out, expected)
+        swept.append((lo, len(out), out))
+    assert [(lo, size) for lo, size, _ in swept] == [(1, 5), (6, 5), (11, 1)]
+    assert all(np.shares_memory(out, swept[0][2]) for _, _, out in swept)
